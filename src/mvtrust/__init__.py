@@ -10,48 +10,24 @@ pipeline, and noise/conflict corruption harnesses.
 
 __version__ = "0.1.0"
 
-from .autodiff import Adam, GradCheckReport, Tensor, backward, forward_op, grad_check
-from .errors import (
-    ContractError,
-    DataError,
-    DomainError,
-    ShapeError,
-    SingularityError,
-    TrainingDiverged,
-)
-from .opinions import (
-    BaseRate,
-    EvidenceVector,
-    Opinion,
-    aggregate_all,
-    aggregate_pair,
-    conflict_degree,
-    evidence_to_opinion,
-    opinion_to_evidence,
-    projected_probability,
-)
+from .autodiff import Adam, GradCheckReport, Tensor, backward, grad_check
+from .errors import ContractError, DataError, DomainError, ShapeError, TrainingDiverged
+from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence, projected_probability
 
 __all__ = [
     "Adam",
-    "BaseRate",
     "ContractError",
     "DataError",
     "DomainError",
-    "EvidenceVector",
     "GradCheckReport",
-    "Opinion",
     "ShapeError",
-    "SingularityError",
     "Tensor",
     "TrainingDiverged",
-    "aggregate_all",
-    "aggregate_pair",
     "backward",
     "conflict_degree",
     "evidence_to_opinion",
-    "forward_op",
+    "fuse_evidence",
     "grad_check",
-    "opinion_to_evidence",
     "projected_probability",
     "__version__",
 ]

@@ -1,9 +1,4 @@
-"""Two-level opinion aggregation.
-
-Level one fuses each view's common and specific evidence (element-wise
-evidence averaging, the uncertainty-weighted rule).  Level two scores
-views against each other with a small attention block operating at the
-evidence level, then fuses the attended opinions into one joint opinion.
+"""Evidence-level attention across views, batched over samples.
 
 The attention departs from the standard formulation on purpose: the three
 weight matrices are v x v and multiply from the left, mixing across views
@@ -12,108 +7,19 @@ of softmax so no view's weight can collapse to zero, and a final ReLU
 clamp keeps attended evidence non-negative (a legal Dirichlet needs
 alpha >= 1) even when the value matrix carries negative weights.
 
-Attention is per sample: the context rows are sample-dependent
-representations.  ``attend_batch`` evaluates all samples at once and is
-exactly equivalent to the per-sample functions.
+The context rows are sample-dependent representations, so every sample
+gets its own (v, v) weight matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, ShapeError
-from .opinions import (
-    EvidenceVector,
-    Opinion,
-    aggregate_all,
-    aggregate_pair,
-    evidence_to_opinion,
-    opinion_to_evidence,
-)
+from .errors import ContractError
 
 DEFAULT_EPS = 1e-8
-
-
-@dataclass
-class AttentionContext:
-    """Per-sample attention inputs.
-
-    ``features`` holds one row per view (common + specific representation,
-    width l); ``evidence`` one fused evidence row per view (width q).
-    """
-
-    features: Tensor      # (v, l)
-    evidence: Tensor      # (v, q)
-    w_query: Tensor       # (v, v)
-    w_key: Tensor         # (v, v)
-    w_value: Tensor       # (v, v)
-    eps: float = DEFAULT_EPS
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ContractError("attention eps must be positive")
-        v = self.features.shape[0]
-        if self.evidence.shape[0] != v:
-            raise ShapeError(
-                f"attention context: {v} feature rows vs {self.evidence.shape[0]} evidence rows"
-            )
-        for name, w in (("w_query", self.w_query), ("w_key", self.w_key), ("w_value", self.w_value)):
-            if w.shape != (v, v):
-                raise ShapeError(f"attention context: {name} must be ({v}, {v}), got {w.shape}")
-
-    @property
-    def n_views(self):
-        return self.features.shape[0]
-
-    @property
-    def subspace_dim(self):
-        return self.features.shape[1]
-
-
-def intra_view_aggregate(e_common: EvidenceVector, e_specific: EvidenceVector):
-    """Fuse one view's common and specific evidence.
-
-    Returns the fused evidence (element-wise mean of the inputs) together
-    with the fused opinion.
-    """
-    if e_common.q != e_specific.q:
-        raise ContractError(
-            f"intra_view_aggregate: class counts differ ({e_common.q} vs {e_specific.q})"
-        )
-    opinion = aggregate_pair(evidence_to_opinion(e_common), evidence_to_opinion(e_specific))
-    return opinion_to_evidence(opinion), opinion
-
-
-def fuse_evidence(e_common: Tensor, e_specific: Tensor) -> Tensor:
-    """Graph-side intra-view fusion: element-wise mean of the two evidences."""
-    return (e_common + e_specific) * 0.5
-
-
-def _scores(ctx: AttentionContext):
-    query = ctx.w_query @ ctx.features
-    key = ctx.w_key @ ctx.features
-    scale = 1.0 / np.sqrt(ctx.subspace_dim)
-    return (query @ key.transpose()) * scale
-
-
-def attention_weights(ctx: AttentionContext, view: int) -> Tensor:
-    """Strictly positive weights over views for ``view``'s query; sums to 1."""
-    if not 0 <= view < ctx.n_views:
-        raise ContractError(f"attention_weights: view {view} out of range")
-    row = ad.take(_scores(ctx), view, axis=0)
-    positive = ad.relu(row) + ctx.eps
-    return positive / positive.sum(keepdims=True)
-
-
-def attend_evidence(ctx: AttentionContext, view: int) -> Tensor:
-    """Attended evidence for ``view``: weighted mix of value rows, clamped >= 0."""
-    weights = attention_weights(ctx, view).reshape((1, ctx.n_views))
-    value = ctx.w_value @ ctx.evidence
-    return ad.relu(weights @ value).reshape((ctx.evidence.shape[1],))
 
 
 def attend_batch(features, evidences, w_query, w_key, w_value, eps=DEFAULT_EPS, uniform=False):
@@ -142,16 +48,3 @@ def attend_batch(features, evidences, w_query, w_key, w_value, eps=DEFAULT_EPS, 
         weights = positive / positive.sum(axis=-1, keepdims=True)
     attended = ad.relu(weights @ value)
     return weights, attended
-
-
-def inter_view_aggregate(attended_opinions, fold="mean"):
-    """Joint opinion over attended per-view opinions plus its Dirichlet params."""
-    joint = aggregate_all(attended_opinions, fold=fold)
-    alpha = opinion_to_evidence(joint).alpha
-    return joint, alpha
-
-
-def predict(opinion: Opinion):
-    """Decision rule: class with the largest belief (ties to the lowest
-    index) together with the opinion's uncertainty mass."""
-    return int(np.argmax(opinion.beliefs)), float(opinion.uncertainty)

@@ -6,6 +6,11 @@ topological order, so two runs over identical graphs produce bit-identical
 adjoints.  Everything is single-threaded; ``Tensor.data`` may be shared
 read-only, while parameter updates (``Adam.step``) require exclusive
 access.
+
+A node's backward closure receives the node's adjoint as its argument and
+must never capture the node itself: a graph then holds no reference
+cycle, so its arrays are freed as soon as the last reference drops rather
+than whenever the cyclic garbage collector next runs.
 """
 
 from __future__ import annotations
@@ -16,16 +21,6 @@ import numpy as np
 
 from . import special
 from .errors import ContractError, DomainError, ShapeError
-
-OPS: dict[str, object] = {}
-
-
-def _register(name):
-    def deco(fn):
-        OPS[name] = fn
-        return fn
-
-    return deco
 
 
 class Tensor:
@@ -171,76 +166,62 @@ def _check_broadcast(op, a, b):
         raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
 
 
-def forward_op(op, args, **kwargs):
-    """Dispatch a registered forward op by tag."""
-    try:
-        fn = OPS[op]
-    except KeyError:
-        raise ContractError(f"forward_op: unknown op {op!r}") from None
-    return fn(*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # binary ops
 
 
-@_register("add")
 def add(a, b):
     a, b = _lift(a), _lift(b)
     _check_broadcast("add", a, b)
     out = Tensor(a.data + b.data, (a, b), "add")
 
-    def bwd():
-        _accum(a, out.grad)
-        _accum(b, out.grad)
+    def bwd(grad):
+        _accum(a, grad)
+        _accum(b, grad)
 
     out._backward = bwd
     return out
 
 
-@_register("sub")
 def sub(a, b):
     a, b = _lift(a), _lift(b)
     _check_broadcast("sub", a, b)
     out = Tensor(a.data - b.data, (a, b), "sub")
 
-    def bwd():
-        _accum(a, out.grad)
-        _accum(b, -out.grad)
+    def bwd(grad):
+        _accum(a, grad)
+        _accum(b, -grad)
 
     out._backward = bwd
     return out
 
 
-@_register("mul")
 def mul(a, b):
     a, b = _lift(a), _lift(b)
     _check_broadcast("mul", a, b)
     out = Tensor(a.data * b.data, (a, b), "mul")
 
-    def bwd():
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
+    def bwd(grad):
+        _accum(a, grad * b.data)
+        _accum(b, grad * a.data)
 
     out._backward = bwd
     return out
 
 
-@_register("div")
 def div(a, b):
     a, b = _lift(a), _lift(b)
     _check_broadcast("div", a, b)
     out = Tensor(a.data / b.data, (a, b), "div")
 
-    def bwd():
-        _accum(a, out.grad / b.data)
-        _accum(b, -out.grad * a.data / (b.data * b.data))
+    def bwd(grad):
+        _accum(a, grad / b.data)
+        _accum(b, -grad * a.data / (b.data * b.data))
 
     out._backward = bwd
     return out
 
 
-@_register("matmul")
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -253,25 +234,10 @@ def matmul(a, b):
         raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
     out = Tensor(np.matmul(a.data, b.data), (a, b), "matmul")
 
-    def bwd():
-        g = out.grad
+    def bwd(grad):
+        g = grad
         _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    out._backward = bwd
-    return out
-
-
-@_register("dot")
-def dot(a, b):
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot: expects equal-length vectors, got {a.shape} and {b.shape}")
-    out = Tensor(np.dot(a.data, b.data), (a, b), "dot")
-
-    def bwd():
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
 
     out._backward = bwd
     return out
@@ -281,66 +247,62 @@ def dot(a, b):
 # unary ops
 
 
-@_register("neg")
 def neg(a):
     a = _lift(a)
     out = Tensor(-a.data, (a,), "neg")
 
-    def bwd():
-        _accum(a, -out.grad)
+    def bwd(grad):
+        _accum(a, -grad)
 
     out._backward = bwd
     return out
 
 
-@_register("relu")
 def relu(a):
     a = _lift(a)
     out = Tensor(np.maximum(a.data, 0.0), (a,), "relu")
     # subgradient at 0 is 0: dead units stay dead deterministically
     active = a.data > 0.0
 
-    def bwd():
-        _accum(a, out.grad * active)
+    def bwd(grad):
+        _accum(a, grad * active)
 
     out._backward = bwd
     return out
 
 
-@_register("abs")
 def absolute(a):
     a = _lift(a)
     out = Tensor(np.abs(a.data), (a,), "abs")
     sign = np.sign(a.data)
 
-    def bwd():
-        _accum(a, out.grad * sign)
+    def bwd(grad):
+        _accum(a, grad * sign)
 
     out._backward = bwd
     return out
 
 
-@_register("exp")
 def exp(a):
     a = _lift(a)
-    out = Tensor(np.exp(a.data), (a,), "exp")
+    value = np.exp(a.data)
+    out = Tensor(value, (a,), "exp")
 
-    def bwd():
-        _accum(a, out.grad * out.data)
+    def bwd(grad):
+        _accum(a, grad * value)
 
     out._backward = bwd
     return out
 
 
-@_register("log")
 def log_(a):
     a = _lift(a)
     if np.any(a.data <= 0.0):
         raise DomainError("log: input must be strictly positive")
     out = Tensor(np.log(a.data), (a,), "log")
 
-    def bwd():
-        _accum(a, out.grad / a.data)
+    def bwd(grad):
+        _accum(a, grad / a.data)
 
     out._backward = bwd
     return out
@@ -351,32 +313,29 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-@_register("sigmoid")
 def sigmoid(a):
     a = _lift(a)
     s = _sigmoid(a.data)
     out = Tensor(s, (a,), "sigmoid")
 
-    def bwd():
-        _accum(a, out.grad * s * (1.0 - s))
+    def bwd(grad):
+        _accum(a, grad * s * (1.0 - s))
 
     out._backward = bwd
     return out
 
 
-@_register("softplus")
 def softplus(a):
     a = _lift(a)
     out = Tensor(np.logaddexp(0.0, a.data), (a,), "softplus")
 
-    def bwd():
-        _accum(a, out.grad * _sigmoid(a.data))
+    def bwd(grad):
+        _accum(a, grad * _sigmoid(a.data))
 
     out._backward = bwd
     return out
 
 
-@_register("softmax_rows")
 def softmax_rows(a):
     a = _lift(a)
     if a.data.ndim < 1:
@@ -385,8 +344,8 @@ def softmax_rows(a):
     s = z / z.sum(axis=-1, keepdims=True)
     out = Tensor(s, (a,), "softmax_rows")
 
-    def bwd():
-        g = out.grad
+    def bwd(grad):
+        g = grad
         inner = (g * s).sum(axis=-1, keepdims=True)
         _accum(a, (g - inner) * s)
 
@@ -394,31 +353,28 @@ def softmax_rows(a):
     return out
 
 
-@_register("digamma")
 def digamma(a):
     a = _lift(a)
     out = Tensor(special.digamma(a.data), (a,), "digamma")
 
-    def bwd():
-        _accum(a, out.grad * special.trigamma(a.data))
+    def bwd(grad):
+        _accum(a, grad * special.trigamma(a.data))
 
     out._backward = bwd
     return out
 
 
-@_register("lgamma")
 def lgamma(a):
     a = _lift(a)
     out = Tensor(special.lgamma(a.data), (a,), "lgamma")
 
-    def bwd():
-        _accum(a, out.grad * special.digamma(a.data))
+    def bwd(grad):
+        _accum(a, grad * special.digamma(a.data))
 
     out._backward = bwd
     return out
 
 
-@_register("clamp")
 def clamp(a, lo=None, hi=None):
     a = _lift(a)
     out = Tensor(np.clip(a.data, lo, hi), (a,), "clamp")
@@ -428,20 +384,8 @@ def clamp(a, lo=None, hi=None):
     if hi is not None:
         passthrough &= a.data < hi
 
-    def bwd():
-        _accum(a, out.grad * passthrough)
-
-    out._backward = bwd
-    return out
-
-
-@_register("sq_l2")
-def sq_l2(a):
-    a = _lift(a)
-    out = Tensor(np.sum(a.data * a.data), (a,), "sq_l2")
-
-    def bwd():
-        _accum(a, 2.0 * a.data * out.grad)
+    def bwd(grad):
+        _accum(a, grad * passthrough)
 
     out._backward = bwd
     return out
@@ -451,15 +395,14 @@ def sq_l2(a):
 # shape and reduction ops
 
 
-@_register("transpose")
 def transpose(a):
     a = _lift(a)
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: needs >= 2 axes, got {a.shape}")
     out = Tensor(np.swapaxes(a.data, -1, -2), (a,), "transpose")
 
-    def bwd():
-        _accum(a, np.swapaxes(out.grad, -1, -2))
+    def bwd(grad):
+        _accum(a, np.swapaxes(grad, -1, -2))
 
     out._backward = bwd
     return out
@@ -476,46 +419,42 @@ def _expand_reduced(grad, in_shape, axis, keepdims):
     return np.broadcast_to(grad, in_shape)
 
 
-@_register("sum")
 def sum_(a, axis=None, keepdims=False):
     a = _lift(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
 
-    def bwd():
-        _accum(a, _expand_reduced(out.grad, a.data.shape, axis, keepdims))
+    def bwd(grad):
+        _accum(a, _expand_reduced(grad, a.data.shape, axis, keepdims))
 
     out._backward = bwd
     return out
 
 
-@_register("mean")
 def mean_(a, axis=None, keepdims=False):
     a = _lift(a)
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), "mean")
     count = max(a.data.size // max(out.data.size, 1), 1)
 
-    def bwd():
-        _accum(a, _expand_reduced(out.grad, a.data.shape, axis, keepdims) / count)
+    def bwd(grad):
+        _accum(a, _expand_reduced(grad, a.data.shape, axis, keepdims) / count)
 
     out._backward = bwd
     return out
 
 
-@_register("reshape")
 def reshape(a, shape):
     a = _lift(a)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
     out = Tensor(a.data.reshape(shape), (a,), "reshape")
 
-    def bwd():
-        _accum(a, out.grad.reshape(a.data.shape))
+    def bwd(grad):
+        _accum(a, grad.reshape(a.data.shape))
 
     out._backward = bwd
     return out
 
 
-@_register("stack")
 def stack(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
     if not tensors:
@@ -525,26 +464,25 @@ def stack(tensors, axis=0):
         raise ShapeError(f"stack: mixed shapes {[t.shape for t in tensors]}")
     out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack")
 
-    def bwd():
+    def bwd(grad):
         for i, t in enumerate(tensors):
-            _accum(t, np.take(out.grad, i, axis=axis))
+            _accum(t, np.take(grad, i, axis=axis))
 
     out._backward = bwd
     return out
 
 
-@_register("take")
 def take(a, index, axis):
     a = _lift(a)
     if not 0 <= index < a.shape[axis]:
         raise ShapeError(f"take: index {index} out of range for axis {axis} of {a.shape}")
     out = Tensor(np.take(a.data, index, axis=axis), (a,), "take")
 
-    def bwd():
+    def bwd(grad):
         g = np.zeros_like(a.data)
         sl = [slice(None)] * a.data.ndim
         sl[axis] = index
-        g[tuple(sl)] = out.grad
+        g[tuple(sl)] = grad
         _accum(a, g)
 
     out._backward = bwd
@@ -576,7 +514,7 @@ def backward(root):
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grads(params):

@@ -44,6 +44,9 @@ class MultiViewDataset:
                 raise ContractError(
                     f"view {i} has {v.shape[0]} rows but view 0 has {n}"
                 )
+            if not np.isfinite(v).all():
+                row = np.flatnonzero(~np.isfinite(v).all(axis=1))[0]
+                raise DataError(f"view {i} has a non-finite feature in row {row}")
         if self.labels.shape != (n,):
             raise ContractError(
                 f"labels must be one per sample: {self.labels.shape} vs {n} rows"

@@ -13,10 +13,6 @@ class DomainError(ContractError):
     """An argument lies outside the mathematical domain of a function."""
 
 
-class SingularityError(ContractError):
-    """The requested value is undefined, e.g. evidence recovery at u = 0."""
-
-
 class DataError(ContractError):
     """A dataset file or manifest failed validation."""
 

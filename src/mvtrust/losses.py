@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
+from .opinions import conflict_degree
 from .special import lgamma as _lgamma_value
 
 log = logging.getLogger(__name__)
@@ -159,38 +160,6 @@ def acc_loss(alpha, y, lambda_t):
 
 
 # ---------------------------------------------------------------------------
-# opinion geometry inside the graph
-
-
-def beliefs_uncertainty(evidence):
-    """Graph-side Dirichlet projection: b = e/S, u = q/S with S = sum(e) + q."""
-    evidence = ad.lift(evidence)
-    q = evidence.shape[-1]
-    strength = evidence.sum(axis=-1, keepdims=True) + float(q)
-    return evidence / strength, float(q) / strength
-
-
-def pairwise_conflict(evidence_a, evidence_b):
-    """Per-sample conflict degree between two evidence batches, shape (..., 1).
-
-    Matches the opinion-level definition: half the L1 distance between the
-    uniformly projected probabilities, discounted by conjunctive certainty.
-    """
-    if evidence_a.shape != evidence_b.shape:
-        raise ContractError(
-            f"pairwise_conflict: shapes differ, {evidence_a.shape} vs {evidence_b.shape}"
-        )
-    q = evidence_a.shape[-1]
-    b_a, u_a = beliefs_uncertainty(evidence_a)
-    b_b, u_b = beliefs_uncertainty(evidence_b)
-    p_a = b_a + u_a * (1.0 / q)
-    p_b = b_b + u_b * (1.0 / q)
-    distance = (p_a - p_b).abs().sum(axis=-1, keepdims=True) * 0.5
-    certainty = (1.0 - u_a) * (1.0 - u_b)
-    return distance * certainty
-
-
-# ---------------------------------------------------------------------------
 # hierarchy losses
 
 
@@ -208,7 +177,7 @@ def h1_loss(alpha_views, alpha_common, alpha_specific, y, gamma):
             + ace_loss(alpha_specific[i], y)
         )
         if gamma != 0.0:
-            conflict = pairwise_conflict(alpha_common - 1.0, alpha_specific[i] - 1.0)
+            conflict = conflict_degree(alpha_common - 1.0, alpha_specific[i] - 1.0)
             term = term + gamma * conflict.mean()
         total = term if total is None else total + term
     return total * (1.0 / n_views)
@@ -224,7 +193,7 @@ def con_loss(alpha_views):
         for r in range(n_views):
             if r == p:
                 continue
-            c = pairwise_conflict(alpha_views[p] - 1.0, alpha_views[r] - 1.0).mean()
+            c = conflict_degree(alpha_views[p] - 1.0, alpha_views[r] - 1.0).mean()
             total = c if total is None else total + c
     return total * (1.0 / (n_views - 1))
 

@@ -253,6 +253,8 @@ class Model:
             spec = ModelSpec(**spec_dict)
             model = cls(spec)
             for name, tensor in model.named_params():
+                if name not in bundle.files:
+                    raise ContractError(f"checkpoint has no {name} entry")
                 stored = bundle[name]
                 if stored.shape != tensor.data.shape:
                     raise ContractError(

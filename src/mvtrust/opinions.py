@@ -1,4 +1,8 @@
-"""Subjective-logic opinion algebra over per-class evidence.
+"""Subjective-logic opinion algebra over batches of per-class evidence.
+
+Every function takes evidence shaped ``(..., q)``, as an ndarray or a
+``Tensor``, lifts it to a ``Tensor`` and builds graph nodes, so the training
+losses and the evaluation report share one definition of each formula.
 
 An opinion assigns one belief mass per class plus a single uncertainty
 mass, all summing to one.  Evidence maps to opinions through the Dirichlet
@@ -6,166 +10,52 @@ strength S = sum(e) + q via b = e / S and u = q / S.  Fusion follows the
 uncertainty-weighted averaging rule, which is exactly element-wise
 evidence averaging and stays well-behaved for conflicting inputs (no
 Dempster-style conflict blow-up).
-
-All operations are pure value semantics and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import reduce
-
-import numpy as np
-
-from .errors import ContractError, SingularityError
-
-_SUM_TOL = 1e-9
+from . import autodiff as ad
+from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class EvidenceVector:
-    """Non-negative per-class evidence; alpha = e + 1 parameterizes a Dirichlet."""
+def evidence_to_opinion(evidence):
+    """Dirichlet projection: b = e/S, u = q/S with S = sum(e) + q.
 
-    e: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.e, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ContractError(f"evidence must be a vector over >= 2 classes, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ContractError("evidence must be finite and non-negative")
-        object.__setattr__(self, "e", arr)
-
-    @property
-    def q(self):
-        return self.e.size
-
-    @property
-    def alpha(self):
-        return self.e + 1.0
-
-    @property
-    def strength(self):
-        return float(self.e.sum() + self.q)
-
-
-@dataclass(frozen=True)
-class Opinion:
-    """Belief masses plus one uncertainty mass over q classes."""
-
-    beliefs: np.ndarray
-    uncertainty: float
-
-    def __post_init__(self):
-        b = np.asarray(self.beliefs, dtype=np.float64)
-        u = float(self.uncertainty)
-        if b.ndim != 1 or b.size < 2:
-            raise ContractError(f"beliefs must be a vector over >= 2 classes, got shape {b.shape}")
-        if not np.all(np.isfinite(b)) or np.any(b < 0.0) or u < 0.0:
-            raise ContractError("belief and uncertainty masses must be finite and non-negative")
-        if abs(u + b.sum() - 1.0) > _SUM_TOL:
-            raise ContractError(f"masses must sum to 1, got {u + b.sum()!r}")
-        object.__setattr__(self, "beliefs", b)
-        object.__setattr__(self, "uncertainty", u)
-
-    @property
-    def q(self):
-        return self.beliefs.size
-
-
-@dataclass(frozen=True)
-class BaseRate:
-    """Prior class probabilities used to project opinions to a point estimate."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.a, dtype=np.float64)
-        if arr.ndim != 1 or np.any(arr < 0.0) or abs(arr.sum() - 1.0) > _SUM_TOL:
-            raise ContractError("base rates must be non-negative and sum to 1")
-        object.__setattr__(self, "a", arr)
-
-    @classmethod
-    def uniform(cls, q):
-        return cls(np.full(q, 1.0 / q))
-
-
-def evidence_to_opinion(ev: EvidenceVector) -> Opinion:
-    """Map evidence to an opinion: b = e / S, u = q / S with S = sum(e) + q."""
-    strength = ev.strength
-    return Opinion(ev.e / strength, ev.q / strength)
-
-
-def opinion_to_evidence(op: Opinion) -> EvidenceVector:
-    """Invert evidence_to_opinion; undefined at u = 0 (infinite evidence)."""
-    if op.uncertainty <= 0.0:
-        raise SingularityError("cannot recover evidence from a fully certain opinion (u = 0)")
-    strength = op.q / op.uncertainty
-    return EvidenceVector(op.beliefs * strength)
-
-
-def aggregate_pair(a: Opinion, b: Opinion) -> Opinion:
-    """Uncertainty-weighted fusion of two opinions.
-
-    Equivalent to converting both to evidence and averaging element-wise;
-    commutative bit-for-bit.
+    Returns ``(beliefs, uncertainty)`` shaped ``(..., q)`` and ``(..., 1)``.
     """
-    if a.q != b.q:
-        raise ContractError(f"cannot aggregate opinions over {a.q} and {b.q} classes")
-    u_sum = a.uncertainty + b.uncertainty
-    if u_sum <= 0.0:
-        raise SingularityError("cannot aggregate two fully certain opinions (u_A = u_B = 0)")
-    beliefs = (a.beliefs * b.uncertainty + b.beliefs * a.uncertainty) / u_sum
-    u = 2.0 * a.uncertainty * b.uncertainty / u_sum
-    return Opinion(beliefs, u)
+    evidence = ad.lift(evidence)
+    q = evidence.shape[-1]
+    strength = evidence.sum(axis=-1, keepdims=True) + float(q)
+    return evidence / strength, float(q) / strength
 
 
-def aggregate_all(opinions, fold="mean") -> Opinion:
-    """Reduce many opinions to one joint opinion.
+def projected_probability(beliefs, uncertainty):
+    """Point probabilities p = b + u / q under uniform base rates."""
+    beliefs = ad.lift(beliefs)
+    q = beliefs.shape[-1]
+    return beliefs + uncertainty * (1.0 / q)
 
-    ``fold="mean"`` (default) averages the recovered evidence vectors with
-    an exactly rounded per-component sum, so the result is invariant under
-    any permutation of the inputs.  ``fold="sequential"`` keeps the
-    order-dependent pairwise left-fold for comparison.
+
+def fuse_evidence(e_common, e_specific):
+    """Intra-view fusion: element-wise mean of the two evidences."""
+    return (ad.lift(e_common) + e_specific) * 0.5
+
+
+def conflict_degree(evidence_a, evidence_b):
+    """Per-sample conflict degree between two evidence batches, shape (..., 1).
+
+    Half the L1 distance between the uniformly projected probabilities,
+    discounted by the conjunctive certainty (1 - u_A)(1 - u_B), so conflict
+    between mutually uncertain opinions is small and C(x, x) = 0.
     """
-    opinions = list(opinions)
-    if not opinions:
-        raise ContractError("aggregate_all: need at least one opinion")
-    q = opinions[0].q
-    if any(o.q != q for o in opinions):
-        raise ContractError("aggregate_all: opinions must share the class count")
-    if len(opinions) == 1:
-        return opinions[0]
-    if fold == "sequential":
-        return reduce(aggregate_pair, opinions)
-    if fold != "mean":
-        raise ContractError(f"aggregate_all: unknown fold policy {fold!r}")
-    evidences = [opinion_to_evidence(o).e for o in opinions]
-    count = len(evidences)
-    mean_e = np.array([math.fsum(col) / count for col in zip(*evidences)])
-    return evidence_to_opinion(EvidenceVector(mean_e))
-
-
-def projected_probability(op: Opinion, base: BaseRate | None = None) -> np.ndarray:
-    """Point probabilities p = b + a * u; uniform base rates by default."""
-    a = BaseRate.uniform(op.q) if base is None else base
-    if a.a.size != op.q:
-        raise ContractError("base rate size must match the class count")
-    return op.beliefs + a.a * op.uncertainty
-
-
-def conflict_degree(a: Opinion, b: Opinion, base: BaseRate | None = None) -> float:
-    """Conflict C = pd * cc in [0, 1].
-
-    pd is half the L1 distance between the projected probabilities and cc
-    the conjunctive certainty (1 - u_A)(1 - u_B), so conflict between
-    mutually uncertain opinions is discounted and C(x, x) = 0.
-    """
-    if a.q != b.q:
-        raise ContractError(f"conflict_degree: class counts differ ({a.q} vs {b.q})")
-    p_a = projected_probability(a, base)
-    p_b = projected_probability(b, base)
-    pd = 0.5 * float(np.abs(p_a - p_b).sum())
-    cc = (1.0 - a.uncertainty) * (1.0 - b.uncertainty)
-    return pd * cc
+    if evidence_a.shape != evidence_b.shape:
+        raise ContractError(
+            f"conflict_degree: shapes differ, {evidence_a.shape} vs {evidence_b.shape}"
+        )
+    b_a, u_a = evidence_to_opinion(evidence_a)
+    b_b, u_b = evidence_to_opinion(evidence_b)
+    p_a = projected_probability(b_a, u_a)
+    p_b = projected_probability(b_b, u_b)
+    distance = (p_a - p_b).abs().sum(axis=-1, keepdims=True) * 0.5
+    certainty = (1.0 - u_a) * (1.0 - u_b)
+    return distance * certainty

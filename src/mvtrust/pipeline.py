@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import autodiff as ad
 from . import losses as L
-from .aggregation import attend_batch, fuse_evidence
+from .aggregation import attend_batch
 from .autodiff import Adam, Tensor, backward, grad_check
 from .data import (
     CorruptionMask,
@@ -40,7 +40,7 @@ from .data import (
 )
 from .errors import ContractError, TrainingDiverged
 from .networks import Model, ModelSpec
-from .opinions import EvidenceVector, conflict_degree, evidence_to_opinion
+from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence
 
 LEARNING_RATE_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
 
@@ -401,24 +401,18 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
         raise ContractError(
             f"dataset views {ds.view_dims} do not match model views {model.spec.view_dims}"
         )
-    q = ds.n_classes
     bundle = forward_pass(model, ds.views, cfg)
-    joint_e = bundle.evidence_joint.data
-    predictions = np.argmax(joint_e, axis=1)
-    joint_u = q / (joint_e.sum(axis=1) + q)
-    fused = [t.data for t in bundle.evidence_fused]
-    local_u = np.stack([q / (e.sum(axis=1) + q) for e in fused], axis=1)
+    predictions = np.argmax(bundle.evidence_joint.data, axis=1)
+    joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
+    fused = bundle.evidence_fused
+    local_u = np.concatenate([evidence_to_opinion(e)[1].data for e in fused], axis=1)
     attention = np.array(bundle.attention.data)
 
     n_views = ds.n_views
     conflict = np.zeros((n_views, n_views))
-    ops = [
-        [evidence_to_opinion(EvidenceVector(e[j])) for e in fused]
-        for j in range(ds.n_samples)
-    ]
     for p in range(n_views):
         for r in range(p + 1, n_views):
-            mean_c = float(np.mean([conflict_degree(row[p], row[r]) for row in ops]))
+            mean_c = conflict_degree(fused[p], fused[r]).data.mean()
             conflict[p, r] = conflict[r, p] = mean_c
 
     correct = predictions == ds.labels

@@ -3,8 +3,9 @@
 None of these share code with the fast paths they check: special-function
 values come from mpmath at 30 decimal digits, the loss loops use scipy's
 digamma/gammaln and plain Python sums, Dirichlet KL is estimated by Monte
-Carlo with stdlib lgamma densities, and aggregation is re-derived from the
-element-wise evidence mean.
+Carlo with stdlib lgamma densities, opinion fusion follows the paper's
+opinion-level rules, and attention is evaluated one sample at a time.
+Nothing here imports mvtrust.
 """
 
 import math
@@ -70,33 +71,54 @@ def mc_dirichlet_kl(alpha_tilde, n_samples, seed):
 # opinion-level references
 
 
-def mean_evidence_opinion(evidences):
-    """Joint opinion from the plain element-wise mean of evidence vectors."""
-    stacked = np.asarray(evidences, dtype=np.float64)
-    mean_e = stacked.mean(axis=0)
-    q = mean_e.size
-    strength = mean_e.sum() + q
-    return mean_e / strength, q / strength
-
-
-def opinion_from_alpha(alpha_row):
-    alpha_row = np.asarray(alpha_row, dtype=np.float64)
-    q = alpha_row.size
-    e = alpha_row - 1.0
+def opinion_from_evidence(e):
+    e = np.asarray(e, dtype=np.float64)
+    q = e.size
     strength = e.sum() + q
     return e / strength, q / strength
 
 
+def evidence_from_opinion(beliefs, uncertainty):
+    """Invert opinion_from_evidence; undefined at u = 0."""
+    return np.asarray(beliefs) * (len(beliefs) / uncertainty)
+
+
+def aggregate_pair(a, b):
+    """Uncertainty-weighted fusion of two (beliefs, uncertainty) opinions."""
+    (b_a, u_a), (b_b, u_b) = a, b
+    u_sum = u_a + u_b
+    return (b_a * u_b + b_b * u_a) / u_sum, 2.0 * u_a * u_b / u_sum
+
+
+def aggregate_all(opinions):
+    """Joint opinion from the exactly rounded mean of the recovered evidence,
+    so the result does not depend on the order of the inputs."""
+    if len(opinions) == 1:
+        return opinions[0]
+    evidences = [evidence_from_opinion(b, u) for b, u in opinions]
+    mean_e = np.array([math.fsum(col) / len(evidences) for col in zip(*evidences)])
+    return opinion_from_evidence(mean_e)
+
+
 def naive_conflict(alpha_a, alpha_b):
     """Conflict degree from Dirichlet parameters, one sample at a time."""
-    b_a, u_a = opinion_from_alpha(alpha_a)
-    b_b, u_b = opinion_from_alpha(alpha_b)
+    b_a, u_a = opinion_from_evidence(np.asarray(alpha_a, dtype=np.float64) - 1.0)
+    b_b, u_b = opinion_from_evidence(np.asarray(alpha_b, dtype=np.float64) - 1.0)
     q = len(b_a)
     p_a = b_a + u_a / q
     p_b = b_b + u_b / q
     pd = 0.5 * sum(abs(p_a[k] - p_b[k]) for k in range(q))
     cc = (1.0 - u_a) * (1.0 - u_b)
     return pd * cc
+
+
+def attend(features, evidence, w_query, w_key, w_value, eps, view):
+    """One sample's attention for ``view``'s query, where rows of ``features``
+    and ``evidence`` are views: (weights over views, attended evidence)."""
+    scores = ((w_query @ features) @ (w_key @ features).T)[view] / np.sqrt(features.shape[1])
+    positive = np.maximum(scores, 0.0) + eps
+    weights = positive / positive.sum()
+    return weights, np.maximum(weights @ (w_value @ evidence), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,15 @@ class TestManifestIo:
         with pytest.raises(DataError, match="empty"):
             load_dataset(manifest)
 
+    def test_nan_cell_rejected_with_manifest_path(self, tmp_path):
+        manifest = save_dataset(synthesize(2, 1, 5, (3,), seed=8), tmp_path / "toy")
+        view_file = tmp_path / "toy" / "view0.tsv"
+        lines = view_file.read_text().splitlines()
+        lines[3] = "\t".join(["nan"] + lines[3].split("\t")[1:])
+        view_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"manifest\.json: view 0 .* row 3"):
+            load_dataset(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_dataset(tmp_path / "nope" / "manifest.json")
@@ -264,3 +273,10 @@ class TestDatasetValidation:
     def test_label_range(self):
         with pytest.raises(ContractError):
             MultiViewDataset([np.ones((3, 2))], np.array([0, 1, 2]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_view_and_row(self, bad):
+        second = np.ones((4, 2))
+        second[2, 1] = bad
+        with pytest.raises(DataError, match="view 1 .* row 2"):
+            MultiViewDataset([np.ones((4, 3)), second], np.zeros(4, int), 2)

@@ -7,6 +7,7 @@ import oracles
 from mvtrust import losses as L
 from mvtrust.autodiff import Tensor, grad_check
 from mvtrust.errors import ContractError
+from mvtrust.opinions import conflict_degree
 
 LOG2 = float(np.log(2.0))
 
@@ -187,7 +188,7 @@ class TestHierarchyLosses:
         a = Tensor(rng.uniform(1.0, 4.0, size=(5, 3)))
         b = Tensor(rng.uniform(1.0, 4.0, size=(5, 3)))
         got = L.con_loss([a, b]).item()
-        pair = L.pairwise_conflict(a.data - 1.0, b.data - 1.0)
+        pair = conflict_degree(a.data - 1.0, b.data - 1.0)
         assert abs(got - 2.0 * pair.data.mean()) < 1e-12
 
     def test_con_permutation_invariant(self, rng):
@@ -312,5 +313,5 @@ class TestLossGradients:
 
         e2 = Tensor(rng.uniform(0.2, 3.0, size=(n, q)))
         assert grad_check(
-            lambda: L.pairwise_conflict(e, e2).mean(), [e, e2]
+            lambda: conflict_degree(e, e2).mean(), [e, e2]
         ).passed

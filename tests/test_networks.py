@@ -165,14 +165,20 @@ class TestCheckpoint:
         assert np.all(np.isfinite(model.support_radius))
         np.testing.assert_array_equal(loaded.support_radius, model.support_radius)
 
-    def test_missing_support_radius_named(self, model, tmp_path):
-        path = tmp_path / "ckpt.npz"
+    @staticmethod
+    def _load_without(model, path, entry):
         model.save(path)
         with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files if k != SUPPORT_RADIUS_ENTRY}
+            arrays = {k: bundle[k] for k in bundle.files if k != entry}
         np.savez(path, **arrays)
-        with pytest.raises(ContractError, match=SUPPORT_RADIUS_ENTRY):
+        with pytest.raises(ContractError, match=entry):
             Model.load(path)
+
+    def test_missing_support_radius_named(self, model, tmp_path):
+        self._load_without(model, tmp_path / "ckpt.npz", SUPPORT_RADIUS_ENTRY)
+
+    def test_missing_parameter_named(self, model, tmp_path):
+        self._load_without(model, tmp_path / "ckpt.npz", "mapper0.w0")
 
     def test_format_guard(self, model, tmp_path):
         path = tmp_path / "ckpt.npz"

@@ -1,19 +1,26 @@
 """Training loop, evaluation reports, sweeps, ablation, CLI behavior."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import oracles
 from mvtrust import losses as L
+from mvtrust.aggregation import attend_batch
+from mvtrust.autodiff import Tensor
 from mvtrust.cli import main as cli_main
 from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise, split, standardize
-from mvtrust.errors import ContractError
+from mvtrust.data import synthesize
+from mvtrust.errors import ContractError, TrainingDiverged
+from mvtrust.networks import Model, ModelSpec
 from mvtrust.pipeline import (
     TrainConfig,
     TrainedModel,
     ablate,
+    apply_switch,
     evaluate,
     forward_pass,
     one_hot,
@@ -26,6 +33,12 @@ from mvtrust.pipeline import (
 
 SMOKE = TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6, epochs=2,
                     anneal_epochs=5, seed=1)
+
+
+@pytest.fixture()
+def train_std(tiny_dataset):
+    train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
+    return standardize(train_raw, test_raw)[0]
 
 
 @pytest.fixture()
@@ -69,9 +82,7 @@ class TestTrain:
         for row in log:
             assert abs(row.resum(SMOKE.delta, SMOKE.eta) - row.overall) < 1e-9
 
-    def test_bit_identical_reruns(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
+    def test_bit_identical_reruns(self, train_std):
         params = []
         for _ in range(2):
             model, _ = train(train_std, SMOKE)
@@ -79,16 +90,12 @@ class TestTrain:
         for name in params[0]:
             np.testing.assert_array_equal(params[0][name], params[1][name])
 
-    def test_minibatch_path(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
+    def test_minibatch_path(self, train_std):
         cfg = dataclasses.replace(SMOKE, batch_size=4)
         _, log = train(train_std, cfg)
         assert len(log) == 2 and all(row.finite() for row in log)
 
-    def test_early_stop_breaks_on_plateau(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
+    def test_early_stop_breaks_on_plateau(self, train_std):
         cfg = dataclasses.replace(
             SMOKE, epochs=50, early_stop=True, patience=3, min_delta=1e9
         )
@@ -97,19 +104,13 @@ class TestTrain:
         assert len(log) == 4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_term_dump(self, tiny_dataset):
-        from mvtrust.errors import TrainingDiverged
-
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
+    def test_divergence_aborts_with_term_dump(self, train_std):
         cfg = dataclasses.replace(SMOKE, learning_rate=1e12, epochs=30)
         with pytest.raises(TrainingDiverged) as excinfo:
             train(train_std, cfg)
         assert excinfo.value.terms  # names the non-finite terms
 
-    def test_lambda_annealing_recorded(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
+    def test_lambda_annealing_recorded(self, train_std):
         cfg = dataclasses.replace(SMOKE, epochs=6, anneal_epochs=4)
         _, log = train(train_std, cfg)
         assert [row.lambda_t for row in log] == [0.0, 0.25, 0.5, 0.75, 1.0, 1.0]
@@ -179,6 +180,25 @@ class TestEvaluate:
         np.testing.assert_array_equal(np.diag(matrix), 0.0)
         np.testing.assert_allclose(matrix, matrix.T, atol=0)
 
+    def test_conflict_matrix_matches_per_row_oracle(self):
+        train_raw, test_raw = split(synthesize(3, 3, 40, (4, 5, 6), seed=5), 0.5, seed=2)
+        train_std, test_std, stats = standardize(train_raw, test_raw)
+        trained = TrainedModel(train(train_std, SMOKE)[0], SMOKE, stats)
+        spec = CorruptionSpec("view_misalign", 0.5, views=(0,), seed=4)
+        corrupted, mask = inject_conflict(test_std, spec)
+        matrix = evaluate(trained, corrupted, mask).conflict_matrix
+        fused = [e.data for e in forward_pass(trained.model, corrupted.views, SMOKE).evidence_fused]
+        for p, r in itertools.combinations(range(3), 2):
+            rows = [oracles.naive_conflict(a + 1.0, b + 1.0) for a, b in zip(fused[p], fused[r])]
+            assert abs(matrix[p, r] - np.mean(rows)) < 1e-12
+        assert np.array_equal(matrix, matrix.T) and np.all(np.diag(matrix) == 0.0)
+
+    def test_attend_batch_rejects_mismatched_lists(self):
+        features = [Tensor(np.zeros((3, 8))) for _ in range(2)]
+        eye = Tensor(np.eye(2))
+        with pytest.raises(ContractError, match="attend_batch"):
+            attend_batch(features, features[:1], eye, eye, eye)
+
     def test_repeated_evaluate_identical_and_pure(self, smoke_run):
         trained, test_std, _ = smoke_run
         before = {n: t.data.copy() for n, t in trained.model.named_params()}
@@ -215,34 +235,27 @@ class TestEvaluate:
 
     def test_dimension_mismatch_rejected(self, smoke_run, tiny_dataset):
         trained, _, _ = smoke_run
-        from mvtrust.data import synthesize
-
         other = synthesize(2, 2, 10, (9, 9), seed=0)
         with pytest.raises(ContractError):
             evaluate(trained, other)
 
 
-class TestObjective:
-    def test_breakdown_identity_matches_graph(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
-        from mvtrust.networks import Model, ModelSpec
+def _fresh_model(ds):
+    return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2,
+                           subspace_dim=8, disc_hidden=6, evidence_hidden=6, seed=1))
 
-        model = Model(ModelSpec(view_dims=train_std.view_dims, n_classes=2,
-                                subspace_dim=8, disc_hidden=6, evidence_hidden=6, seed=1))
+
+class TestObjective:
+    def test_breakdown_identity_matches_graph(self, train_std):
+        model = _fresh_model(train_std)
         bundle = forward_pass(model, train_std.views, SMOKE)
         y = one_hot(train_std.labels, 2)
         _, breakdown = training_objective(model, bundle, y, SMOKE, lambda_t=0.5)
         assert abs(breakdown.resum(SMOKE.delta, SMOKE.eta) - breakdown.overall) < 1e-9
         assert 0.0 < breakdown.adv <= 1.0
 
-    def test_sequential_fold_changes_joint(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
-        from mvtrust.networks import Model, ModelSpec
-
-        model = Model(ModelSpec(view_dims=train_std.view_dims, n_classes=2,
-                                subspace_dim=8, disc_hidden=6, evidence_hidden=6, seed=1))
+    def test_sequential_fold_changes_joint(self, train_std):
+        model = _fresh_model(train_std)
         mean_bundle = forward_pass(model, train_std.views, SMOKE)
         seq_cfg = dataclasses.replace(SMOKE, fold="sequential")
         seq_bundle = forward_pass(model, train_std.views, seq_cfg)
@@ -287,11 +300,7 @@ class TestSweepAndAblate:
         with pytest.raises(ContractError):
             ablate(tiny_dataset, SMOKE, ("no_evidence",))
 
-    def test_no_common_loss_logged_with_zero_delta(self, tiny_dataset):
-        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, _, _ = standardize(train_raw, test_raw)
-        from mvtrust.pipeline import apply_switch
-
+    def test_no_common_loss_logged_with_zero_delta(self, train_std):
         cfg = apply_switch(SMOKE, "no_common_loss")
         assert cfg.delta == 0.0
         _, log = train(train_std, cfg)
@@ -310,6 +319,19 @@ class TestCheckpointPipeline:
         b = evaluate(loaded, test_std)
         np.testing.assert_array_equal(a.predictions, b.predictions)
         np.testing.assert_array_equal(a.joint_uncertainty, b.joint_uncertainty)
+
+
+def _synth_and_train(tmp_path):
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert cli_main([
+        "synth", "--out", str(data_dir), "--classes", "2", "--samples", "40",
+        "--dims", "4,5", "--seed", "3",
+    ]) == 0
+    assert cli_main([
+        "train", "--data", str(data_dir / "manifest.json"), "--out", str(run_dir),
+        "--epochs", "2", "--subspace-dim", "8", "--seed", "1",
+    ]) == 0
+    return data_dir, run_dir
 
 
 class TestCli:
@@ -336,17 +358,8 @@ class TestCli:
         assert "overall" in out and "FAIL" not in out
 
     def test_full_cli_cycle(self, tmp_path, capsys):
-        data_dir = tmp_path / "data"
-        run_dir = tmp_path / "run"
+        data_dir, run_dir = _synth_and_train(tmp_path)
         eval_dir = tmp_path / "eval"
-        assert cli_main([
-            "synth", "--out", str(data_dir), "--classes", "2", "--samples", "40",
-            "--dims", "4,5", "--seed", "3",
-        ]) == 0
-        assert cli_main([
-            "train", "--data", str(data_dir / "manifest.json"), "--out", str(run_dir),
-            "--epochs", "2", "--subspace-dim", "8", "--seed", "1",
-        ]) == 0
         assert (run_dir / "checkpoint.npz").exists()
         assert (run_dir / "training_log.tsv").exists()
         meta = json.loads((run_dir / "run.meta").read_text())
@@ -361,16 +374,7 @@ class TestCli:
             assert (eval_dir / name).exists(), name
 
     def test_sweep_and_ablate_commands(self, tmp_path):
-        data_dir = tmp_path / "data"
-        run_dir = tmp_path / "run"
-        assert cli_main([
-            "synth", "--out", str(data_dir), "--classes", "2", "--samples", "40",
-            "--dims", "4,5", "--seed", "3",
-        ]) == 0
-        assert cli_main([
-            "train", "--data", str(data_dir / "manifest.json"), "--out", str(run_dir),
-            "--epochs", "2", "--subspace-dim", "8", "--seed", "1",
-        ]) == 0
+        data_dir, run_dir = _synth_and_train(tmp_path)
         sweep_dir = tmp_path / "sweep"
         assert cli_main([
             "sweep", "--model", str(run_dir / "checkpoint.npz"),
