@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Write the outputs of a fixed set of CLI runs of the mvtrust tree <src-dir>
+# into <out-dir>.  Run it on two trees and compare the results with diff:
+#
+#   scripts/identity_outputs.sh /path/to/old-tree /tmp/ident-old
+#   scripts/identity_outputs.sh .                 /tmp/ident-new
+#   diff -r /tmp/ident-old /tmp/ident-new
+#
+# A refactor that changes no float operation leaves every file identical.
+# `run.meta` and the `__meta__` entry of `checkpoint.npz` also hold the
+# config and its hash, so they differ when a TrainConfig field changes.
+#
+# The runs:
+#   c11/            the criterion 11 setup: 60 rows, 5 epochs, clean held-out eval
+#   acc/full15      15 full-batch epochs on the acceptance data
+#   acc/batch32     3 epochs at batch size 32 on the acceptance data
+#   acc/eval_noise  sigma=10 noise on half of the held-out rows
+#   acc/eval_misalign  view 0 misaligned on 40 % of the held-out rows
+#   acc/sweep       accuracy and mean uncertainty per noise level
+#
+# BLAS runs on one thread, so sums do not depend on the thread count.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <src-dir> <out-dir>" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+export PYTHONPATH="$src/src"
+
+cli() {
+    { echo "mvtrust $*"; python -m mvtrust.cli "$@"; } | sed "s#$out/##g" >> "$out/cli.log"
+}
+
+: > "$out/cli.log"
+
+c11=$out/c11
+cli synth --out "$c11/data" --classes 3 --samples 60 --dims 5,6 --seed 21
+cli train --data "$c11/data/manifest.json" --out "$c11/train" \
+    --epochs 5 --subspace-dim 8 --seed 3
+cli eval --model "$c11/train/checkpoint.npz" --data "$c11/data/manifest.json" \
+    --out "$c11/eval" --holdout
+
+# the acceptance data of tests/conftest.py (per-view nuisance, so not via synth)
+acc=$out/acc
+python - "$acc/data" <<'EOF'
+import sys
+
+from mvtrust.data import save_dataset, synthesize
+
+ds = synthesize(4, 3, 1000, (20, 30, 25), separation=4.5,
+                nuisance_ratio=(0.8, 0.3, 0.3), seed=7)
+save_dataset(ds, sys.argv[1])
+EOF
+data=$acc/data/manifest.json
+cli train --data "$data" --out "$acc/full15" --epochs 15 --seed 7
+cli train --data "$data" --out "$acc/batch32" --epochs 3 --batch-size 32 --seed 7
+model=$acc/full15/checkpoint.npz
+cli eval --model "$model" --data "$data" --out "$acc/eval_noise" --holdout \
+    --noise-sigma 10 --noise-fraction 0.5 --seed 13
+cli eval --model "$model" --data "$data" --out "$acc/eval_misalign" --holdout \
+    --conflict-fraction 0.4 --corrupt-views 0 --seed 13
+cli sweep --model "$model" --data "$data" --out "$acc/sweep" --holdout \
+    --noise-fraction 0.5 --corruption-seed 13
+
+echo "wrote $out"

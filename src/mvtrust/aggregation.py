@@ -19,10 +19,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
 
-DEFAULT_EPS = 1e-8
+# Added to every ReLU score before normalizing, so that no view's weight can
+# reach zero (an all-zero score row becomes uniform).
+SCORE_FLOOR = 1e-8
 
 
-def attend_batch(features, evidences, w_query, w_key, w_value, eps=DEFAULT_EPS, uniform=False):
+def attend_batch(features, evidences, w_query, w_key, w_value, uniform=False):
     """Batched attention over per-view tensors.
 
     ``features`` and ``evidences`` are per-view lists of (n, l) and (n, q)
@@ -44,7 +46,7 @@ def attend_batch(features, evidences, w_query, w_key, w_value, eps=DEFAULT_EPS, 
         query = w_query @ feat3
         key = w_key @ feat3
         scores = (query @ key.transpose()) * (1.0 / np.sqrt(subspace_dim))
-        positive = ad.relu(scores) + eps
+        positive = ad.relu(scores) + SCORE_FLOOR
         weights = positive / positive.sum(axis=-1, keepdims=True)
     attended = ad.relu(weights @ value)
     return weights, attended

@@ -28,12 +28,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), op="leaf", backward=None):
+    def __init__(self, data, parents=(), op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.op = op
         self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None  # each op assigns its closure after construction
 
     @property
     def shape(self):
@@ -46,7 +46,7 @@ class Tensor:
     def item(self):
         if self.data.size != 1:
             raise ContractError(f"item: tensor has shape {self.shape}, not scalar")
-        return float(self.data)
+        return self.data.item()
 
     def detach(self):
         """New leaf sharing this node's array; gradients stop here."""
@@ -582,7 +582,7 @@ class GradCheckReport:
         return self.max_rel_error < self.tol
 
 
-def grad_check(f, params, h=1e-5, tol=1e-4, names=None):
+def grad_check(f, params, h=1e-5, tol=1e-4):
     """Compare analytic adjoints of ``f()`` against central finite differences.
 
     ``f`` must be a zero-argument callable that rebuilds the scalar loss
@@ -601,7 +601,6 @@ def grad_check(f, params, h=1e-5, tol=1e-4, names=None):
 
     report = GradCheckReport(h=h, tol=tol)
     for idx, p in enumerate(params):
-        name = names[idx] if names else f"param{idx}"
         flat = p.data.reshape(-1)
         ana = analytic[idx].reshape(-1)
         worst = 0.0
@@ -615,5 +614,5 @@ def grad_check(f, params, h=1e-5, tol=1e-4, names=None):
             numeric = (f_plus - f_minus) / (2.0 * h)
             denom = max(abs(ana[j]), abs(numeric), 1e-6)
             worst = max(worst, abs(ana[j] - numeric) / denom)
-        report.rel_errors[name] = worst
+        report.rel_errors[f"param{idx}"] = worst
     return report

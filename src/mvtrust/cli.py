@@ -59,9 +59,7 @@ _CONFIG_FLAGS = (
     ("batch_size", int),
     ("seed", int),
     ("train_fraction", float),
-    ("fold", str),
     ("evidence_activation", str),
-    ("attention_eps", float),
 )
 
 
@@ -69,7 +67,6 @@ def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON file with TrainConfig keys")
     for name, kind in _CONFIG_FLAGS:
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind, dest=name)
-    parser.add_argument("--early-stop", action="store_true", dest="early_stop", default=None)
 
 
 def _build_config(args):
@@ -86,13 +83,17 @@ def _build_config(args):
         value = getattr(args, name, None)
         if value is not None:
             payload[name] = value
-    if getattr(args, "early_stop", None):
-        payload["early_stop"] = True
     return TrainConfig.from_dict(payload)
 
 
-def _parse_views(text):
-    return tuple(int(tok) for tok in text.split(",") if tok)
+def _comma_list(kind):
+    """argparse ``type=`` for comma-separated values; a bad token is a usage error."""
+
+    def parse(text):
+        return tuple(kind(tok) for tok in text.split(",") if tok)
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse: "invalid <name> value"
+    return parse
 
 
 def _corruption_from_args(args, seed):
@@ -101,14 +102,14 @@ def _corruption_from_args(args, seed):
             "gaussian_noise",
             args.noise_fraction,
             sigma=args.noise_sigma,
-            views=_parse_views(args.corrupt_views) if args.corrupt_views else None,
+            views=args.corrupt_views or None,
             seed=seed,
         ), inject_noise
     if args.conflict_fraction is not None:
         return CorruptionSpec(
             "view_misalign",
             args.conflict_fraction,
-            views=_parse_views(args.corrupt_views) if args.corrupt_views else None,
+            views=args.corrupt_views or None,
             seed=seed,
         ), inject_conflict
     return None, None
@@ -117,9 +118,9 @@ def _corruption_from_args(args, seed):
 def _cmd_synth(args):
     ds = synthesize(
         n_classes=args.classes,
-        n_views=len(_parse_views(args.dims)),
+        n_views=len(args.dims),
         n_samples=args.samples,
-        view_dims=_parse_views(args.dims),
+        view_dims=args.dims,
         separation=args.separation,
         nuisance_ratio=args.nuisance,
         seed=args.seed,
@@ -196,8 +197,7 @@ def _cmd_sweep(args):
     trained = TrainedModel.load(args.model)
     ds = trained.prepare(load_dataset(args.data))
     _, test_ds = _maybe_holdout(ds, trained, args)
-    sigmas = [float(tok) for tok in args.sigmas.split(",") if tok]
-    rows = run_noise_sweep(trained, test_ds, sigmas, args.noise_fraction, args.corruption_seed)
+    rows = run_noise_sweep(trained, test_ds, args.sigmas, args.noise_fraction, args.corruption_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep(rows, out / "noise_sweep.tsv")
@@ -242,7 +242,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--dims", default="20,30,25", help="comma-separated view widths")
+    p.add_argument("--dims", type=_comma_list(int), default="20,30,25",
+                   help="comma-separated view widths")
     p.add_argument("--separation", type=float, default=2.5)
     p.add_argument("--nuisance", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
@@ -263,7 +264,8 @@ def build_parser():
     p.add_argument("--noise-sigma", type=float, default=None)
     p.add_argument("--noise-fraction", type=float, default=0.1)
     p.add_argument("--conflict-fraction", type=float, default=None)
-    p.add_argument("--corrupt-views", default=None, help="comma-separated view indices")
+    p.add_argument("--corrupt-views", type=_comma_list(int), default=None,
+                   help="comma-separated view indices")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 
@@ -273,7 +275,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", action="store_true")
-    p.add_argument("--sigmas", default="0,1,10,100,10000")
+    p.add_argument("--sigmas", type=_comma_list(float), default="0,1,10,100,10000")
     p.add_argument("--noise-fraction", type=float, default=1.0)
     p.add_argument("--corruption-seed", type=int, default=0)
     _add_config_flags(p)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ContractError, DataError
 
 MANIFEST_FORMAT = "mvtrust-dataset/1"
+LATENT_DIM = 8  # width of the latent space that synthesize maps into each view
 
 
 @dataclass
@@ -105,7 +106,6 @@ def synthesize(
     separation=2.5,
     nuisance_ratio=0.3,
     seed=0,
-    latent_dim=8,
 ):
     """Latent class-conditional Gaussian mapped linearly into each view.
 
@@ -127,15 +127,15 @@ def synthesize(
         raise ContractError("synthesize: nuisance ratios must lie in [0, 1), one per view")
     rng = np.random.default_rng(seed)
 
-    centers = rng.normal(size=(n_classes, latent_dim))
+    centers = rng.normal(size=(n_classes, LATENT_DIM))
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     labels = np.arange(n_samples) % n_classes
     rng.shuffle(labels)
-    latent = centers[labels] + rng.normal(size=(n_samples, latent_dim))
+    latent = centers[labels] + rng.normal(size=(n_samples, LATENT_DIM))
 
     views = []
     for dim, ratio in zip(view_dims, nuisance_ratio):
-        mix = rng.normal(size=(latent_dim, dim)) / np.sqrt(latent_dim)
+        mix = rng.normal(size=(LATENT_DIM, dim)) / np.sqrt(LATENT_DIM)
         offset = rng.normal(size=dim)
         x = latent @ mix + offset
         n_nuisance = min(dim - 1, int(round(ratio * dim)))
@@ -267,6 +267,14 @@ def _selected_instances(rng, n, fraction):
     return np.sort(rng.choice(n, size=count, replace=False))
 
 
+def _check_view_indices(spec: CorruptionSpec, n_views):
+    for i in spec.views or ():
+        if not 0 <= i < n_views:
+            raise ContractError(
+                f"corruption view index {i} outside [0, {n_views}): dataset has {n_views} views"
+            )
+
+
 def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
     """Add N(0, sigma^2) to the designated views of selected instances.
 
@@ -276,6 +284,7 @@ def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
     """
     if spec.kind != "gaussian_noise":
         raise ContractError("inject_noise expects a gaussian_noise spec")
+    _check_view_indices(spec, ds.n_views)
     rng = np.random.default_rng(spec.seed)
     n, v = ds.n_samples, ds.n_views
     views = [x.copy() for x in ds.views]
@@ -298,6 +307,7 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
     from a donor of a different class, misaligning that view's label."""
     if spec.kind != "view_misalign":
         raise ContractError("inject_conflict expects a view_misalign spec")
+    _check_view_indices(spec, ds.n_views)
     if np.unique(ds.labels).size < 2:
         raise DataError("cannot misalign views in a single-class dataset")
     rng = np.random.default_rng(spec.seed)

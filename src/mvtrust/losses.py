@@ -46,7 +46,7 @@ class LossBreakdown:
 
     def resum(self, delta, eta):
         """Recombine the recorded terms per the overall-loss identity."""
-        return self.h1 + self.h2 + delta * self.com + eta * self.spe
+        return overall_loss(self.h1, self.h2, self.com, self.spe, delta, eta)
 
     def finite(self):
         return all(np.isfinite(getattr(self, f)) for f in self.FIELDS)

@@ -35,19 +35,17 @@ _ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths (input first) plus activation tags and an init seed."""
+    """Layer widths (input first), output activation and init seed; hidden layers are ReLU."""
 
     widths: tuple
-    hidden_activation: str = "relu"
     output_activation: str = "linear"
     seed: int = 0
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ContractError(f"MlpSpec needs >= 1 layer of positive widths, got {self.widths}")
-        for tag in (self.hidden_activation, self.output_activation):
-            if tag not in _ACTIVATIONS:
-                raise ContractError(f"unknown activation tag {tag!r}")
+        if self.output_activation not in _ACTIVATIONS:
+            raise ContractError(f"unknown activation tag {self.output_activation!r}")
 
 
 class Mlp:
@@ -68,13 +66,12 @@ class Mlp:
             raise ShapeError(
                 f"mlp: input width {x.shape[-1]} does not match expected {self.spec.widths[0]}"
             )
-        n_layers = len(self.weights)
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if detach_params:
                 w, b = w.detach(), b.detach()
             x = x @ w + b
-            tag = self.spec.output_activation if i == n_layers - 1 else self.spec.hidden_activation
-            x = _ACTIVATIONS[tag](x)
+            x = _ACTIVATIONS[self.spec.output_activation](x) if i == last else ad.relu(x)
         return x
 
     def named_params(self, prefix):

@@ -43,6 +43,7 @@ from .networks import Model, ModelSpec
 from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence
 
 LEARNING_RATE_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
+LR_FOLDS = 5
 
 ABLATION_SWITCHES = ("no_h1", "no_attention", "no_common_loss", "no_specific_loss")
 
@@ -64,12 +65,7 @@ class TrainConfig:
     batch_size: int | None = None
     seed: int = 0
     train_fraction: float = 0.8
-    fold: str = "mean"
     evidence_activation: str = "relu"
-    attention_eps: float = 1e-8
-    early_stop: bool = False
-    patience: int = 20
-    min_delta: float = 1e-5
     bypass_h1: bool = False
     uniform_attention: bool = False
     disc_hidden: int = 64
@@ -84,10 +80,6 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1 when set")
         if not 0.0 < self.train_fraction < 1.0:
             raise ContractError("train_fraction must lie in (0, 1)")
-        if self.fold not in ("mean", "sequential"):
-            raise ContractError(f"fold must be mean or sequential, got {self.fold!r}")
-        if self.attention_eps <= 0.0:
-            raise ContractError("attention_eps must be positive")
         return self
 
     def to_dict(self):
@@ -104,14 +96,6 @@ class TrainConfig:
     def config_hash(self):
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _sequential_fold_weights(n_views):
-    # left-fold of pairwise evidence means: weights 1/2^(v-1), 1/2^(v-1), 1/4, ..., 1/2
-    w = [1.0 / 2 ** (n_views - 1)]
-    for i in range(2, n_views + 1):
-        w.append(1.0 / 2 ** (n_views - i + 1))
-    return w
 
 
 @dataclass
@@ -170,18 +154,10 @@ def forward_pass(model: Model, views, cfg: TrainConfig) -> ForwardBundle:
         model.w_query,
         model.w_key,
         model.w_value,
-        eps=cfg.attention_eps,
         uniform=cfg.uniform_attention,
     )
     evidence_attended = [ad.take(attended3, i, axis=1) for i in range(n_views)]
-
-    if cfg.fold == "sequential" and n_views > 1:
-        weights = _sequential_fold_weights(n_views)
-        joint = evidence_attended[0] * weights[0]
-        for w, e in zip(weights[1:], evidence_attended[1:]):
-            joint = joint + e * w
-    else:
-        joint = attended3.mean(axis=1)
+    joint = attended3.mean(axis=1)
     return ForwardBundle(
         common_views,
         common_mean,
@@ -286,8 +262,6 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
     y = one_hot(ds.labels, ds.n_classes)
     rng = np.random.default_rng(cfg.seed)
     log_rows = []
-    best = np.inf
-    stale = 0
     for epoch in range(cfg.epochs):
         lambda_t = L.lambda_schedule(epoch, cfg.anneal_epochs)
         sums = None
@@ -313,16 +287,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
             sums = values * weight if sums is None else sums + values * weight
             total_rows += weight
         averaged = sums / total_rows
-        row = L.LossBreakdown(*averaged, epoch=epoch)
-        log_rows.append(row)
-        if cfg.early_stop:
-            if row.overall < best - cfg.min_delta:
-                best = row.overall
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+        log_rows.append(L.LossBreakdown(*averaged.tolist(), epoch=epoch))
     return model, log_rows
 
 
@@ -369,9 +334,9 @@ class EvalReport:
     accuracy_clean: float | None = None
     accuracy_corrupted: float | None = None
 
-    def uncertainty_histograms(self, bins=HIST_BINS):
+    def uncertainty_histograms(self):
         """Binned mass rows (group, kind, lo, hi, mass); masses sum to 1 per group."""
-        edges = np.linspace(0.0, 1.0, bins + 1)
+        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
         groups = {"all": np.ones(self.labels.size, dtype=bool)}
         if self.corrupted is not None:
             groups["corrupted"] = self.corrupted
@@ -386,7 +351,7 @@ class EvalReport:
             ):
                 counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
                 mass = counts / counts.sum()
-                for k in range(bins):
+                for k in range(HIST_BINS):
                     rows.append((group, kind, edges[k], edges[k + 1], mass[k]))
         return rows
 
@@ -515,17 +480,17 @@ def ablate(ds: MultiViewDataset, cfg: TrainConfig, switches=()):
     return rows
 
 
-def run_lr_selection(ds: MultiViewDataset, cfg: TrainConfig, grid=LEARNING_RATE_GRID, folds=5):
+def run_lr_selection(ds: MultiViewDataset, cfg: TrainConfig):
     """K-fold cross-validated learning-rate selection over the default grid."""
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(ds.n_samples)
-    chunks = np.array_split(order, folds)
+    chunks = np.array_split(order, LR_FOLDS)
     rows = []
-    for lr in grid:
+    for lr in LEARNING_RATE_GRID:
         accs = []
-        for k in range(folds):
+        for k in range(LR_FOLDS):
             val_idx = np.sort(chunks[k])
-            train_idx = np.sort(np.concatenate([chunks[i] for i in range(folds) if i != k]))
+            train_idx = np.sort(np.concatenate([chunks[i] for i in range(LR_FOLDS) if i != k]))
             tr_raw, va_raw = ds.subset(train_idx), ds.subset(val_idx)
             tr, va, stats = standardize(tr_raw, va_raw)
             model, _ = train(tr, dataclasses.replace(cfg, learning_rate=lr))
@@ -540,79 +505,61 @@ def run_lr_selection(ds: MultiViewDataset, cfg: TrainConfig, grid=LEARNING_RATE_
 
 def gradcheck_losses(n_seeds=20, h=1e-5, tol=1e-4):
     """Max relative finite-difference error per loss over random small instances."""
-    names = ("adv", "cml", "spe", "ace", "kl", "h1", "h2", "overall")
-    worst = {name: 0.0 for name in names}
     n, q, v, width = 3, 3, 2, 4
+    worst = dict.fromkeys(("adv", "cml", "spe", "ace", "kl", "h1", "h2", "overall"), 0.0)
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
         logits = Tensor(rng.normal(size=(n * v, v)))
         z = one_hot(rng.integers(v, size=n * v), v)
-        _track(worst, "adv", lambda: L.adv_loss(logits.softmax_rows(), z), [logits], h, tol)
-
         pred_logits = Tensor(rng.normal(size=(n * v, q)))
         y_tiled = one_hot(rng.integers(q, size=n * v), q)
-        _track(worst, "cml", lambda: L.cml_loss(pred_logits.sigmoid(), y_tiled), [pred_logits], h, tol)
-
         specific = [Tensor(rng.normal(size=(n, width))) for _ in range(v)]
         common = Tensor(rng.normal(size=(n, width)))
-        _track(worst, "spe", lambda: L.spe_loss(specific, common), specific + [common], h, tol)
-
         y = one_hot(rng.integers(q, size=n), q)
         e_main = Tensor(rng.uniform(0.1, 3.0, size=(n, q)))
-        _track(worst, "ace", lambda: L.ace_loss(e_main + 1.0, y), [e_main], h, tol)
-        _track(worst, "kl", lambda: L.kl_loss(e_main + 1.0, y), [e_main], h, tol)
-
         e_common = Tensor(rng.uniform(0.1, 3.0, size=(n, q)))
         e_specific = [Tensor(rng.uniform(0.1, 3.0, size=(n, q))) for _ in range(v)]
-        e_fused = [fuse_evidence(e_common, e) for e in e_specific]
-
-        def h1_fn():
-            fused = [fuse_evidence(e_common, e) for e in e_specific]
-            return L.h1_loss(
-                [e + 1.0 for e in fused], e_common + 1.0, [e + 1.0 for e in e_specific], y, 1.0
-            )
-
-        _track(worst, "h1", h1_fn, [e_common] + e_specific, h, tol)
-
         e_att = [Tensor(rng.uniform(0.1, 3.0, size=(n, q))) for _ in range(v)]
 
-        def h2_fn():
-            fused = [fuse_evidence(e_common, e) for e in e_specific]
-            joint = fused[0]
-            for e in fused[1:]:
-                joint = joint + e
-            joint = joint * (1.0 / v)
-            return L.h2_loss(
-                joint + 1.0, [e + 1.0 for e in e_att], [e + 1.0 for e in fused], y, 0.5, 1.0
-            )
+        def adv():
+            return L.adv_loss(logits.softmax_rows(), z)
 
-        _track(worst, "h2", h2_fn, [e_common] + e_specific + e_att, h, tol)
+        def cml():
+            return L.cml_loss(pred_logits.sigmoid(), y_tiled)
 
-        def overall_fn():
-            adv = L.adv_loss(logits.softmax_rows(), z)
-            cml = L.cml_loss(pred_logits.sigmoid(), y_tiled)
-            spe = L.spe_loss(specific, common)
-            fused = [fuse_evidence(e_common, e) for e in e_specific]
-            h1 = L.h1_loss(
-                [e + 1.0 for e in fused], e_common + 1.0, [e + 1.0 for e in e_specific], y, 1.0
-            )
-            joint = fused[0]
-            for e in fused[1:]:
-                joint = joint + e
-            joint = joint * (1.0 / v)
-            h2 = L.h2_loss(
-                joint + 1.0, [e + 1.0 for e in e_att], [e + 1.0 for e in fused], y, 0.5, 1.0
-            )
-            return L.overall_loss(h1, h2, L.com_loss(adv, cml), spe, 1.0, 0.01)
+        def spe():
+            return L.spe_loss(specific, common)
 
-        leaves = [logits, pred_logits, common, e_common] + specific + e_specific + e_att
-        _track(worst, "overall", overall_fn, leaves, h, tol)
+        def fused():
+            return [fuse_evidence(e_common, e) for e in e_specific]
+
+        def h1():
+            alpha_specific = [e + 1.0 for e in e_specific]
+            return L.h1_loss([e + 1.0 for e in fused()], e_common + 1.0, alpha_specific, y, 1.0)
+
+        def h2():
+            views = fused()
+            joint = sum(views[1:], views[0]) * (1.0 / v)
+            alpha_att, alpha_views = [e + 1.0 for e in e_att], [e + 1.0 for e in views]
+            return L.h2_loss(joint + 1.0, alpha_att, alpha_views, y, 0.5, 1.0)
+
+        def overall():
+            return L.overall_loss(h1(), h2(), L.com_loss(adv(), cml()), spe(), 1.0, 0.01)
+
+        every_leaf = [logits, pred_logits, common, e_common] + specific + e_specific + e_att
+        checks = {
+            "adv": (adv, [logits]),
+            "cml": (cml, [pred_logits]),
+            "spe": (spe, specific + [common]),
+            "ace": (lambda: L.ace_loss(e_main + 1.0, y), [e_main]),
+            "kl": (lambda: L.kl_loss(e_main + 1.0, y), [e_main]),
+            "h1": (h1, [e_common] + e_specific),
+            "h2": (h2, [e_common] + e_specific + e_att),
+            "overall": (overall, every_leaf),
+        }
+        for name, (fn, params) in checks.items():
+            worst[name] = max(worst[name], grad_check(fn, params, h=h, tol=tol).max_rel_error)
     return worst
-
-
-def _track(worst, name, fn, params, h, tol):
-    report = grad_check(fn, params, h=h, tol=tol)
-    worst[name] = max(worst[name], report.max_rel_error)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +595,9 @@ def write_metrics(report: EvalReport, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_uncertainty_hist(report: EvalReport, path, bins=HIST_BINS):
+def write_uncertainty_hist(report: EvalReport, path):
     lines = ["group\tkind\tbin_lo\tbin_hi\tmass"]
-    for group, kind, lo, hi, mass in report.uncertainty_histograms(bins):
+    for group, kind, lo, hi, mass in report.uncertainty_histograms():
         lines.append(f"{group}\t{kind}\t{_fmt(float(lo))}\t{_fmt(float(hi))}\t{_fmt(float(mass))}")
     Path(path).write_text("\n".join(lines) + "\n")
 

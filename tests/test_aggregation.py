@@ -9,10 +9,9 @@ from mvtrust.aggregation import attend_batch
 from mvtrust.autodiff import Tensor
 from mvtrust.errors import ContractError, ShapeError
 from mvtrust.opinions import evidence_to_opinion, fuse_evidence
-from mvtrust.pipeline import TrainConfig
 
 
-def _ctx(rng, v=3, l=4, q=3, eps=1e-8, scale=1.0):
+def _ctx(rng, v=3, l=4, q=3, scale=1.0):
     """One sample's attention inputs: (v, l) features and (v, q) evidence."""
     return dict(
         features=rng.normal(size=(v, l)) * scale,
@@ -20,7 +19,6 @@ def _ctx(rng, v=3, l=4, q=3, eps=1e-8, scale=1.0):
         w_query=rng.normal(size=(v, v)),
         w_key=rng.normal(size=(v, v)),
         w_value=rng.normal(size=(v, v)),
-        eps=eps,
     )
 
 
@@ -31,7 +29,6 @@ def _attend(ctx):
         [Tensor(ctx["features"][i : i + 1]) for i in range(v)],
         [Tensor(ctx["evidence"][i : i + 1]) for i in range(v)],
         Tensor(ctx["w_query"]), Tensor(ctx["w_key"]), Tensor(ctx["w_value"]),
-        eps=ctx["eps"],
     )
     return weights.data[0], attended.data[0]
 
@@ -83,16 +80,15 @@ class TestIntraView:
 class TestAttentionWeights:
     def test_all_negative_scores_give_uniform(self, rng):
         ctx = _ctx(rng)
-        ctx["w_query"][:] = 0.0  # zero scores, relu -> 0, eps floor -> uniform
+        ctx["w_query"][:] = 0.0  # zero scores, relu -> 0, score floor -> uniform
         np.testing.assert_allclose(_attend(ctx)[0][0], 1.0 / 3.0, atol=1e-12)
 
     def test_dominant_positive_score(self):
-        # scores (2, 0) after relu, eps tiny: weights ~ (1, eps/2)
+        # scores (2, 0) after relu, floor tiny: weights ~ (1, floor/2)
         ctx = dict(
             features=np.array([[2.0, 0.0], [0.0, 0.0]]),
             evidence=np.ones((2, 2)),
             w_query=np.eye(2), w_key=np.eye(2), w_value=np.eye(2),
-            eps=1e-8,
         )
         # Q = F, K = F; row 0 scores = (4, 0) / sqrt(2)
         w = _attend(ctx)[0][0]
@@ -238,10 +234,6 @@ class TestContextValidation:
                 [Tensor(rng.normal(size=(2, 3))) for _ in range(3)],
                 Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor(np.eye(3)),
             )
-
-    def test_bad_eps(self):
-        with pytest.raises(ContractError):
-            TrainConfig(attention_eps=0.0).validate()
 
     def test_weight_shape_guard(self, rng):
         with pytest.raises(ShapeError):

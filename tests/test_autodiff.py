@@ -19,6 +19,10 @@ class TestForwardOps:
         out = Tensor(2.0).digamma() - Tensor(1.0).digamma()
         assert abs(out.item() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(1,), (1, 1)])
+    def test_item_of_single_element_tensor(self, shape):
+        assert Tensor(np.full(shape, 2.5)).item() == 2.5
+
     def test_matmul_shape(self):
         out = Tensor(np.ones((2, 3))) @ Tensor(np.ones((3, 1)))
         assert out.shape == (2, 1)

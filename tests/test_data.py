@@ -169,6 +169,13 @@ class TestInjectNoise:
         )
         assert mask.hit[:, 2].all() and not mask.hit[:, :2].any()
 
+    @pytest.mark.parametrize("view", [3, -1])
+    def test_view_index_out_of_range_named(self, view):
+        ds = synthesize(2, 3, 20, (4, 4, 4), seed=6)
+        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, views=(0, view), seed=1)
+        with pytest.raises(ContractError, match=rf"index {view} outside \[0, 3\)"):
+            inject_noise(ds, spec)
+
     def test_spec_validation(self):
         with pytest.raises(ContractError):
             CorruptionSpec("gaussian_noise", 0.5)  # sigma missing
@@ -207,6 +214,13 @@ class TestInjectConflict:
                               np.zeros(10, dtype=int), 2)
         with pytest.raises(DataError):
             inject_conflict(ds, CorruptionSpec("view_misalign", 0.5, seed=1))
+
+    @pytest.mark.parametrize("view", [2, -1])
+    def test_view_index_out_of_range_named(self, view):
+        ds = synthesize(2, 2, 30, (4, 4), seed=6)
+        spec = CorruptionSpec("view_misalign", 0.5, views=(view,), seed=1)
+        with pytest.raises(ContractError, match=rf"index {view} outside \[0, 2\)"):
+            inject_conflict(ds, spec)
 
 
 class TestManifestIo:

@@ -11,7 +11,6 @@ import oracles
 from mvtrust.errors import ContractError
 from mvtrust.opinions import conflict_degree, evidence_to_opinion, fuse_evidence
 from mvtrust.opinions import projected_probability
-from mvtrust.pipeline import TrainConfig, _sequential_fold_weights
 
 evidence_lists = st.lists(
     st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=10
@@ -135,17 +134,6 @@ class TestAggregateAll:
             other_b, other_u = oracles.aggregate_all(list(perm))
             assert np.array_equal(base_b, other_b)
             assert base_u == other_u
-
-    def test_sequential_fold_is_order_dependent_variant(self):
-        evidences = [np.array([8.0, 0.0]), np.array([0.0, 8.0]), np.array([4.0, 4.0])]
-        left = sum(w * e for w, e in zip(_sequential_fold_weights(3), evidences))
-        # fold(fold(a, b), c) averages evidence twice: ((a+b)/2 + c)/2
-        expected = (np.array([8.0, 0.0]) / 4 + np.array([0.0, 8.0]) / 4 + np.array([4.0, 4.0]) / 2)
-        np.testing.assert_allclose(left, expected, atol=1e-9)
-
-    def test_unknown_fold_rejected(self):
-        with pytest.raises(ContractError):
-            TrainConfig(fold="product").validate()
 
 
 class TestProjection:

@@ -63,8 +63,6 @@ class TestTrainConfig:
             TrainConfig(gamma=-1.0).validate()
         with pytest.raises(ContractError):
             TrainConfig(epochs=0).validate()
-        with pytest.raises(ContractError):
-            TrainConfig(fold="median").validate()
 
     def test_hash_tracks_content(self):
         assert TrainConfig().config_hash() != TrainConfig(seed=1).config_hash()
@@ -94,14 +92,6 @@ class TestTrain:
         cfg = dataclasses.replace(SMOKE, batch_size=4)
         _, log = train(train_std, cfg)
         assert len(log) == 2 and all(row.finite() for row in log)
-
-    def test_early_stop_breaks_on_plateau(self, train_std):
-        cfg = dataclasses.replace(
-            SMOKE, epochs=50, early_stop=True, patience=3, min_delta=1e9
-        )
-        _, log = train(train_std, cfg)
-        # epoch 0 sets the incumbent best; 3 stale epochs then exhaust patience
-        assert len(log) == 4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_term_dump(self, train_std):
@@ -254,19 +244,11 @@ class TestObjective:
         assert abs(breakdown.resum(SMOKE.delta, SMOKE.eta) - breakdown.overall) < 1e-9
         assert 0.0 < breakdown.adv <= 1.0
 
-    def test_sequential_fold_changes_joint(self, train_std):
-        model = _fresh_model(train_std)
-        mean_bundle = forward_pass(model, train_std.views, SMOKE)
-        seq_cfg = dataclasses.replace(SMOKE, fold="sequential")
-        seq_bundle = forward_pass(model, train_std.views, seq_cfg)
-        attended = [t.data for t in mean_bundle.evidence_attended]
+    def test_joint_is_mean_of_attended(self, train_std):
+        bundle = forward_pass(_fresh_model(train_std), train_std.views, SMOKE)
+        attended = [t.data for t in bundle.evidence_attended]
         np.testing.assert_allclose(
-            mean_bundle.evidence_joint.data, np.mean(attended, axis=0), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            seq_bundle.evidence_joint.data,
-            0.25 * attended[0] + 0.75 * attended[1] if len(attended) == 2 else None,
-            atol=1e-12,
+            bundle.evidence_joint.data, np.mean(attended, axis=0), atol=1e-12
         )
 
 
@@ -320,6 +302,19 @@ class TestCheckpointPipeline:
         np.testing.assert_array_equal(a.predictions, b.predictions)
         np.testing.assert_array_equal(a.joint_uncertainty, b.joint_uncertainty)
 
+    def test_removed_config_key_named(self, smoke_run, tmp_path):
+        trained, _, _ = smoke_run
+        path = tmp_path / "ckpt.npz"
+        trained.save(path)
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"]["fold"] = "mean"
+        arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+        np.savez(path, **arrays)
+        with pytest.raises(ContractError, match="fold"):
+            TrainedModel.load(path)
+
 
 def _synth_and_train(tmp_path):
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"
@@ -364,6 +359,10 @@ class TestCli:
         assert (run_dir / "training_log.tsv").exists()
         meta = json.loads((run_dir / "run.meta").read_text())
         assert meta["config"]["epochs"] == 2
+        log_lines = (run_dir / "training_log.tsv").read_text().splitlines()
+        assert len(log_lines) == 3
+        for line in log_lines[1:]:  # plain numbers, not np.float64(...)
+            assert np.all(np.isfinite([float(cell) for cell in line.split("\t")]))
         assert cli_main([
             "eval", "--model", str(run_dir / "checkpoint.npz"),
             "--data", str(data_dir / "manifest.json"), "--out", str(eval_dir),
@@ -391,6 +390,30 @@ class TestCli:
         rows = (abl_dir / "ablation.tsv").read_text().splitlines()
         assert rows[0] == "variant\taccuracy\taccuracy_delta"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["synth", "--dims", "5,x"],
+        ["eval", "--model", "m.npz", "--data", "d.json", "--noise-sigma", "1",
+         "--corrupt-views", "0,one"],
+        ["sweep", "--model", "m.npz", "--data", "d.json", "--sigmas", "0,1e"],
+    ])
+    def test_bad_list_token_is_usage_error(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(flags + ["--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "comma-separated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_corrupt_view_out_of_range_named(self, tmp_path, capsys):
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        for corruption in (["--noise-sigma", "2.0"], ["--conflict-fraction", "0.5"]):
+            code = cli_main([
+                "eval", "--model", str(run_dir / "checkpoint.npz"),
+                "--data", str(data_dir / "manifest.json"), "--out", str(tmp_path / "eval"),
+                "--corrupt-views", "5", *corruption,
+            ])
+            assert code == 2
+            assert "view index 5 outside [0, 2)" in capsys.readouterr().err
 
     def test_eval_report_files(self, smoke_run, tmp_path):
         trained, test_std, _ = smoke_run
