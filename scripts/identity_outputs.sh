@@ -12,11 +12,13 @@
 #
 # The runs:
 #   c11/            the criterion 11 setup: 60 rows, 5 epochs, clean held-out eval
+#   c11/ablate      every ablation switch, 3 epochs each, on the criterion 11 data
 #   acc/full15      15 full-batch epochs on the acceptance data
 #   acc/batch32     3 epochs at batch size 32 on the acceptance data
 #   acc/eval_noise  sigma=10 noise on half of the held-out rows
 #   acc/eval_misalign  view 0 misaligned on 40 % of the held-out rows
 #   acc/sweep       accuracy and mean uncertainty per noise level
+#   cli.log         also the worst loss gradcheck errors over 2 seeds
 #
 # BLAS runs on one thread, so sums do not depend on the thread count.
 set -euo pipefail
@@ -44,6 +46,8 @@ cli train --data "$c11/data/manifest.json" --out "$c11/train" \
     --epochs 5 --subspace-dim 8 --seed 3
 cli eval --model "$c11/train/checkpoint.npz" --data "$c11/data/manifest.json" \
     --out "$c11/eval" --holdout
+cli ablate --data "$c11/data/manifest.json" --out "$c11/ablate" \
+    --switches no_h1,no_attention,no_common_loss,no_specific_loss --epochs 3
 
 # the acceptance data of tests/conftest.py (per-view nuisance, so not via synth)
 acc=$out/acc
@@ -66,5 +70,7 @@ cli eval --model "$model" --data "$data" --out "$acc/eval_misalign" --holdout \
     --conflict-fraction 0.4 --corrupt-views 0 --seed 13
 cli sweep --model "$model" --data "$data" --out "$acc/sweep" --holdout \
     --noise-fraction 0.5 --corruption-seed 13
+
+cli gradcheck --seeds 2
 
 echo "wrote $out"

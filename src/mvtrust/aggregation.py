@@ -46,7 +46,7 @@ def attend_batch(features, evidences, w_query, w_key, w_value, uniform=False):
         query = w_query @ feat3
         key = w_key @ feat3
         scores = (query @ key.transpose()) * (1.0 / np.sqrt(subspace_dim))
-        positive = ad.relu(scores) + SCORE_FLOOR
+        positive = scores.relu() + SCORE_FLOOR
         weights = positive / positive.sum(axis=-1, keepdims=True)
-    attended = ad.relu(weights @ value)
+    attended = (weights @ value).relu()
     return weights, attended

@@ -7,8 +7,12 @@ adjoints.  Everything is single-threaded; ``Tensor.data`` may be shared
 read-only, while parameter updates (``Adam.step``) require exclusive
 access.
 
-A node's backward closure receives the node's adjoint as its argument and
-must never capture the node itself: a graph then holds no reference
+Every op is a ``Tensor`` method or operator that computes its forward value
+and hands it to ``_node`` with its parents and a ``vjp(grad)`` closure.
+``vjp`` maps the node's adjoint to one adjoint per parent, in parent order;
+an adjoint may still carry broadcast axes, which ``backward`` alone sums
+away before adding it into ``parent.grad``.  A ``vjp`` captures the
+arrays it needs, never the node itself: a graph then holds no reference
 cycle, so its arrays are freed as soon as the last reference drops rather
 than whenever the cyclic garbage collector next runs.
 """
@@ -26,14 +30,13 @@ from .errors import ContractError, DomainError, ShapeError
 class Tensor:
     """Graph node: a float64 ndarray plus a lazily allocated adjoint."""
 
-    __slots__ = ("data", "grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, parents=(), op="leaf"):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.op = op
-        self._parents = tuple(parents)
-        self._backward = None  # each op assigns its closure after construction
+        self._parents = ()
+        self._vjp = None
 
     @property
     def shape(self):
@@ -52,85 +55,156 @@ class Tensor:
         """New leaf sharing this node's array; gradients stop here."""
         return Tensor(self.data)
 
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.shape})"
+    # -- binary ops; plain numbers and arrays are lifted to leaves -----------
 
-    # arithmetic operators; plain numbers and arrays are lifted to leaves
     def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
+        other = lift(other)
+        _check_broadcast("add", self, other)
+        return _node(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
+        other = lift(other)
+        _check_broadcast("sub", self, other)
+        return _node(self.data - other.data, (self, other), lambda g: (g, -g))
 
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
+        other = lift(other)
+        _check_broadcast("mul", self, other)
+        a, b = self.data, other.data
+        return _node(a * b, (self, other), lambda g: (g * b, g * a))
 
     def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
+        other = lift(other)
+        _check_broadcast("div", self, other)
+        a, b = self.data, other.data
+        return _node(a / b, (self, other), lambda g: (g / b, -g * a / (b * b)))
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        other = lift(other)
+        a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
+            raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
+        if a.shape[-1] != b.shape[-2]:
+            raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+        try:
+            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        except ValueError as exc:
+            raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
 
-    # method aliases for the unary/reduction ops
+        def vjp(g):
+            return np.matmul(g, np.swapaxes(b, -1, -2)), np.matmul(np.swapaxes(a, -1, -2), g)
+
+        return _node(np.matmul(a, b), (self, other), vjp)
+
+    def __radd__(self, other):
+        return lift(other) + self
+
+    def __rsub__(self, other):
+        return lift(other) - self
+
+    def __rmul__(self, other):
+        return lift(other) * self
+
+    def __rtruediv__(self, other):
+        return lift(other) / self
+
+    # -- elementwise unary ops -----------------------------------------------
+
+    def __neg__(self):
+        return _node(-self.data, (self,), lambda g: (-g,))
+
     def relu(self):
-        return relu(self)
+        # subgradient at 0 is 0: dead units stay dead deterministically
+        active = self.data > 0.0
+        return _node(np.maximum(self.data, 0.0), (self,), lambda g: (g * active,))
 
     def abs(self):
-        return absolute(self)
+        sign = np.sign(self.data)
+        return _node(np.abs(self.data), (self,), lambda g: (g * sign,))
 
     def exp(self):
-        return exp(self)
+        value = np.exp(self.data)
+        return _node(value, (self,), lambda g: (g * value,))
 
     def log(self):
-        return log_(self)
+        a = self.data
+        if np.any(a <= 0.0):
+            raise DomainError("log: input must be strictly positive")
+        return _node(np.log(a), (self,), lambda g: (g / a,))
 
     def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
+        z = np.exp(-np.abs(self.data))
+        s = np.where(self.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+        return _node(s, (self,), lambda g: (g * s * (1.0 - s),))
 
     def softmax_rows(self):
-        return softmax_rows(self)
+        if self.data.ndim < 1:
+            raise ShapeError("softmax_rows: needs at least one axis")
+        z = np.exp(self.data - self.data.max(axis=-1, keepdims=True))
+        s = z / z.sum(axis=-1, keepdims=True)
+
+        def vjp(g):
+            inner = (g * s).sum(axis=-1, keepdims=True)
+            return ((g - inner) * s,)
+
+        return _node(s, (self,), vjp)
 
     def digamma(self):
-        return digamma(self)
+        a = self.data
+        return _node(special.digamma(a), (self,), lambda g: (g * special.trigamma(a),))
 
     def lgamma(self):
-        return lgamma(self)
+        a = self.data
+        return _node(special.lgamma(a), (self,), lambda g: (g * special.digamma(a),))
 
     def clamp(self, lo=None, hi=None):
-        return clamp(self, lo, hi)
+        passthrough = np.ones_like(self.data, dtype=bool)
+        if lo is not None:
+            passthrough &= self.data > lo
+        if hi is not None:
+            passthrough &= self.data < hi
+        return _node(np.clip(self.data, lo, hi), (self,), lambda g: (g * passthrough,))
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
+    # -- shape and reduction ops ---------------------------------------------
 
     def transpose(self):
-        return transpose(self)
+        if self.data.ndim < 2:
+            raise ShapeError(f"transpose: needs >= 2 axes, got {self.shape}")
+        return _node(np.swapaxes(self.data, -1, -2), (self,), lambda g: (np.swapaxes(g, -1, -2),))
+
+    def sum(self, axis=None, keepdims=False):
+        shape = self.shape
+        return _node(
+            self.data.sum(axis=axis, keepdims=keepdims),
+            (self,),
+            lambda g: (_expand_reduced(g, shape, axis, keepdims),),
+        )
+
+    def mean(self, axis=None, keepdims=False):
+        shape = self.shape
+        value = self.data.mean(axis=axis, keepdims=keepdims)
+        count = max(self.data.size // max(value.size, 1), 1)
+        return _node(value, (self,), lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
     def reshape(self, shape):
-        return reshape(self, shape)
+        if int(np.prod(shape)) != self.data.size:
+            raise ShapeError(f"reshape: cannot view {self.shape} as {tuple(shape)}")
+        old = self.shape
+        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     def take(self, index, axis):
-        return take(self, index, axis)
+        if not 0 <= index < self.shape[axis]:
+            raise ShapeError(f"take: index {index} out of range for axis {axis} of {self.shape}")
+        shape = self.shape
+        sl = [slice(None)] * len(shape)
+        sl[axis] = index
+
+        def vjp(g):
+            full = np.zeros(shape)
+            full[tuple(sl)] = g
+            return (full,)
+
+        return _node(np.take(self.data, index, axis=axis), (self,), vjp)
 
 
 def lift(x):
@@ -138,7 +212,19 @@ def lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_lift = lift
+def _node(value, parents, vjp):
+    """The one constructor of interior nodes; ``vjp`` obeys the module contract."""
+    out = Tensor(value)
+    out._parents = parents
+    out._vjp = vjp
+    return out
+
+
+def _check_broadcast(op, a, b):
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
 
 
 def _unbroadcast(grad, shape):
@@ -153,261 +239,6 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _accum(t, g):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += _unbroadcast(g, t.data.shape)
-
-
-def _check_broadcast(op, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
-
-
-# ---------------------------------------------------------------------------
-# binary ops
-
-
-def add(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_broadcast("add", a, b)
-    out = Tensor(a.data + b.data, (a, b), "add")
-
-    def bwd(grad):
-        _accum(a, grad)
-        _accum(b, grad)
-
-    out._backward = bwd
-    return out
-
-
-def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_broadcast("sub", a, b)
-    out = Tensor(a.data - b.data, (a, b), "sub")
-
-    def bwd(grad):
-        _accum(a, grad)
-        _accum(b, -grad)
-
-    out._backward = bwd
-    return out
-
-
-def mul(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_broadcast("mul", a, b)
-    out = Tensor(a.data * b.data, (a, b), "mul")
-
-    def bwd(grad):
-        _accum(a, grad * b.data)
-        _accum(b, grad * a.data)
-
-    out._backward = bwd
-    return out
-
-
-def div(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_broadcast("div", a, b)
-    out = Tensor(a.data / b.data, (a, b), "div")
-
-    def bwd(grad):
-        _accum(a, grad / b.data)
-        _accum(b, -grad * a.data / (b.data * b.data))
-
-    out._backward = bwd
-    return out
-
-
-def matmul(a, b):
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError as exc:
-        raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
-    out = Tensor(np.matmul(a.data, b.data), (a, b), "matmul")
-
-    def bwd(grad):
-        g = grad
-        _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    out._backward = bwd
-    return out
-
-
-# ---------------------------------------------------------------------------
-# unary ops
-
-
-def neg(a):
-    a = _lift(a)
-    out = Tensor(-a.data, (a,), "neg")
-
-    def bwd(grad):
-        _accum(a, -grad)
-
-    out._backward = bwd
-    return out
-
-
-def relu(a):
-    a = _lift(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,), "relu")
-    # subgradient at 0 is 0: dead units stay dead deterministically
-    active = a.data > 0.0
-
-    def bwd(grad):
-        _accum(a, grad * active)
-
-    out._backward = bwd
-    return out
-
-
-def absolute(a):
-    a = _lift(a)
-    out = Tensor(np.abs(a.data), (a,), "abs")
-    sign = np.sign(a.data)
-
-    def bwd(grad):
-        _accum(a, grad * sign)
-
-    out._backward = bwd
-    return out
-
-
-def exp(a):
-    a = _lift(a)
-    value = np.exp(a.data)
-    out = Tensor(value, (a,), "exp")
-
-    def bwd(grad):
-        _accum(a, grad * value)
-
-    out._backward = bwd
-    return out
-
-
-def log_(a):
-    a = _lift(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data), (a,), "log")
-
-    def bwd(grad):
-        _accum(a, grad / a.data)
-
-    out._backward = bwd
-    return out
-
-
-def _sigmoid(x):
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(a):
-    a = _lift(a)
-    s = _sigmoid(a.data)
-    out = Tensor(s, (a,), "sigmoid")
-
-    def bwd(grad):
-        _accum(a, grad * s * (1.0 - s))
-
-    out._backward = bwd
-    return out
-
-
-def softplus(a):
-    a = _lift(a)
-    out = Tensor(np.logaddexp(0.0, a.data), (a,), "softplus")
-
-    def bwd(grad):
-        _accum(a, grad * _sigmoid(a.data))
-
-    out._backward = bwd
-    return out
-
-
-def softmax_rows(a):
-    a = _lift(a)
-    if a.data.ndim < 1:
-        raise ShapeError("softmax_rows: needs at least one axis")
-    z = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    s = z / z.sum(axis=-1, keepdims=True)
-    out = Tensor(s, (a,), "softmax_rows")
-
-    def bwd(grad):
-        g = grad
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        _accum(a, (g - inner) * s)
-
-    out._backward = bwd
-    return out
-
-
-def digamma(a):
-    a = _lift(a)
-    out = Tensor(special.digamma(a.data), (a,), "digamma")
-
-    def bwd(grad):
-        _accum(a, grad * special.trigamma(a.data))
-
-    out._backward = bwd
-    return out
-
-
-def lgamma(a):
-    a = _lift(a)
-    out = Tensor(special.lgamma(a.data), (a,), "lgamma")
-
-    def bwd(grad):
-        _accum(a, grad * special.digamma(a.data))
-
-    out._backward = bwd
-    return out
-
-
-def clamp(a, lo=None, hi=None):
-    a = _lift(a)
-    out = Tensor(np.clip(a.data, lo, hi), (a,), "clamp")
-    passthrough = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        passthrough &= a.data > lo
-    if hi is not None:
-        passthrough &= a.data < hi
-
-    def bwd(grad):
-        _accum(a, grad * passthrough)
-
-    out._backward = bwd
-    return out
-
-
-# ---------------------------------------------------------------------------
-# shape and reduction ops
-
-
-def transpose(a):
-    a = _lift(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: needs >= 2 axes, got {a.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2), (a,), "transpose")
-
-    def bwd(grad):
-        _accum(a, np.swapaxes(grad, -1, -2))
-
-    out._backward = bwd
-    return out
-
-
 def _expand_reduced(grad, in_shape, axis, keepdims):
     if axis is None:
         return np.broadcast_to(grad, in_shape)
@@ -419,74 +250,19 @@ def _expand_reduced(grad, in_shape, axis, keepdims):
     return np.broadcast_to(grad, in_shape)
 
 
-def sum_(a, axis=None, keepdims=False):
-    a = _lift(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
-
-    def bwd(grad):
-        _accum(a, _expand_reduced(grad, a.data.shape, axis, keepdims))
-
-    out._backward = bwd
-    return out
-
-
-def mean_(a, axis=None, keepdims=False):
-    a = _lift(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), "mean")
-    count = max(a.data.size // max(out.data.size, 1), 1)
-
-    def bwd(grad):
-        _accum(a, _expand_reduced(grad, a.data.shape, axis, keepdims) / count)
-
-    out._backward = bwd
-    return out
-
-
-def reshape(a, shape):
-    a = _lift(a)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}")
-    out = Tensor(a.data.reshape(shape), (a,), "reshape")
-
-    def bwd(grad):
-        _accum(a, grad.reshape(a.data.shape))
-
-    out._backward = bwd
-    return out
-
-
 def stack(tensors, axis=0):
-    tensors = [_lift(t) for t in tensors]
+    tensors = tuple(lift(t) for t in tensors)
     if not tensors:
         raise ContractError("stack: needs at least one tensor")
     first = tensors[0].shape
     if any(t.shape != first for t in tensors):
         raise ShapeError(f"stack: mixed shapes {[t.shape for t in tensors]}")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack")
-
-    def bwd(grad):
-        for i, t in enumerate(tensors):
-            _accum(t, np.take(grad, i, axis=axis))
-
-    out._backward = bwd
-    return out
-
-
-def take(a, index, axis):
-    a = _lift(a)
-    if not 0 <= index < a.shape[axis]:
-        raise ShapeError(f"take: index {index} out of range for axis {axis} of {a.shape}")
-    out = Tensor(np.take(a.data, index, axis=axis), (a,), "take")
-
-    def bwd(grad):
-        g = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = index
-        g[tuple(sl)] = grad
-        _accum(a, g)
-
-    out._backward = bwd
-    return out
+    count = len(tensors)
+    return _node(
+        np.stack([t.data for t in tensors], axis=axis),
+        tensors,
+        lambda g: tuple(np.take(g, i, axis=axis) for i in range(count)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +289,12 @@ def backward(root):
             stack_.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node._vjp is None:
+            continue
+        for parent, adjoint in zip(node._parents, node._vjp(node.grad)):
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad += _unbroadcast(adjoint, parent.data.shape)
 
 
 def zero_grads(params):

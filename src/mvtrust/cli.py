@@ -59,7 +59,6 @@ _CONFIG_FLAGS = (
     ("batch_size", int),
     ("seed", int),
     ("train_fraction", float),
-    ("evidence_activation", str),
 )
 
 
@@ -194,6 +193,8 @@ def _cmd_sweep(args):
         best = max(rows, key=lambda r: r[1])
         print(f"best learning rate {best[0]} (mean accuracy {best[1]:.4f})")
         return 0
+    if args.model is None:
+        args.usage_error("--kind noise needs --model")
     trained = TrainedModel.load(args.model)
     ds = trained.prepare(load_dataset(args.data))
     _, test_ds = _maybe_holdout(ds, trained, args)
@@ -279,7 +280,7 @@ def build_parser():
     p.add_argument("--noise-fraction", type=float, default=1.0)
     p.add_argument("--corruption-seed", type=int, default=0)
     _add_config_flags(p)
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("ablate", help="train ablation variants under identical seeds")
     p.add_argument("--data", required=True)

@@ -240,6 +240,11 @@ class CorruptionSpec:
             raise ContractError("gaussian_noise needs sigma > 0")
         if self.views is not None:
             object.__setattr__(self, "views", tuple(int(i) for i in self.views))
+            repeated = sorted({i for i in self.views if self.views.count(i) > 1})
+            if repeated:
+                raise ContractError(
+                    f"corruption views {self.views} repeat index {', '.join(map(str, repeated))}"
+                )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ belongs to the training loop.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,10 +26,9 @@ SUPPORT_RADIUS_ENTRY = "__support_radius__"
 
 _ACTIVATIONS = {
     "linear": lambda t: t,
-    "relu": ad.relu,
-    "sigmoid": ad.sigmoid,
-    "softplus": ad.softplus,
-    "softmax": ad.softmax_rows,
+    "relu": ad.Tensor.relu,
+    "sigmoid": ad.Tensor.sigmoid,
+    "softmax": ad.Tensor.softmax_rows,
 }
 
 
@@ -71,7 +70,7 @@ class Mlp:
             if detach_params:
                 w, b = w.detach(), b.detach()
             x = x @ w + b
-            x = _ACTIVATIONS[self.spec.output_activation](x) if i == last else ad.relu(x)
+            x = _ACTIVATIONS[self.spec.output_activation](x) if i == last else x.relu()
         return x
 
     def named_params(self, prefix):
@@ -91,7 +90,6 @@ class ModelSpec:
     subspace_dim: int = 64
     disc_hidden: int = 64
     evidence_hidden: int = 64
-    evidence_activation: str = "relu"
     seed: int = 0
 
     def __post_init__(self):
@@ -99,8 +97,6 @@ class ModelSpec:
             raise ContractError(f"view_dims must be positive, got {self.view_dims}")
         if self.n_classes < 2:
             raise ContractError("need at least two classes")
-        if self.evidence_activation not in ("relu", "softplus"):
-            raise ContractError(f"evidence activation must be relu or softplus, got {self.evidence_activation!r}")
 
     @property
     def n_views(self):
@@ -143,10 +139,10 @@ class Model:
         )
         self.common_predictor = Mlp(MlpSpec((l, q), output_activation="sigmoid", seed=next(s)))
         self.evidence_common = Mlp(
-            MlpSpec((l, spec.evidence_hidden, q), output_activation=spec.evidence_activation, seed=next(s))
+            MlpSpec((l, spec.evidence_hidden, q), output_activation="relu", seed=next(s))
         )
         self.evidence_specific = [
-            Mlp(MlpSpec((l, spec.evidence_hidden, q), output_activation=spec.evidence_activation, seed=next(s)))
+            Mlp(MlpSpec((l, spec.evidence_hidden, q), output_activation="relu", seed=next(s)))
             for _ in range(v)
         ]
         rng = np.random.default_rng(np.random.SeedSequence(next(s)))
@@ -246,6 +242,12 @@ class Model:
             if fmt != CHECKPOINT_FORMAT:
                 raise ContractError(f"unsupported checkpoint format {fmt!r}")
             spec_dict = json.loads(str(bundle["__spec__"]))
+            keys, known = set(spec_dict), {f.name for f in fields(ModelSpec)}
+            if keys != known:
+                raise ContractError(
+                    f"checkpoint __spec__ has unknown keys {sorted(keys - known)} "
+                    f"and missing keys {sorted(known - keys)}"
+                )
             spec_dict["view_dims"] = tuple(spec_dict["view_dims"])
             spec = ModelSpec(**spec_dict)
             model = cls(spec)

@@ -65,7 +65,6 @@ class TrainConfig:
     batch_size: int | None = None
     seed: int = 0
     train_fraction: float = 0.8
-    evidence_activation: str = "relu"
     bypass_h1: bool = False
     uniform_attention: bool = False
     disc_hidden: int = 64
@@ -156,7 +155,7 @@ def forward_pass(model: Model, views, cfg: TrainConfig) -> ForwardBundle:
         model.w_value,
         uniform=cfg.uniform_attention,
     )
-    evidence_attended = [ad.take(attended3, i, axis=1) for i in range(n_views)]
+    evidence_attended = [attended3.take(i, axis=1) for i in range(n_views)]
     joint = attended3.mean(axis=1)
     return ForwardBundle(
         common_views,
@@ -249,7 +248,6 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
         subspace_dim=cfg.subspace_dim,
         disc_hidden=cfg.disc_hidden,
         evidence_hidden=cfg.evidence_hidden,
-        evidence_activation=cfg.evidence_activation,
         seed=cfg.seed,
     )
     model = Model(spec)

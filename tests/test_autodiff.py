@@ -12,7 +12,7 @@ from mvtrust.errors import ContractError, DomainError, ShapeError
 
 class TestForwardOps:
     def test_relu_definition(self):
-        out = ad.relu(Tensor([-1.0, 2.0]))
+        out = Tensor([-1.0, 2.0]).relu()
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_digamma_recurrence(self):
@@ -29,11 +29,11 @@ class TestForwardOps:
 
     def test_matmul_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 1\)"):
-            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 1))))
+            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 1)))
 
     def test_add_broadcast_mismatch(self):
         with pytest.raises(ShapeError, match="add"):
-            ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
@@ -123,7 +123,6 @@ def _op_cases(rng):
         "exp": (lambda: a.exp().sum(), [a]),
         "log": (lambda: pos.log().sum(), [pos]),
         "sigmoid": (lambda: a.sigmoid().sum(), [a]),
-        "softplus": (lambda: a.softplus().sum(), [a]),
         "softmax_rows": (lambda: (a.softmax_rows() * b.detach()).sum(), [a]),
         "digamma": (lambda: pos.digamma().sum(), [pos]),
         "lgamma": (lambda: pos.lgamma().sum(), [pos]),

@@ -176,6 +176,10 @@ class TestInjectNoise:
         with pytest.raises(ContractError, match=rf"index {view} outside \[0, 3\)"):
             inject_noise(ds, spec)
 
+    def test_repeated_view_index_named(self):
+        with pytest.raises(ContractError, match=r"\(1, 0, 1\) repeat index 1"):
+            CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, views=(1, 0, 1), seed=1)
+
     def test_spec_validation(self):
         with pytest.raises(ContractError):
             CorruptionSpec("gaussian_noise", 0.5)  # sigma missing

@@ -1,5 +1,7 @@
 """Sub-network contracts: output ranges, determinism, shapes, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -111,12 +113,6 @@ class TestHeads:
         out = model.evidence_from_common(Tensor([[19.0, 1.0, 1.0]]))
         np.testing.assert_array_equal(out.data, [[19.0, 1.0, 1.0]])
 
-    def test_softplus_flag_keeps_evidence_strictly_positive(self, rng):
-        model = Model(ModelSpec(view_dims=(5,), n_classes=3, subspace_dim=8,
-                                evidence_hidden=6, evidence_activation="softplus", seed=2))
-        out = model.evidence_from_common(Tensor(rng.normal(size=(50, 8))))
-        assert np.all(out.data > 0.0)
-
     def test_dead_preactivations_give_vacuous_evidence(self, model):
         head = model.evidence_common
         head.biases[1].data[:] = -100.0
@@ -179,6 +175,22 @@ class TestCheckpoint:
 
     def test_missing_parameter_named(self, model, tmp_path):
         self._load_without(model, tmp_path / "ckpt.npz", "mapper0.w0")
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda spec: spec.update(evidence_activation="relu"), r"unknown keys \['evidence_activation'\]"),
+        (lambda spec: spec.pop("disc_hidden"), r"missing keys \['disc_hidden'\]"),
+    ], ids=["unknown", "missing"])
+    def test_spec_keys_checked_by_name(self, model, tmp_path, edit, named):
+        path = tmp_path / "ckpt.npz"
+        model.save(path)
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        spec = json.loads(str(arrays["__spec__"]))
+        edit(spec)
+        arrays["__spec__"] = np.array(json.dumps(spec))
+        np.savez(path, **arrays)
+        with pytest.raises(ContractError, match=named):
+            Model.load(path)
 
     def test_format_guard(self, model, tmp_path):
         path = tmp_path / "ckpt.npz"

@@ -415,6 +415,23 @@ class TestCli:
             assert code == 2
             assert "view index 5 outside [0, 2)" in capsys.readouterr().err
 
+    def test_repeated_corrupt_view_named(self, tmp_path, capsys):
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        code = cli_main([
+            "eval", "--model", str(run_dir / "checkpoint.npz"),
+            "--data", str(data_dir / "manifest.json"), "--out", str(tmp_path / "eval"),
+            "--corrupt-views", "0,0", "--noise-sigma", "1.0",
+        ])
+        assert code == 2
+        assert "repeat index 0" in capsys.readouterr().err
+
+    def test_noise_sweep_without_model_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["sweep", "--data", "d.json", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_eval_report_files(self, smoke_run, tmp_path):
         trained, test_std, _ = smoke_run
         corrupted, mask = inject_conflict(
