@@ -13,6 +13,7 @@
 # The runs:
 #   c11/            the criterion 11 setup: 60 rows, 5 epochs, clean held-out eval
 #   c11/ablate      every ablation switch, 3 epochs each, on the criterion 11 data
+#   c11/trials      two seeded trials of 2 epochs each on the criterion 11 data
 #   acc/full15      15 full-batch epochs on the acceptance data
 #   acc/batch32     3 epochs at batch size 32 on the acceptance data
 #   acc/eval_noise  sigma=10 noise on half of the held-out rows
@@ -48,6 +49,8 @@ cli eval --model "$c11/train/checkpoint.npz" --data "$c11/data/manifest.json" \
     --out "$c11/eval" --holdout
 cli ablate --data "$c11/data/manifest.json" --out "$c11/ablate" \
     --switches no_h1,no_attention,no_common_loss,no_specific_loss --epochs 3
+cli train --data "$c11/data/manifest.json" --out "$c11/trials" \
+    --trials 2 --epochs 2 --subspace-dim 8 --seed 3
 
 # the acceptance data of tests/conftest.py (per-view nuisance, so not via synth)
 acc=$out/acc

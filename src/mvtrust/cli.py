@@ -3,9 +3,9 @@
 Subcommands: ``synth`` (write a synthetic dataset), ``train`` (fit a model
 and save a checkpoint), ``eval`` (report metrics, uncertainty histograms,
 and the conflict matrix, optionally under corruption), ``sweep`` (accuracy
-vs noise level, or cross-validated learning-rate selection), ``ablate``
-(variant comparison under identical seeds), and ``gradcheck`` (finite
-difference validation of every loss).
+vs noise level of a checkpoint), ``ablate`` (variant comparison under
+identical seeds), and ``gradcheck`` (finite difference validation of every
+loss).
 
 Configuration comes from an optional JSON file whose keys mirror the
 TrainConfig fields; individual flags override file values.  All outputs
@@ -28,6 +28,7 @@ from .data import (
     inject_noise,
     load_dataset,
     save_dataset,
+    split,
     synthesize,
 )
 from .errors import ContractError, DataError, TrainingDiverged
@@ -38,7 +39,6 @@ from .pipeline import (
     evaluate,
     gradcheck_losses,
     run_experiment,
-    run_lr_selection,
     run_noise_sweep,
     write_ablation,
     write_eval_report,
@@ -69,20 +69,20 @@ def _add_config_flags(parser):
 
 
 def _build_config(args):
-    payload = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ContractError(f"config file not found: {path}")
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ContractError(f"{path}: invalid JSON ({exc})") from None
-    for name, _ in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            payload[name] = value
-    return TrainConfig.from_dict(payload)
+    flags = {name: getattr(args, name) for name, _ in _CONFIG_FLAGS}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    if not args.config:
+        return TrainConfig.from_dict(flags)
+    path = Path(args.config)
+    if not path.exists():
+        raise ContractError(f"config file not found: {path}")
+    try:
+        payload = json.loads(path.read_text())
+        return TrainConfig.from_dict({**payload, **flags} if isinstance(payload, dict) else payload)
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path}: invalid JSON ({exc})") from None
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
 
 
 def _comma_list(kind):
@@ -95,25 +95,6 @@ def _comma_list(kind):
     return parse
 
 
-def _corruption_from_args(args, seed):
-    if args.noise_sigma is not None:
-        return CorruptionSpec(
-            "gaussian_noise",
-            args.noise_fraction,
-            sigma=args.noise_sigma,
-            views=args.corrupt_views or None,
-            seed=seed,
-        ), inject_noise
-    if args.conflict_fraction is not None:
-        return CorruptionSpec(
-            "view_misalign",
-            args.conflict_fraction,
-            views=args.corrupt_views or None,
-            seed=seed,
-        ), inject_conflict
-    return None, None
-
-
 def _cmd_synth(args):
     ds = synthesize(
         n_classes=args.classes,
@@ -121,7 +102,7 @@ def _cmd_synth(args):
         n_samples=args.samples,
         view_dims=args.dims,
         separation=args.separation,
-        nuisance_ratio=args.nuisance,
+        nuisance_ratio=args.nuisance[0] if len(args.nuisance) == 1 else args.nuisance,
         seed=args.seed,
     )
     manifest = save_dataset(ds, args.out)
@@ -158,11 +139,15 @@ def _cmd_train(args):
 def _cmd_eval(args):
     trained = TrainedModel.load(args.model)
     ds = trained.prepare(load_dataset(args.data))
-    _, test_ds = _maybe_holdout(ds, trained, args)
-    spec, injector = _corruption_from_args(args, args.seed)
-    mask = None
-    if spec is not None:
-        test_ds, mask = injector(test_ds, spec)
+    test_ds = _maybe_holdout(ds, trained, args)
+    mask, views = None, args.corrupt_views or None
+    if args.noise_sigma is not None:
+        spec = CorruptionSpec("gaussian_noise", args.noise_fraction, sigma=args.noise_sigma,
+                              views=views, seed=args.seed)
+        test_ds, mask = inject_noise(test_ds, spec)
+    elif args.conflict_fraction is not None:
+        spec = CorruptionSpec("view_misalign", args.conflict_fraction, views=views, seed=args.seed)
+        test_ds, mask = inject_conflict(test_ds, spec)
     report = evaluate(trained, test_ds, mask)
     write_eval_report(report, args.out, mask)
     write_run_meta(trained.cfg, Path(args.out) / "run.meta", extras={"mode": "eval"})
@@ -171,33 +156,16 @@ def _cmd_eval(args):
 
 
 def _maybe_holdout(ds, trained, args):
+    """The seeded test split of the checkpoint's config under --holdout, else all rows."""
     if not args.holdout:
-        return None, ds
-    from .data import split
-
-    train_ds, test_ds = split(ds, trained.cfg.train_fraction, trained.cfg.seed)
-    return train_ds, test_ds
+        return ds
+    return split(ds, trained.cfg.train_fraction, trained.cfg.seed)[1]
 
 
 def _cmd_sweep(args):
-    if args.kind == "lr":
-        cfg = _build_config(args)
-        ds = load_dataset(args.data)
-        rows = run_lr_selection(ds, cfg)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["learning_rate\tmean_accuracy"]
-        lines += [f"{lr!r}\t{acc!r}" for lr, acc in rows]
-        (out / "lr_selection.tsv").write_text("\n".join(lines) + "\n")
-        write_run_meta(cfg, out / "run.meta", extras={"mode": "sweep-lr"})
-        best = max(rows, key=lambda r: r[1])
-        print(f"best learning rate {best[0]} (mean accuracy {best[1]:.4f})")
-        return 0
-    if args.model is None:
-        args.usage_error("--kind noise needs --model")
     trained = TrainedModel.load(args.model)
     ds = trained.prepare(load_dataset(args.data))
-    _, test_ds = _maybe_holdout(ds, trained, args)
+    test_ds = _maybe_holdout(ds, trained, args)
     rows = run_noise_sweep(trained, test_ds, args.sigmas, args.noise_fraction, args.corruption_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,12 +179,11 @@ def _cmd_sweep(args):
 def _cmd_ablate(args):
     cfg = _build_config(args)
     ds = load_dataset(args.data)
-    switches = [tok for tok in args.switches.split(",") if tok] if args.switches else []
-    rows = ablate(ds, cfg, switches)
+    rows = ablate(ds, cfg, args.switches)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_ablation(rows, out / "ablation.tsv")
-    write_run_meta(cfg, out / "run.meta", extras={"mode": "ablate", "switches": switches})
+    write_run_meta(cfg, out / "run.meta", extras={"mode": "ablate", "switches": args.switches})
     for row in rows:
         print(f"{row.variant}: accuracy {row.accuracy:.4f} (delta {row.accuracy_delta:+.4f})")
     return 0
@@ -246,7 +213,8 @@ def build_parser():
     p.add_argument("--dims", type=_comma_list(int), default="20,30,25",
                    help="comma-separated view widths")
     p.add_argument("--separation", type=float, default=2.5)
-    p.add_argument("--nuisance", type=float, default=0.3)
+    p.add_argument("--nuisance", type=_comma_list(float), default="0.3",
+                   help="nuisance column ratio: one for every view, or one per view")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_synth)
 
@@ -262,30 +230,30 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", action="store_true", help="evaluate only the seeded test split")
-    p.add_argument("--noise-sigma", type=float, default=None)
+    corruption = p.add_mutually_exclusive_group()
+    corruption.add_argument("--noise-sigma", type=float, default=None)
+    corruption.add_argument("--conflict-fraction", type=float, default=None)
     p.add_argument("--noise-fraction", type=float, default=0.1)
-    p.add_argument("--conflict-fraction", type=float, default=None)
     p.add_argument("--corrupt-views", type=_comma_list(int), default=None,
                    help="comma-separated view indices")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="noise sweep over a checkpoint, or lr selection")
-    p.add_argument("--kind", choices=("noise", "lr"), default="noise")
-    p.add_argument("--model")
+    p = sub.add_parser("sweep", help="noise sweep over a checkpoint")
+    p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", action="store_true")
     p.add_argument("--sigmas", type=_comma_list(float), default="0,1,10,100,10000")
     p.add_argument("--noise-fraction", type=float, default=1.0)
     p.add_argument("--corruption-seed", type=int, default=0)
-    _add_config_flags(p)
-    p.set_defaults(fn=_cmd_sweep, usage_error=p.error)
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("ablate", help="train ablation variants under identical seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--switches", default="", help="comma-separated variant names")
+    p.add_argument("--switches", type=_comma_list(str), default="",
+                   help="comma-separated variant names")
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_ablate)
 

@@ -84,15 +84,6 @@ class MultiViewDataset:
             self.seed,
         )
 
-    def copy(self):
-        return MultiViewDataset(
-            [v.copy() for v in self.views],
-            self.labels.copy(),
-            self.n_classes,
-            self.view_names,
-            self.seed,
-        )
-
 
 # ---------------------------------------------------------------------------
 # synthetic generation
@@ -422,7 +413,9 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     base = manifest_path.parent
     views = []
     names = []
-    for entry in manifest["views"]:
+    for index, entry in enumerate(manifest["views"]):
+        if not isinstance(entry, dict) or "path" not in entry:
+            raise DataError(f"{manifest_path}: view entry {index} has no 'path'")
         path = base / entry["path"]
         if not path.exists():
             raise DataError(f"{manifest_path}: view file not found: {path}")

@@ -237,10 +237,16 @@ class Model:
     @classmethod
     def load(cls, path):
         """Rebuild a model from ``save`` output; returns (model, extra_meta)."""
-        with np.load(path, allow_pickle=False) as bundle:
-            fmt = str(bundle["__format__"])
+        try:
+            bundle = np.load(path, allow_pickle=False)
+        except ValueError:  # neither npz nor npy: np.load took it for a pickle
+            bundle = None
+        if not isinstance(bundle, np.lib.npyio.NpzFile):
+            raise ContractError(f"{path}: not an npz checkpoint")
+        with bundle:
+            fmt = str(bundle["__format__"]) if "__format__" in bundle.files else None
             if fmt != CHECKPOINT_FORMAT:
-                raise ContractError(f"unsupported checkpoint format {fmt!r}")
+                raise ContractError(f"{path}: unsupported checkpoint __format__ {fmt!r}")
             spec_dict = json.loads(str(bundle["__spec__"]))
             keys, known = set(spec_dict), {f.name for f in fields(ModelSpec)}
             if keys != known:

@@ -42,12 +42,17 @@ from .errors import ContractError, TrainingDiverged
 from .networks import Model, ModelSpec
 from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence
 
-LEARNING_RATE_GRID = (1e-4, 3e-4, 1e-3, 3e-3)
-LR_FOLDS = 5
-
 ABLATION_SWITCHES = ("no_h1", "no_attention", "no_common_loss", "no_specific_loss")
 
 HIST_BINS = 20
+
+# JSON values accepted per TrainConfig field annotation; a bool is never a number
+_CONFIG_VALUE_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "int | None": (int, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        if not isinstance(payload, dict):
+            raise ContractError(f"config must be a JSON object, got {type(payload).__name__}")
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(payload) - set(kinds)
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in payload.items():
+            wanted = _CONFIG_VALUE_TYPES[kinds[key]]
+            if isinstance(value, bool) is not (bool in wanted) or not isinstance(value, wanted):
+                raise ContractError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
         return cls(**payload).validate()
 
     def config_hash(self):
@@ -334,7 +345,7 @@ class EvalReport:
 
     def uncertainty_histograms(self):
         """Binned mass rows (group, kind, lo, hi, mass); masses sum to 1 per group."""
-        edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
+        edges = np.linspace(0.0, 1.0, HIST_BINS + 1).tolist()
         groups = {"all": np.ones(self.labels.size, dtype=bool)}
         if self.corrupted is not None:
             groups["corrupted"] = self.corrupted
@@ -348,7 +359,7 @@ class EvalReport:
                 ("local", self.local_uncertainty[mask].ravel()),
             ):
                 counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
-                mass = counts / counts.sum()
+                mass = (counts / counts.sum()).tolist()
                 for k in range(HIST_BINS):
                     rows.append((group, kind, edges[k], edges[k + 1], mass[k]))
         return rows
@@ -403,7 +414,6 @@ class ExperimentResult:
     trained: TrainedModel
     log: list
     report: EvalReport
-    train_ds: MultiViewDataset
     test_ds: MultiViewDataset
 
 
@@ -414,7 +424,7 @@ def run_experiment(ds: MultiViewDataset, cfg: TrainConfig) -> ExperimentResult:
     model, log_rows = train(train_std, cfg)
     trained = TrainedModel(model, cfg, stats)
     report = evaluate(trained, test_std)
-    return ExperimentResult(trained, log_rows, report, train_std, test_std)
+    return ExperimentResult(trained, log_rows, report, test_std)
 
 
 # ---------------------------------------------------------------------------
@@ -467,33 +477,15 @@ class AblationRow:
 
 def ablate(ds: MultiViewDataset, cfg: TrainConfig, switches=()):
     """Train the full model and each switched variant under identical seeds."""
+    # an unknown switch fails before the first model trains
+    variants = [(switch, apply_switch(cfg, switch)) for switch in switches]
     baseline = run_experiment(ds, cfg)
     rows = [AblationRow("full", baseline.report.accuracy, 0.0)]
-    for switch in switches:
-        variant_cfg = apply_switch(cfg, switch)
+    for switch, variant_cfg in variants:
         result = run_experiment(ds, variant_cfg)
         rows.append(
             AblationRow(switch, result.report.accuracy, result.report.accuracy - baseline.report.accuracy)
         )
-    return rows
-
-
-def run_lr_selection(ds: MultiViewDataset, cfg: TrainConfig):
-    """K-fold cross-validated learning-rate selection over the default grid."""
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(ds.n_samples)
-    chunks = np.array_split(order, LR_FOLDS)
-    rows = []
-    for lr in LEARNING_RATE_GRID:
-        accs = []
-        for k in range(LR_FOLDS):
-            val_idx = np.sort(chunks[k])
-            train_idx = np.sort(np.concatenate([chunks[i] for i in range(LR_FOLDS) if i != k]))
-            tr_raw, va_raw = ds.subset(train_idx), ds.subset(val_idx)
-            tr, va, stats = standardize(tr_raw, va_raw)
-            model, _ = train(tr, dataclasses.replace(cfg, learning_rate=lr))
-            accs.append(evaluate(TrainedModel(model, cfg, stats), va).accuracy)
-        rows.append((float(lr), float(np.mean(accs))))
     return rows
 
 
@@ -564,90 +556,34 @@ def gradcheck_losses(n_seeds=20, h=1e-5, tol=1e-4):
 # report files
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# one formatter per native cell type: floats round-trip, booleans are 0/1
+_CELL_FORMAT = {
+    float: repr,
+    int: str,
+    bool: lambda flag: "1" if flag else "0",
+    str: str,
+    type(None): lambda _: "NA",
+}
+
+
+def _write_tsv(path, rows):
+    """Write rows of native Python cells, tab-separated, one line per row."""
+    lines = ["\t".join([_CELL_FORMAT[type(cell)](cell) for cell in row]) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_training_log(log_rows, path):
-    lines = ["epoch\t" + "\t".join(L.LossBreakdown.FIELDS)]
-    for row in log_rows:
-        lines.append(
-            "\t".join([str(row.epoch)] + [_fmt(getattr(row, f)) for f in L.LossBreakdown.FIELDS])
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_metrics(report: EvalReport, path):
-    pairs = [
-        ("n_test", report.labels.size),
-        ("accuracy", report.accuracy),
-        ("accuracy_clean", report.accuracy_clean),
-        ("accuracy_corrupted", report.accuracy_corrupted),
-        ("mean_joint_uncertainty", float(report.joint_uncertainty.mean())),
-        ("median_joint_uncertainty", float(np.median(report.joint_uncertainty))),
-        ("mean_local_uncertainty", float(report.local_uncertainty.mean())),
-    ]
-    lines = [f"{k}\t{_fmt(v) if v is not None else 'NA'}" for k, v in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_uncertainty_hist(report: EvalReport, path):
-    lines = ["group\tkind\tbin_lo\tbin_hi\tmass"]
-    for group, kind, lo, hi, mass in report.uncertainty_histograms():
-        lines.append(f"{group}\t{kind}\t{_fmt(float(lo))}\t{_fmt(float(hi))}\t{_fmt(float(mass))}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_conflict_matrix(report: EvalReport, path):
-    lines = ["\t".join(_fmt(float(x)) for x in row) for row in report.conflict_matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_records(report: EvalReport, path):
-    """Per-sample diagnostic rows: prediction, uncertainties, attention."""
-    n, v = report.local_uncertainty.shape
-    header = (
-        ["index", "label", "prediction", "correct", "corrupted", "joint_u"]
-        + [f"local_u_{i}" for i in range(v)]
-        + [f"attn_{p}_{r}" for p in range(v) for r in range(v)]
-    )
-    lines = ["\t".join(header)]
-    corrupted = report.corrupted if report.corrupted is not None else np.zeros(n, dtype=bool)
-    for j in range(n):
-        cells = [
-            str(j),
-            str(int(report.labels[j])),
-            str(int(report.predictions[j])),
-            str(int(report.predictions[j] == report.labels[j])),
-            str(int(corrupted[j])),
-            _fmt(float(report.joint_uncertainty[j])),
-        ]
-        cells += [_fmt(float(x)) for x in report.local_uncertainty[j]]
-        cells += [_fmt(float(x)) for x in report.attention[j].ravel()]
-        lines.append("\t".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_corruption_mask(mask: CorruptionMask, path):
-    lines = ["instance\tview"]
-    lines += [f"{j}\t{i}" for j, i in mask.to_indices()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    fields = L.LossBreakdown.FIELDS
+    rows = [(row.epoch, *[getattr(row, f) for f in fields]) for row in log_rows]
+    _write_tsv(path, [("epoch", *fields), *rows])
 
 
 def write_sweep(rows, path):
-    lines = ["sigma\taccuracy\tmean_uncertainty"]
-    for row in rows:
-        lines.append(f"{_fmt(row.sigma)}\t{_fmt(row.accuracy)}\t{_fmt(row.mean_uncertainty)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_tsv(path, [("sigma", "accuracy", "mean_uncertainty"), *map(dataclasses.astuple, rows)])
 
 
 def write_ablation(rows, path):
-    lines = ["variant\taccuracy\taccuracy_delta"]
-    for row in rows:
-        lines.append(f"{row.variant}\t{_fmt(row.accuracy)}\t{_fmt(row.accuracy_delta)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_tsv(path, [("variant", "accuracy", "accuracy_delta"), *map(dataclasses.astuple, rows)])
 
 
 def write_run_meta(cfg: TrainConfig, path, extras=None):
@@ -665,12 +601,49 @@ def write_run_meta(cfg: TrainConfig, path, extras=None):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _record_rows(report: EvalReport):
+    """Per-sample diagnostic rows: prediction, uncertainties, attention."""
+    n, v = report.local_uncertainty.shape
+    corrupted = report.corrupted if report.corrupted is not None else np.zeros(n, dtype=bool)
+    header = ("index", "label", "prediction", "correct", "corrupted", "joint_u",
+              *(f"local_u_{i}" for i in range(v)),
+              *(f"attn_{p}_{r}" for p in range(v) for r in range(v)))
+    columns = [
+        range(n),
+        report.labels.tolist(),
+        report.predictions.tolist(),
+        (report.predictions == report.labels).tolist(),
+        corrupted.tolist(),
+        report.joint_uncertainty.tolist(),
+        *report.local_uncertainty.T.tolist(),
+        *report.attention.reshape(n, v * v).T.tolist(),
+    ]
+    return [header, *zip(*columns)]
+
+
 def write_eval_report(report: EvalReport, out_dir, mask=None):
+    """Write metrics, uncertainty histograms, conflict matrix, per-sample records and mask."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_metrics(report, out / "metrics.tsv")
-    write_uncertainty_hist(report, out / "uncertainty_hist.tsv")
-    write_conflict_matrix(report, out / "conflict_matrix.tsv")
-    write_records(report, out / "records.tsv")
+    joint_u = report.joint_uncertainty
+    tables = {
+        "metrics.tsv": [
+            ("n_test", report.labels.size),
+            ("accuracy", report.accuracy),
+            ("accuracy_clean", report.accuracy_clean),
+            ("accuracy_corrupted", report.accuracy_corrupted),
+            ("mean_joint_uncertainty", float(joint_u.mean())),
+            ("median_joint_uncertainty", float(np.median(joint_u))),
+            ("mean_local_uncertainty", float(report.local_uncertainty.mean())),
+        ],
+        "uncertainty_hist.tsv": [
+            ("group", "kind", "bin_lo", "bin_hi", "mass"),
+            *report.uncertainty_histograms(),
+        ],
+        "conflict_matrix.tsv": report.conflict_matrix.tolist(),
+        "records.tsv": _record_rows(report),
+    }
     if mask is not None:
-        write_corruption_mask(mask, out / "corruption_mask.tsv")
+        tables["corruption_mask.tsv"] = [("instance", "view"), *mask.to_indices()]
+    for name, rows in tables.items():
+        _write_tsv(out / name, rows)

@@ -1,5 +1,7 @@
 """Dataset generation, splitting, standardization, corruption, manifest IO."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,14 @@ class TestManifestIo:
         lines[3] = "\t".join(["nan"] + lines[3].split("\t")[1:])
         view_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"manifest\.json: view 0 .* row 3"):
+            load_dataset(manifest)
+
+    def test_view_entry_without_path_named(self, tmp_path):
+        manifest = save_dataset(synthesize(2, 2, 5, (3, 3), seed=8), tmp_path / "toy")
+        payload = json.loads(manifest.read_text())
+        del payload["views"][1]["path"]
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=r"manifest\.json: view entry 1 has no 'path'"):
             load_dataset(manifest)
 
     def test_missing_manifest(self, tmp_path):

@@ -176,6 +176,22 @@ class TestCheckpoint:
     def test_missing_parameter_named(self, model, tmp_path):
         self._load_without(model, tmp_path / "ckpt.npz", "mapper0.w0")
 
+    def test_missing_format_named_with_path(self, model, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        self._load_without(model, path, "__format__")
+        with pytest.raises(ContractError, match="ckpt.npz"):
+            Model.load(path)
+
+    @pytest.mark.parametrize("write", [
+        lambda path: path.write_text("not a checkpoint\n"),
+        lambda path: np.save(path, np.zeros(3)),
+    ], ids=["text", "npy"])
+    def test_not_an_archive_named(self, tmp_path, write):
+        path = tmp_path / "notes.npy"
+        write(path)
+        with pytest.raises(ContractError, match=r"notes\.npy: not an npz checkpoint"):
+            Model.load(path)
+
     @pytest.mark.parametrize("edit, named", [
         (lambda spec: spec.update(evidence_activation="relu"), r"unknown keys \['evidence_activation'\]"),
         (lambda spec: spec.pop("disc_hidden"), r"missing keys \['disc_hidden'\]"),

@@ -3,17 +3,20 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import ACCEPTANCE_DATA
 from mvtrust import losses as L
+from mvtrust import pipeline
 from mvtrust.aggregation import attend_batch
 from mvtrust.autodiff import Tensor
 from mvtrust.cli import main as cli_main
 from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise, split, standardize
-from mvtrust.data import synthesize
+from mvtrust.data import save_dataset, synthesize
 from mvtrust.errors import ContractError, TrainingDiverged
 from mvtrust.networks import Model, ModelSpec
 from mvtrust.pipeline import (
@@ -63,6 +66,23 @@ class TestTrainConfig:
             TrainConfig(gamma=-1.0).validate()
         with pytest.raises(ContractError):
             TrainConfig(epochs=0).validate()
+
+    @pytest.mark.parametrize("payload, named", [
+        ([1, 2], "must be a JSON object, got list"),
+        ({"epochs": "5"}, "'epochs' must be int, got '5'"),
+        ({"epochs": 5.0}, "'epochs' must be int"),
+        ({"gamma": True}, "'gamma' must be float, got True"),
+        ({"bypass_h1": 1}, "'bypass_h1' must be bool"),
+        ({"batch_size": 1.5}, "'batch_size' must be int | None"),
+    ], ids=["list", "str-for-int", "float-for-int", "bool-for-float", "int-for-bool",
+            "float-for-batch"])
+    def test_value_types_checked_by_key(self, payload, named):
+        with pytest.raises(ContractError, match=re.escape(named)):
+            TrainConfig.from_dict(payload)
+
+    def test_int_accepted_for_float_and_null_batch(self):
+        cfg = TrainConfig.from_dict({"gamma": 2, "batch_size": None})
+        assert cfg.gamma == 2 and cfg.batch_size is None
 
     def test_hash_tracks_content(self):
         assert TrainConfig().config_hash() != TrainConfig(seed=1).config_hash()
@@ -282,6 +302,14 @@ class TestSweepAndAblate:
         with pytest.raises(ContractError):
             ablate(tiny_dataset, SMOKE, ("no_evidence",))
 
+    def test_unknown_switch_rejected_before_training(self, tiny_dataset, monkeypatch):
+        def no_training(*_):
+            raise AssertionError("run_experiment called before every switch was checked")
+
+        monkeypatch.setattr(pipeline, "run_experiment", no_training)
+        with pytest.raises(ContractError, match="typo"):
+            ablate(tiny_dataset, SMOKE, ["no_h1", "typo"])
+
     def test_no_common_loss_logged_with_zero_delta(self, train_std):
         cfg = apply_switch(SMOKE, "no_common_loss")
         assert cfg.delta == 0.0
@@ -346,6 +374,49 @@ class TestCli:
             ]) == 0
         for name in ("view0.tsv", "view1.tsv", "labels.tsv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_synth_writes_acceptance_data(self, tmp_path):
+        assert cli_main([
+            "synth", "--out", str(tmp_path / "cli"), "--classes", "4", "--samples", "1000",
+            "--nuisance", "0.8,0.3,0.3", "--dims", "20,30,25", "--separation", "4.5",
+            "--seed", "7",
+        ]) == 0
+        save_dataset(synthesize(**ACCEPTANCE_DATA), tmp_path / "api")
+        for name in ("view0.tsv", "view1.tsv", "view2.tsv", "labels.tsv", "manifest.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+    @pytest.mark.parametrize("content, named", [
+        ('{"epochs": "5"}', "'epochs' must be int"),
+        ("[1, 2]", "must be a JSON object"),
+    ], ids=["str-for-int", "list"])
+    def test_bad_config_file_named(self, content, named, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        code = cli_main([
+            "train", "--data", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "run"),
+            "--config", str(config), "--subspace-dim", "8",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and named in err
+
+    def test_train_trials(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert cli_main([
+            "synth", "--out", str(data_dir), "--classes", "2", "--samples", "40",
+            "--dims", "4,5", "--seed", "3",
+        ]) == 0
+        run_dir = tmp_path / "run"
+        assert cli_main([
+            "train", "--data", str(data_dir / "manifest.json"), "--out", str(run_dir),
+            "--epochs", "2", "--subspace-dim", "8", "--seed", "1", "--trials", "2",
+        ]) == 0
+        for trial in (0, 1):
+            assert (run_dir / f"checkpoint_trial{trial}.npz").exists()
+            assert (run_dir / f"training_log_trial{trial}.tsv").exists()
+        meta = json.loads((run_dir / "run.meta").read_text())
+        assert meta["trials"] == 2 and len(meta["test_accuracy"]) == 2
+        assert meta["test_accuracy_mean"] == np.mean(meta["test_accuracy"])
 
     def test_gradcheck_command(self, capsys):
         assert cli_main(["gradcheck", "--seeds", "1"]) == 0
@@ -424,6 +495,16 @@ class TestCli:
         ])
         assert code == 2
         assert "repeat index 0" in capsys.readouterr().err
+
+    def test_noise_and_conflict_together_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([
+                "eval", "--model", "m.npz", "--data", "d.json", "--out", str(tmp_path / "out"),
+                "--noise-sigma", "1", "--conflict-fraction", "0.5",
+            ])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_noise_sweep_without_model_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
