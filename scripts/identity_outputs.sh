@@ -52,17 +52,10 @@ cli ablate --data "$c11/data/manifest.json" --out "$c11/ablate" \
 cli train --data "$c11/data/manifest.json" --out "$c11/trials" \
     --trials 2 --epochs 2 --subspace-dim 8 --seed 3
 
-# the acceptance data of tests/conftest.py (per-view nuisance, so not via synth)
+# the acceptance data of tests/conftest.py
 acc=$out/acc
-python - "$acc/data" <<'EOF'
-import sys
-
-from mvtrust.data import save_dataset, synthesize
-
-ds = synthesize(4, 3, 1000, (20, 30, 25), separation=4.5,
-                nuisance_ratio=(0.8, 0.3, 0.3), seed=7)
-save_dataset(ds, sys.argv[1])
-EOF
+cli synth --out "$acc/data" --classes 4 --samples 1000 --dims 20,30,25 \
+    --separation 4.5 --nuisance 0.8,0.3,0.3 --seed 7
 data=$acc/data/manifest.json
 cli train --data "$data" --out "$acc/full15" --epochs 15 --seed 7
 cli train --data "$data" --out "$acc/batch32" --epochs 3 --batch-size 32 --seed 7

@@ -96,9 +96,6 @@ class Tensor:
 
         return _node(np.matmul(a, b), (self, other), vjp)
 
-    def __radd__(self, other):
-        return lift(other) + self
-
     def __rsub__(self, other):
         return lift(other) - self
 
@@ -240,13 +237,9 @@ def _unbroadcast(grad, shape):
 
 
 def _expand_reduced(grad, in_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(grad, in_shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = tuple(ax % len(in_shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            grad = np.expand_dims(grad, ax)
+    """Broadcast the adjoint of a reduction over one int ``axis`` (or all) back to ``in_shape``."""
+    if axis is not None and not keepdims:
+        grad = np.expand_dims(grad, axis % len(in_shape))
     return np.broadcast_to(grad, in_shape)
 
 
@@ -306,14 +299,16 @@ def zero_grads(params):
 # optimizer
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with decoupled weight decay over a fixed parameter list."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-5):
+    def __init__(self, params, lr=1e-3, weight_decay=1e-5):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.moment1 = [np.zeros_like(p.data) for p in self.params]
@@ -325,7 +320,7 @@ class Adam:
             if p.grad is None:
                 raise ContractError("adam_step: parameter is missing its adjoint")
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         corr1 = 1.0 - b1 ** self.step_count
         corr2 = 1.0 - b2 ** self.step_count
         for i, p in enumerate(self.params):
@@ -334,10 +329,7 @@ class Adam:
             self.moment2[i] = b2 * self.moment2[i] + (1.0 - b2) * g * g
             m_hat = self.moment1[i] / corr1
             v_hat = self.moment2[i] / corr2
-            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
-        self.zero_grad()
-
-    def zero_grad(self):
+            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data)
         zero_grads(self.params)
 
 

@@ -31,7 +31,7 @@ from .data import (
     split,
     synthesize,
 )
-from .errors import ContractError, DataError, TrainingDiverged
+from .errors import ContractError, TrainingDiverged
 from .pipeline import (
     TrainConfig,
     TrainedModel,
@@ -95,6 +95,17 @@ def _comma_list(kind):
     return parse
 
 
+def _positive_int(text):
+    """argparse ``type=`` for a count flag; 0, a negative or a non-integer is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+_positive_int.__name__ = "positive int"
+
+
 def _cmd_synth(args):
     ds = synthesize(
         n_classes=args.classes,
@@ -137,15 +148,21 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    noise, conflict = args.noise_sigma is not None, args.conflict_fraction is not None
+    if args.noise_fraction is not None and not noise:
+        raise ContractError("--noise-fraction needs --noise-sigma")
+    if args.corrupt_views is not None and not (noise or conflict):
+        raise ContractError("--corrupt-views needs --noise-sigma or --conflict-fraction")
     trained = TrainedModel.load(args.model)
     ds = trained.prepare(load_dataset(args.data))
     test_ds = _maybe_holdout(ds, trained, args)
     mask, views = None, args.corrupt_views or None
-    if args.noise_sigma is not None:
-        spec = CorruptionSpec("gaussian_noise", args.noise_fraction, sigma=args.noise_sigma,
+    if noise:
+        fraction = 0.1 if args.noise_fraction is None else args.noise_fraction
+        spec = CorruptionSpec("gaussian_noise", fraction, sigma=args.noise_sigma,
                               views=views, seed=args.seed)
         test_ds, mask = inject_noise(test_ds, spec)
-    elif args.conflict_fraction is not None:
+    elif conflict:
         spec = CorruptionSpec("view_misalign", args.conflict_fraction, views=views, seed=args.seed)
         test_ds, mask = inject_conflict(test_ds, spec)
     report = evaluate(trained, test_ds, mask)
@@ -221,7 +238,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a dataset manifest")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_train)
 
@@ -233,9 +250,10 @@ def build_parser():
     corruption = p.add_mutually_exclusive_group()
     corruption.add_argument("--noise-sigma", type=float, default=None)
     corruption.add_argument("--conflict-fraction", type=float, default=None)
-    p.add_argument("--noise-fraction", type=float, default=0.1)
+    p.add_argument("--noise-fraction", type=float, default=None,
+                   help="share of rows --noise-sigma corrupts (default 0.1)")
     p.add_argument("--corrupt-views", type=_comma_list(int), default=None,
-                   help="comma-separated view indices")
+                   help="comma-separated view indices of the corruption")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_eval)
 
@@ -258,7 +276,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference validation of every loss")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(fn=_cmd_gradcheck)
     return parser
@@ -269,10 +287,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractError, DataError, TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ContractError, TrainingDiverged, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

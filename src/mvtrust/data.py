@@ -30,7 +30,6 @@ class MultiViewDataset:
     labels: np.ndarray
     n_classes: int
     view_names: tuple = ()
-    seed: int | None = None
 
     def __post_init__(self):
         self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
@@ -81,7 +80,6 @@ class MultiViewDataset:
             self.labels[indices],
             self.n_classes,
             self.view_names,
-            self.seed,
         )
 
 
@@ -134,7 +132,7 @@ def synthesize(
             cols = rng.choice(dim, size=n_nuisance, replace=False)
             x[:, cols] = rng.normal(size=(n_samples, n_nuisance))
         views.append(x)
-    return MultiViewDataset(views, labels, n_classes, seed=seed)
+    return MultiViewDataset(views, labels, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ class StandardStats:
             z = (x - mu) / safe
             z[:, sd == 0.0] = 0.0
             views.append(z)
-        return MultiViewDataset(views, ds.labels, ds.n_classes, ds.view_names, ds.seed)
+        return MultiViewDataset(views, ds.labels, ds.n_classes, ds.view_names)
 
     def to_jsonable(self):
         return {
@@ -294,7 +292,7 @@ def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
         for i in targets:
             views[i][j] += spec.sigma * rng.standard_normal(views[i].shape[1])
             hit[j, i] = True
-    out = MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names, ds.seed)
+    out = MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names)
     return out, CorruptionMask(hit)
 
 
@@ -319,7 +317,7 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
         donor = int(rng.choice(donors))
         views[i][j] = ds.views[i][donor]
         hit[j, i] = True
-    out = MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names, ds.seed)
+    out = MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names)
     return out, CorruptionMask(hit)
 
 

@@ -24,53 +24,37 @@ from .errors import ContractError, ShapeError
 CHECKPOINT_FORMAT = "mvtrust-checkpoint/1"
 SUPPORT_RADIUS_ENTRY = "__support_radius__"
 
-_ACTIVATIONS = {
-    "linear": lambda t: t,
-    "relu": ad.Tensor.relu,
-    "sigmoid": ad.Tensor.sigmoid,
-    "softmax": ad.Tensor.softmax_rows,
-}
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Layer widths (input first), output activation and init seed; hidden layers are ReLU."""
-
-    widths: tuple
-    output_activation: str = "linear"
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ContractError(f"MlpSpec needs >= 1 layer of positive widths, got {self.widths}")
-        if self.output_activation not in _ACTIVATIONS:
-            raise ContractError(f"unknown activation tag {self.output_activation!r}")
-
 
 class Mlp:
-    """Dense layers with uniform fan-in initialization (+-1/sqrt(fan_in))."""
+    """Dense layers with uniform fan-in initialization (+-1/sqrt(fan_in)).
 
-    def __init__(self, spec: MlpSpec):
-        self.spec = spec
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    ``widths`` lists the layer widths, input first; hidden layers are ReLU
+    and ``output`` is the ``Tensor`` method the last layer applies
+    (``Tensor.relu``, ``Tensor.softmax_rows`` or ``Tensor.sigmoid``).
+    """
+
+    def __init__(self, widths, output, seed):
+        self.widths = widths
+        self.output = output
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.weights = []
         self.biases = []
-        for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(ad.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
             self.biases.append(ad.Tensor(rng.uniform(-bound, bound, size=fan_out)))
 
     def forward(self, x, detach_params=False):
-        if x.shape[-1] != self.spec.widths[0]:
+        if x.shape[-1] != self.widths[0]:
             raise ShapeError(
-                f"mlp: input width {x.shape[-1]} does not match expected {self.spec.widths[0]}"
+                f"mlp: input width {x.shape[-1]} does not match expected {self.widths[0]}"
             )
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if detach_params:
                 w, b = w.detach(), b.detach()
             x = x @ w + b
-            x = _ACTIVATIONS[self.spec.output_activation](x) if i == last else x.relu()
+            x = self.output(x) if i == last else x.relu()
         return x
 
     def named_params(self, prefix):
@@ -97,6 +81,9 @@ class ModelSpec:
             raise ContractError(f"view_dims must be positive, got {self.view_dims}")
         if self.n_classes < 2:
             raise ContractError("need at least two classes")
+        for name in ("subspace_dim", "disc_hidden", "evidence_hidden"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def n_views(self):
@@ -127,23 +114,15 @@ class Model:
         seeds = np.random.SeedSequence(spec.seed).generate_state(3 * v + 6)
         s = iter(int(x) for x in seeds)
 
-        self.view_mappers = [
-            Mlp(MlpSpec((d, l), output_activation="relu", seed=next(s))) for d in spec.view_dims
-        ]
-        self.common_extractor = Mlp(MlpSpec((l, l), output_activation="relu", seed=next(s)))
-        self.specific_extractors = [
-            Mlp(MlpSpec((d, l), output_activation="relu", seed=next(s))) for d in spec.view_dims
-        ]
-        self.discriminator = Mlp(
-            MlpSpec((l, spec.disc_hidden, v), output_activation="softmax", seed=next(s))
-        )
-        self.common_predictor = Mlp(MlpSpec((l, q), output_activation="sigmoid", seed=next(s)))
-        self.evidence_common = Mlp(
-            MlpSpec((l, spec.evidence_hidden, q), output_activation="relu", seed=next(s))
-        )
+        relu = ad.Tensor.relu
+        self.view_mappers = [Mlp((d, l), relu, next(s)) for d in spec.view_dims]
+        self.common_extractor = Mlp((l, l), relu, next(s))
+        self.specific_extractors = [Mlp((d, l), relu, next(s)) for d in spec.view_dims]
+        self.discriminator = Mlp((l, spec.disc_hidden, v), ad.Tensor.softmax_rows, next(s))
+        self.common_predictor = Mlp((l, q), ad.Tensor.sigmoid, next(s))
+        self.evidence_common = Mlp((l, spec.evidence_hidden, q), relu, next(s))
         self.evidence_specific = [
-            Mlp(MlpSpec((l, spec.evidence_hidden, q), output_activation="relu", seed=next(s)))
-            for _ in range(v)
+            Mlp((l, spec.evidence_hidden, q), relu, next(s)) for _ in range(v)
         ]
         rng = np.random.default_rng(np.random.SeedSequence(next(s)))
         bound = 1.0 / np.sqrt(v)
@@ -212,16 +191,13 @@ class Model:
         out.append(("attn.w_value", self.w_value))
         return out
 
-    def params(self):
-        return [t for _, t in self.named_params()]
-
     def trainable_params(self, uniform_attention=False):
         """Parameters that actually receive gradients under the given switches."""
         skip = {"attn.w_query", "attn.w_key"} if uniform_attention else set()
         return [t for name, t in self.named_params() if name not in skip]
 
     def param_count(self):
-        return sum(t.size for t in self.params())
+        return sum(t.size for _, t in self.named_params())
 
     # -- checkpoint io --------------------------------------------------------
 

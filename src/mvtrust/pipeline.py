@@ -75,7 +75,7 @@ class TrainConfig:
     disc_hidden: int = 64
     evidence_hidden: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.gamma, self.delta, self.eta) < 0.0:
             raise ContractError("gamma, delta, eta must be non-negative")
         if self.learning_rate <= 0.0 or self.epochs < 1 or self.anneal_epochs < 1:
@@ -84,7 +84,6 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1 when set")
         if not 0.0 < self.train_fraction < 1.0:
             raise ContractError("train_fraction must lie in (0, 1)")
-        return self
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -101,7 +100,7 @@ class TrainConfig:
             wanted = _CONFIG_VALUE_TYPES[kinds[key]]
             if isinstance(value, bool) is not (bool in wanted) or not isinstance(value, wanted):
                 raise ContractError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
-        return cls(**payload).validate()
+        return cls(**payload)
 
     def config_hash(self):
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -252,7 +251,6 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
 
     The model's support radius is fitted on ``ds`` before the first step.
     """
-    cfg.validate()
     spec = ModelSpec(
         view_dims=ds.view_dims,
         n_classes=ds.n_classes,
@@ -374,6 +372,10 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
     if ds.view_dims != model.spec.view_dims:
         raise ContractError(
             f"dataset views {ds.view_dims} do not match model views {model.spec.view_dims}"
+        )
+    if ds.n_classes != model.spec.n_classes:
+        raise ContractError(
+            f"dataset has {ds.n_classes} classes but the model has {model.spec.n_classes}"
         )
     bundle = forward_pass(model, ds.views, cfg)
     predictions = np.argmax(bundle.evidence_joint.data, axis=1)

@@ -51,11 +51,23 @@ _LGAMMA_COEFFS = (
 )
 
 
-def _validated(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
+def _shift(x, name, term):
+    """Validate ``x`` and push every element below the cutoff up by unit steps.
+
+    Returns the shifted argument ``y >= 10`` and ``sum term(t)`` over the
+    values ``t`` each element stepped through.
+    """
+    y = np.array(x, dtype=np.float64)
+    if y.size and (not np.all(np.isfinite(y)) or np.any(y <= 0.0)):
         raise DomainError(f"{name}: argument must be finite and strictly positive")
-    return arr
+    acc = np.zeros_like(y)
+    for _ in range(int(_ASYMPTOTIC_CUTOFF)):
+        mask = y < _ASYMPTOTIC_CUTOFF
+        if not mask.any():
+            break
+        acc[mask] += term(y[mask])
+        y[mask] += 1.0
+    return y, acc
 
 
 def _alternating_horner(coeffs, inv2):
@@ -67,15 +79,7 @@ def _alternating_horner(coeffs, inv2):
 
 def digamma(x):
     """Digamma psi(x) for x > 0, elementwise."""
-    arr = _validated(x, "digamma")
-    y = arr.copy()
-    acc = np.zeros_like(y)
-    for _ in range(int(_ASYMPTOTIC_CUTOFF)):
-        mask = y < _ASYMPTOTIC_CUTOFF
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / y[mask]
-        y[mask] += 1.0
+    y, acc = _shift(x, "digamma", lambda t: -(1.0 / t))
     inv = 1.0 / y
     inv2 = inv * inv
     return acc + np.log(y) - 0.5 * inv - inv2 * _alternating_horner(_DIGAMMA_COEFFS, inv2)
@@ -83,15 +87,7 @@ def digamma(x):
 
 def trigamma(x):
     """Trigamma psi'(x) for x > 0, elementwise (backward pass of digamma)."""
-    arr = _validated(x, "trigamma")
-    y = arr.copy()
-    acc = np.zeros_like(y)
-    for _ in range(int(_ASYMPTOTIC_CUTOFF)):
-        mask = y < _ASYMPTOTIC_CUTOFF
-        if not mask.any():
-            break
-        acc[mask] += 1.0 / (y[mask] * y[mask])
-        y[mask] += 1.0
+    y, acc = _shift(x, "trigamma", lambda t: 1.0 / (t * t))
     inv = 1.0 / y
     inv2 = inv * inv
     return acc + inv + 0.5 * inv2 + inv * inv2 * _alternating_horner(_TRIGAMMA_COEFFS, inv2)
@@ -99,15 +95,7 @@ def trigamma(x):
 
 def lgamma(x):
     """Log-gamma ln Gamma(x) for x > 0, elementwise."""
-    arr = _validated(x, "lgamma")
-    y = arr.copy()
-    acc = np.zeros_like(y)
-    for _ in range(int(_ASYMPTOTIC_CUTOFF)):
-        mask = y < _ASYMPTOTIC_CUTOFF
-        if not mask.any():
-            break
-        acc[mask] -= np.log(y[mask])
-        y[mask] += 1.0
+    y, acc = _shift(x, "lgamma", lambda t: -np.log(t))
     inv = 1.0 / y
     inv2 = inv * inv
     stirling = (y - 0.5) * np.log(y) - y + _HALF_LOG_TWO_PI

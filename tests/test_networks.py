@@ -7,7 +7,7 @@ import pytest
 
 from mvtrust.autodiff import Tensor
 from mvtrust.errors import ContractError, ShapeError
-from mvtrust.networks import SUPPORT_RADIUS_ENTRY, Mlp, MlpSpec, Model, ModelSpec
+from mvtrust.networks import SUPPORT_RADIUS_ENTRY, Mlp, Model, ModelSpec
 
 
 @pytest.fixture()
@@ -17,23 +17,20 @@ def model():
 
 
 class TestMlp:
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ContractError):
-            MlpSpec((4,))
-        with pytest.raises(ContractError):
-            MlpSpec((4, 0))
-        with pytest.raises(ContractError):
-            MlpSpec((4, 2), output_activation="swish")
+    @pytest.mark.parametrize("field", ["subspace_dim", "disc_hidden", "evidence_hidden"])
+    def test_zero_width_rejected(self, field):
+        with pytest.raises(ContractError, match=field):
+            ModelSpec(view_dims=(4,), n_classes=2, **{field: 0})
 
     def test_width_mismatch(self):
-        mlp = Mlp(MlpSpec((4, 2)))
+        mlp = Mlp((4, 2), Tensor.relu, 0)
         with pytest.raises(ShapeError):
             mlp.forward(Tensor(np.ones((3, 5))))
 
     def test_detached_params_block_gradients(self):
         from mvtrust.autodiff import backward
 
-        mlp = Mlp(MlpSpec((3, 2), output_activation="linear", seed=0))
+        mlp = Mlp((3, 2), Tensor.relu, 0)
         x = Tensor(np.ones((2, 3)))
         backward(mlp.forward(x, detach_params=True).sum())
         assert all(w.grad is None for w in mlp.weights)

@@ -67,6 +67,10 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(epochs=0).validate()
 
+    def test_replace_is_validated(self):
+        with pytest.raises(ContractError, match="epochs >= 1"):
+            dataclasses.replace(TrainConfig(), epochs=0)
+
     @pytest.mark.parametrize("payload, named", [
         ([1, 2], "must be a JSON object, got list"),
         ({"epochs": "5"}, "'epochs' must be int, got '5'"),
@@ -247,6 +251,12 @@ class TestEvaluate:
         trained, _, _ = smoke_run
         other = synthesize(2, 2, 10, (9, 9), seed=0)
         with pytest.raises(ContractError):
+            evaluate(trained, other)
+
+    def test_class_count_mismatch_rejected(self, smoke_run):
+        trained, _, _ = smoke_run
+        other = synthesize(3, 2, 12, (5, 6), seed=0)
+        with pytest.raises(ContractError, match="3 classes but the model has 2"):
             evaluate(trained, other)
 
 
@@ -505,6 +515,44 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["train", "--data", "d.json", "--out", "run", "--trials", "0"],
+        ["gradcheck", "--seeds", "0"],
+    ], ids=["trials", "seeds"])
+    def test_zero_count_is_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(flags)
+        assert excinfo.value.code == 2
+        assert "invalid positive int value: '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--conflict-fraction", "0.5", "--noise-fraction", "0.9"], "--noise-fraction needs"),
+        (["--noise-fraction", "0.9", "--corrupt-views", "1"], "--noise-fraction needs"),
+        (["--corrupt-views", "1"], "--corrupt-views needs"),
+    ], ids=["noise-fraction-with-conflict", "noise-fraction-alone", "views-alone"])
+    def test_corruption_modifier_without_corruption_rejected(self, flags, named, tmp_path,
+                                                             capsys):
+        code = cli_main([
+            "eval", "--model", "m.npz", "--data", "d.json", "--out", str(tmp_path / "out"),
+            *flags,
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_on_other_class_count_rejected(self, tmp_path, capsys):
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        assert cli_main([
+            "synth", "--out", str(tmp_path / "five"), "--classes", "5", "--samples", "40",
+            "--dims", "4,5", "--seed", "3",
+        ]) == 0
+        code = cli_main([
+            "eval", "--model", str(run_dir / "checkpoint.npz"),
+            "--data", str(tmp_path / "five" / "manifest.json"), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        assert "5 classes but the model has 2" in capsys.readouterr().err
 
     def test_noise_sweep_without_model_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
