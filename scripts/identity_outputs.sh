@@ -7,6 +7,10 @@
 #   diff -r /tmp/ident-old /tmp/ident-new
 #
 # A refactor that changes no float operation leaves every file identical.
+# The baseline moved once, when the loss stack was rebuilt over stacked
+# views and the special functions took ten unmasked unit steps: that change
+# was accepted because every numeric cell of every training_log*.tsv agreed
+# with the tree before it to 1e-9 relative; its outputs are the baseline.
 # `run.meta` and the `__meta__` entry of `checkpoint.npz` also hold the
 # config and its hash, so they differ when a TrainConfig field changes.
 #

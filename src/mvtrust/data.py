@@ -152,11 +152,16 @@ def split(ds: MultiViewDataset, train_fraction, seed):
             continue
         perm = rng.permutation(members)
         k = int(round(train_fraction * members.size))
-        k = min(max(k, 0), members.size)
         train_idx.append(perm[:k])
         test_idx.append(perm[k:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
+    for side, idx in (("train", train_idx), ("test", test_idx)):
+        if idx.size == 0:
+            raise ContractError(
+                f"train_fraction {train_fraction} of {ds.n_samples} rows leaves the {side} "
+                "split empty"
+            )
     return ds.subset(train_idx), ds.subset(test_idx)
 
 

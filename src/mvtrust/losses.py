@@ -100,18 +100,13 @@ def com_loss(adv, cml):
 def spe_loss(specific_list, common):
     """Squared per-sample inner products between each specific vector and the
     mean common vector, summed over views and averaged over the batch."""
-    total = None
-    for s in specific_list:
-        if s.shape[-1] != common.shape[-1]:
-            raise ContractError(
-                f"spe_loss: specific width {s.shape[-1]} != common width {common.shape[-1]}"
-            )
-        inner = (s * common).sum(axis=-1)
-        term = (inner * inner).mean()
-        total = term if total is None else total + term
-    if total is None:
-        raise ContractError("spe_loss: need at least one specific representation")
-    return total
+    specific = ad.stack(specific_list)
+    if specific.shape[-1] != common.shape[-1]:
+        raise ContractError(
+            f"spe_loss: specific width {specific.shape[-1]} != common width {common.shape[-1]}"
+        )
+    inner = (specific * common).sum(axis=-1)
+    return (inner * inner).mean() * float(len(specific_list))
 
 
 # ---------------------------------------------------------------------------
@@ -165,37 +160,35 @@ def acc_loss(alpha, y, lambda_t):
 
 def h1_loss(alpha_views, alpha_common, alpha_specific, y, gamma):
     """First-hierarchy loss: per-view, common and specific classification
-    terms plus the common/specific conflict penalty, averaged over views."""
-    n_views = len(alpha_views)
-    if n_views == 0 or len(alpha_specific) != n_views:
+    terms plus the common/specific conflict penalty, averaged over views.
+
+    The per-view lists are stacked to ``(v, n, q)``; ``ace_loss`` and the
+    conflict mean average over views and samples at once.
+    """
+    if len(alpha_views) == 0 or len(alpha_specific) != len(alpha_views):
         raise ContractError("h1_loss: need matching per-view alpha lists")
-    total = None
-    for i in range(n_views):
-        term = (
-            ace_loss(alpha_views[i], y)
-            + ace_loss(alpha_common, y)
-            + ace_loss(alpha_specific[i], y)
-        )
-        if gamma != 0.0:
-            conflict = conflict_degree(alpha_common - 1.0, alpha_specific[i] - 1.0)
-            term = term + gamma * conflict.mean()
-        total = term if total is None else total + term
-    return total * (1.0 / n_views)
+    specific = ad.stack(alpha_specific)
+    total = ace_loss(ad.stack(alpha_views), y) + ace_loss(alpha_common, y) + ace_loss(specific, y)
+    if gamma != 0.0:
+        total = total + gamma * conflict_degree(alpha_common - 1.0, specific - 1.0).mean()
+    return total
 
 
 def con_loss(alpha_views):
-    """Mean pairwise conflict across views, normalized by v - 1."""
+    """Mean pairwise conflict across views, normalized by v - 1.
+
+    One conflict call compares every ordered pair of the stacked views; the
+    diagonal pairs are exactly 0, so the mean over all v^2 pairs times
+    v^2 / (v - 1) is the sum over distinct pairs divided by v - 1.
+    """
     n_views = len(alpha_views)
     if n_views < 2:
         return Tensor(0.0)
-    total = None
-    for p in range(n_views):
-        for r in range(n_views):
-            if r == p:
-                continue
-            c = conflict_degree(alpha_views[p] - 1.0, alpha_views[r] - 1.0).mean()
-            total = c if total is None else total + c
-    return total * (1.0 / (n_views - 1))
+    evidence = ad.stack(alpha_views) - 1.0
+    rest = evidence.shape[1:]
+    rows, columns = evidence.reshape((n_views, 1, *rest)), evidence.reshape((1, n_views, *rest))
+    pairs = conflict_degree(rows, columns)
+    return pairs.mean() * (n_views * n_views / (n_views - 1))
 
 
 def h2_loss(alpha_joint, alpha_attended, alpha_views, y, lambda_t, gamma, conflict=None):
@@ -205,9 +198,8 @@ def h2_loss(alpha_joint, alpha_attended, alpha_views, y, lambda_t, gamma, confli
     ``conflict`` may carry a precomputed ``con_loss(alpha_views)`` node so the
     caller can log it without building the subgraph twice.
     """
-    total = acc_loss(alpha_joint, y, lambda_t)
-    for alpha_hat in alpha_attended:
-        total = total + acc_loss(alpha_hat, y, lambda_t)
+    attended = acc_loss(ad.stack(alpha_attended), y, lambda_t) * float(len(alpha_attended))
+    total = acc_loss(alpha_joint, y, lambda_t) + attended
     if gamma != 0.0:
         if conflict is None:
             conflict = con_loss(alpha_views)

@@ -46,11 +46,13 @@ def conflict_degree(evidence_a, evidence_b):
 
     Half the L1 distance between the uniformly projected probabilities,
     discounted by the conjunctive certainty (1 - u_A)(1 - u_B), so conflict
-    between mutually uncertain opinions is small and C(x, x) = 0.
+    between mutually uncertain opinions is small and C(x, x) = 0.  The
+    leading axes broadcast, so ``(v, 1, n, q)`` against ``(1, v, n, q)``
+    gives every ordered pair of v views; C(a, b) equals C(b, a) exactly.
     """
-    if evidence_a.shape != evidence_b.shape:
+    if evidence_a.shape[-1:] != evidence_b.shape[-1:]:
         raise ContractError(
-            f"conflict_degree: shapes differ, {evidence_a.shape} vs {evidence_b.shape}"
+            f"conflict_degree: class counts differ, {evidence_a.shape} vs {evidence_b.shape}"
         )
     b_a, u_a = evidence_to_opinion(evidence_a)
     b_b, u_b = evidence_to_opinion(evidence_b)

@@ -111,7 +111,7 @@ class TrainConfig:
 class ForwardBundle:
     """Graph nodes produced by one full forward pass over a batch."""
 
-    common_views: list          # v tensors, (n, l)
+    common_stack: Tensor        # (v, n, l)
     common_mean: Tensor         # (n, l)
     specific_views: list        # v tensors, (n, l)
     evidence_common: Tensor     # (n, q)
@@ -138,11 +138,8 @@ def forward_pass(model: Model, views, cfg: TrainConfig) -> ForwardBundle:
     n_views = len(views)
     arrays = [np.asarray(x, dtype=np.float64) for x in views]
     xs = [ad.lift(x) for x in arrays]
-    common_views = [model.encode_common(xs[i], i) for i in range(n_views)]
-    acc = common_views[0]
-    for c in common_views[1:]:
-        acc = acc + c
-    common_mean = acc * (1.0 / n_views)
+    common_stack = ad.stack([model.encode_common(xs[i], i) for i in range(n_views)])
+    common_mean = common_stack.mean(axis=0)
     specific_views = [model.encode_specific(xs[i], i) for i in range(n_views)]
 
     kappa = model.support_gate(arrays)
@@ -168,7 +165,7 @@ def forward_pass(model: Model, views, cfg: TrainConfig) -> ForwardBundle:
     evidence_attended = [attended3.take(i, axis=1) for i in range(n_views)]
     joint = attended3.mean(axis=1)
     return ForwardBundle(
-        common_views,
+        common_stack,
         common_mean,
         specific_views,
         evidence_common,
@@ -192,24 +189,16 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
     encoder inputs detached) on top of the overall loss; the two touch
     disjoint parameters, so one backward pass drives both updates.
     """
-    n_views = len(bundle.common_views)
-    n = y.shape[0]
+    n_views, n, width = bundle.common_stack.shape
+    # view-major rows: row i * n + j is sample j's common code from view i
+    common_rows = bundle.common_stack.reshape((n_views * n, width))
 
     # adversarial split: D sees detached representations, encoders a frozen D
     z_rows = np.kron(np.eye(n_views), np.ones((n, 1)))
-    disc_on_frozen_input = ad.stack(
-        [model.discriminate(c.detach()) for c in bundle.common_views], axis=0
-    ).reshape((n_views * n, n_views))
-    disc_ce = L.cross_entropy(disc_on_frozen_input, z_rows)
-    frozen_disc = ad.stack(
-        [model.discriminate(c, detach_params=True) for c in bundle.common_views], axis=0
-    ).reshape((n_views * n, n_views))
-    adv = L.adv_loss(frozen_disc, z_rows)
+    disc_ce = L.cross_entropy(model.discriminate(common_rows.detach()), z_rows)
+    adv = L.adv_loss(model.discriminate(common_rows, detach_params=True), z_rows)
 
-    y_hat = ad.stack(
-        [model.predict_common(c) for c in bundle.common_views], axis=0
-    ).reshape((n_views * n, y.shape[1]))
-    cml = L.cml_loss(y_hat, np.tile(y, (n_views, 1)))
+    cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
     com = L.com_loss(adv, cml)
     spe = L.spe_loss(bundle.specific_views, bundle.common_mean)
 
@@ -304,26 +293,27 @@ class TrainedModel:
 
     model: Model
     cfg: TrainConfig
-    stats: StandardStats | None = None
+    stats: StandardStats
 
     def prepare(self, ds: MultiViewDataset) -> MultiViewDataset:
         """Standardize raw features into the model's input space."""
-        if self.stats is None:
-            return ds
         return self.stats.apply(ds)
 
     def save(self, path):
-        meta = {"config": self.cfg.to_dict(), "config_hash": self.cfg.config_hash()}
-        if self.stats is not None:
-            meta["stats"] = self.stats.to_jsonable()
+        meta = {
+            "config": self.cfg.to_dict(),
+            "config_hash": self.cfg.config_hash(),
+            "stats": self.stats.to_jsonable(),
+        }
         self.model.save(path, extra_meta=meta)
 
     @classmethod
     def load(cls, path):
         model, meta = Model.load(path)
+        if "stats" not in meta:
+            raise ContractError(f"{path}: checkpoint __meta__ has no stats entry")
         cfg = TrainConfig.from_dict(meta["config"])
-        stats = StandardStats.from_jsonable(meta["stats"]) if "stats" in meta else None
-        return cls(model, cfg, stats)
+        return cls(model, cfg, StandardStats.from_jsonable(meta["stats"]))
 
 
 @dataclass
@@ -380,16 +370,16 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
     bundle = forward_pass(model, ds.views, cfg)
     predictions = np.argmax(bundle.evidence_joint.data, axis=1)
     joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
-    fused = bundle.evidence_fused
-    local_u = np.concatenate([evidence_to_opinion(e)[1].data for e in fused], axis=1)
+    fused = np.stack([e.data for e in bundle.evidence_fused], axis=1)   # (n, v, q)
+    local_u = evidence_to_opinion(fused)[1].data[..., 0]
     attention = np.array(bundle.attention.data)
 
-    n_views = ds.n_views
-    conflict = np.zeros((n_views, n_views))
-    for p in range(n_views):
-        for r in range(p + 1, n_views):
-            mean_c = conflict_degree(fused[p], fused[r]).data.mean()
-            conflict[p, r] = conflict[r, p] = mean_c
+    # one conflict call over the unordered view pairs; filling both triangles
+    # makes the matrix exactly symmetric with an exactly zero diagonal
+    p, r = np.triu_indices(ds.n_views, 1)
+    pair_means = conflict_degree(fused[:, p], fused[:, r]).data[..., 0].mean(axis=0)
+    conflict = np.zeros((ds.n_views, ds.n_views))
+    conflict[p, r] = conflict[r, p] = pair_means
 
     correct = predictions == ds.labels
     report = EvalReport(

@@ -179,6 +179,15 @@ class TestSpecialFunctions:
         assert abs(float(special.trigamma(x)) - ref) <= 1e-12 + 1e-13 * abs(ref)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_arguments_take_every_step_quietly(self):
+        # every element steps through x..x+9, so no term may overflow
+        x = np.array([1e160, 1e300])
+        np.testing.assert_allclose(special.trigamma(x), 1.0 / x, rtol=1e-12)
+        np.testing.assert_allclose(special.digamma(x), np.log(x), rtol=1e-12)
+        np.testing.assert_allclose(special.lgamma(x), x * (np.log(x) - 1.0), rtol=1e-12)
+
+
 class TestAdam:
     def test_zero_gradients_leave_only_decay(self):
         p = Tensor([1.0, -2.0])

@@ -89,6 +89,12 @@ class TestSplit:
             with pytest.raises(ContractError):
                 split(ds, bad, seed=0)
 
+    @pytest.mark.parametrize("fraction, side", [(0.99, "test"), (0.01, "train")])
+    def test_empty_side_named(self, fraction, side):
+        ds = synthesize(2, 2, 30, (3, 4), seed=1)
+        with pytest.raises(ContractError, match=rf"{fraction} of 30 rows leaves the {side} split"):
+            split(ds, fraction, seed=0)
+
     def test_deterministic(self):
         ds = synthesize(3, 1, 100, (5,), seed=0)
         a = split(ds, 0.8, seed=9)[0]

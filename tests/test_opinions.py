@@ -174,6 +174,19 @@ class TestConflictDegree:
     def test_mismatched_classes(self):
         with pytest.raises(ContractError):
             conflict([1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ContractError, match=r"\(2, 1, 3, 4\) vs \(1, 2, 3, 5\)"):
+            conflict_degree(np.ones((2, 1, 3, 4)), np.ones((1, 2, 3, 5)))
+
+    def test_stacked_pairs_equal_per_pair_calls(self):
+        evidence = np.random.default_rng(8).uniform(0.0, 9.0, size=(4, 6, 3))
+        pairs = conflict_degree(evidence[:, None], evidence[None, :]).data
+        assert pairs.shape == (4, 4, 6, 1)
+        for p, r in itertools.product(range(4), repeat=2):
+            np.testing.assert_array_equal(
+                pairs[p, r], conflict_degree(evidence[p], evidence[r]).data
+            )
+        assert np.all(pairs[np.arange(4), np.arange(4)] == 0.0)
+        np.testing.assert_array_equal(pairs, pairs.swapaxes(0, 1))
 
     @given(evidence_lists.filter(lambda e: len(e) == 4), evidence_lists.filter(lambda e: len(e) == 4))
     def test_bounded_and_symmetric(self, e1, e2):

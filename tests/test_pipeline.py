@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 import oracles
 from conftest import ACCEPTANCE_DATA
 from mvtrust import losses as L
-from mvtrust import pipeline
+from mvtrust import pipeline, special
 from mvtrust.aggregation import attend_batch
-from mvtrust.autodiff import Tensor
+from mvtrust.autodiff import Tensor, backward
 from mvtrust.cli import main as cli_main
 from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise, split, standardize
 from mvtrust.data import save_dataset, synthesize
@@ -134,12 +135,12 @@ class TestSupportGate:
     @pytest.fixture()
     def gated(self, tiny_dataset):
         train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
-        train_std, test_std, _ = standardize(train_raw, test_raw)
+        train_std, test_std, stats = standardize(train_raw, test_raw)
         model, _ = train(train_std, SMOKE)
-        return model, train_std, test_std
+        return model, train_std, test_std, stats
 
     def test_identity_on_training_rows(self, gated):
-        model, train_std, _ = gated
+        model, train_std, _, _ = gated
         assert np.all(model.support_gate(train_std.views) == 1.0)
         gated_bundle = forward_pass(model, train_std.views, SMOKE)
         model.support_radius = np.full(train_std.n_views, np.inf)
@@ -150,8 +151,8 @@ class TestSupportGate:
 
     @pytest.mark.parametrize("view", [0, 1])
     def test_scaled_view_loses_certainty(self, gated, view):
-        model, _, test_std = gated
-        trained = TrainedModel(model, SMOKE)
+        model, _, test_std, stats = gated
+        trained = TrainedModel(model, SMOKE, stats)
         scaled = [x * 10.0 if i == view else x for i, x in enumerate(test_std.views)]
         loud = dataclasses.replace(test_std, views=scaled)
         clean_fused = forward_pass(model, test_std.views, SMOKE).evidence_fused[view].data
@@ -282,6 +283,40 @@ class TestObjective:
         )
 
 
+def _interior_nodes(root):
+    """Nodes with parents reachable from ``root``, each counted once."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+class TestStepCost:
+    def test_three_view_step_stays_small(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, raw):
+            def wrapper(x):
+                calls[name] += 1
+                return raw(x)
+            return wrapper
+
+        for name in ("digamma", "trigamma", "lgamma"):
+            monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
+        monkeypatch.setattr(L, "_lgamma_value", special.lgamma)
+        ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
+        model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
+                                disc_hidden=6, evidence_hidden=6, seed=1))
+        bundle = forward_pass(model, ds.views, SMOKE)
+        objective, _ = training_objective(model, bundle, one_hot(ds.labels, 3), SMOKE, 0.5)
+        backward(objective)
+        assert _interior_nodes(objective) <= 300
+        assert sum(calls.values()) <= 40, calls
+
+
 class TestSweepAndAblate:
     def test_empty_sigma_list(self, smoke_run):
         trained, test_std, _ = smoke_run
@@ -351,6 +386,19 @@ class TestCheckpointPipeline:
         arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
         np.savez(path, **arrays)
         with pytest.raises(ContractError, match="fold"):
+            TrainedModel.load(path)
+
+    def test_missing_stats_named(self, smoke_run, tmp_path):
+        trained, _, _ = smoke_run
+        path = tmp_path / "ckpt.npz"
+        trained.save(path)
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        del meta["stats"]
+        arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+        np.savez(path, **arrays)
+        with pytest.raises(ContractError, match="ckpt.npz: checkpoint __meta__ has no stats"):
             TrainedModel.load(path)
 
 
@@ -427,6 +475,20 @@ class TestCli:
         meta = json.loads((run_dir / "run.meta").read_text())
         assert meta["trials"] == 2 and len(meta["test_accuracy"]) == 2
         assert meta["test_accuracy_mean"] == np.mean(meta["test_accuracy"])
+
+    def test_empty_split_side_is_exit_two(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert cli_main([
+            "synth", "--out", str(data_dir), "--classes", "2", "--samples", "30",
+            "--dims", "3,4", "--seed", "1",
+        ]) == 0
+        code = cli_main([
+            "train", "--data", str(data_dir / "manifest.json"), "--out", str(tmp_path / "run"),
+            "--train-fraction", "0.99", "--epochs", "2",
+        ])
+        assert code == 2
+        assert "leaves the test split empty" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "run.meta").exists()
 
     def test_gradcheck_command(self, capsys):
         assert cli_main(["gradcheck", "--seeds", "1"]) == 0
