@@ -18,6 +18,8 @@
 #   c11/            the criterion 11 setup: 60 rows, 5 epochs, clean held-out eval
 #   c11/ablate      every ablation switch, 3 epochs each, on the criterion 11 data
 #   c11/trials      two seeded trials of 2 epochs each on the criterion 11 data
+#   c11/bypass_h1   2 epochs at batch size 8 with {"bypass_h1": true}
+#   c11/uniform_attention  2 epochs at batch size 8 with {"uniform_attention": true}
 #   acc/full15      15 full-batch epochs on the acceptance data
 #   acc/batch32     3 epochs at batch size 32 on the acceptance data
 #   acc/eval_noise  sigma=10 noise on half of the held-out rows
@@ -55,6 +57,13 @@ cli ablate --data "$c11/data/manifest.json" --out "$c11/ablate" \
     --switches no_h1,no_attention,no_common_loss,no_specific_loss --epochs 3
 cli train --data "$c11/data/manifest.json" --out "$c11/trials" \
     --trials 2 --epochs 2 --subspace-dim 8 --seed 3
+# the ablation table holds accuracies only; the switched training logs show
+# every bit of the losses under each switch
+for switch in bypass_h1 uniform_attention; do
+    echo "{\"$switch\": true}" > "$c11/$switch.json"
+    cli train --data "$c11/data/manifest.json" --out "$c11/$switch" --config "$c11/$switch.json" \
+        --batch-size 8 --epochs 2 --subspace-dim 8 --seed 3
+done
 
 # the acceptance data of tests/conftest.py
 acc=$out/acc

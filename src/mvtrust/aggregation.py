@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
 
@@ -25,28 +24,27 @@ SCORE_FLOOR = 1e-8
 
 
 def attend_batch(features, evidences, w_query, w_key, w_value, uniform=False):
-    """Batched attention over per-view tensors.
+    """Batched attention over view-major stacks.
 
-    ``features`` and ``evidences`` are per-view lists of (n, l) and (n, q)
-    tensors.  Returns (weights, attended) with shapes (n, v, v) and
-    (n, v, q).  ``uniform=True`` bypasses the query/key scores and mixes
-    value rows with constant weights 1/v.
+    ``features`` is (v, n, l) and ``evidences`` (v, n, q); both are swapped
+    to sample-major (n, v, .) views inside.  Returns the (n, v, v) weights
+    and the (v, n, q) attended evidence, copied into C order.
+    ``uniform=True`` bypasses the query/key scores and mixes value rows with
+    constant weights 1/v.
     """
-    n_views = len(features)
-    if n_views == 0 or len(evidences) != n_views:
-        raise ContractError("attend_batch: need matching per-view feature/evidence lists")
-    feat3 = ad.stack(features, axis=1)    # (n, v, l)
-    ev3 = ad.stack(evidences, axis=1)     # (n, v, q)
-    value = w_value @ ev3                 # (n, v, q)
+    shapes = features.shape, evidences.shape
+    if len(shapes[0]) != 3 or len(shapes[1]) != 3 or shapes[0][0] != shapes[1][0] or not shapes[0][0]:
+        raise ContractError(f"attend_batch: need (v, n, l) features and (v, n, q) evidence, got {shapes}")
+    n_views, n, subspace_dim = features.shape
+    value = w_value @ evidences.transpose(0, 1)     # (n, v, q)
     if uniform:
-        n = feat3.shape[0]
         weights = Tensor(np.full((n, n_views, n_views), 1.0 / n_views))
     else:
-        subspace_dim = feat3.shape[2]
+        feat3 = features.transpose(0, 1)            # (n, v, l)
         query = w_query @ feat3
         key = w_key @ feat3
         scores = (query @ key.transpose()) * (1.0 / np.sqrt(subspace_dim))
         positive = scores.relu() + SCORE_FLOOR
         weights = positive / positive.sum(axis=-1, keepdims=True)
     attended = (weights @ value).relu()
-    return weights, attended
+    return weights, attended.transpose(0, 1).contiguous()

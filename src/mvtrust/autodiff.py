@@ -15,6 +15,11 @@ away before adding it into ``parent.grad``.  A ``vjp`` captures the
 arrays it needs, never the node itself: a graph then holds no reference
 cycle, so its arrays are freed as soon as the last reference drops rather
 than whenever the cyclic garbage collector next runs.
+
+``transpose`` returns a view of its input.  numpy reduces an array that
+is not C-ordered in memory order, so a sum over a transposed view can
+differ from the same sum over a copy in the last bit; ``contiguous()``
+copies a value into C order where that summation order matters.
 """
 
 from __future__ import annotations
@@ -164,10 +169,15 @@ class Tensor:
 
     # -- shape and reduction ops ---------------------------------------------
 
-    def transpose(self):
+    def transpose(self, a=-2, b=-1):
+        """Swap axes ``a`` and ``b``; the value is a view, not a copy."""
         if self.data.ndim < 2:
             raise ShapeError(f"transpose: needs >= 2 axes, got {self.shape}")
-        return _node(np.swapaxes(self.data, -1, -2), (self,), lambda g: (np.swapaxes(g, -1, -2),))
+        return _node(np.swapaxes(self.data, a, b), (self,), lambda g: (np.swapaxes(g, a, b),))
+
+    def contiguous(self):
+        """C-ordered copy of the value; see the module docstring."""
+        return _node(np.ascontiguousarray(self.data), (self,), lambda g: (g,))
 
     def sum(self, axis=None, keepdims=False):
         shape = self.shape
@@ -188,20 +198,6 @@ class Tensor:
             raise ShapeError(f"reshape: cannot view {self.shape} as {tuple(shape)}")
         old = self.shape
         return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
-
-    def take(self, index, axis):
-        if not 0 <= index < self.shape[axis]:
-            raise ShapeError(f"take: index {index} out of range for axis {axis} of {self.shape}")
-        shape = self.shape
-        sl = [slice(None)] * len(shape)
-        sl[axis] = index
-
-        def vjp(g):
-            full = np.zeros(shape)
-            full[tuple(sl)] = g
-            return (full,)
-
-        return _node(np.take(self.data, index, axis=axis), (self,), vjp)
 
 
 def lift(x):

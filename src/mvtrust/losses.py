@@ -97,16 +97,16 @@ def com_loss(adv, cml):
     return adv + cml
 
 
-def spe_loss(specific_list, common):
-    """Squared per-sample inner products between each specific vector and the
-    mean common vector, summed over views and averaged over the batch."""
-    specific = ad.stack(specific_list)
+def spe_loss(specific, common):
+    """Squared per-sample inner products between each specific vector of the
+    (v, n, l) stack and the mean common vector, summed over views and
+    averaged over the batch."""
     if specific.shape[-1] != common.shape[-1]:
         raise ContractError(
             f"spe_loss: specific width {specific.shape[-1]} != common width {common.shape[-1]}"
         )
     inner = (specific * common).sum(axis=-1)
-    return (inner * inner).mean() * float(len(specific_list))
+    return (inner * inner).mean() * float(specific.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,47 +162,44 @@ def h1_loss(alpha_views, alpha_common, alpha_specific, y, gamma):
     """First-hierarchy loss: per-view, common and specific classification
     terms plus the common/specific conflict penalty, averaged over views.
 
-    The per-view lists are stacked to ``(v, n, q)``; ``ace_loss`` and the
-    conflict mean average over views and samples at once.
+    ``alpha_views`` and ``alpha_specific`` are (v, n, q) stacks, so
+    ``ace_loss`` and the conflict mean average over views and samples at once.
     """
-    if len(alpha_views) == 0 or len(alpha_specific) != len(alpha_views):
-        raise ContractError("h1_loss: need matching per-view alpha lists")
-    specific = ad.stack(alpha_specific)
-    total = ace_loss(ad.stack(alpha_views), y) + ace_loss(alpha_common, y) + ace_loss(specific, y)
+    if alpha_specific.shape != alpha_views.shape:
+        raise ContractError(f"h1_loss: stacks {alpha_views.shape} and {alpha_specific.shape} differ")
+    total = ace_loss(alpha_views, y) + ace_loss(alpha_common, y) + ace_loss(alpha_specific, y)
     if gamma != 0.0:
-        total = total + gamma * conflict_degree(alpha_common - 1.0, specific - 1.0).mean()
+        total = total + gamma * conflict_degree(alpha_common - 1.0, alpha_specific - 1.0).mean()
     return total
 
 
 def con_loss(alpha_views):
-    """Mean pairwise conflict across views, normalized by v - 1.
+    """Mean pairwise conflict across the views of a (v, n, q) stack,
+    normalized by v - 1.
 
-    One conflict call compares every ordered pair of the stacked views; the
-    diagonal pairs are exactly 0, so the mean over all v^2 pairs times
-    v^2 / (v - 1) is the sum over distinct pairs divided by v - 1.
+    One conflict call compares every ordered pair of views; the diagonal
+    pairs are exactly 0, so the mean over all v^2 pairs times v^2 / (v - 1)
+    is the sum over distinct pairs divided by v - 1.
     """
-    n_views = len(alpha_views)
+    n_views = alpha_views.shape[0]
     if n_views < 2:
         return Tensor(0.0)
-    evidence = ad.stack(alpha_views) - 1.0
+    evidence = alpha_views - 1.0
     rest = evidence.shape[1:]
     rows, columns = evidence.reshape((n_views, 1, *rest)), evidence.reshape((1, n_views, *rest))
     pairs = conflict_degree(rows, columns)
     return pairs.mean() * (n_views * n_views / (n_views - 1))
 
 
-def h2_loss(alpha_joint, alpha_attended, alpha_views, y, lambda_t, gamma, conflict=None):
-    """Second-hierarchy loss: annealed classification of the joint and every
-    attended distribution plus the inter-view conflict penalty.
-
-    ``conflict`` may carry a precomputed ``con_loss(alpha_views)`` node so the
-    caller can log it without building the subgraph twice.
+def h2_loss(alpha_joint, alpha_attended, y, lambda_t, gamma, conflict):
+    """Second-hierarchy loss: annealed classification of the joint and of
+    every view of the (v, n, q) attended stack, plus ``gamma`` times
+    ``conflict``, the ``con_loss`` node of the fused views, which the caller
+    also logs.
     """
-    attended = acc_loss(ad.stack(alpha_attended), y, lambda_t) * float(len(alpha_attended))
+    attended = acc_loss(alpha_attended, y, lambda_t) * float(alpha_attended.shape[0])
     total = acc_loss(alpha_joint, y, lambda_t) + attended
     if gamma != 0.0:
-        if conflict is None:
-            conflict = con_loss(alpha_views)
         total = total + gamma * conflict
     return total
 

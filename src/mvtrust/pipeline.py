@@ -109,16 +109,16 @@ class TrainConfig:
 
 @dataclass
 class ForwardBundle:
-    """Graph nodes produced by one full forward pass over a batch."""
+    """Graph nodes of one forward pass over a batch; stacks are view-major, C-ordered."""
 
     common_stack: Tensor        # (v, n, l)
     common_mean: Tensor         # (n, l)
     specific_views: list        # v tensors, (n, l)
     evidence_common: Tensor     # (n, q)
-    evidence_specific: list     # v tensors, (n, q)
-    evidence_fused: list        # v tensors, (n, q)
+    evidence_specific: Tensor   # (v, n, q)
+    evidence_fused: Tensor      # (v, n, q)
     attention: Tensor           # (n, v, v)
-    evidence_attended: list     # v tensors, (n, q)
+    evidence_attended: Tensor   # (v, n, q)
     evidence_joint: Tensor      # (n, q)
 
 
@@ -134,6 +134,9 @@ def forward_pass(model: Model, views, cfg: TrainConfig) -> ForwardBundle:
     evidence with the input norm far from the data, so without the gate a
     view drowned in noise would raise its certainty instead of losing it.
     The gate is exactly 1 on every training row, so training is unchanged.
+
+    Heads, fusion and attention features run one view at a time and each is
+    stacked once, so adjoints accumulate in the order of per-view terms.
     """
     n_views = len(views)
     arrays = [np.asarray(x, dtype=np.float64) for x in views]
@@ -144,26 +147,25 @@ def forward_pass(model: Model, views, cfg: TrainConfig) -> ForwardBundle:
 
     kappa = model.support_gate(arrays)
     evidence_common = model.evidence_from_common(common_mean) * kappa.min(axis=1, keepdims=True)
-    evidence_specific = [
+    heads = [
         model.evidence_from_specific(specific_views[i], i) * kappa[:, i : i + 1]
         for i in range(n_views)
     ]
+    evidence_specific = ad.stack(heads)
     if cfg.bypass_h1:
-        evidence_fused = list(evidence_specific)
+        evidence_fused = evidence_specific
     else:
-        evidence_fused = [fuse_evidence(evidence_common, e) for e in evidence_specific]
+        evidence_fused = ad.stack([fuse_evidence(evidence_common, e) for e in heads])
 
-    features = [common_mean + s for s in specific_views]
-    attention, attended3 = attend_batch(
-        features,
+    attention, evidence_attended = attend_batch(
+        ad.stack([common_mean + s for s in specific_views]),
         evidence_fused,
         model.w_query,
         model.w_key,
         model.w_value,
         uniform=cfg.uniform_attention,
     )
-    evidence_attended = [attended3.take(i, axis=1) for i in range(n_views)]
-    joint = attended3.mean(axis=1)
+    joint = evidence_attended.mean(axis=0)
     return ForwardBundle(
         common_stack,
         common_mean,
@@ -200,17 +202,15 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
 
     cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
     com = L.com_loss(adv, cml)
-    spe = L.spe_loss(bundle.specific_views, bundle.common_mean)
+    spe = L.spe_loss(ad.stack(bundle.specific_views), bundle.common_mean)
 
-    alpha_fused = [e + 1.0 for e in bundle.evidence_fused]
+    alpha_fused = bundle.evidence_fused + 1.0
     alpha_common = bundle.evidence_common + 1.0
-    alpha_specific = [e + 1.0 for e in bundle.evidence_specific]
-    h1 = L.h1_loss(alpha_fused, alpha_common, alpha_specific, y, cfg.gamma)
+    h1 = L.h1_loss(alpha_fused, alpha_common, bundle.evidence_specific + 1.0, y, cfg.gamma)
 
     con = L.con_loss(alpha_fused)
-    alpha_attended = [e + 1.0 for e in bundle.evidence_attended]
     alpha_joint = bundle.evidence_joint + 1.0
-    h2 = L.h2_loss(alpha_joint, alpha_attended, alpha_fused, y, lambda_t, cfg.gamma, conflict=con)
+    h2 = L.h2_loss(alpha_joint, bundle.evidence_attended + 1.0, y, lambda_t, cfg.gamma, con)
 
     overall = L.overall_loss(h1, h2, com, spe, cfg.delta, cfg.eta)
     breakdown = L.LossBreakdown(
@@ -370,7 +370,7 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
     bundle = forward_pass(model, ds.views, cfg)
     predictions = np.argmax(bundle.evidence_joint.data, axis=1)
     joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
-    fused = np.stack([e.data for e in bundle.evidence_fused], axis=1)   # (n, v, q)
+    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))   # (n, v, q)
     local_u = evidence_to_opinion(fused)[1].data[..., 0]
     attention = np.array(bundle.attention.data)
 
@@ -495,13 +495,14 @@ def gradcheck_losses(n_seeds=20, h=1e-5, tol=1e-4):
         z = one_hot(rng.integers(v, size=n * v), v)
         pred_logits = Tensor(rng.normal(size=(n * v, q)))
         y_tiled = one_hot(rng.integers(q, size=n * v), q)
-        specific = [Tensor(rng.normal(size=(n, width))) for _ in range(v)]
+        # one (v, n, .) leaf per stack draws the values v per-view draws would
+        specific = Tensor(rng.normal(size=(v, n, width)))
         common = Tensor(rng.normal(size=(n, width)))
         y = one_hot(rng.integers(q, size=n), q)
         e_main = Tensor(rng.uniform(0.1, 3.0, size=(n, q)))
         e_common = Tensor(rng.uniform(0.1, 3.0, size=(n, q)))
-        e_specific = [Tensor(rng.uniform(0.1, 3.0, size=(n, q))) for _ in range(v)]
-        e_att = [Tensor(rng.uniform(0.1, 3.0, size=(n, q))) for _ in range(v)]
+        e_specific = Tensor(rng.uniform(0.1, 3.0, size=(v, n, q)))
+        e_att = Tensor(rng.uniform(0.1, 3.0, size=(v, n, q)))
 
         def adv():
             return L.adv_loss(logits.softmax_rows(), z)
@@ -513,30 +514,28 @@ def gradcheck_losses(n_seeds=20, h=1e-5, tol=1e-4):
             return L.spe_loss(specific, common)
 
         def fused():
-            return [fuse_evidence(e_common, e) for e in e_specific]
+            return fuse_evidence(e_common, e_specific)
 
         def h1():
-            alpha_specific = [e + 1.0 for e in e_specific]
-            return L.h1_loss([e + 1.0 for e in fused()], e_common + 1.0, alpha_specific, y, 1.0)
+            return L.h1_loss(fused() + 1.0, e_common + 1.0, e_specific + 1.0, y, 1.0)
 
         def h2():
             views = fused()
-            joint = sum(views[1:], views[0]) * (1.0 / v)
-            alpha_att, alpha_views = [e + 1.0 for e in e_att], [e + 1.0 for e in views]
-            return L.h2_loss(joint + 1.0, alpha_att, alpha_views, y, 0.5, 1.0)
+            joint = views.sum(axis=0) * (1.0 / v)
+            return L.h2_loss(joint + 1.0, e_att + 1.0, y, 0.5, 1.0, L.con_loss(views + 1.0))
 
         def overall():
             return L.overall_loss(h1(), h2(), L.com_loss(adv(), cml()), spe(), 1.0, 0.01)
 
-        every_leaf = [logits, pred_logits, common, e_common] + specific + e_specific + e_att
+        every_leaf = [logits, pred_logits, common, e_common, specific, e_specific, e_att]
         checks = {
             "adv": (adv, [logits]),
             "cml": (cml, [pred_logits]),
-            "spe": (spe, specific + [common]),
+            "spe": (spe, [specific, common]),
             "ace": (lambda: L.ace_loss(e_main + 1.0, y), [e_main]),
             "kl": (lambda: L.kl_loss(e_main + 1.0, y), [e_main]),
-            "h1": (h1, [e_common] + e_specific),
-            "h2": (h2, [e_common] + e_specific + e_att),
+            "h1": (h1, [e_common, e_specific]),
+            "h2": (h2, [e_common, e_specific, e_att]),
             "overall": (overall, every_leaf),
         }
         for name, (fn, params) in checks.items():

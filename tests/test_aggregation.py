@@ -24,13 +24,12 @@ def _ctx(rng, v=3, l=4, q=3, scale=1.0):
 
 def _attend(ctx):
     """attend_batch on a batch of one; returns its (v, v) weights and (v, q) evidence."""
-    v = ctx["features"].shape[0]
     weights, attended = attend_batch(
-        [Tensor(ctx["features"][i : i + 1]) for i in range(v)],
-        [Tensor(ctx["evidence"][i : i + 1]) for i in range(v)],
+        Tensor(ctx["features"][:, None]),
+        Tensor(ctx["evidence"][:, None]),
         Tensor(ctx["w_query"]), Tensor(ctx["w_key"]), Tensor(ctx["w_value"]),
     )
-    return weights.data[0], attended.data[0]
+    return weights.data[0], attended.data[:, 0]
 
 
 def _u(e):
@@ -137,8 +136,8 @@ class TestBatchedAttention:
         wq, wk, wv = (rng.normal(size=(v, v)) for _ in range(3))
 
         weights, attended = attend_batch(
-            [Tensor(common + s) for s in specific],
-            [Tensor(e) for e in evidences],
+            Tensor(np.stack([common + s for s in specific])),
+            Tensor(np.stack(evidences)),
             Tensor(wq), Tensor(wk), Tensor(wv),
         )
         for j in range(n):
@@ -147,34 +146,34 @@ class TestBatchedAttention:
             for view in range(v):
                 ref_w, ref_e = oracles.attend(features, evidence, wq, wk, wv, 1e-8, view)
                 np.testing.assert_allclose(weights.data[j, view], ref_w, atol=1e-12)
-                np.testing.assert_allclose(attended.data[j, view], ref_e, atol=1e-12)
+                np.testing.assert_allclose(attended.data[view, j], ref_e, atol=1e-12)
 
     def test_uniform_bypass(self, rng):
         n, v, q = 4, 3, 2
         evidences = [rng.uniform(0.0, 4.0, size=(n, q)) for _ in range(v)]
         wv = rng.normal(size=(v, v))
         weights, attended = attend_batch(
-            [Tensor(rng.normal(size=(n, 5))) for _ in range(v)],
-            [Tensor(e) for e in evidences],
+            Tensor(rng.normal(size=(v, n, 5))),
+            Tensor(np.stack(evidences)),
             Tensor(rng.normal(size=(v, v))), Tensor(rng.normal(size=(v, v))), Tensor(wv),
             uniform=True,
         )
         np.testing.assert_allclose(weights.data, 1.0 / v, atol=1e-15)
         stacked = np.stack(evidences, axis=1)
         manual = np.maximum(np.full((v, v), 1.0 / v) @ (wv @ stacked), 0.0)
-        np.testing.assert_allclose(attended.data, manual, atol=1e-12)
+        np.testing.assert_allclose(attended.data, manual.swapaxes(0, 1), atol=1e-12)
 
     def test_gradients_flow_through_attention(self, rng):
         n, v, l, q = 3, 2, 4, 3
-        feats = [Tensor(rng.normal(size=(n, l))) for _ in range(v)]
-        evs = [Tensor(rng.uniform(0.1, 3.0, size=(n, q))) for _ in range(v)]
+        feats = Tensor(rng.normal(size=(v, n, l)))
+        evs = Tensor(rng.uniform(0.1, 3.0, size=(v, n, q)))
         wq, wk, wv = (Tensor(rng.normal(size=(v, v))) for _ in range(3))
 
         def f():
             _, attended = attend_batch(feats, evs, wq, wk, wv)
             return (attended * attended).mean()
 
-        report = ad.grad_check(f, feats + evs + [wq, wk, wv], h=1e-6)
+        report = ad.grad_check(f, [feats, evs, wq, wk, wv], h=1e-6)
         assert report.max_rel_error < 1e-4
 
 
@@ -183,7 +182,7 @@ class TestInterViewAggregate:
 
     def test_identical_attended_opinions(self):
         e = np.array([3.0, 1.0])
-        joint = ad.stack([Tensor(e[None])] * 3, axis=1).mean(axis=1).data[0]
+        joint = ad.stack([Tensor(e[None])] * 3).mean(axis=0).data[0]
         np.testing.assert_allclose(joint + 1.0, [4.0, 2.0], atol=1e-12)
         b, u = oracles.aggregate_all([oracles.opinion_from_evidence(e)] * 3)
         np.testing.assert_allclose(b, oracles.opinion_from_evidence(e)[0], atol=1e-12)
@@ -197,12 +196,13 @@ class TestInterViewAggregate:
 
     def test_three_view_mean(self):
         evidences = [np.array([e]) for e in ([3.0, 0.0], [0.0, 3.0], [3.0, 3.0])]
-        joint = ad.stack([Tensor(e) for e in evidences], axis=1).mean(axis=1).data[0]
+        joint = ad.stack([Tensor(e) for e in evidences]).mean(axis=0).data[0]
         np.testing.assert_allclose(joint + 1.0, [3.0, 3.0], atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            attend_batch([], [], Tensor(np.eye(1)), Tensor(np.eye(1)), Tensor(np.eye(1)))
+            attend_batch(Tensor(np.zeros((0, 1, 4))), Tensor(np.zeros((0, 1, 2))),
+                         Tensor(np.eye(1)), Tensor(np.eye(1)), Tensor(np.eye(1)))
 
 
 class TestPredict:
@@ -230,15 +230,15 @@ class TestContextValidation:
         # three samples of features against two samples of evidence
         with pytest.raises(ShapeError):
             attend_batch(
-                [Tensor(rng.normal(size=(3, 4))) for _ in range(3)],
-                [Tensor(rng.normal(size=(2, 3))) for _ in range(3)],
+                Tensor(rng.normal(size=(3, 3, 4))),
+                Tensor(rng.normal(size=(3, 2, 3))),
                 Tensor(np.eye(3)), Tensor(np.eye(3)), Tensor(np.eye(3)),
             )
 
     def test_weight_shape_guard(self, rng):
         with pytest.raises(ShapeError):
             attend_batch(
-                [Tensor(rng.normal(size=(1, 4))) for _ in range(3)],
-                [Tensor(rng.normal(size=(1, 3))) for _ in range(3)],
+                Tensor(rng.normal(size=(3, 1, 4))),
+                Tensor(rng.normal(size=(3, 1, 3))),
                 Tensor(np.eye(2)), Tensor(np.eye(3)), Tensor(np.eye(3)),
             )

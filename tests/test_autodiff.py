@@ -51,6 +51,14 @@ class TestForwardOps:
         out = Tensor(rng.normal(size=(8, 5))).softmax_rows()
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_transpose_is_a_view_and_contiguous_a_copy(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        swapped = x.transpose(0, 1)
+        assert swapped.shape == (3, 2, 4) and np.shares_memory(swapped.data, x.data)
+        copied = swapped.contiguous()
+        assert copied.data.flags.c_contiguous and not np.shares_memory(copied.data, x.data)
+        np.testing.assert_array_equal(copied.data, np.swapaxes(x.data, 0, 1))
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -132,7 +140,10 @@ def _op_cases(rng):
         "transpose": (lambda: (a.transpose() * b.transpose().detach()).sum(), [a]),
         "reshape": (lambda: (a.reshape((4, 3)) * 1.5).sum(), [a]),
         "stack": (lambda: ad.stack(stackable, axis=1).mean(), stackable),
-        "take": (lambda: batch_a.take(1, axis=1).sum(), [batch_a]),
+        "transpose_leading": (lambda: (batch_a.transpose(0, 1) * mixer.data[:, :2, None]).sum(),
+                              [batch_a]),
+        "contiguous": (lambda: (batch_a.transpose(0, 1).contiguous() * mixer.data[:, 1:, None]).sum(),
+                       [batch_a]),
     }
 
 

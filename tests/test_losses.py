@@ -62,18 +62,18 @@ class TestComSpe:
             assert abs(L.com_loss(a, c).item() - (a.item() + c.item())) < 1e-15
 
     def test_orthogonal_pair_is_zero(self):
-        s = [Tensor(np.array([[1.0, 2.0]]))]
+        s = Tensor(np.array([[[1.0, 2.0]]]))
         c = Tensor(np.array([[2.0, -1.0]]))
         assert L.spe_loss(s, c).item() == 0.0
 
     def test_single_view_value(self):
-        s = [Tensor(np.array([[1.0, 1.0]]))]
+        s = Tensor(np.array([[[1.0, 1.0]]]))
         c = Tensor(np.array([[1.0, 2.0]]))
         assert abs(L.spe_loss(s, c).item() - 9.0) < 1e-12
 
     def test_width_mismatch(self):
         with pytest.raises(ContractError):
-            L.spe_loss([Tensor(np.ones((2, 3)))], Tensor(np.ones((2, 4))))
+            L.spe_loss(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((2, 4))))
 
 
 class TestAceLoss:
@@ -148,23 +148,29 @@ class TestAccLossAndSchedule:
 
 class TestHierarchyLosses:
     def _random_case(self, rng, n, q, v):
+        """Labels, (v, n, q) view alphas, (n, q) common alphas, (v, n, q) specific alphas."""
         y = _onehot(rng, n, q)
-        alpha = lambda: Tensor(rng.uniform(1.0, 6.0, size=(n, q)))
-        return y, [alpha() for _ in range(v)], alpha(), [alpha() for _ in range(v)]
+        alpha = lambda *lead: Tensor(rng.uniform(1.0, 6.0, size=(*lead, n, q)))
+        return y, alpha(v), alpha(), alpha(v)
 
     def test_h1_single_view_no_conflict(self, rng):
         y, views, common, specific = self._random_case(rng, 3, 2, 1)
         got = L.h1_loss(views, common, specific, y, 0.0).item()
         expected = (
-            L.ace_loss(views[0], y).item()
+            L.ace_loss(views.data[0], y).item()
             + L.ace_loss(common, y).item()
-            + L.ace_loss(specific[0], y).item()
+            + L.ace_loss(specific.data[0], y).item()
         )
         assert abs(got - expected) < 1e-12
 
+    def test_h1_rejects_mismatched_stacks(self, rng):
+        y, views, common, specific = self._random_case(rng, 3, 2, 2)
+        with pytest.raises(ContractError, match="h1_loss"):
+            L.h1_loss(views, common, Tensor(specific.data[:1]), y, 1.0)
+
     def test_h1_conflict_vanishes_on_identical_opinions(self, rng):
         y, views, common, _ = self._random_case(rng, 3, 2, 2)
-        specific = [Tensor(common.data.copy()) for _ in range(2)]
+        specific = Tensor(np.stack([common.data] * 2))
         with_conflict = L.h1_loss(views, common, specific, y, 5.0).item()
         without = L.h1_loss(views, common, specific, y, 0.0).item()
         assert abs(with_conflict - without) < 1e-12
@@ -174,46 +180,43 @@ class TestHierarchyLosses:
         for _ in range(25):
             y, views, common, specific = self._random_case(rng, 4, 3, v)
             fast = L.h1_loss(views, common, specific, y, 1.3).item()
-            ref = oracles.naive_h1(
-                [t.data for t in views], common.data, [t.data for t in specific], y, 1.3
-            )
+            ref = oracles.naive_h1(views.data, common.data, specific.data, y, 1.3)
             assert abs(fast - ref) < 1e-12
 
     def test_con_identical_views_zero(self, rng):
-        base = Tensor(rng.uniform(1.0, 4.0, size=(5, 3)))
-        views = [Tensor(base.data.copy()) for _ in range(3)]
-        assert L.con_loss(views).item() == 0.0
+        base = rng.uniform(1.0, 4.0, size=(5, 3))
+        assert L.con_loss(Tensor(np.stack([base] * 3))).item() == 0.0
 
     def test_con_two_views_doubles_pair(self, rng):
         a = Tensor(rng.uniform(1.0, 4.0, size=(5, 3)))
         b = Tensor(rng.uniform(1.0, 4.0, size=(5, 3)))
-        got = L.con_loss([a, b]).item()
+        got = L.con_loss(Tensor(np.stack([a.data, b.data]))).item()
         pair = conflict_degree(a.data - 1.0, b.data - 1.0)
         assert abs(got - 2.0 * pair.data.mean()) < 1e-12
 
     def test_con_permutation_invariant(self, rng):
-        views = [Tensor(rng.uniform(1.0, 4.0, size=(4, 3))) for _ in range(3)]
-        a = L.con_loss(views).item()
-        b = L.con_loss([views[2], views[0], views[1]]).item()
+        views = rng.uniform(1.0, 4.0, size=(3, 4, 3))
+        a = L.con_loss(Tensor(views)).item()
+        b = L.con_loss(Tensor(views[[2, 0, 1]])).item()
         assert abs(a - b) < 1e-12
 
     def test_con_single_view_is_zero(self, rng):
-        assert L.con_loss([Tensor(rng.uniform(1.0, 4.0, size=(4, 3)))]).item() == 0.0
+        assert L.con_loss(Tensor(rng.uniform(1.0, 4.0, size=(1, 4, 3)))).item() == 0.0
 
     @pytest.mark.parametrize("v", [2, 3, 4])
     def test_con_matches_naive_loops(self, v, rng):
         for _ in range(25):
-            views = [Tensor(rng.uniform(1.0, 6.0, size=(4, 3))) for _ in range(v)]
+            views = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
             fast = L.con_loss(views).item()
-            ref = oracles.naive_con([t.data for t in views])
+            ref = oracles.naive_con(views.data)
             assert abs(fast - ref) < 1e-12
 
     def test_h2_reduces_without_conflict(self, rng):
         y = _onehot(rng, 3, 2)
         joint = Tensor(rng.uniform(1.0, 4.0, size=(3, 2)))
-        att = [Tensor(rng.uniform(1.0, 4.0, size=(3, 2)))]
-        got = L.h2_loss(joint, att, att, y, 0.3, 0.0).item()
-        expected = L.acc_loss(joint, y, 0.3).item() + L.acc_loss(att[0], y, 0.3).item()
+        att = Tensor(rng.uniform(1.0, 4.0, size=(1, 3, 2)))
+        got = L.h2_loss(joint, att, y, 0.3, 0.0, L.con_loss(att)).item()
+        expected = L.acc_loss(joint, y, 0.3).item() + L.acc_loss(att.data[0], y, 0.3).item()
         assert abs(got - expected) < 1e-12
 
     @pytest.mark.parametrize("v", [2, 3, 4])
@@ -221,12 +224,10 @@ class TestHierarchyLosses:
         for _ in range(25):
             y = _onehot(rng, 4, 3)
             joint = Tensor(rng.uniform(1.0, 6.0, size=(4, 3)))
-            att = [Tensor(rng.uniform(1.0, 6.0, size=(4, 3))) for _ in range(v)]
-            views = [Tensor(rng.uniform(1.0, 6.0, size=(4, 3))) for _ in range(v)]
-            fast = L.h2_loss(joint, att, views, y, 0.7, 1.1).item()
-            ref = oracles.naive_h2(
-                joint.data, [t.data for t in att], [t.data for t in views], y, 0.7, 1.1
-            )
+            att = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
+            views = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
+            fast = L.h2_loss(joint, att, y, 0.7, 1.1, L.con_loss(views)).item()
+            ref = oracles.naive_h2(joint.data, att.data, views.data, y, 0.7, 1.1)
             assert abs(fast - ref) < 1e-12
 
     def test_ace_matches_naive_loops(self, rng):
@@ -283,15 +284,16 @@ class TestRanges:
             assert 0.0 < L.adv_loss(z_hat, z).item() <= 1.0
             y_hat = Tensor(rng.normal(size=(n, q))).sigmoid()
             assert L.cml_loss(y_hat, y).item() >= 0.0
-            s = [Tensor(rng.normal(size=(n, 5))) for _ in range(v)]
+            s = Tensor(rng.normal(size=(v, n, 5)))
             assert L.spe_loss(s, Tensor(rng.normal(size=(n, 5)))).item() >= 0.0
-            alpha = lambda: Tensor(rng.uniform(1.0, 7.0, size=(n, q)))
-            views, common, specific = [alpha() for _ in range(v)], alpha(), [alpha() for _ in range(v)]
-            assert L.ace_loss(views[0], y).item() >= 0.0
-            assert L.kl_loss(views[0], y).item() >= -1e-12
+            alpha = lambda *lead: Tensor(rng.uniform(1.0, 7.0, size=(*lead, n, q)))
+            views, common, specific = alpha(v), alpha(), alpha(v)
+            assert L.ace_loss(views.data[0], y).item() >= 0.0
+            assert L.kl_loss(views.data[0], y).item() >= -1e-12
             assert L.h1_loss(views, common, specific, y, 1.0).item() >= 0.0
-            assert L.con_loss(views).item() >= 0.0
-            assert L.h2_loss(alpha(), views, views, y, 0.5, 1.0).item() >= 0.0
+            con = L.con_loss(views)
+            assert con.item() >= 0.0
+            assert L.h2_loss(alpha(), views, y, 0.5, 1.0, con).item() >= 0.0
 
 
 class TestLossGradients:

@@ -155,8 +155,8 @@ class TestSupportGate:
         trained = TrainedModel(model, SMOKE, stats)
         scaled = [x * 10.0 if i == view else x for i, x in enumerate(test_std.views)]
         loud = dataclasses.replace(test_std, views=scaled)
-        clean_fused = forward_pass(model, test_std.views, SMOKE).evidence_fused[view].data
-        loud_fused = forward_pass(model, loud.views, SMOKE).evidence_fused[view].data
+        clean_fused = forward_pass(model, test_std.views, SMOKE).evidence_fused.data[view]
+        loud_fused = forward_pass(model, loud.views, SMOKE).evidence_fused.data[view]
         assert loud_fused.sum() < clean_fused.sum()
         clean_u = evaluate(trained, test_std).local_uncertainty[:, view]
         loud_u = evaluate(trained, loud).local_uncertainty[:, view]
@@ -202,17 +202,17 @@ class TestEvaluate:
         spec = CorruptionSpec("view_misalign", 0.5, views=(0,), seed=4)
         corrupted, mask = inject_conflict(test_std, spec)
         matrix = evaluate(trained, corrupted, mask).conflict_matrix
-        fused = [e.data for e in forward_pass(trained.model, corrupted.views, SMOKE).evidence_fused]
+        fused = forward_pass(trained.model, corrupted.views, SMOKE).evidence_fused.data
         for p, r in itertools.combinations(range(3), 2):
             rows = [oracles.naive_conflict(a + 1.0, b + 1.0) for a, b in zip(fused[p], fused[r])]
             assert abs(matrix[p, r] - np.mean(rows)) < 1e-12
         assert np.array_equal(matrix, matrix.T) and np.all(np.diag(matrix) == 0.0)
 
-    def test_attend_batch_rejects_mismatched_lists(self):
-        features = [Tensor(np.zeros((3, 8))) for _ in range(2)]
+    def test_attend_batch_rejects_mismatched_stacks(self):
+        features = Tensor(np.zeros((2, 3, 8)))
         eye = Tensor(np.eye(2))
         with pytest.raises(ContractError, match="attend_batch"):
-            attend_batch(features, features[:1], eye, eye, eye)
+            attend_batch(features, Tensor(np.zeros((1, 3, 8))), eye, eye, eye)
 
     def test_repeated_evaluate_identical_and_pure(self, smoke_run):
         trained, test_std, _ = smoke_run
@@ -277,10 +277,35 @@ class TestObjective:
 
     def test_joint_is_mean_of_attended(self, train_std):
         bundle = forward_pass(_fresh_model(train_std), train_std.views, SMOKE)
-        attended = [t.data for t in bundle.evidence_attended]
         np.testing.assert_allclose(
-            bundle.evidence_joint.data, np.mean(attended, axis=0), atol=1e-12
+            bundle.evidence_joint.data, bundle.evidence_attended.data.mean(axis=0), atol=1e-12
         )
+
+
+class TestBundleLayout:
+    """Per-view evidence crosses module boundaries as C-ordered (v, n, q) stacks."""
+
+    @pytest.fixture()
+    def three_view(self):
+        ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
+        model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
+                                disc_hidden=6, evidence_hidden=6, seed=1))
+        return model, forward_pass(model, ds.views, SMOKE)
+
+    @pytest.mark.parametrize("name", ["evidence_specific", "evidence_fused", "evidence_attended"])
+    def test_stack_shape_and_order(self, three_view, name):
+        stack = getattr(three_view[1], name)
+        assert isinstance(stack, Tensor)
+        assert stack.shape == (3, 40, 3)
+        assert stack.data.flags.c_contiguous
+
+    def test_attended_rows_are_sample_major_columns(self, three_view):
+        model, bundle = three_view
+        value = model.w_value.data @ bundle.evidence_fused.data.swapaxes(0, 1)   # (n, v, q)
+        sample_major = np.maximum(bundle.attention.data @ value, 0.0)
+        for view in range(3):
+            np.testing.assert_array_equal(bundle.evidence_attended.data[view],
+                                          sample_major[:, view])
 
 
 def _interior_nodes(root):
