@@ -114,6 +114,8 @@ def synthesize(
     nuisance_ratio = tuple(float(r) for r in nuisance_ratio)
     if len(nuisance_ratio) != n_views or any(not 0.0 <= r < 1.0 for r in nuisance_ratio):
         raise ContractError("synthesize: nuisance ratios must lie in [0, 1), one per view")
+    if seed < 0:
+        raise ContractError(f"synthesize: seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     centers = rng.normal(size=(n_classes, LATENT_DIM))
@@ -232,6 +234,8 @@ class CorruptionSpec:
             raise ContractError("corruption fraction must lie in [0, 1]")
         if self.kind == "gaussian_noise" and (self.sigma is None or self.sigma <= 0.0):
             raise ContractError("gaussian_noise needs sigma > 0")
+        if self.seed < 0:
+            raise ContractError(f"corruption seed must be >= 0, got {self.seed}")
         if self.views is not None:
             object.__setattr__(self, "views", tuple(int(i) for i in self.views))
             repeated = sorted({i for i in self.views if self.views.count(i) > 1})
@@ -413,6 +417,11 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     for key in ("n_classes", "views", "labels"):
         if key not in manifest:
             raise DataError(f"{manifest_path}: manifest is missing key {key!r}")
+    n_classes = manifest["n_classes"]
+    if isinstance(n_classes, bool) or not isinstance(n_classes, int) or n_classes < 2:
+        raise DataError(
+            f"{manifest_path}: manifest key 'n_classes' must be an integer >= 2, got {n_classes!r}"
+        )
     base = manifest_path.parent
     views = []
     names = []
@@ -427,12 +436,12 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     labels_path = base / manifest["labels"]
     if not labels_path.exists():
         raise DataError(f"{manifest_path}: label file not found: {labels_path}")
-    labels = _read_labels(labels_path, int(manifest["n_classes"]))
+    labels = _read_labels(labels_path, n_classes)
     counts = {str(p): v.shape[0] for p, v in zip(names, views)}
     counts["labels"] = labels.size
     if len(set(counts.values())) > 1:
         raise DataError(f"row counts disagree across files: {counts}")
     try:
-        return MultiViewDataset(views, labels, int(manifest["n_classes"]), tuple(names))
+        return MultiViewDataset(views, labels, n_classes, tuple(names))
     except ContractError as exc:
         raise DataError(f"{manifest_path}: {exc}") from None

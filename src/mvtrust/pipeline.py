@@ -84,6 +84,8 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1 when set")
         if not 0.0 < self.train_fraction < 1.0:
             raise ContractError("train_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self):
         return dataclasses.asdict(self)

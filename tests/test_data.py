@@ -298,6 +298,17 @@ class TestManifestIo:
         with pytest.raises(DataError, match="not found"):
             load_dataset(tmp_path / "nope" / "manifest.json")
 
+    @pytest.mark.parametrize("n_classes", ["abc", None, 2.5, 2.0, True, 1, -3],
+                             ids=["str", "null", "fraction", "float", "bool", "one", "negative"])
+    def test_bad_class_count_named(self, n_classes, tmp_path):
+        manifest = save_dataset(synthesize(2, 1, 5, (3,), seed=8), tmp_path / "toy")
+        payload = json.loads(manifest.read_text())
+        payload["n_classes"] = n_classes
+        manifest.write_text(json.dumps(payload))
+        named = rf"manifest\.json: manifest key 'n_classes' must be an integer >= 2, got {n_classes!r}"
+        with pytest.raises(DataError, match=named):
+            load_dataset(manifest)
+
 
 class TestDatasetValidation:
     def test_row_mismatch_across_views(self):

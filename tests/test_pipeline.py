@@ -79,8 +79,9 @@ class TestTrainConfig:
         ({"gamma": True}, "'gamma' must be float, got True"),
         ({"bypass_h1": 1}, "'bypass_h1' must be bool"),
         ({"batch_size": 1.5}, "'batch_size' must be int | None"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ], ids=["list", "str-for-int", "float-for-int", "bool-for-float", "int-for-bool",
-            "float-for-batch"])
+            "float-for-batch", "negative-seed"])
     def test_value_types_checked_by_key(self, payload, named):
         with pytest.raises(ContractError, match=re.escape(named)):
             TrainConfig.from_dict(payload)
@@ -626,6 +627,28 @@ class TestCli:
         ])
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, named", [
+        (["synth", "--seed", "-1"], "synthesize: seed must be >= 0, got -1"),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["eval", "--noise-sigma", "1", "--seed", "-3"], "corruption seed must be >= 0, got -3"),
+        (["sweep", "--corruption-seed", "-3"], "corruption seed must be >= 0, got -3"),
+    ], ids=["synth", "train", "eval", "sweep"])
+    def test_negative_seed_is_exit_two(self, command, named, tmp_path, capsys):
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        capsys.readouterr()
+        inputs = {
+            "synth": [],
+            "train": ["--data", str(data_dir / "manifest.json")],
+            "eval": ["--model", str(run_dir / "checkpoint.npz"),
+                     "--data", str(data_dir / "manifest.json")],
+            "sweep": ["--model", str(run_dir / "checkpoint.npz"),
+                      "--data", str(data_dir / "manifest.json")],
+        }[command[0]]
+        code = cli_main([*command, *inputs, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert not (tmp_path / "out").exists()
 
     def test_eval_on_other_class_count_rejected(self, tmp_path, capsys):
