@@ -11,6 +11,9 @@
 # views and the special functions took ten unmasked unit steps: that change
 # was accepted because every numeric cell of every training_log*.tsv agreed
 # with the tree before it to 1e-9 relative; its outputs are the baseline.
+# Since then the mini-batch logs write lambda_t as the schedule's value, not
+# as its row-weighted mean over batches: acc/batch32's lambda_t cells read
+# 0.02 and 0.04 where they read 0.020000000000000004 and 0.04000000000000001.
 # `run.meta` and the `__meta__` entry of `checkpoint.npz` also hold the
 # config and its hash, so they differ when a TrainConfig field changes.
 #

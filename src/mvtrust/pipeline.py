@@ -284,8 +284,9 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
             values = np.array([getattr(breakdown, f) for f in L.LossBreakdown.FIELDS])
             sums = values * weight if sums is None else sums + values * weight
             total_rows += weight
-        averaged = sums / total_rows
-        log_rows.append(L.LossBreakdown(*averaged.tolist(), epoch=epoch))
+        averaged = L.LossBreakdown(*(sums / total_rows).tolist(), epoch=epoch)
+        # every batch used the same lambda_t; its row-weighted mean may round
+        log_rows.append(dataclasses.replace(averaged, lambda_t=lambda_t))
     return model, log_rows
 
 

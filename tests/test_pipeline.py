@@ -131,6 +131,15 @@ class TestTrain:
         _, log = train(train_std, cfg)
         assert [row.lambda_t for row in log] == [0.0, 0.25, 0.5, 0.75, 1.0, 1.0]
 
+    def test_minibatch_lambda_logged_exactly(self):
+        # 60 rows in batches of 8: a row-weighted mean of 0.02 reads 0.020000000000000004
+        ds = synthesize(2, 2, 60, (5, 6), seed=3)
+        cfg = dataclasses.replace(SMOKE, batch_size=8, epochs=5, anneal_epochs=50)
+        _, log = train(ds, cfg)
+        assert [row.lambda_t for row in log] == [
+            L.lambda_schedule(epoch, cfg.anneal_epochs) for epoch in range(cfg.epochs)
+        ]
+
 
 class TestSupportGate:
     @pytest.fixture()
