@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import ShapeError
 
 # Added to every ReLU score before normalizing, so that no view's weight can
 # reach zero (an all-zero score row becomes uniform).
@@ -32,10 +32,12 @@ def attend_batch(features, evidences, w_query, w_key, w_value, uniform=False):
     ``uniform=True`` bypasses the query/key scores and mixes value rows with
     constant weights 1/v.
     """
-    shapes = features.shape, evidences.shape
-    if len(shapes[0]) != 3 or len(shapes[1]) != 3 or shapes[0][0] != shapes[1][0] or not shapes[0][0]:
-        raise ContractError(f"attend_batch: need (v, n, l) features and (v, n, q) evidence, got {shapes}")
     n_views, n, subspace_dim = features.shape
+    if n_views == 0 or evidences.shape[:2] != (n_views, n):
+        raise ShapeError(
+            f"attend_batch: features {features.shape} and evidence {evidences.shape} "
+            "need the same (v, n) with v >= 1"
+        )
     value = w_value @ evidences.transpose(0, 1)     # (n, v, q)
     if uniform:
         weights = Tensor(np.full((n, n_views, n_views), 1.0 / n_views))

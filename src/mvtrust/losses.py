@@ -166,7 +166,7 @@ def h1_loss(alpha_views, alpha_common, alpha_specific, y, gamma):
     ``ace_loss`` and the conflict mean average over views and samples at once.
     """
     if alpha_specific.shape != alpha_views.shape:
-        raise ContractError(f"h1_loss: stacks {alpha_views.shape} and {alpha_specific.shape} differ")
+        raise ContractError(f"h1_loss: stacks {alpha_views.shape} != {alpha_specific.shape}")
     total = ace_loss(alpha_views, y) + ace_loss(alpha_common, y) + ace_loss(alpha_specific, y)
     if gamma != 0.0:
         total = total + gamma * conflict_degree(alpha_common - 1.0, alpha_specific - 1.0).mean()

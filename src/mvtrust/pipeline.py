@@ -373,7 +373,9 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
     bundle = forward_pass(model, ds.views, cfg)
     predictions = np.argmax(bundle.evidence_joint.data, axis=1)
     joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
-    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))   # (n, v, q)
+    # (n, v, q) in C order: numpy sums a transposed view in memory order, and
+    # the report's means would move in the last bit
+    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
     local_u = evidence_to_opinion(fused)[1].data[..., 0]
     attention = np.array(bundle.attention.data)
 
@@ -498,7 +500,7 @@ def gradcheck_losses(n_seeds=20, h=1e-5, tol=1e-4):
         z = one_hot(rng.integers(v, size=n * v), v)
         pred_logits = Tensor(rng.normal(size=(n * v, q)))
         y_tiled = one_hot(rng.integers(q, size=n * v), q)
-        # one (v, n, .) leaf per stack draws the values v per-view draws would
+        # a (v, n, .) draw equals v successive (n, .) draws: the checked values stay fixed
         specific = Tensor(rng.normal(size=(v, n, width)))
         common = Tensor(rng.normal(size=(n, width)))
         y = one_hot(rng.integers(q, size=n), q)

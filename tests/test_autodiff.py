@@ -140,10 +140,13 @@ def _op_cases(rng):
         "transpose": (lambda: (a.transpose() * b.transpose().detach()).sum(), [a]),
         "reshape": (lambda: (a.reshape((4, 3)) * 1.5).sum(), [a]),
         "stack": (lambda: ad.stack(stackable, axis=1).mean(), stackable),
-        "transpose_leading": (lambda: (batch_a.transpose(0, 1) * mixer.data[:, :2, None]).sum(),
-                              [batch_a]),
-        "contiguous": (lambda: (batch_a.transpose(0, 1).contiguous() * mixer.data[:, 1:, None]).sum(),
-                       [batch_a]),
+        "transpose_leading": (
+            lambda: (batch_a.transpose(0, 1) * mixer.data[:, :2, None]).sum(), [batch_a]
+        ),
+        "contiguous": (
+            lambda: (batch_a.transpose(0, 1).contiguous() * mixer.data[:, 1:, None]).sum(),
+            [batch_a],
+        ),
     }
 
 

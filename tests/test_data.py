@@ -305,7 +305,8 @@ class TestManifestIo:
         payload = json.loads(manifest.read_text())
         payload["n_classes"] = n_classes
         manifest.write_text(json.dumps(payload))
-        named = rf"manifest\.json: manifest key 'n_classes' must be an integer >= 2, got {n_classes!r}"
+        named = (r"manifest\.json: manifest key 'n_classes' must be an integer >= 2, "
+                 rf"got {n_classes!r}")
         with pytest.raises(DataError, match=named):
             load_dataset(manifest)
 
