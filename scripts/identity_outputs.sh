@@ -1,12 +1,25 @@
 #!/usr/bin/env bash
 # Write the outputs of a fixed set of CLI runs of the mvtrust tree <src-dir>
-# into <out-dir>.  Run it on two trees and compare the results with diff:
+# into <out-dir>, and their sha256 digests, one line per file sorted by
+# path, into <out-dir>/identity.sha256.  With --check, compare those digests
+# with the baseline committed in the tree, <src-dir>/scripts/identity.sha256,
+# name every file that differs, is missing or is new, and exit 1 if any does:
+#
+#   scripts/identity_outputs.sh --check . /tmp/ident
+#
+# or run it on two trees and compare the results with diff:
 #
 #   scripts/identity_outputs.sh /path/to/old-tree /tmp/ident-old
 #   scripts/identity_outputs.sh .                 /tmp/ident-new
 #   diff -r /tmp/ident-old /tmp/ident-new
 #
 # A refactor that changes no float operation leaves every file identical.
+# A change that moves outputs on purpose commits the new baseline:
+#
+#   cp /tmp/ident/identity.sha256 scripts/identity.sha256
+#
+# The digests hold for the numpy and Python versions that each run.meta
+# records; another numpy may round a sum differently.
 # The baseline moved once, when the loss stack was rebuilt over stacked
 # views and the special functions took ten unmasked unit steps: that change
 # was accepted because every numeric cell of every training_log*.tsv agreed
@@ -28,13 +41,21 @@
 #   acc/eval_noise  sigma=10 noise on half of the held-out rows
 #   acc/eval_misalign  view 0 misaligned on 40 % of the held-out rows
 #   acc/sweep       accuracy and mean uncertainty per noise level
+#   big/eval_noise  an eval at benchmark scale: 5,000 held-out rows of a
+#                   5,800-row synth, sigma=1 noise on half of them; summation
+#                   order over a (5000, v) array shows in the last bit of a mean
 #   cli.log         also the worst loss gradcheck errors over 2 seeds
 #
 # BLAS runs on one thread, so sums do not depend on the thread count.
 set -euo pipefail
 
+check=0
+if [ "${1:-}" = "--check" ]; then
+    check=1
+    shift
+fi
 if [ $# -ne 2 ]; then
-    echo "usage: $0 <src-dir> <out-dir>" >&2
+    echo "usage: $0 [--check] <src-dir> <out-dir>" >&2
     exit 2
 fi
 src=$(cd "$1" && pwd)
@@ -83,6 +104,40 @@ cli eval --model "$model" --data "$data" --out "$acc/eval_misalign" --holdout \
 cli sweep --model "$model" --data "$data" --out "$acc/sweep" --holdout \
     --noise-fraction 0.5 --corruption-seed 13
 
+# eval-sweep scale: 800 training rows, 5,000 held-out rows
+big=$out/big
+cli synth --out "$big/data" --classes 4 --samples 5800 --dims 20,30,25 \
+    --separation 4.5 --nuisance 0.8,0.3,0.3 --seed 41
+cli train --data "$big/data/manifest.json" --out "$big/train" --train-fraction 0.138 \
+    --epochs 8 --batch-size 32 --seed 0
+cli eval --model "$big/train/checkpoint.npz" --data "$big/data/manifest.json" \
+    --out "$big/eval_noise" --holdout --noise-sigma 1 --noise-fraction 0.5 --seed 41
+
 cli gradcheck --seeds 2
 
+digests=$out/identity.sha256
+(cd "$out" && find . -type f ! -path ./identity.sha256 -print0 | LC_ALL=C sort -z \
+    | xargs -0 sha256sum) > "$digests"
 echo "wrote $out"
+
+if [ "$check" = 1 ]; then
+    baseline=$src/scripts/identity.sha256
+    if [ ! -f "$baseline" ]; then
+        echo "identity check: no baseline $baseline" >&2
+        exit 2
+    fi
+    # one line per file whose digest differs from the baseline's, or that only one side has
+    report=$(awk 'NR == FNR { want[$2] = $1; next }
+        { got[$2] = $1 }
+        END {
+            for (f in want) if (!(f in got)) print "missing  " f
+                            else if (got[f] != want[f]) print "differs  " f
+            for (f in got) if (!(f in want)) print "new      " f
+        }' "$baseline" "$digests" | LC_ALL=C sort -k2)
+    if [ -n "$report" ]; then
+        echo "$report"
+        echo "identity check failed: $(echo "$report" | wc -l) file(s) differ from $baseline" >&2
+        exit 1
+    fi
+    echo "identity check passed: $(wc -l < "$digests") files match $baseline"
+fi
