@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import lift
 from .errors import ShapeError
 
 # Added to every ReLU score before normalizing, so that no view's weight can
@@ -40,7 +40,7 @@ def attend_batch(features, evidences, w_query, w_key, w_value, uniform=False):
         )
     value = w_value @ evidences.transpose(0, 1)     # (n, v, q)
     if uniform:
-        weights = Tensor(np.full((n, n_views, n_views), 1.0 / n_views))
+        weights = lift(np.full((n, n_views, n_views), 1.0 / n_views))
     else:
         feat3 = features.transpose(0, 1)            # (n, v, l)
         query = w_query @ feat3

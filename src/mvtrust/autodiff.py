@@ -20,10 +20,27 @@ than whenever the cyclic garbage collector next runs.
 is not C-ordered in memory order, so a sum over a transposed view can
 differ from the same sum over a copy in the last bit; ``contiguous()``
 copies a value into C order where that summation order matters.
+
+Only tensors that require a gradient get one.  An explicit ``Tensor(data)``
+leaf, such as a parameter, requires one.  ``lift()`` of a plain number or
+array and ``detach()`` make constants, and ``_node`` returns a parentless
+constant when no parent requires a gradient, so a constant never holds a
+graph.  ``backward`` neither visits nor accumulates into a constant, and
+matmul computes no adjoint for a constant operand.  Inside ``no_grad()``
+every op returns a constant, so inference builds no graph at all.
+
+``backward`` stores a node's first adjoint into ``np.empty_like(data)`` and
+adds later ones in with ``+=``.  The stored array takes the layout of the
+node's value, as ``np.zeros_like`` would, not the layout of the adjoint.
+A node reached through ``transpose`` receives a transposed adjoint; kept
+in that layout, the sums in later ``vjp``s and matmuls over it would run
+in another memory order and move the last bit of a parameter.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +50,18 @@ from .errors import ContractError, DomainError, ShapeError
 
 
 class Tensor:
-    """Graph node: a float64 ndarray plus a lazily allocated adjoint."""
+    """Graph node: a float64 ndarray plus a lazily allocated adjoint.
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    ``requires_grad`` is True for an explicit ``Tensor(data)`` and for every
+    node built from one outside ``no_grad()``; see the module docstring.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.requires_grad = True
         self._parents = ()
         self._vjp = None
 
@@ -57,10 +79,10 @@ class Tensor:
         return self.data.item()
 
     def detach(self):
-        """New leaf sharing this node's array; gradients stop here."""
-        return Tensor(self.data)
+        """Constant sharing this node's array; gradients stop here."""
+        return _constant(self.data)
 
-    # -- binary ops; plain numbers and arrays are lifted to leaves -----------
+    # -- binary ops; plain numbers and arrays are lifted to constants --------
 
     def __add__(self, other):
         other = lift(other)
@@ -96,8 +118,13 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
 
+        need_a, need_b = self.requires_grad, other.requires_grad
+
         def vjp(g):
-            return np.matmul(g, np.swapaxes(b, -1, -2)), np.matmul(np.swapaxes(a, -1, -2), g)
+            return (
+                np.matmul(g, np.swapaxes(b, -1, -2)) if need_a else None,
+                np.matmul(np.swapaxes(a, -1, -2), g) if need_b else None,
+            )
 
         return _node(np.matmul(a, b), (self, other), vjp)
 
@@ -201,12 +228,42 @@ class Tensor:
 
 
 def lift(x):
-    """Wrap plain numbers/arrays as leaf tensors; passes tensors through."""
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """Wrap plain numbers/arrays as constants; passes tensors through."""
+    return x if isinstance(x, Tensor) else _constant(x)
+
+
+def _constant(value):
+    out = Tensor(value)
+    out.requires_grad = False
+    return out
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Within the block every op returns a constant; the previous mode returns on exit."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _node(value, parents, vjp):
-    """The one constructor of interior nodes; ``vjp`` obeys the module contract."""
+    """The one constructor of interior nodes; ``vjp`` obeys the module contract.
+
+    The node is a parentless constant when no parent requires a gradient or
+    inside ``no_grad()``.
+    """
+    if not (_grad_mode.enabled and any(p.requires_grad for p in parents)):
+        return _constant(value)
     out = Tensor(value)
     out._parents = parents
     out._vjp = vjp
@@ -214,6 +271,8 @@ def _node(value, parents, vjp):
 
 
 def _check_broadcast(op, a, b):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
@@ -259,7 +318,8 @@ def stack(tensors, axis=0):
 
 
 def backward(root):
-    """Populate adjoints of every node reachable from the scalar ``root``."""
+    """Populate adjoints of every node reachable from the scalar ``root``
+    through nodes that require a gradient; constants keep ``grad`` None."""
     if root.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     topo = []
@@ -275,15 +335,22 @@ def backward(root):
         visited.add(id(node))
         stack_.append((node, True))
         for parent in node._parents:
-            stack_.append((parent, False))
+            if parent.requires_grad:
+                stack_.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._vjp is None:
             continue
         for parent, adjoint in zip(node._parents, node._vjp(node.grad)):
+            if not parent.requires_grad:
+                continue
+            adjoint = _unbroadcast(adjoint, parent.data.shape)
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += _unbroadcast(adjoint, parent.data.shape)
+                # parent.data's layout, not the adjoint's; see the module docstring
+                parent.grad = np.empty_like(parent.data)
+                parent.grad[...] = adjoint
+            else:
+                parent.grad += adjoint
 
 
 def zero_grads(params):
@@ -374,10 +441,11 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
         worst = 0.0
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
-            f_plus = f().item()
-            flat[j] = orig - h
-            f_minus = f().item()
+            with no_grad():
+                flat[j] = orig + h
+                f_plus = f().item()
+                flat[j] = orig - h
+                f_minus = f().item()
             flat[j] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             denom = max(abs(ana[j]), abs(numeric), 1e-6)

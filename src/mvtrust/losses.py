@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ContractError
 from .opinions import conflict_degree
 from .special import lgamma as _lgamma_value
@@ -183,7 +182,7 @@ def con_loss(alpha_views):
     """
     n_views = alpha_views.shape[0]
     if n_views < 2:
-        return Tensor(0.0)
+        return ad.lift(0.0)
     evidence = alpha_views - 1.0
     rest = evidence.shape[1:]
     rows, columns = evidence.reshape((n_views, 1, *rest)), evidence.reshape((1, n_views, *rest))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +77,10 @@ class TrainConfig:
     evidence_hidden: int = 64
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ContractError(f"config key {f.name!r} must be finite, got {value!r}")
         if min(self.gamma, self.delta, self.eta) < 0.0:
             raise ContractError("gamma, delta, eta must be non-negative")
         if self.learning_rate <= 0.0 or self.epochs < 1 or self.anneal_epochs < 1:
@@ -370,19 +375,20 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
         raise ContractError(
             f"dataset has {ds.n_classes} classes but the model has {model.spec.n_classes}"
         )
-    bundle = forward_pass(model, ds.views, cfg)
-    predictions = np.argmax(bundle.evidence_joint.data, axis=1)
-    joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
-    # (n, v, q) in C order: numpy sums a transposed view in memory order, and
-    # the report's means would move in the last bit
-    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
-    local_u = evidence_to_opinion(fused)[1].data[..., 0]
-    attention = np.array(bundle.attention.data)
+    with ad.no_grad():
+        bundle = forward_pass(model, ds.views, cfg)
+        predictions = np.argmax(bundle.evidence_joint.data, axis=1)
+        joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
+        # (n, v, q) in C order: numpy sums a transposed view in memory order,
+        # and the report's means would move in the last bit
+        fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+        local_u = evidence_to_opinion(fused)[1].data[..., 0]
+        attention = np.array(bundle.attention.data)
 
-    # one conflict call over the unordered view pairs; filling both triangles
-    # makes the matrix exactly symmetric with an exactly zero diagonal
-    p, r = np.triu_indices(ds.n_views, 1)
-    pair_means = conflict_degree(fused[:, p], fused[:, r]).data[..., 0].mean(axis=0)
+        # one conflict call over the unordered view pairs; filling both
+        # triangles makes the matrix exactly symmetric with a zero diagonal
+        p, r = np.triu_indices(ds.n_views, 1)
+        pair_means = conflict_degree(fused[:, p], fused[:, r]).data[..., 0].mean(axis=0)
     conflict = np.zeros((ds.n_views, ds.n_views))
     conflict[p, r] = conflict[r, p] = pair_means
 
@@ -440,13 +446,19 @@ def run_noise_sweep(trained: TrainedModel, test_ds: MultiViewDataset, sigmas, fr
 
     Reusing one seed keeps the corrupted instances, views, and noise
     directions identical across sigma values, so only the scale varies.
+    Every spec is built before the first evaluate, so a bad seed, fraction
+    or sigma fails before any work.
     """
+    specs = [
+        None if sigma == 0
+        else CorruptionSpec("gaussian_noise", fraction, sigma=float(sigma), seed=seed)
+        for sigma in sigmas
+    ]
     rows = []
-    for sigma in sigmas:
-        if sigma == 0:
+    for sigma, spec in zip(sigmas, specs):
+        if spec is None:
             report = evaluate(trained, test_ds)
         else:
-            spec = CorruptionSpec("gaussian_noise", fraction, sigma=float(sigma), seed=seed)
             corrupted, mask = inject_noise(test_ds, spec)
             report = evaluate(trained, corrupted, mask)
         rows.append(SweepRow(float(sigma), report.accuracy, float(report.joint_uncertainty.mean())))

@@ -106,6 +106,87 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [2.0])
 
 
+class TestConstants:
+    def test_lift_and_detach_make_constants(self):
+        x = Tensor([1.0, 2.0])
+        assert x.requires_grad
+        for constant in (ad.lift(3.0), ad.lift(np.ones(2)), x.detach()):
+            assert not constant.requires_grad and constant._parents == ()
+
+    def test_ops_over_constants_give_parentless_constants(self):
+        a, b = ad.lift(np.ones((2, 3))), ad.lift(np.ones((3, 2)))
+        for out in ((a + 1.0) * 2.0, a @ b, (a @ b).relu().sum(), ad.stack([a, a])):
+            assert not out.requires_grad
+            assert out._parents == () and out._vjp is None
+
+    def test_backward_leaves_constants_without_grad(self):
+        x = Tensor([1.0, 2.0])
+        scale = ad.lift(3.0)
+        other = Tensor([4.0, 5.0])
+        frozen = other.detach()
+        backward((x * scale + x * frozen).sum())
+        np.testing.assert_array_equal(x.grad, [7.0, 8.0])
+        assert scale.grad is None and frozen.grad is None and other.grad is None
+
+    @pytest.mark.parametrize("constant_side", [0, 1])
+    def test_matmul_computes_no_adjoint_for_a_constant_operand(self, rng, constant_side):
+        operands = [Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3, 2)))]
+        operands[constant_side] = operands[constant_side].detach()
+        out = operands[0] @ operands[1]
+        adjoints = out._vjp(np.ones(out.shape))
+        assert adjoints[constant_side] is None
+        assert adjoints[1 - constant_side].shape == operands[1 - constant_side].shape
+
+    def test_no_grad_nests_and_restores(self):
+        x = Tensor([1.0])
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_no_grad_restores_after_an_exception(self):
+        x = Tensor([1.0])
+        with pytest.raises(DomainError):
+            with ad.no_grad():
+                Tensor([0.0]).log()
+        assert (x * 2.0).requires_grad
+
+    def test_first_adjoint_takes_the_layout_of_the_value(self, rng):
+        # the adjoint reaching p through transpose is transposed in memory;
+        # the stored grad must be laid out like p.data, as zeros_like is
+        p = Tensor(rng.normal(size=(3, 4)))
+        backward((p.transpose() * rng.normal(size=(4, 3))).sum())
+        assert p.grad.strides == np.zeros_like(p.data).strides
+        assert p.grad.flags.c_contiguous
+
+    def test_evaluate_builds_no_graph(self, tiny_dataset, monkeypatch):
+        from mvtrust import pipeline
+        from mvtrust.data import standardize, split
+        from mvtrust.networks import Model, ModelSpec
+
+        train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
+        _, test_std, stats = standardize(train_raw, test_raw)
+        cfg = pipeline.TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6)
+        model = Model(ModelSpec(view_dims=test_std.view_dims, n_classes=2, subspace_dim=8,
+                                disc_hidden=6, evidence_hidden=6, seed=1))
+        bundles = []
+        forward = pipeline.forward_pass
+
+        def recording(*args):
+            bundles.append(forward(*args))
+            return bundles[-1]
+
+        monkeypatch.setattr(pipeline, "forward_pass", recording)
+        pipeline.evaluate(pipeline.TrainedModel(model, cfg, stats), test_std)
+        (bundle,) = bundles
+        tensors = [value for value in vars(bundle).values() if isinstance(value, Tensor)]
+        tensors += bundle.specific_views
+        assert len(tensors) == 8 + test_std.n_views
+        assert all(t._parents == () and not t.requires_grad for t in tensors)
+        assert (model.w_value * 1.0).requires_grad
+
+
 # one entry per op: (f, params) for grad_check
 def _op_cases(rng):
     a = Tensor(rng.normal(size=(3, 4)))

@@ -90,6 +90,15 @@ class TestTrainConfig:
         cfg = TrainConfig.from_dict({"gamma": 2, "batch_size": None})
         assert cfg.gamma == 2 and cfg.batch_size is None
 
+    @pytest.mark.parametrize("key", [
+        "gamma", "delta", "eta", "learning_rate", "weight_decay", "train_fraction",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_by_key(self, key, value):
+        with pytest.raises(ContractError, match=re.escape(f"config key {key!r} must be finite")):
+            TrainConfig.from_dict({key: value})
+
     def test_hash_tracks_content(self):
         assert TrainConfig().config_hash() != TrainConfig(seed=1).config_hash()
         assert TrainConfig().config_hash() == TrainConfig().config_hash()
@@ -363,6 +372,16 @@ class TestSweepAndAblate:
         clean = evaluate(trained, test_std)
         assert rows[0].accuracy == clean.accuracy
 
+    def test_bad_corruption_seed_rejected_before_any_evaluate(self, smoke_run, monkeypatch):
+        trained, test_std, _ = smoke_run
+
+        def no_evaluate(*_):
+            raise AssertionError("evaluate called before every corruption spec was built")
+
+        monkeypatch.setattr(pipeline, "evaluate", no_evaluate)
+        with pytest.raises(ContractError, match="corruption seed must be >= 0, got -3"):
+            run_noise_sweep(trained, test_std, [0.0, 1.0], 0.5, seed=-3)
+
     def test_ablate_baseline_only(self, tiny_dataset):
         rows = ablate(tiny_dataset, SMOKE)
         assert [r.variant for r in rows] == ["full"]
@@ -492,6 +511,22 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert str(config) in err and named in err
+
+    @pytest.mark.parametrize("content, flags, named", [
+        ('{"learning_rate": Infinity}', [], "'learning_rate' must be finite, got inf"),
+        ('{"gamma": NaN}', [], "'gamma' must be finite, got nan"),
+        ("{}", ["--eta=-inf"], "'eta' must be finite, got -inf"),
+    ], ids=["file-inf", "file-nan", "flag-minus-inf"])
+    def test_non_finite_config_value_is_exit_two(self, content, flags, named, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        code = cli_main([
+            "train", "--data", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "run"),
+            "--config", str(config), *flags,
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_train_trials(self, tmp_path):
         data_dir = tmp_path / "data"
