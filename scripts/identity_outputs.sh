@@ -19,7 +19,10 @@
 #   cp /tmp/ident/identity.sha256 scripts/identity.sha256
 #
 # The digests hold for the numpy and Python versions that each run.meta
-# records; another numpy may round a sum differently.
+# records; another numpy may round a sum differently.  <out-dir> must be
+# empty or absent, so that no file of an earlier run can stand in for one
+# this run did not write.
+#
 # The baseline moved once, when the loss stack was rebuilt over stacked
 # views and the special functions took ten unmasked unit steps: that change
 # was accepted because every numeric cell of every training_log*.tsv agreed
@@ -59,6 +62,10 @@ if [ $# -ne 2 ]; then
     exit 2
 fi
 src=$(cd "$1" && pwd)
+if [ -n "$(ls -A "$2" 2>/dev/null)" ]; then
+    echo "$0: $2 is not empty" >&2
+    exit 2
+fi
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
 

@@ -364,7 +364,9 @@ class EvalReport:
 def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask | None = None):
     """Run the test path on standardized features and collect diagnostics.
 
-    Never mutates parameters; repeated calls return identical reports.
+    Never mutates parameters; repeated calls return identical reports.  The
+    forward pass and the report code run under ``no_grad()``, so no graph
+    holds their intermediates.
     """
     model, cfg = trained.model, trained.cfg
     if ds.view_dims != model.spec.view_dims:
@@ -386,7 +388,8 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
         attention = np.array(bundle.attention.data)
 
         # one conflict call over the unordered view pairs; filling both
-        # triangles makes the matrix exactly symmetric with a zero diagonal
+        # triangles makes the matrix exactly symmetric with an exactly zero
+        # diagonal
         p, r = np.triu_indices(ds.n_views, 1)
         pair_means = conflict_degree(fused[:, p], fused[:, r]).data[..., 0].mean(axis=0)
     conflict = np.zeros((ds.n_views, ds.n_views))
