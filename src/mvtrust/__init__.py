@@ -10,7 +10,7 @@ pipeline, and noise/conflict corruption harnesses.
 
 __version__ = "0.1.0"
 
-from .autodiff import Adam, GradCheckReport, Tensor, backward, grad_check
+from .autodiff import Adam, Tensor, backward, grad_check
 from .errors import ContractError, DataError, DomainError, ShapeError, TrainingDiverged
 from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence, projected_probability
 
@@ -19,7 +19,6 @@ __all__ = [
     "ContractError",
     "DataError",
     "DomainError",
-    "GradCheckReport",
     "ShapeError",
     "Tensor",
     "TrainingDiverged",

@@ -8,13 +8,13 @@ read-only, while parameter updates (``Adam.step``) require exclusive
 access.
 
 Every op is a ``Tensor`` method or operator that computes its forward value
-and hands it to ``_node`` with its parents and a ``vjp(grad)`` closure.
-``vjp`` maps the node's adjoint to one adjoint per parent, in parent order;
-an adjoint may still carry broadcast axes, which ``backward`` alone sums
-away before adding it into ``parent.grad``.  A ``vjp`` captures the
-arrays it needs, never the node itself: a graph then holds no reference
-cycle, so its arrays are freed as soon as the last reference drops rather
-than whenever the cyclic garbage collector next runs.
+and hands it to ``_node`` with its parents and one adjoint closure per
+parent, in parent order.  Closure ``i`` maps the node's adjoint to the
+adjoint of parent ``i``; that adjoint may still carry broadcast axes, which
+``backward`` alone sums away before adding it into ``parent.grad``.  A
+closure captures the arrays it needs, never the node itself: a graph then
+holds no reference cycle, so its arrays are freed as soon as the last
+reference drops rather than whenever the cyclic garbage collector next runs.
 
 ``transpose`` returns a view of its input.  numpy reduces an array that
 is not C-ordered in memory order, so a sum over a transposed view can
@@ -25,15 +25,16 @@ Only tensors that require a gradient get one.  An explicit ``Tensor(data)``
 leaf, such as a parameter, requires one.  ``lift()`` of a plain number or
 array and ``detach()`` make constants, and ``_node`` returns a parentless
 constant when no parent requires a gradient, so a constant never holds a
-graph.  ``backward`` neither visits nor accumulates into a constant, and
-matmul computes no adjoint for a constant operand.  Inside ``no_grad()``
+graph.  ``backward`` neither visits a constant nor calls the closure of a
+constant parent, so no op computes an adjoint that would be dropped.  Only
+``_node`` and ``backward`` read ``requires_grad``.  Inside ``no_grad()``
 every op returns a constant, so inference builds no graph at all.
 
 ``backward`` stores a node's first adjoint into ``np.empty_like(data)`` and
 adds later ones in with ``+=``.  The stored array takes the layout of the
 node's value, as ``np.zeros_like`` would, not the layout of the adjoint.
 A node reached through ``transpose`` receives a transposed adjoint; kept
-in that layout, the sums in later ``vjp``s and matmuls over it would run
+in that layout, the sums in later closures and matmuls over it would run
 in another memory order and move the last bit of a parameter.
 """
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,14 +56,14 @@ class Tensor:
     node built from one outside ``no_grad()``; see the module docstring.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_adjoints")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = True
         self._parents = ()
-        self._vjp = None
+        self._adjoints = ()
 
     @property
     def shape(self):
@@ -87,24 +87,24 @@ class Tensor:
     def __add__(self, other):
         other = lift(other)
         _check_broadcast("add", self, other)
-        return _node(self.data + other.data, (self, other), lambda g: (g, g))
+        return _node(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
     def __sub__(self, other):
         other = lift(other)
         _check_broadcast("sub", self, other)
-        return _node(self.data - other.data, (self, other), lambda g: (g, -g))
+        return _node(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
 
     def __mul__(self, other):
         other = lift(other)
         _check_broadcast("mul", self, other)
         a, b = self.data, other.data
-        return _node(a * b, (self, other), lambda g: (g * b, g * a))
+        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
 
     def __truediv__(self, other):
         other = lift(other)
         _check_broadcast("div", self, other)
         a, b = self.data, other.data
-        return _node(a / b, (self, other), lambda g: (g / b, -g * a / (b * b)))
+        return _node(a / b, (self, other), (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __matmul__(self, other):
         other = lift(other)
@@ -118,15 +118,10 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
 
-        need_a, need_b = self.requires_grad, other.requires_grad
-
-        def vjp(g):
-            return (
-                np.matmul(g, np.swapaxes(b, -1, -2)) if need_a else None,
-                np.matmul(np.swapaxes(a, -1, -2), g) if need_b else None,
-            )
-
-        return _node(np.matmul(a, b), (self, other), vjp)
+        return _node(np.matmul(a, b), (self, other), (
+            lambda g: np.matmul(g, np.swapaxes(b, -1, -2)),
+            lambda g: np.matmul(np.swapaxes(a, -1, -2), g),
+        ))
 
     def __rsub__(self, other):
         return lift(other) - self
@@ -140,31 +135,31 @@ class Tensor:
     # -- elementwise unary ops -----------------------------------------------
 
     def __neg__(self):
-        return _node(-self.data, (self,), lambda g: (-g,))
+        return _node(-self.data, (self,), (lambda g: -g,))
 
     def relu(self):
         # subgradient at 0 is 0: dead units stay dead deterministically
         active = self.data > 0.0
-        return _node(np.maximum(self.data, 0.0), (self,), lambda g: (g * active,))
+        return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * active,))
 
     def abs(self):
         sign = np.sign(self.data)
-        return _node(np.abs(self.data), (self,), lambda g: (g * sign,))
+        return _node(np.abs(self.data), (self,), (lambda g: g * sign,))
 
     def exp(self):
         value = np.exp(self.data)
-        return _node(value, (self,), lambda g: (g * value,))
+        return _node(value, (self,), (lambda g: g * value,))
 
     def log(self):
         a = self.data
         if np.any(a <= 0.0):
             raise DomainError("log: input must be strictly positive")
-        return _node(np.log(a), (self,), lambda g: (g / a,))
+        return _node(np.log(a), (self,), (lambda g: g / a,))
 
     def sigmoid(self):
         z = np.exp(-np.abs(self.data))
         s = np.where(self.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return _node(s, (self,), lambda g: (g * s * (1.0 - s),))
+        return _node(s, (self,), (lambda g: g * s * (1.0 - s),))
 
     def softmax_rows(self):
         if self.data.ndim < 1:
@@ -172,19 +167,19 @@ class Tensor:
         z = np.exp(self.data - self.data.max(axis=-1, keepdims=True))
         s = z / z.sum(axis=-1, keepdims=True)
 
-        def vjp(g):
+        def adjoint(g):
             inner = (g * s).sum(axis=-1, keepdims=True)
-            return ((g - inner) * s,)
+            return (g - inner) * s
 
-        return _node(s, (self,), vjp)
+        return _node(s, (self,), (adjoint,))
 
     def digamma(self):
         a = self.data
-        return _node(special.digamma(a), (self,), lambda g: (g * special.trigamma(a),))
+        return _node(special.digamma(a), (self,), (lambda g: g * special.trigamma(a),))
 
     def lgamma(self):
         a = self.data
-        return _node(special.lgamma(a), (self,), lambda g: (g * special.digamma(a),))
+        return _node(special.lgamma(a), (self,), (lambda g: g * special.digamma(a),))
 
     def clamp(self, lo=None, hi=None):
         passthrough = np.ones_like(self.data, dtype=bool)
@@ -192,7 +187,7 @@ class Tensor:
             passthrough &= self.data > lo
         if hi is not None:
             passthrough &= self.data < hi
-        return _node(np.clip(self.data, lo, hi), (self,), lambda g: (g * passthrough,))
+        return _node(np.clip(self.data, lo, hi), (self,), (lambda g: g * passthrough,))
 
     # -- shape and reduction ops ---------------------------------------------
 
@@ -200,31 +195,31 @@ class Tensor:
         """Swap axes ``a`` and ``b``; the value is a view, not a copy."""
         if self.data.ndim < 2:
             raise ShapeError(f"transpose: needs >= 2 axes, got {self.shape}")
-        return _node(np.swapaxes(self.data, a, b), (self,), lambda g: (np.swapaxes(g, a, b),))
+        return _node(np.swapaxes(self.data, a, b), (self,), (lambda g: np.swapaxes(g, a, b),))
 
     def contiguous(self):
         """C-ordered copy of the value; see the module docstring."""
-        return _node(np.ascontiguousarray(self.data), (self,), lambda g: (g,))
+        return _node(np.ascontiguousarray(self.data), (self,), (lambda g: g,))
 
     def sum(self, axis=None, keepdims=False):
         shape = self.shape
         return _node(
             self.data.sum(axis=axis, keepdims=keepdims),
             (self,),
-            lambda g: (_expand_reduced(g, shape, axis, keepdims),),
+            (lambda g: _expand_reduced(g, shape, axis, keepdims),),
         )
 
     def mean(self, axis=None, keepdims=False):
         shape = self.shape
         value = self.data.mean(axis=axis, keepdims=keepdims)
         count = max(self.data.size // max(value.size, 1), 1)
-        return _node(value, (self,), lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
+        return _node(value, (self,), (lambda g: _expand_reduced(g, shape, axis, keepdims) / count,))
 
     def reshape(self, shape):
         if int(np.prod(shape)) != self.data.size:
             raise ShapeError(f"reshape: cannot view {self.shape} as {tuple(shape)}")
         old = self.shape
-        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
+        return _node(self.data.reshape(shape), (self,), (lambda g: g.reshape(old),))
 
 
 def lift(x):
@@ -256,8 +251,9 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-def _node(value, parents, vjp):
-    """The one constructor of interior nodes; ``vjp`` obeys the module contract.
+def _node(value, parents, adjoints):
+    """The one constructor of interior nodes; ``adjoints`` holds one closure
+    per parent, as the module docstring describes.
 
     The node is a parentless constant when no parent requires a gradient or
     inside ``no_grad()``.
@@ -266,7 +262,7 @@ def _node(value, parents, vjp):
         return _constant(value)
     out = Tensor(value)
     out._parents = parents
-    out._vjp = vjp
+    out._adjoints = adjoints
     return out
 
 
@@ -305,11 +301,10 @@ def stack(tensors, axis=0):
     first = tensors[0].shape
     if any(t.shape != first for t in tensors):
         raise ShapeError(f"stack: mixed shapes {[t.shape for t in tensors]}")
-    count = len(tensors)
     return _node(
         np.stack([t.data for t in tensors], axis=axis),
         tensors,
-        lambda g: tuple(np.take(g, i, axis=axis) for i in range(count)),
+        tuple((lambda g, i=i: np.take(g, i, axis=axis)) for i in range(len(tensors))),
     )
 
 
@@ -339,12 +334,10 @@ def backward(root):
                 stack_.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node._vjp is None:
-            continue
-        for parent, adjoint in zip(node._parents, node._vjp(node.grad)):
+        for parent, adjoint_of in zip(node._parents, node._adjoints):
             if not parent.requires_grad:
                 continue
-            adjoint = _unbroadcast(adjoint, parent.data.shape)
+            adjoint = _unbroadcast(adjoint_of(node.grad), parent.data.shape)
             if parent.grad is None:
                 # parent.data's layout, not the adjoint's; see the module docstring
                 parent.grad = np.empty_like(parent.data)
@@ -400,25 +393,9 @@ class Adam:
 # gradient checking
 
 
-@dataclass
-class GradCheckReport:
-    """Per-parameter maximum relative error of adjoints vs central differences."""
-
-    rel_errors: dict = field(default_factory=dict)
-    h: float = 1e-5
-    tol: float = 1e-4
-
-    @property
-    def max_rel_error(self):
-        return max(self.rel_errors.values()) if self.rel_errors else 0.0
-
-    @property
-    def passed(self):
-        return self.max_rel_error < self.tol
-
-
-def grad_check(f, params, h=1e-5, tol=1e-4):
-    """Compare analytic adjoints of ``f()`` against central finite differences.
+def grad_check(f, params, h=1e-5):
+    """Largest relative error of ``f()``'s analytic adjoints against central
+    finite differences, over every entry of every parameter.
 
     ``f`` must be a zero-argument callable that rebuilds the scalar loss
     graph from the ``params`` leaves on every call; parameter data is
@@ -434,11 +411,10 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
     ]
     zero_grads(params)
 
-    report = GradCheckReport(h=h, tol=tol)
-    for idx, p in enumerate(params):
+    worst = 0.0
+    for p, ana in zip(params, analytic):
         flat = p.data.reshape(-1)
-        ana = analytic[idx].reshape(-1)
-        worst = 0.0
+        ana = ana.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             with no_grad():
@@ -450,5 +426,4 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
             numeric = (f_plus - f_minus) / (2.0 * h)
             denom = max(abs(ana[j]), abs(numeric), 1e-6)
             worst = max(worst, abs(ana[j] - numeric) / denom)
-        report.rel_errors[f"param{idx}"] = worst
-    return report
+    return worst

@@ -207,7 +207,7 @@ def _cmd_ablate(args):
 
 
 def _cmd_gradcheck(args):
-    worst = gradcheck_losses(n_seeds=args.seeds, tol=args.tol)
+    worst = gradcheck_losses(n_seeds=args.seeds)
     failed = False
     for name, err in worst.items():
         status = "ok" if err < args.tol else "FAIL"

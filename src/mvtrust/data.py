@@ -338,6 +338,14 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
 # View files hold one whitespace-separated float row per sample; the label
 # file one integer per line.  Paths are relative to the manifest.
 
+# manifest key -> (value test, what the value must be); a bool is no integer
+_MANIFEST_KEYS = {
+    "format": (lambda v: v == MANIFEST_FORMAT, repr(MANIFEST_FORMAT)),
+    "n_classes": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "views": (lambda v: isinstance(v, list), "a list"),
+    "labels": (lambda v: isinstance(v, str), "a str"),
+}
+
 
 def save_dataset(ds: MultiViewDataset, out_dir):
     """Write view matrices, labels, and the manifest; returns the manifest path."""
@@ -362,23 +370,31 @@ def save_dataset(ds: MultiViewDataset, out_dir):
     return manifest_path
 
 
+def _numbered_lines(path):
+    """(line number, line) pairs of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(enumerate(fh, start=1))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
+
+
 def _read_matrix(path):
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split()
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable cell ({exc})") from None
+    for lineno, line in _numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split()
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable cell ({exc})") from None
     if not rows:
         raise DataError(f"{path}: file holds no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -386,18 +402,17 @@ def _read_matrix(path):
 
 def _read_labels(path, n_classes):
     labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: label is not an integer: {line!r}") from None
-            if not 0 <= value < n_classes:
-                raise DataError(f"{path}:{lineno}: label {value} outside [0, {n_classes})")
-            labels.append(value)
+    for lineno, line in _numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: label is not an integer: {line!r}") from None
+        if not 0 <= value < n_classes:
+            raise DataError(f"{path}:{lineno}: label {value} outside [0, {n_classes})")
+        labels.append(value)
     if not labels:
         raise DataError(f"{path}: label file is empty")
     return np.asarray(labels, dtype=np.int64)
@@ -411,23 +426,25 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{manifest_path}: invalid JSON ({exc})") from None
-    for key in ("n_classes", "views", "labels"):
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest must be a JSON object")
+    for key, (valid, wanted) in _MANIFEST_KEYS.items():
         if key not in manifest:
             raise DataError(f"{manifest_path}: manifest is missing key {key!r}")
+        if not valid(manifest[key]):
+            raise DataError(
+                f"{manifest_path}: manifest key {key!r} must be {wanted}, got {manifest[key]!r}"
+            )
     n_classes = manifest["n_classes"]
-    if isinstance(n_classes, bool) or not isinstance(n_classes, int) or n_classes < 2:
-        raise DataError(
-            f"{manifest_path}: manifest key 'n_classes' must be an integer >= 2, got {n_classes!r}"
-        )
     base = manifest_path.parent
     views = []
     names = []
     for index, entry in enumerate(manifest["views"]):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise DataError(f"{manifest_path}: view entry {index} has no 'path'")
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise DataError(f"{manifest_path}: view entry {index} has no 'path' string: {entry!r}")
         path = base / entry["path"]
         if not path.exists():
             raise DataError(f"{manifest_path}: view file not found: {path}")

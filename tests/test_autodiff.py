@@ -1,5 +1,7 @@
 """Engine tests: forward semantics, adjoint soundness, optimizer, checker."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ class TestConstants:
         a, b = ad.lift(np.ones((2, 3))), ad.lift(np.ones((3, 2)))
         for out in ((a + 1.0) * 2.0, a @ b, (a @ b).relu().sum(), ad.stack([a, a])):
             assert not out.requires_grad
-            assert out._parents == () and out._vjp is None
+            assert out._parents == () and out._adjoints == ()
 
     def test_backward_leaves_constants_without_grad(self):
         x = Tensor([1.0, 2.0])
@@ -129,13 +131,25 @@ class TestConstants:
         assert scale.grad is None and frozen.grad is None and other.grad is None
 
     @pytest.mark.parametrize("constant_side", [0, 1])
-    def test_matmul_computes_no_adjoint_for_a_constant_operand(self, rng, constant_side):
-        operands = [Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3, 2)))]
+    @pytest.mark.parametrize("op", [
+        operator.mul, operator.sub, operator.truediv, operator.matmul,
+        lambda a, b: ad.stack([a, b]),
+    ], ids=["mul", "sub", "div", "matmul", "stack"])
+    def test_backward_never_calls_a_constant_parents_closure(self, rng, op, constant_side):
+        right = (3, 2) if op is operator.matmul else (4, 3)
+        operands = [Tensor(rng.uniform(0.5, 2.0, size=shape)) for shape in ((4, 3), right)]
         operands[constant_side] = operands[constant_side].detach()
-        out = operands[0] @ operands[1]
-        adjoints = out._vjp(np.ones(out.shape))
-        assert adjoints[constant_side] is None
-        assert adjoints[1 - constant_side].shape == operands[1 - constant_side].shape
+        out = op(*operands)
+
+        def refuse(g):
+            raise AssertionError("adjoint computed for a constant parent")
+
+        adjoints = list(out._adjoints)
+        adjoints[constant_side] = refuse
+        out._adjoints = tuple(adjoints)
+        backward(out.sum())
+        live = operands[1 - constant_side]
+        assert live.grad.shape == live.shape
 
     def test_no_grad_nests_and_restores(self):
         x = Tensor([1.0])
@@ -235,8 +249,8 @@ class TestGradientSoundness:
     def test_registered_ops_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         for name, (fn, params) in _op_cases(rng).items():
-            report = grad_check(fn, params, h=1e-5, tol=1e-4)
-            assert report.passed, f"op {name}: max rel err {report.max_rel_error:.2e}"
+            err = grad_check(fn, params, h=1e-5)
+            assert err < 1e-4, f"op {name}: max rel err {err:.2e}"
 
 
 class TestSpecialFunctions:
@@ -317,21 +331,18 @@ class TestAdam:
 class TestGradCheck:
     def test_quadratic_is_tight(self, rng):
         x = Tensor(rng.normal(size=6))
-        report = grad_check(lambda: (x * x).sum(), [x], h=1e-5)
-        assert report.max_rel_error < 1e-8
+        assert grad_check(lambda: (x * x).sum(), [x], h=1e-5) < 1e-8
 
     def test_kl_loss_gradient(self, rng):
         from mvtrust import losses
 
         e = Tensor(rng.uniform(0.5, 3.0, size=(4, 3)))
         y = np.eye(3)[rng.integers(3, size=4)]
-        report = grad_check(lambda: losses.kl_loss(e + 1.0, y), [e], h=1e-5)
-        assert report.max_rel_error < 1e-4
+        assert grad_check(lambda: losses.kl_loss(e + 1.0, y), [e], h=1e-5) < 1e-4
 
     def test_ace_loss_gradient(self, rng):
         from mvtrust import losses
 
         e = Tensor(rng.uniform(0.5, 3.0, size=(4, 3)))
         y = np.eye(3)[rng.integers(3, size=4)]
-        report = grad_check(lambda: losses.ace_loss(e + 1.0, y), [e], h=1e-5)
-        assert report.max_rel_error < 1e-4
+        assert grad_check(lambda: losses.ace_loss(e + 1.0, y), [e], h=1e-5) < 1e-4

@@ -1,10 +1,12 @@
 """Dataset generation, splitting, standardization, corruption, manifest IO."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from mvtrust.cli import main as cli_main
 from mvtrust.data import (
     CorruptionSpec,
     MultiViewDataset,
@@ -293,6 +295,34 @@ class TestManifestIo:
         manifest.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=r"manifest\.json: view entry 1 has no 'path'"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m.update(labels=5), "manifest key 'labels' must be a str, got 5"),
+        (lambda m: m["views"][0].update(path=3), "view entry 0 has no 'path' string"),
+        (lambda m: m.update(views=5), "manifest key 'views' must be a list, got 5"),
+        (lambda m: m.pop("format"), "manifest is missing key 'format'"),
+        (lambda m: m.update(format="other/1"),
+         "manifest key 'format' must be 'mvtrust-dataset/1', got 'other/1'"),
+    ], ids=["labels-int", "path-int", "views-int", "no-format", "wrong-format"])
+    def test_bad_manifest_value_named(self, edit, named, tmp_path, capsys):
+        manifest = save_dataset(synthesize(2, 1, 5, (3,), seed=8), tmp_path / "toy")
+        payload = json.loads(manifest.read_text())
+        edit(payload)
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: {named}")):
+            load_dataset(manifest)
+        assert cli_main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["view0.tsv", "labels.tsv"])
+    def test_file_that_is_not_utf8_named(self, name, tmp_path, capsys):
+        manifest = save_dataset(synthesize(2, 1, 5, (3,), seed=8), tmp_path / "toy")
+        (tmp_path / "toy" / name).write_bytes(b"0\n\xff\xfe\n")
+        named = f"{tmp_path / 'toy' / name}: file is not UTF-8 text"
+        with pytest.raises(DataError, match=re.escape(named)):
+            load_dataset(manifest)
+        assert cli_main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -262,8 +262,7 @@ class TestOverall:
             spe = (e * e).mean()
             return L.overall_loss(h1, h2, com, spe, 1.0, 0.01)
 
-        report = grad_check(overall, [e], h=1e-5)
-        assert report.max_rel_error < 1e-4
+        assert grad_check(overall, [e], h=1e-5) < 1e-4
 
     def test_breakdown_resum(self):
         row = L.LossBreakdown(
@@ -304,16 +303,14 @@ class TestLossGradients:
         y = _onehot(rng, n, q)
 
         logits = Tensor(rng.normal(size=(n, q)))
-        assert grad_check(lambda: L.adv_loss(logits.softmax_rows(), y), [logits]).passed
+        assert grad_check(lambda: L.adv_loss(logits.softmax_rows(), y), [logits]) < 1e-4
 
         p_logits = Tensor(rng.normal(size=(n, q)))
-        assert grad_check(lambda: L.cml_loss(p_logits.sigmoid(), y), [p_logits]).passed
+        assert grad_check(lambda: L.cml_loss(p_logits.sigmoid(), y), [p_logits]) < 1e-4
 
         e = Tensor(rng.uniform(0.2, 3.0, size=(n, q)))
-        assert grad_check(lambda: L.ace_loss(e + 1.0, y), [e]).passed
-        assert grad_check(lambda: L.kl_loss(e + 1.0, y), [e]).passed
+        assert grad_check(lambda: L.ace_loss(e + 1.0, y), [e]) < 1e-4
+        assert grad_check(lambda: L.kl_loss(e + 1.0, y), [e]) < 1e-4
 
         e2 = Tensor(rng.uniform(0.2, 3.0, size=(n, q)))
-        assert grad_check(
-            lambda: conflict_degree(e, e2).mean(), [e, e2]
-        ).passed
+        assert grad_check(lambda: conflict_degree(e, e2).mean(), [e, e2]) < 1e-4

@@ -80,8 +80,9 @@ class TestTrainConfig:
         ({"bypass_h1": 1}, "'bypass_h1' must be bool"),
         ({"batch_size": 1.5}, "'batch_size' must be int | None"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"weight_decay": -1.0}, "'weight_decay' must be >= 0, got -1.0"),
     ], ids=["list", "str-for-int", "float-for-int", "bool-for-float", "int-for-bool",
-            "float-for-batch", "negative-seed"])
+            "float-for-batch", "negative-seed", "negative-weight-decay"])
     def test_value_types_checked_by_key(self, payload, named):
         with pytest.raises(ContractError, match=re.escape(named)):
             TrainConfig.from_dict(payload)
