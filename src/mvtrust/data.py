@@ -193,6 +193,9 @@ class StandardStats:
 
     @classmethod
     def from_jsonable(cls, payload):
+        for key in ("means", "stds"):
+            if not isinstance(payload, dict) or key not in payload:
+                raise ContractError(f"standardization stats have no {key!r} entry")
         return cls(
             tuple(np.asarray(m, dtype=np.float64) for m in payload["means"]),
             tuple(np.asarray(s, dtype=np.float64) for s in payload["stds"]),

@@ -98,10 +98,14 @@ def view_energy(x):
 class Model:
     """All learnable parameters plus the forward passes of each sub-network.
 
+    ``parts`` maps each sub-network's checkpoint prefix (``mapper0`` to
+    ``ev_specific{v-1}``) to its ``Mlp``, in seed order; the attention
+    matrices ``w_query``, ``w_key`` and ``w_value`` come last.
+
     ``support_radius`` holds one number per view: the largest ``view_energy``
     over the rows the model was trained on (``inf``, i.e. no cap, until
     ``fit_support`` runs).  It is a plain array, not a parameter, so it is
-    neither counted by ``param_count`` nor touched by the optimizer.  ReLU
+    not in ``named_params`` and the optimizer never touches it.  ReLU
     mappers and evidence heads grow evidence roughly linearly with the input
     norm far from the data, so a heavily corrupted view would otherwise come
     out *more* certain than a clean one; ``support_gate`` turns the radius
@@ -115,15 +119,16 @@ class Model:
         s = iter(int(x) for x in seeds)
 
         relu = ad.Tensor.relu
-        self.view_mappers = [Mlp((d, l), relu, next(s)) for d in spec.view_dims]
-        self.common_extractor = Mlp((l, l), relu, next(s))
-        self.specific_extractors = [Mlp((d, l), relu, next(s)) for d in spec.view_dims]
-        self.discriminator = Mlp((l, spec.disc_hidden, v), ad.Tensor.softmax_rows, next(s))
-        self.common_predictor = Mlp((l, q), ad.Tensor.sigmoid, next(s))
-        self.evidence_common = Mlp((l, spec.evidence_hidden, q), relu, next(s))
-        self.evidence_specific = [
-            Mlp((l, spec.evidence_hidden, q), relu, next(s)) for _ in range(v)
-        ]
+        evidence = (l, spec.evidence_hidden, q)
+        self.parts = {
+            **{f"mapper{i}": Mlp((d, l), relu, next(s)) for i, d in enumerate(spec.view_dims)},
+            "common": Mlp((l, l), relu, next(s)),
+            **{f"specific{i}": Mlp((d, l), relu, next(s)) for i, d in enumerate(spec.view_dims)},
+            "disc": Mlp((l, spec.disc_hidden, v), ad.Tensor.softmax_rows, next(s)),
+            "pred": Mlp((l, q), ad.Tensor.sigmoid, next(s)),
+            "ev_common": Mlp(evidence, relu, next(s)),
+            **{f"ev_specific{i}": Mlp(evidence, relu, next(s)) for i in range(v)},
+        }
         rng = np.random.default_rng(np.random.SeedSequence(next(s)))
         bound = 1.0 / np.sqrt(v)
         self.w_query = ad.Tensor(rng.uniform(-bound, bound, size=(v, v)))
@@ -135,25 +140,25 @@ class Model:
 
     def encode_common(self, x, view):
         """Common-subspace representation of view ``view`` features."""
-        return self.common_extractor.forward(self.view_mappers[view].forward(x))
+        return self.parts["common"].forward(self.parts[f"mapper{view}"].forward(x))
 
     def encode_specific(self, x, view):
         """View-specific representation of view ``view`` features."""
-        return self.specific_extractors[view].forward(x)
+        return self.parts[f"specific{view}"].forward(x)
 
     def discriminate(self, c, detach_params=False):
         """Row-softmax view probabilities for common representations."""
-        return self.discriminator.forward(c, detach_params=detach_params)
+        return self.parts["disc"].forward(c, detach_params=detach_params)
 
     def predict_common(self, c):
         """Per-class sigmoid outputs of the common prediction head."""
-        return self.common_predictor.forward(c)
+        return self.parts["pred"].forward(c)
 
     def evidence_from_common(self, c):
-        return self.evidence_common.forward(c)
+        return self.parts["ev_common"].forward(c)
 
     def evidence_from_specific(self, s, view):
-        return self.evidence_specific[view].forward(s)
+        return self.parts[f"ev_specific{view}"].forward(s)
 
     # -- training support ---------------------------------------------------
 
@@ -175,29 +180,16 @@ class Model:
     # -- parameter bookkeeping ----------------------------------------------
 
     def named_params(self):
-        out = []
-        for i, m in enumerate(self.view_mappers):
-            out.extend(m.named_params(f"mapper{i}"))
-        out.extend(self.common_extractor.named_params("common"))
-        for i, m in enumerate(self.specific_extractors):
-            out.extend(m.named_params(f"specific{i}"))
-        out.extend(self.discriminator.named_params("disc"))
-        out.extend(self.common_predictor.named_params("pred"))
-        out.extend(self.evidence_common.named_params("ev_common"))
-        for i, m in enumerate(self.evidence_specific):
-            out.extend(m.named_params(f"ev_specific{i}"))
-        out.append(("attn.w_query", self.w_query))
-        out.append(("attn.w_key", self.w_key))
-        out.append(("attn.w_value", self.w_value))
-        return out
+        """(checkpoint entry, tensor) pairs: each part's layers in table order, then attention."""
+        out = [pair for prefix, mlp in self.parts.items() for pair in mlp.named_params(prefix)]
+        attention = [("attn.w_query", self.w_query), ("attn.w_key", self.w_key),
+                     ("attn.w_value", self.w_value)]
+        return out + attention
 
     def trainable_params(self, uniform_attention=False):
         """Parameters that actually receive gradients under the given switches."""
         skip = {"attn.w_query", "attn.w_key"} if uniform_attention else set()
         return [t for name, t in self.named_params() if name not in skip]
-
-    def param_count(self):
-        return sum(t.size for _, t in self.named_params())
 
     # -- checkpoint io --------------------------------------------------------
 
@@ -223,33 +215,38 @@ class Model:
             fmt = str(bundle["__format__"]) if "__format__" in bundle.files else None
             if fmt != CHECKPOINT_FORMAT:
                 raise ContractError(f"{path}: unsupported checkpoint __format__ {fmt!r}")
-            spec_dict = json.loads(str(bundle["__spec__"]))
+
+            def entry(name, shape=(), parse_json=False):
+                """Entry ``name``, checked: present, of ``shape``, and a float64
+                array or, with ``parse_json``, the JSON object its string holds."""
+                if name not in bundle.files:
+                    raise ContractError(f"{path}: checkpoint has no {name} entry")
+                value = bundle[name]
+                if value.shape != shape:
+                    raise ContractError(
+                        f"{path}: checkpoint entry {name} has shape {value.shape}, expected {shape}"
+                    )
+                if not parse_json:
+                    return value.astype(np.float64)
+                try:
+                    value = json.loads(str(value))
+                except json.JSONDecodeError:
+                    value = None
+                if not isinstance(value, dict):
+                    raise ContractError(f"{path}: checkpoint entry {name} is not a JSON object")
+                return value
+
+            spec_dict = entry("__spec__", parse_json=True)
             keys, known = set(spec_dict), {f.name for f in fields(ModelSpec)}
             if keys != known:
                 raise ContractError(
-                    f"checkpoint __spec__ has unknown keys {sorted(keys - known)} "
+                    f"{path}: checkpoint __spec__ has unknown keys {sorted(keys - known)} "
                     f"and missing keys {sorted(known - keys)}"
                 )
             spec_dict["view_dims"] = tuple(spec_dict["view_dims"])
-            spec = ModelSpec(**spec_dict)
-            model = cls(spec)
+            model = cls(ModelSpec(**spec_dict))
             for name, tensor in model.named_params():
-                if name not in bundle.files:
-                    raise ContractError(f"checkpoint has no {name} entry")
-                stored = bundle[name]
-                if stored.shape != tensor.data.shape:
-                    raise ContractError(
-                        f"checkpoint entry {name} has shape {stored.shape}, expected {tensor.data.shape}"
-                    )
-                tensor.data = stored.astype(np.float64)
-            if SUPPORT_RADIUS_ENTRY not in bundle.files:
-                raise ContractError(f"checkpoint has no {SUPPORT_RADIUS_ENTRY} entry")
-            radius = bundle[SUPPORT_RADIUS_ENTRY]
-            if radius.shape != model.support_radius.shape:
-                raise ContractError(
-                    f"checkpoint entry {SUPPORT_RADIUS_ENTRY} has shape {radius.shape}, "
-                    f"expected {model.support_radius.shape}"
-                )
-            model.support_radius = radius.astype(np.float64)
-            meta = json.loads(str(bundle["__meta__"]))
+                tensor.data = entry(name, tensor.data.shape)
+            model.support_radius = entry(SUPPORT_RADIUS_ENTRY, model.support_radius.shape)
+            meta = entry("__meta__", parse_json=True)
         return model, meta

@@ -326,10 +326,15 @@ class TrainedModel:
     @classmethod
     def load(cls, path):
         model, meta = Model.load(path)
-        if "stats" not in meta:
-            raise ContractError(f"{path}: checkpoint __meta__ has no stats entry")
-        cfg = TrainConfig.from_dict(meta["config"])
-        return cls(model, cfg, StandardStats.from_jsonable(meta["stats"]))
+        try:
+            for key in ("config", "stats"):
+                if key not in meta:
+                    raise ContractError(f"checkpoint __meta__ has no {key} entry")
+            cfg = TrainConfig.from_dict(meta["config"])
+            stats = StandardStats.from_jsonable(meta["stats"])
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
+        return cls(model, cfg, stats)
 
 
 @dataclass

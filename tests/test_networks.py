@@ -39,7 +39,7 @@ class TestMlp:
 class TestEncoders:
     def test_zero_input_zero_bias_gives_zero(self):
         model = Model(ModelSpec(view_dims=(4,), n_classes=2, subspace_dim=5, seed=0))
-        for mlp in (model.view_mappers[0], model.common_extractor):
+        for mlp in (model.parts["mapper0"], model.parts["common"]):
             for b in mlp.biases:
                 b.data[:] = 0.0
         out = model.encode_common(Tensor(np.zeros((3, 4))), 0)
@@ -71,9 +71,9 @@ class TestHeads:
         assert np.all(out.data >= 0.0)
 
     def test_discriminator_uniform_on_zero_logits(self, model):
-        for w in model.discriminator.weights:
+        for w in model.parts["disc"].weights:
             w.data[:] = 0.0
-        for b in model.discriminator.biases:
+        for b in model.parts["disc"].biases:
             b.data[:] = 0.0
         out = model.discriminate(Tensor(np.ones((3, 8))))
         np.testing.assert_allclose(out.data, 0.5, atol=1e-15)
@@ -81,16 +81,16 @@ class TestHeads:
     def test_predictor_interval_and_midpoint(self, model, rng):
         out = model.predict_common(Tensor(rng.normal(size=(10, 8))))
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
-        for w in model.common_predictor.weights:
+        for w in model.parts["pred"].weights:
             w.data[:] = 0.0
-        for b in model.common_predictor.biases:
+        for b in model.parts["pred"].biases:
             b.data[:] = 0.0
         mid = model.predict_common(Tensor(rng.normal(size=(4, 8))))
         np.testing.assert_allclose(mid.data, 0.5, atol=1e-15)
 
     def test_predictor_saturates_toward_one(self, model):
-        model.common_predictor.weights[0].data[:] = 0.0
-        model.common_predictor.biases[0].data[:] = 50.0
+        model.parts["pred"].weights[0].data[:] = 0.0
+        model.parts["pred"].biases[0].data[:] = 50.0
         out = model.predict_common(Tensor(np.zeros((2, 8))))
         np.testing.assert_allclose(out.data, 1.0, atol=1e-12)
 
@@ -102,7 +102,7 @@ class TestHeads:
     def test_evidence_head_passes_positive_preactivations(self):
         model = Model(ModelSpec(view_dims=(3,), n_classes=3, subspace_dim=3,
                                 evidence_hidden=3, seed=0))
-        head = model.evidence_common
+        head = model.parts["ev_common"]
         head.weights[0].data = np.eye(3)
         head.biases[0].data[:] = 0.0
         head.weights[1].data = np.eye(3)
@@ -111,7 +111,7 @@ class TestHeads:
         np.testing.assert_array_equal(out.data, [[19.0, 1.0, 1.0]])
 
     def test_dead_preactivations_give_vacuous_evidence(self, model):
-        head = model.evidence_common
+        head = model.parts["ev_common"]
         head.biases[1].data[:] = -100.0
         out = model.evidence_from_common(Tensor(np.zeros((2, 8))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
@@ -130,13 +130,21 @@ class TestParameters:
         cml = (l + 1) * q
         ev = (1 + v) * ((l + 1) * he + (he + 1) * q)
         attn = 3 * v * v
-        assert model.param_count() == mappers + cse + sie + disc + cml + ev + attn
+        total = sum(t.size for _, t in model.named_params())
+        assert total == mappers + cse + sie + disc + cml + ev + attn
 
     def test_uniform_attention_excludes_query_key(self, model):
         trainable = model.trainable_params(uniform_attention=True)
         assert model.w_query not in trainable
         assert model.w_key not in trainable
         assert model.w_value in trainable
+
+    def test_named_params_follow_the_part_table(self, model):
+        prefixes = [name.split(".")[0] for name, _ in model.named_params()]
+        assert list(dict.fromkeys(prefixes)) == [
+            "mapper0", "mapper1", "common", "specific0", "specific1", "disc", "pred",
+            "ev_common", "ev_specific0", "ev_specific1", "attn",
+        ]
 
     def test_named_params_unique_and_ordered(self, model):
         names = [n for n, _ in model.named_params()]

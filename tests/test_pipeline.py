@@ -246,8 +246,9 @@ class TestEvaluate:
 
     def test_all_vacuous_model_predicts_class_zero(self, smoke_run):
         trained, test_std, _ = smoke_run
-        for head in [trained.model.evidence_common] + trained.model.evidence_specific:
-            head.biases[1].data[:] = -1e6
+        for prefix, head in trained.model.parts.items():
+            if prefix.startswith("ev_"):
+                head.biases[1].data[:] = -1e6
         trained.model.w_value.data[:] = 0.0
         report = evaluate(trained, test_std)
         np.testing.assert_array_equal(report.predictions, 0)
@@ -455,6 +456,43 @@ class TestCheckpointPipeline:
         np.savez(path, **arrays)
         with pytest.raises(ContractError, match="ckpt.npz: checkpoint __meta__ has no stats"):
             TrainedModel.load(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda arrays: arrays.pop("__spec__"), "checkpoint has no __spec__ entry"),
+        (lambda arrays: arrays.pop("__meta__"), "checkpoint has no __meta__ entry"),
+        (lambda arrays: arrays.update(__spec__=np.array("{view_dims")),
+         "checkpoint entry __spec__ is not a JSON object"),
+        (lambda arrays: arrays.update(__spec__=np.array("5")),
+         "checkpoint entry __spec__ is not a JSON object"),
+        (lambda arrays: _edit_meta(arrays, lambda meta: meta.pop("config")),
+         "checkpoint __meta__ has no config entry"),
+        (lambda arrays: _edit_meta(arrays, lambda meta: meta["stats"].pop("means")),
+         "standardization stats have no 'means' entry"),
+        (lambda arrays: arrays.update(__support_radius__=np.ones(3)),
+         "checkpoint entry __support_radius__ has shape (3,), expected (2,)"),
+    ], ids=["no-spec", "no-meta", "spec-not-json", "spec-number", "meta-no-config",
+            "stats-no-means", "radius-shape"])
+    def test_malformed_checkpoint_is_exit_two(self, edit, named, smoke_run, tiny_dataset,
+                                              tmp_path, capsys):
+        trained, _, _ = smoke_run
+        path = tmp_path / "ckpt.npz"
+        trained.save(path)
+        with np.load(path) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        manifest = save_dataset(tiny_dataset, tmp_path / "data")
+        code = cli_main(["eval", "--model", str(path), "--data", str(manifest),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+        assert not (tmp_path / "eval").exists()
+
+
+def _edit_meta(arrays, edit):
+    meta = json.loads(str(arrays["__meta__"]))
+    edit(meta)
+    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
 
 
 def _synth_and_train(tmp_path):
