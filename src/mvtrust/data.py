@@ -116,6 +116,8 @@ def synthesize(
         raise ContractError("synthesize: nuisance ratios must lie in [0, 1), one per view")
     if seed < 0:
         raise ContractError(f"synthesize: seed must be >= 0, got {seed}")
+    if not np.isfinite(separation):
+        raise ContractError(f"synthesize: separation must be finite, got {separation!r}")
     rng = np.random.default_rng(seed)
 
     centers = rng.normal(size=(n_classes, LATENT_DIM))
@@ -235,8 +237,8 @@ class CorruptionSpec:
             raise ContractError(f"unknown corruption kind {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ContractError("corruption fraction must lie in [0, 1]")
-        if self.kind == "gaussian_noise" and (self.sigma is None or self.sigma <= 0.0):
-            raise ContractError("gaussian_noise needs sigma > 0")
+        if self.kind == "gaussian_noise" and not 0.0 < (self.sigma or 0.0) < np.inf:
+            raise ContractError(f"gaussian_noise needs a finite sigma > 0, got {self.sigma!r}")
         if self.seed < 0:
             raise ContractError(f"corruption seed must be >= 0, got {self.seed}")
         if self.views is not None:
@@ -257,10 +259,6 @@ class CorruptionMask:
     @property
     def instances(self):
         return self.hit.any(axis=1)
-
-    @property
-    def count(self):
-        return int(self.instances.sum())
 
     def to_indices(self):
         return [(int(j), int(i)) for j, i in zip(*np.nonzero(self.hit))]
@@ -338,8 +336,9 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
 
 # Manifest schema (JSON): {"format": MANIFEST_FORMAT, "n_classes": int,
 #   "views": [{"name": str, "path": str}, ...], "labels": str}
-# View files hold one whitespace-separated float row per sample; the label
-# file one integer per line.  Paths are relative to the manifest.
+# View names are distinct strings.  View files hold one whitespace-separated
+# float row per sample; the label file one integer per line.  Paths are
+# relative to the manifest; save_dataset names view files by index.
 
 # manifest key -> (value test, what the value must be); a bool is no integer
 _MANIFEST_KEYS = {
@@ -357,8 +356,8 @@ def save_dataset(ds: MultiViewDataset, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for name, x in zip(ds.view_names, ds.views):
-        path = f"{name}.tsv"
+    for index, (name, x) in enumerate(zip(ds.view_names, ds.views)):
+        path = f"view{index}.tsv"
         np.savetxt(out / path, x, fmt="%.17g", delimiter="\t")
         entries.append({"name": name, "path": path})
     np.savetxt(out / "labels.tsv", ds.labels, fmt="%d")
@@ -449,15 +448,21 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise DataError(f"{manifest_path}: view entry {index} has no 'path' string: {entry!r}")
         path = base / entry["path"]
+        name = entry.get("name", path.stem)
+        if not isinstance(name, str) or name in names:
+            raise DataError(
+                f"{manifest_path}: view entry {index} needs a 'name' string that no earlier "
+                f"entry uses, got {name!r}"
+            )
         if not path.exists():
             raise DataError(f"{manifest_path}: view file not found: {path}")
         views.append(_read_matrix(path))
-        names.append(entry.get("name", path.stem))
+        names.append(name)
     labels_path = base / manifest["labels"]
     if not labels_path.exists():
         raise DataError(f"{manifest_path}: label file not found: {labels_path}")
     labels = _read_labels(labels_path, n_classes)
-    counts = {str(p): v.shape[0] for p, v in zip(names, views)}
+    counts = {name: v.shape[0] for name, v in zip(names, views)}
     counts["labels"] = labels.size
     if len(set(counts.values())) > 1:
         raise DataError(f"row counts disagree across files: {counts}")

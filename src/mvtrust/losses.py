@@ -41,11 +41,8 @@ class LossBreakdown:
     lambda_t: float
     epoch: int
 
-    FIELDS = ("adv", "cml", "com", "spe", "h1", "h2", "con", "overall", "lambda_t")
-
-    def resum(self, delta, eta):
-        """Recombine the recorded terms per the overall-loss identity."""
-        return overall_loss(self.h1, self.h2, self.com, self.spe, delta, eta)
+    TERMS = ("adv", "cml", "com", "spe", "h1", "h2", "con", "overall")
+    FIELDS = (*TERMS, "lambda_t")
 
     def finite(self):
         return all(np.isfinite(getattr(self, f)) for f in self.FIELDS)

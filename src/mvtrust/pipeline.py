@@ -275,31 +275,22 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
     log_rows = []
     for epoch in range(cfg.epochs):
         lambda_t = L.lambda_schedule(epoch, cfg.anneal_epochs)
-        sums = None
-        total_rows = 0
+        rows, sizes = [], []
         for batch in _batches(ds.n_samples, cfg.batch_size, rng):
             bundle = forward_pass(model, [v[batch] for v in ds.views], cfg)
             objective, breakdown = training_objective(
                 model, bundle, y[batch], cfg, lambda_t, epoch
             )
-            if not breakdown.finite():
-                bad = {
-                    name: getattr(breakdown, name)
-                    for name in L.LossBreakdown.FIELDS
-                    if not np.isfinite(getattr(breakdown, name))
-                }
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}: {bad}", terms=bad
-                )
+            row = [getattr(breakdown, term) for term in L.LossBreakdown.TERMS]
+            if not np.isfinite(row).all():
+                bad = {term: x for term, x in zip(L.LossBreakdown.TERMS, row) if not np.isfinite(x)}
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {bad}", terms=bad)
             backward(objective)
             optimizer.step()
-            weight = batch.size
-            values = np.array([getattr(breakdown, f) for f in L.LossBreakdown.FIELDS])
-            sums = values * weight if sums is None else sums + values * weight
-            total_rows += weight
-        averaged = L.LossBreakdown(*(sums / total_rows).tolist(), epoch=epoch)
-        # every batch used the same lambda_t; its row-weighted mean may round
-        log_rows.append(dataclasses.replace(averaged, lambda_t=lambda_t))
+            rows.append(row)
+            sizes.append(batch.size)
+        mean = np.average(rows, axis=0, weights=sizes).tolist()
+        log_rows.append(L.LossBreakdown(*mean, lambda_t=lambda_t, epoch=epoch))
     return model, log_rows
 
 

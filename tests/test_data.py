@@ -135,12 +135,12 @@ class TestInjectNoise:
         out, mask = inject_noise(ds, CorruptionSpec("gaussian_noise", 0.0, sigma=1.0, seed=1))
         for a, b in zip(ds.views, out.views):
             np.testing.assert_array_equal(a, b)
-        assert mask.count == 0
+        assert mask.instances.sum() == 0
 
     def test_mask_cardinality(self):
         ds = synthesize(2, 3, 40, (4, 4, 4), seed=6)
         _, mask = inject_noise(ds, CorruptionSpec("gaussian_noise", 0.25, sigma=1.0, seed=1))
-        assert mask.count == 10
+        assert mask.instances.sum() == 10
 
     def test_originals_untouched(self):
         ds = synthesize(2, 2, 30, (4, 4), seed=6)
@@ -205,14 +205,14 @@ class TestInjectConflict:
         out, mask = inject_conflict(ds, CorruptionSpec("view_misalign", 0.0, seed=1))
         for a, b in zip(ds.views, out.views):
             np.testing.assert_array_equal(a, b)
-        assert mask.count == 0
+        assert mask.instances.sum() == 0
 
     def test_exactly_one_view_per_instance(self):
         ds = synthesize(3, 3, 50, (4, 4, 4), seed=6)
         _, mask = inject_conflict(ds, CorruptionSpec("view_misalign", 0.4, seed=1))
         per_instance = mask.hit.sum(axis=1)
         assert set(per_instance[mask.instances]) == {1}
-        assert mask.count == 20
+        assert mask.instances.sum() == 20
 
     def test_donor_is_different_class(self):
         ds = synthesize(3, 2, 60, (5, 5), seed=6)
@@ -323,6 +323,37 @@ class TestManifestIo:
             load_dataset(manifest)
         assert cli_main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names, named", [
+        ((5, "b"), "view entry 0 needs a 'name' string that no earlier entry uses, got 5"),
+        (("view0", "view0"),
+         "view entry 1 needs a 'name' string that no earlier entry uses, got 'view0'"),
+    ], ids=["not-str", "repeated"])
+    def test_bad_view_name_named(self, names, named, tmp_path, capsys):
+        manifest = save_dataset(synthesize(2, 2, 5, (3, 2), seed=8), tmp_path / "toy")
+        payload = json.loads(manifest.read_text())
+        for entry, name in zip(payload["views"], names):
+            entry["name"] = name
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: {named}")):
+            load_dataset(manifest)
+        assert cli_main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [("labels", "b"), ("labels", "../b")])
+    def test_view_names_never_pick_file_names(self, names, tmp_path):
+        ds = synthesize(2, 2, 6, (2, 3), seed=8)
+        ds = MultiViewDataset(ds.views, ds.labels, ds.n_classes, names)
+        manifest = save_dataset(ds, tmp_path / "toy")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy"]
+        assert sorted(p.name for p in (tmp_path / "toy").iterdir()) == [
+            "labels.tsv", "manifest.json", "view0.tsv", "view1.tsv",
+        ]
+        loaded = load_dataset(manifest)
+        assert loaded.view_names == names
+        for a, b in zip(ds.views, loaded.views):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(ds.labels, loaded.labels)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -269,7 +269,8 @@ class TestOverall:
             adv=0.4, cml=0.3, com=0.7, spe=0.2, h1=1.1, h2=0.9,
             con=0.05, overall=1.1 + 0.9 + 0.7 + 0.01 * 0.2, lambda_t=0.5, epoch=3,
         )
-        assert abs(row.resum(1.0, 0.01) - row.overall) < 1e-9
+        resum = L.overall_loss(row.h1, row.h2, row.com, row.spe, 1.0, 0.01)
+        assert abs(resum - row.overall) < 1e-9
         assert row.finite()
 
 

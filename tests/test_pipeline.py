@@ -63,10 +63,10 @@ class TestTrainConfig:
             TrainConfig.from_dict({"learning_rat": 0.1})
 
     def test_validation(self):
-        with pytest.raises(ContractError):
-            TrainConfig(gamma=-1.0).validate()
-        with pytest.raises(ContractError):
-            TrainConfig(epochs=0).validate()
+        with pytest.raises(ContractError, match="'gamma' must be >= 0"):
+            TrainConfig(gamma=-1.0)
+        with pytest.raises(ContractError, match="epochs >= 1"):
+            TrainConfig(epochs=0)
 
     def test_replace_is_validated(self):
         with pytest.raises(ContractError, match="epochs >= 1"):
@@ -114,7 +114,8 @@ class TestTrain:
     def test_log_rows_resum(self, smoke_run):
         _, _, log = smoke_run
         for row in log:
-            assert abs(row.resum(SMOKE.delta, SMOKE.eta) - row.overall) < 1e-9
+            resum = L.overall_loss(row.h1, row.h2, row.com, row.spe, SMOKE.delta, SMOKE.eta)
+            assert abs(resum - row.overall) < 1e-9
 
     def test_bit_identical_reruns(self, train_std):
         params = []
@@ -293,7 +294,9 @@ class TestObjective:
         bundle = forward_pass(model, train_std.views, SMOKE)
         y = one_hot(train_std.labels, 2)
         _, breakdown = training_objective(model, bundle, y, SMOKE, lambda_t=0.5)
-        assert abs(breakdown.resum(SMOKE.delta, SMOKE.eta) - breakdown.overall) < 1e-9
+        resum = L.overall_loss(breakdown.h1, breakdown.h2, breakdown.com, breakdown.spe,
+                               SMOKE.delta, SMOKE.eta)
+        assert abs(resum - breakdown.overall) < 1e-9
         assert 0.0 < breakdown.adv <= 1.0
 
     def test_joint_is_mean_of_attended(self, train_std):
@@ -729,6 +732,24 @@ class TestCli:
             "sweep": ["--model", str(run_dir / "checkpoint.npz"),
                       "--data", str(data_dir / "manifest.json")],
         }[command[0]]
+        code = cli_main([*command, *inputs, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, named", [
+        (["eval", "--noise-sigma", "nan"], "gaussian_noise needs a finite sigma > 0, got nan"),
+        (["eval", "--noise-sigma", "inf"], "gaussian_noise needs a finite sigma > 0, got inf"),
+        (["sweep", "--sigmas", "0,nan"], "gaussian_noise needs a finite sigma > 0, got nan"),
+        (["synth", "--separation", "nan"], "synthesize: separation must be finite, got nan"),
+        (["synth", "--separation", "inf"], "synthesize: separation must be finite, got inf"),
+    ], ids=["eval-nan", "eval-inf", "sweep-nan", "synth-nan", "synth-inf"])
+    def test_non_finite_sigma_or_separation_named(self, command, named, tmp_path, capsys):
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        capsys.readouterr()
+        inputs = [] if command[0] == "synth" else [
+            "--model", str(run_dir / "checkpoint.npz"), "--data", str(data_dir / "manifest.json"),
+        ]
         code = cli_main([*command, *inputs, "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {named}\n"
