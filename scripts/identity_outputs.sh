@@ -42,6 +42,9 @@
 #   acc/full15      15 full-batch epochs on the acceptance data
 #   acc/batch32     3 epochs at batch size 32 on the acceptance data
 #   acc/eval_noise  sigma=10 noise on half of the held-out rows
+#   acc/eval_noise_views  sigma=10 noise on views 1 and 2 of half of the
+#                   held-out rows; it logs to its own cli.log, so the top-level
+#                   cli.log keeps the digest it had before this run was added
 #   acc/eval_misalign  view 0 misaligned on 40 % of the held-out rows
 #   acc/sweep       accuracy and mean uncertainty per noise level
 #   big/eval_noise  an eval at benchmark scale: 5,000 held-out rows of a
@@ -72,8 +75,9 @@ out=$(cd "$2" && pwd)
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 export PYTHONPATH="$src/src"
 
+# appends the command and its output to $log, by default <out-dir>/cli.log
 cli() {
-    { echo "mvtrust $*"; python -m mvtrust.cli "$@"; } | sed "s#$out/##g" >> "$out/cli.log"
+    { echo "mvtrust $*"; python -m mvtrust.cli "$@"; } | sed "s#$out/##g" >> "${log:-$out/cli.log}"
 }
 
 : > "$out/cli.log"
@@ -106,6 +110,10 @@ cli train --data "$data" --out "$acc/batch32" --epochs 3 --batch-size 32 --seed 
 model=$acc/full15/checkpoint.npz
 cli eval --model "$model" --data "$data" --out "$acc/eval_noise" --holdout \
     --noise-sigma 10 --noise-fraction 0.5 --seed 13
+mkdir -p "$acc/eval_noise_views"
+log=$acc/eval_noise_views/cli.log cli eval --model "$model" --data "$data" \
+    --out "$acc/eval_noise_views" --holdout --noise-sigma 10 --noise-fraction 0.5 \
+    --corrupt-views 1,2 --seed 13
 cli eval --model "$model" --data "$data" --out "$acc/eval_misalign" --holdout \
     --conflict-fraction 0.4 --corrupt-views 0 --seed 13
 cli sweep --model "$model" --data "$data" --out "$acc/sweep" --holdout \
