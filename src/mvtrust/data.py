@@ -250,20 +250,6 @@ class CorruptionSpec:
                 )
 
 
-@dataclass(frozen=True)
-class CorruptionMask:
-    """Boolean (instance, view) corruption indicator."""
-
-    hit: np.ndarray
-
-    @property
-    def instances(self):
-        return self.hit.any(axis=1)
-
-    def to_indices(self):
-        return [(int(j), int(i)) for j, i in zip(*np.nonzero(self.hit))]
-
-
 def _selected_instances(rng, n, fraction):
     count = int(round(fraction * n))
     if count == 0:
@@ -271,12 +257,25 @@ def _selected_instances(rng, n, fraction):
     return np.sort(rng.choice(n, size=count, replace=False))
 
 
-def _check_view_indices(spec: CorruptionSpec, n_views):
+def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, corrupt_row):
+    """The seeded row loop of both harnesses: ``corrupt_row(rng, j, views)``
+    changes row ``j`` of the copied ``views`` in place and returns the view
+    indices it hit.  Returns the corrupted copy and its (n, v) bool mask."""
+    if spec.kind != kind:
+        raise ContractError(f"expected a {kind} spec, got a {spec.kind} spec")
+    n, v = ds.n_samples, ds.n_views
     for i in spec.views or ():
-        if not 0 <= i < n_views:
+        if not 0 <= i < v:
             raise ContractError(
-                f"corruption view index {i} outside [0, {n_views}): dataset has {n_views} views"
+                f"corruption view index {i} outside [0, {v}): dataset has {v} views"
             )
+    rng = np.random.default_rng(spec.seed)
+    views = [x.copy() for x in ds.views]
+    mask = np.zeros((n, v), dtype=bool)
+    for j in _selected_instances(rng, n, spec.fraction).tolist():
+        for i in corrupt_row(rng, j, views):
+            mask[j, i] = True
+    return MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names), mask
 
 
 def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
@@ -286,49 +285,30 @@ def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
     one seed across sigma values corrupt identical instances, views, and
     directions, differing only in scale.
     """
-    if spec.kind != "gaussian_noise":
-        raise ContractError("inject_noise expects a gaussian_noise spec")
-    _check_view_indices(spec, ds.n_views)
-    rng = np.random.default_rng(spec.seed)
-    n, v = ds.n_samples, ds.n_views
-    views = [x.copy() for x in ds.views]
-    hit = np.zeros((n, v), dtype=bool)
-    half = (v + 1) // 2
-    for j in _selected_instances(rng, n, spec.fraction):
-        if spec.views is not None:
-            targets = np.asarray(spec.views, dtype=np.int64)
-        else:
-            targets = np.sort(rng.choice(v, size=half, replace=False))
+    def noisy_row(rng, j, views):
+        targets = spec.views
+        if targets is None:
+            targets = sorted(rng.choice(ds.n_views, (ds.n_views + 1) // 2, replace=False).tolist())
         for i in targets:
             views[i][j] += spec.sigma * rng.standard_normal(views[i].shape[1])
-            hit[j, i] = True
-    out = MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names)
-    return out, CorruptionMask(hit)
+        return targets
+
+    return _corrupt(ds, spec, "gaussian_noise", noisy_row)
 
 
 def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
     """Replace one view of selected instances with the same view's features
     from a donor of a different class, misaligning that view's label."""
-    if spec.kind != "view_misalign":
-        raise ContractError("inject_conflict expects a view_misalign spec")
-    _check_view_indices(spec, ds.n_views)
     if np.unique(ds.labels).size < 2:
         raise DataError("cannot misalign views in a single-class dataset")
-    rng = np.random.default_rng(spec.seed)
-    n, v = ds.n_samples, ds.n_views
-    views = [x.copy() for x in ds.views]
-    hit = np.zeros((n, v), dtype=bool)
-    for j in _selected_instances(rng, n, spec.fraction):
-        if spec.views is not None:
-            i = int(rng.choice(np.asarray(spec.views, dtype=np.int64)))
-        else:
-            i = int(rng.integers(v))
-        donors = np.flatnonzero(ds.labels != ds.labels[j])
-        donor = int(rng.choice(donors))
+
+    def misaligned_row(rng, j, views):
+        i = int(rng.integers(ds.n_views) if spec.views is None else rng.choice(spec.views))
+        donor = int(rng.choice(np.flatnonzero(ds.labels != ds.labels[j])))
         views[i][j] = ds.views[i][donor]
-        hit[j, i] = True
-    out = MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names)
-    return out, CorruptionMask(hit)
+        return (i,)
+
+    return _corrupt(ds, spec, "view_misalign", misaligned_row)
 
 
 # ---------------------------------------------------------------------------

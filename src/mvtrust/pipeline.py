@@ -31,7 +31,6 @@ from . import losses as L
 from .aggregation import attend_batch
 from .autodiff import Adam, Tensor, backward, grad_check
 from .data import (
-    CorruptionMask,
     CorruptionSpec,
     MultiViewDataset,
     StandardStats,
@@ -365,7 +364,7 @@ class EvalReport:
         return rows
 
 
-def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask | None = None):
+def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | None = None):
     """Run the test path on standardized features and collect diagnostics.
 
     Never mutates parameters; repeated calls return identical reports.  The
@@ -410,7 +409,7 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: CorruptionMask |
         conflict_matrix=conflict,
     )
     if mask is not None:
-        hit = mask.instances
+        hit = mask.any(axis=1)
         report.corrupted = hit
         if hit.any():
             report.accuracy_corrupted = float(correct[hit].mean())
@@ -653,6 +652,6 @@ def write_eval_report(report: EvalReport, out_dir, mask=None):
         "records.tsv": _record_rows(report),
     }
     if mask is not None:
-        tables["corruption_mask.tsv"] = [("instance", "view"), *mask.to_indices()]
+        tables["corruption_mask.tsv"] = [("instance", "view"), *np.argwhere(mask).tolist()]
     for name, rows in tables.items():
         _write_tsv(out / name, rows)
