@@ -156,7 +156,7 @@ def _cmd_eval(args):
     trained = TrainedModel.load(args.model)
     ds = trained.prepare(load_dataset(args.data))
     test_ds = _maybe_holdout(ds, trained, args)
-    mask, views = None, args.corrupt_views or None
+    mask, views = None, args.corrupt_views
     if noise:
         fraction = 0.1 if args.noise_fraction is None else args.noise_fraction
         spec = CorruptionSpec("gaussian_noise", fraction, sigma=args.noise_sigma,

@@ -177,8 +177,11 @@ class StandardStats:
     stds: tuple
 
     def apply(self, ds: MultiViewDataset) -> MultiViewDataset:
-        if len(self.means) != ds.n_views:
-            raise ContractError("standardization stats cover a different view count")
+        widths = tuple(m.size for m in self.means)
+        if widths != ds.view_dims:
+            raise ContractError(
+                f"standardization stats cover view widths {widths}, the data has {ds.view_dims}"
+            )
         views = []
         for x, mu, sd in zip(ds.views, self.means, self.stds):
             safe = np.where(sd > 0.0, sd, 1.0)
@@ -194,14 +197,25 @@ class StandardStats:
         }
 
     @classmethod
-    def from_jsonable(cls, payload):
+    def from_jsonable(cls, payload, view_dims):
+        """Stats from ``to_jsonable`` output, checked against the model's ``view_dims``."""
+        moments = []
         for key in ("means", "stds"):
             if not isinstance(payload, dict) or key not in payload:
                 raise ContractError(f"standardization stats have no {key!r} entry")
-        return cls(
-            tuple(np.asarray(m, dtype=np.float64) for m in payload["means"]),
-            tuple(np.asarray(s, dtype=np.float64) for s in payload["stds"]),
-        )
+            rows = payload[key]
+            if not isinstance(rows, list) or len(rows) != len(view_dims):
+                raise ContractError(f"standardization {key} must list {len(view_dims)} views")
+            for i, (row, dim) in enumerate(zip(rows, view_dims)):
+                if not (isinstance(row, list) and len(row) == dim
+                        and all(type(x) in (int, float) and np.isfinite(x) for x in row)
+                        and (key == "means" or min(row) >= 0)):
+                    raise ContractError(
+                        f"standardization {key} of view {i} must be {dim} finite numbers"
+                        + ("" if key == "means" else " >= 0")
+                    )
+            moments.append(tuple(np.asarray(row, dtype=np.float64) for row in rows))
+        return cls(*moments)
 
 
 def standardize(train: MultiViewDataset, test: MultiViewDataset):
@@ -243,18 +257,13 @@ class CorruptionSpec:
             raise ContractError(f"corruption seed must be >= 0, got {self.seed}")
         if self.views is not None:
             object.__setattr__(self, "views", tuple(int(i) for i in self.views))
+            if not self.views:
+                raise ContractError("corruption views must name at least one view, or be None")
             repeated = sorted({i for i in self.views if self.views.count(i) > 1})
             if repeated:
                 raise ContractError(
                     f"corruption views {self.views} repeat index {', '.join(map(str, repeated))}"
                 )
-
-
-def _selected_instances(rng, n, fraction):
-    count = int(round(fraction * n))
-    if count == 0:
-        return np.array([], dtype=np.int64)
-    return np.sort(rng.choice(n, size=count, replace=False))
 
 
 def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, corrupt_row):
@@ -272,7 +281,7 @@ def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, corrupt_row):
     rng = np.random.default_rng(spec.seed)
     views = [x.copy() for x in ds.views]
     mask = np.zeros((n, v), dtype=bool)
-    for j in _selected_instances(rng, n, spec.fraction).tolist():
+    for j in np.sort(rng.choice(n, size=round(spec.fraction * n), replace=False)).tolist():
         for i in corrupt_row(rng, j, views):
             mask[j, i] = True
     return MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names), mask
@@ -301,10 +310,11 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
     from a donor of a different class, misaligning that view's label."""
     if np.unique(ds.labels).size < 2:
         raise DataError("cannot misalign views in a single-class dataset")
+    donors = [np.flatnonzero(ds.labels != c) for c in range(ds.n_classes)]
 
     def misaligned_row(rng, j, views):
         i = int(rng.integers(ds.n_views) if spec.views is None else rng.choice(spec.views))
-        donor = int(rng.choice(np.flatnonzero(ds.labels != ds.labels[j])))
+        donor = int(rng.choice(donors[ds.labels[j]]))
         views[i][j] = ds.views[i][donor]
         return (i,)
 

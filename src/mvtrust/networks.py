@@ -65,6 +65,11 @@ class Mlp:
         return out
 
 
+def _is_int(value, least):
+    """Whether ``value`` is a Python or numpy integer >= ``least``; a bool is no integer."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Shape table for the full model; the parameter count follows from it."""
@@ -77,13 +82,15 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.view_dims) < 1 or any(d < 1 for d in self.view_dims):
-            raise ContractError(f"view_dims must be positive, got {self.view_dims}")
-        if self.n_classes < 2:
-            raise ContractError("need at least two classes")
-        for name in ("subspace_dim", "disc_hidden", "evidence_hidden"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        dims = self.view_dims
+        if not (isinstance(dims, (list, tuple)) and dims and all(_is_int(d, 1) for d in dims)):
+            raise ContractError(f"view_dims must list integers >= 1, got {dims!r}")
+        object.__setattr__(self, "view_dims", tuple(dims))
+        for name, least in (("n_classes", 2), ("subspace_dim", 1), ("disc_hidden", 1),
+                            ("evidence_hidden", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value, least):
+                raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @property
     def n_views(self):
@@ -243,8 +250,10 @@ class Model:
                     f"{path}: checkpoint __spec__ has unknown keys {sorted(keys - known)} "
                     f"and missing keys {sorted(known - keys)}"
                 )
-            spec_dict["view_dims"] = tuple(spec_dict["view_dims"])
-            model = cls(ModelSpec(**spec_dict))
+            try:
+                model = cls(ModelSpec(**spec_dict))
+            except ContractError as exc:
+                raise ContractError(f"{path}: checkpoint __spec__ {exc}") from None
             for name, tensor in model.named_params():
                 tensor.data = entry(name, tensor.data.shape)
             model.support_radius = entry(SUPPORT_RADIUS_ENTRY, model.support_radius.shape)

@@ -321,7 +321,7 @@ class TrainedModel:
                 if key not in meta:
                     raise ContractError(f"checkpoint __meta__ has no {key} entry")
             cfg = TrainConfig.from_dict(meta["config"])
-            stats = StandardStats.from_jsonable(meta["stats"])
+            stats = StandardStats.from_jsonable(meta["stats"], model.spec.view_dims)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
         return cls(model, cfg, stats)

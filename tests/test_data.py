@@ -10,6 +10,7 @@ from mvtrust.cli import main as cli_main
 from mvtrust.data import (
     CorruptionSpec,
     MultiViewDataset,
+    StandardStats,
     inject_conflict,
     inject_noise,
     load_dataset,
@@ -128,6 +129,34 @@ class TestStandardize:
         _, test_std, stats = standardize(train, test)
         np.testing.assert_allclose(test_std.views[0], (100.0 - 1.0) / 1.0, atol=1e-12)
 
+    def test_round_trip_through_json(self):
+        ds = synthesize(2, 2, 30, (4, 5), seed=6)
+        _, _, stats = standardize(ds, ds)
+        payload = json.loads(json.dumps(stats.to_jsonable()))
+        loaded = StandardStats.from_jsonable(payload, ds.view_dims)
+        for a, b in zip(stats.means + stats.stds, loaded.means + loaded.stds):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: p["means"].pop(), "means must list 2 views"),
+        (lambda p: p["stds"][0].pop(), "stds of view 0 must be 2 finite numbers >= 0"),
+        (lambda p: p["means"][1].__setitem__(0, float("nan")), "means of view 1 must be 3 finite"),
+        (lambda p: p["means"][1].__setitem__(0, True), "means of view 1 must be 3 finite"),
+        (lambda p: p["stds"][1].__setitem__(2, -0.5), "stds of view 1 must be 3 finite numbers >= 0"),
+    ], ids=["view-count", "width", "nan", "bool", "negative-std"])
+    def test_bad_stats_named(self, edit, named):
+        payload = {"means": [[0.0, 1.0], [0.0, 1.0, 2.0]], "stds": [[1.0, 1.0], [1.0, 0.0, 1.0]]}
+        StandardStats.from_jsonable(payload, (2, 3))
+        edit(payload)
+        with pytest.raises(ContractError, match=re.escape(named)):
+            StandardStats.from_jsonable(payload, (2, 3))
+
+    def test_apply_checks_view_widths(self):
+        # a 1-column view would broadcast against 3-column stats
+        stats = StandardStats((np.zeros(3),), (np.ones(3),))
+        with pytest.raises(ContractError, match=r"widths \(3,\), the data has \(1,\)"):
+            stats.apply(MultiViewDataset([np.ones((4, 1))], np.arange(4) % 2, 2))
+
 
 class TestInjectNoise:
     def test_zero_fraction_is_identity(self):
@@ -189,6 +218,21 @@ class TestInjectNoise:
     def test_repeated_view_index_named(self):
         with pytest.raises(ContractError, match=r"\(1, 0, 1\) repeat index 1"):
             CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, views=(1, 0, 1), seed=1)
+
+    @pytest.mark.parametrize("harness, kind", [
+        (inject_noise, "view_misalign"),
+        (inject_conflict, "gaussian_noise"),
+    ])
+    def test_harness_refuses_the_other_kind(self, harness, kind):
+        ds = synthesize(2, 2, 20, (4, 4), seed=6)
+        expects = {"view_misalign": "gaussian_noise", "gaussian_noise": "view_misalign"}[kind]
+        with pytest.raises(ContractError, match=f"expected a {expects} spec, got a {kind} spec"):
+            harness(ds, CorruptionSpec(kind, 0.5, sigma=1.0, seed=1))
+
+    @pytest.mark.parametrize("kind", ["gaussian_noise", "view_misalign"])
+    def test_empty_views_named(self, kind):
+        with pytest.raises(ContractError, match="corruption views must name at least one view"):
+            CorruptionSpec(kind, 0.5, sigma=1.0, views=(), seed=1)
 
     def test_spec_validation(self):
         with pytest.raises(ContractError):

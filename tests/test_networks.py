@@ -1,6 +1,7 @@
 """Sub-network contracts: output ranges, determinism, shapes, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,23 @@ class TestMlp:
     def test_zero_width_rejected(self, field):
         with pytest.raises(ContractError, match=field):
             ModelSpec(view_dims=(4,), n_classes=2, **{field: 0})
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"view_dims": 5}, "view_dims must list integers >= 1, got 5"),
+        ({"view_dims": (4, 2.0)}, "view_dims must list integers >= 1"),
+        ({"view_dims": ()}, "view_dims must list integers >= 1"),
+        ({"n_classes": "4"}, "n_classes must be an integer >= 2, got '4'"),
+        ({"n_classes": True}, "n_classes must be an integer >= 2, got True"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ], ids=["dims-number", "dims-float", "dims-empty", "classes-str", "classes-bool",
+            "negative-seed"])
+    def test_spec_value_types_named(self, fields, named):
+        with pytest.raises(ContractError, match=re.escape(named)):
+            ModelSpec(**{"view_dims": (4,), "n_classes": 2, **fields})
+
+    def test_spec_takes_numpy_integers(self):
+        spec = ModelSpec(view_dims=[np.int64(4)], n_classes=np.int64(2))
+        assert spec.view_dims == (4,) and spec.n_classes == 2
 
     def test_width_mismatch(self):
         mlp = Mlp((4, 2), Tensor.relu, 0)

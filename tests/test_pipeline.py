@@ -467,14 +467,31 @@ class TestCheckpointPipeline:
          "checkpoint entry __spec__ is not a JSON object"),
         (lambda arrays: arrays.update(__spec__=np.array("5")),
          "checkpoint entry __spec__ is not a JSON object"),
-        (lambda arrays: _edit_meta(arrays, lambda meta: meta.pop("config")),
+        (lambda arrays: _edit_json(arrays, "__meta__", lambda meta: meta.pop("config")),
          "checkpoint __meta__ has no config entry"),
-        (lambda arrays: _edit_meta(arrays, lambda meta: meta["stats"].pop("means")),
+        (lambda arrays: _edit_json(arrays, "__meta__", lambda meta: meta["stats"].pop("means")),
          "standardization stats have no 'means' entry"),
         (lambda arrays: arrays.update(__support_radius__=np.ones(3)),
          "checkpoint entry __support_radius__ has shape (3,), expected (2,)"),
+        # the tiny dataset's views are 5 and 6 columns wide
+        (lambda arrays: _edit_json(arrays, "__meta__",
+                                   lambda meta: meta["stats"].update(means=[[1.0], [2.0]])),
+         "standardization means of view 0 must be 5 finite numbers"),
+        (lambda arrays: _edit_json(arrays, "__meta__",
+                                   lambda meta: meta["stats"]["means"][1].__setitem__(0, "x")),
+         "standardization means of view 1 must be 6 finite numbers"),
+        (lambda arrays: _edit_json(arrays, "__meta__",
+                                   lambda meta: meta["stats"]["stds"][1].__setitem__(2, -1.0)),
+         "standardization stds of view 1 must be 6 finite numbers >= 0"),
+        (lambda arrays: _edit_json(arrays, "__spec__", lambda spec: spec.update(view_dims=5)),
+         "checkpoint __spec__ view_dims must list integers >= 1, got 5"),
+        (lambda arrays: _edit_json(arrays, "__spec__", lambda spec: spec.update(n_classes="4")),
+         "checkpoint __spec__ n_classes must be an integer >= 2, got '4'"),
+        (lambda arrays: _edit_json(arrays, "__spec__", lambda spec: spec.update(view_dims=[0])),
+         "checkpoint __spec__ view_dims must list integers >= 1, got [0]"),
     ], ids=["no-spec", "no-meta", "spec-not-json", "spec-number", "meta-no-config",
-            "stats-no-means", "radius-shape"])
+            "stats-no-means", "radius-shape", "stats-width", "stats-not-number",
+            "stats-negative-std", "spec-dims-number", "spec-classes-str", "spec-dims-zero"])
     def test_malformed_checkpoint_is_exit_two(self, edit, named, smoke_run, tiny_dataset,
                                               tmp_path, capsys):
         trained, _, _ = smoke_run
@@ -492,10 +509,11 @@ class TestCheckpointPipeline:
         assert not (tmp_path / "eval").exists()
 
 
-def _edit_meta(arrays, edit):
-    meta = json.loads(str(arrays["__meta__"]))
-    edit(meta)
-    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+def _edit_json(arrays, name, edit):
+    """Apply ``edit`` to the JSON object of checkpoint entry ``name``."""
+    payload = json.loads(str(arrays[name]))
+    edit(payload)
+    arrays[name] = np.array(json.dumps(payload, sort_keys=True))
 
 
 def _synth_and_train(tmp_path):
@@ -679,6 +697,17 @@ class TestCli:
         ])
         assert code == 2
         assert "repeat index 0" in capsys.readouterr().err
+
+    def test_empty_corrupt_views_named(self, tmp_path, capsys):
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        code = cli_main([
+            "eval", "--model", str(run_dir / "checkpoint.npz"),
+            "--data", str(data_dir / "manifest.json"), "--out", str(tmp_path / "eval"),
+            "--corrupt-views", ",", "--noise-sigma", "1.0",
+        ])
+        assert code == 2
+        assert "corruption views must name at least one view" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_noise_and_conflict_together_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
