@@ -39,6 +39,9 @@
 #   c11/trials      two seeded trials of 2 epochs each on the criterion 11 data
 #   c11/bypass_h1   2 epochs at batch size 8 with {"bypass_h1": true}
 #   c11/uniform_attention  2 epochs at batch size 8 with {"uniform_attention": true}
+#   c11/gamma0      2 epochs at batch size 8 with {"gamma": 0.0}, so neither
+#                   hierarchy loss has a conflict term; it logs to its own
+#                   cli.log, so the top-level cli.log keeps its digest
 #   acc/full15      15 full-batch epochs on the acceptance data
 #   acc/batch32     3 epochs at batch size 32 on the acceptance data
 #   acc/eval_noise  sigma=10 noise on half of the held-out rows
@@ -99,6 +102,10 @@ for switch in bypass_h1 uniform_attention; do
     cli train --data "$c11/data/manifest.json" --out "$c11/$switch" --config "$c11/$switch.json" \
         --batch-size 8 --epochs 2 --subspace-dim 8 --seed 3
 done
+mkdir -p "$c11/gamma0"
+echo '{"gamma": 0.0}' > "$c11/gamma0.json"
+log=$c11/gamma0/cli.log cli train --data "$c11/data/manifest.json" --out "$c11/gamma0" \
+    --config "$c11/gamma0.json" --batch-size 8 --epochs 2 --subspace-dim 8 --seed 3
 
 # the acceptance data of tests/conftest.py
 acc=$out/acc
