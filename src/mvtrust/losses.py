@@ -88,11 +88,6 @@ def cml_loss(y_hat, y):
     return -term.mean()
 
 
-def com_loss(adv, cml):
-    """Total common-information loss: confusion term plus prediction term."""
-    return adv + cml
-
-
 def spe_loss(specific, common):
     """Squared per-sample inner products between each specific vector of the
     (v, n, l) stack and the mean common vector, summed over views and
@@ -164,9 +159,7 @@ def h1_loss(alpha_views, alpha_common, alpha_specific, y, gamma):
     if alpha_specific.shape != alpha_views.shape:
         raise ContractError(f"h1_loss: stacks {alpha_views.shape} != {alpha_specific.shape}")
     total = ace_loss(alpha_views, y) + ace_loss(alpha_common, y) + ace_loss(alpha_specific, y)
-    if gamma != 0.0:
-        total = total + gamma * conflict_degree(alpha_common - 1.0, alpha_specific - 1.0).mean()
-    return total
+    return total + gamma * conflict_degree(alpha_common - 1.0, alpha_specific - 1.0).mean()
 
 
 def con_loss(alpha_views):
@@ -194,10 +187,7 @@ def h2_loss(alpha_joint, alpha_attended, y, lambda_t, gamma, conflict):
     also logs.
     """
     attended = acc_loss(alpha_attended, y, lambda_t) * float(alpha_attended.shape[0])
-    total = acc_loss(alpha_joint, y, lambda_t) + attended
-    if gamma != 0.0:
-        total = total + gamma * conflict
-    return total
+    return acc_loss(alpha_joint, y, lambda_t) + attended + gamma * conflict
 
 
 def overall_loss(h1, h2, com, spe, delta, eta):

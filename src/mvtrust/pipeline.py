@@ -198,8 +198,8 @@ def one_hot(labels, n_classes):
     return eye[np.asarray(labels, dtype=np.int64)]
 
 
-def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda_t, epoch=0):
-    """Total trainable scalar plus the logged loss breakdown.
+def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda_t):
+    """Total trainable scalar plus the logged term values, in ``LossBreakdown.TERMS`` order.
 
     The returned scalar adds the discriminator's plain cross-entropy (with
     encoder inputs detached) on top of the overall loss; the two touch
@@ -215,7 +215,7 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
     adv = L.adv_loss(model.discriminate(common_rows, detach_params=True), z_rows)
 
     cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
-    com = L.com_loss(adv, cml)
+    com = adv + cml
     spe = L.spe_loss(ad.stack(bundle.specific_views), bundle.common_mean)
 
     alpha_fused = bundle.evidence_fused + 1.0
@@ -227,19 +227,8 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
     h2 = L.h2_loss(alpha_joint, bundle.evidence_attended + 1.0, y, lambda_t, cfg.gamma, con)
 
     overall = L.overall_loss(h1, h2, com, spe, cfg.delta, cfg.eta)
-    breakdown = L.LossBreakdown(
-        adv=adv.item(),
-        cml=cml.item(),
-        com=com.item(),
-        spe=spe.item(),
-        h1=h1.item(),
-        h2=h2.item(),
-        con=con.item(),
-        overall=overall.item(),
-        lambda_t=lambda_t,
-        epoch=epoch,
-    )
-    return overall + disc_ce, breakdown
+    terms = [t.item() for t in (adv, cml, com, spe, h1, h2, con, overall)]
+    return overall + disc_ce, terms
 
 
 def _batches(n, batch_size, rng):
@@ -277,10 +266,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
         rows, sizes = [], []
         for batch in _batches(ds.n_samples, cfg.batch_size, rng):
             bundle = forward_pass(model, [v[batch] for v in ds.views], cfg)
-            objective, breakdown = training_objective(
-                model, bundle, y[batch], cfg, lambda_t, epoch
-            )
-            row = [getattr(breakdown, term) for term in L.LossBreakdown.TERMS]
+            objective, row = training_objective(model, bundle, y[batch], cfg, lambda_t)
             if not np.isfinite(row).all():
                 bad = {term: x for term, x in zip(L.LossBreakdown.TERMS, row) if not np.isfinite(x)}
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {bad}", terms=bad)
@@ -542,7 +528,7 @@ def gradcheck_losses(n_seeds=20, h=1e-5):
             return L.h2_loss(joint + 1.0, e_att + 1.0, y, 0.5, 1.0, L.con_loss(views + 1.0))
 
         def overall():
-            return L.overall_loss(h1(), h2(), L.com_loss(adv(), cml()), spe(), 1.0, 0.01)
+            return L.overall_loss(h1(), h2(), adv() + cml(), spe(), 1.0, 0.01)
 
         every_leaf = [logits, pred_logits, common, e_common, specific, e_specific, e_att]
         checks = {

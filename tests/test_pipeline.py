@@ -293,11 +293,12 @@ class TestObjective:
         model = _fresh_model(train_std)
         bundle = forward_pass(model, train_std.views, SMOKE)
         y = one_hot(train_std.labels, 2)
-        _, breakdown = training_objective(model, bundle, y, SMOKE, lambda_t=0.5)
-        resum = L.overall_loss(breakdown.h1, breakdown.h2, breakdown.com, breakdown.spe,
-                               SMOKE.delta, SMOKE.eta)
-        assert abs(resum - breakdown.overall) < 1e-9
-        assert 0.0 < breakdown.adv <= 1.0
+        _, terms = training_objective(model, bundle, y, SMOKE, lambda_t=0.5)
+        row = dict(zip(L.LossBreakdown.TERMS, terms, strict=True))
+        resum = L.overall_loss(row["h1"], row["h2"], row["com"], row["spe"], SMOKE.delta, SMOKE.eta)
+        assert abs(resum - row["overall"]) < 1e-9
+        assert row["com"] == row["adv"] + row["cml"]
+        assert 0.0 < row["adv"] <= 1.0
 
     def test_joint_is_mean_of_attended(self, train_std):
         bundle = forward_pass(_fresh_model(train_std), train_std.views, SMOKE)
