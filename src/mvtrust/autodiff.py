@@ -294,7 +294,8 @@ def _expand_reduced(grad, in_shape, axis, keepdims):
     return np.broadcast_to(grad, in_shape)
 
 
-def stack(tensors, axis=0):
+def stack(tensors):
+    """Stack equal-shaped tensors along a new leading axis."""
     tensors = tuple(lift(t) for t in tensors)
     if not tensors:
         raise ContractError("stack: needs at least one tensor")
@@ -302,9 +303,9 @@ def stack(tensors, axis=0):
     if any(t.shape != first for t in tensors):
         raise ShapeError(f"stack: mixed shapes {[t.shape for t in tensors]}")
     return _node(
-        np.stack([t.data for t in tensors], axis=axis),
+        np.stack([t.data for t in tensors]),
         tensors,
-        tuple((lambda g, i=i: np.take(g, i, axis=axis)) for i in range(len(tensors))),
+        tuple((lambda g, i=i: g[i]) for i in range(len(tensors))),
     )
 
 

@@ -233,7 +233,7 @@ def _op_cases(rng):
         "mean_axis": (lambda: (a.mean(axis=0) * vec1.detach().data[:4]).sum(), [a]),
         "transpose": (lambda: (a.transpose() * b.transpose().detach()).sum(), [a]),
         "reshape": (lambda: (a.reshape((4, 3)) * 1.5).sum(), [a]),
-        "stack": (lambda: ad.stack(stackable, axis=1).mean(), stackable),
+        "stack": (lambda: (ad.stack(stackable) * mixer.data[:, :2, None]).sum(), stackable),
         "transpose_leading": (
             lambda: (batch_a.transpose(0, 1) * mixer.data[:, :2, None]).sum(), [batch_a]
         ),
