@@ -295,7 +295,6 @@ def _expand_reduced(grad, in_shape, axis, keepdims):
 
 
 def stack(tensors):
-    """Stack equal-shaped tensors along a new leading axis."""
     tensors = tuple(lift(t) for t in tensors)
     if not tensors:
         raise ContractError("stack: needs at least one tensor")

@@ -97,6 +97,22 @@ class ModelSpec:
         return len(self.view_dims)
 
 
+def _part_layout(spec):
+    """Each part's checkpoint prefix -> (layer widths, output op), in seed order."""
+    v, l, q = spec.n_views, spec.subspace_dim, spec.n_classes
+    relu = ad.Tensor.relu
+    evidence = (l, spec.evidence_hidden, q)
+    return {
+        **{f"mapper{i}": ((d, l), relu) for i, d in enumerate(spec.view_dims)},
+        "common": ((l, l), relu),
+        **{f"specific{i}": ((d, l), relu) for i, d in enumerate(spec.view_dims)},
+        "disc": ((l, spec.disc_hidden, v), ad.Tensor.softmax_rows),
+        "pred": ((l, q), ad.Tensor.sigmoid),
+        "ev_common": (evidence, relu),
+        **{f"ev_specific{i}": (evidence, relu) for i in range(v)},
+    }
+
+
 def view_energy(x):
     """Per-row mean squared feature ``m(x) = mean(x**2)`` of one view's rows."""
     return np.mean(np.square(x), axis=-1)
@@ -121,21 +137,11 @@ class Model:
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        v, l, q = spec.n_views, spec.subspace_dim, spec.n_classes
+        v = spec.n_views
         seeds = np.random.SeedSequence(spec.seed).generate_state(3 * v + 6)
         s = iter(int(x) for x in seeds)
-
-        relu = ad.Tensor.relu
-        evidence = (l, spec.evidence_hidden, q)
-        self.parts = {
-            **{f"mapper{i}": Mlp((d, l), relu, next(s)) for i, d in enumerate(spec.view_dims)},
-            "common": Mlp((l, l), relu, next(s)),
-            **{f"specific{i}": Mlp((d, l), relu, next(s)) for i, d in enumerate(spec.view_dims)},
-            "disc": Mlp((l, spec.disc_hidden, v), ad.Tensor.softmax_rows, next(s)),
-            "pred": Mlp((l, q), ad.Tensor.sigmoid, next(s)),
-            "ev_common": Mlp(evidence, relu, next(s)),
-            **{f"ev_specific{i}": Mlp(evidence, relu, next(s)) for i in range(v)},
-        }
+        self.parts = {prefix: Mlp(widths, output, next(s))
+                      for prefix, (widths, output) in _part_layout(spec).items()}
         rng = np.random.default_rng(np.random.SeedSequence(next(s)))
         bound = 1.0 / np.sqrt(v)
         self.w_query = ad.Tensor(rng.uniform(-bound, bound, size=(v, v)))
@@ -223,9 +229,8 @@ class Model:
             if fmt != CHECKPOINT_FORMAT:
                 raise ContractError(f"{path}: unsupported checkpoint __format__ {fmt!r}")
 
-            def entry(name, shape=(), parse_json=False):
-                """Entry ``name``, checked: present, of ``shape``, and a float64
-                array or, with ``parse_json``, the JSON object its string holds."""
+            def entry(name, shape=()):
+                """Entry ``name``, checked present and of ``shape``."""
                 if name not in bundle.files:
                     raise ContractError(f"{path}: checkpoint has no {name} entry")
                 value = bundle[name]
@@ -233,17 +238,26 @@ class Model:
                     raise ContractError(
                         f"{path}: checkpoint entry {name} has shape {value.shape}, expected {shape}"
                     )
-                if not parse_json:
-                    return value.astype(np.float64)
+                return value
+
+            def numbers(name, shape, valid, rule):
+                """Entry ``name`` as float64, checked: real numbers that all pass ``valid``."""
+                value = entry(name, shape)
+                if value.dtype.kind not in "iuf" or not valid(value).all():
+                    raise ContractError(f"{path}: checkpoint entry {name} must hold {rule}")
+                return value.astype(np.float64)
+
+            def json_object(name):
+                """The JSON object that the string of entry ``name`` holds."""
                 try:
-                    value = json.loads(str(value))
+                    value = json.loads(str(entry(name)))
                 except json.JSONDecodeError:
                     value = None
                 if not isinstance(value, dict):
                     raise ContractError(f"{path}: checkpoint entry {name} is not a JSON object")
                 return value
 
-            spec_dict = entry("__spec__", parse_json=True)
+            spec_dict = json_object("__spec__")
             keys, known = set(spec_dict), {f.name for f in fields(ModelSpec)}
             if keys != known:
                 raise ContractError(
@@ -251,11 +265,17 @@ class Model:
                     f"and missing keys {sorted(known - keys)}"
                 )
             try:
-                model = cls(ModelSpec(**spec_dict))
+                spec = ModelSpec(**spec_dict)
             except ContractError as exc:
                 raise ContractError(f"{path}: checkpoint __spec__ {exc}") from None
+            # every weight shape the spec implies, before any draw allocates it
+            for prefix, (widths, _) in _part_layout(spec).items():
+                for i, shape in enumerate(zip(widths[:-1], widths[1:])):
+                    entry(f"{prefix}.w{i}", shape)
+            model = cls(spec)
             for name, tensor in model.named_params():
-                tensor.data = entry(name, tensor.data.shape)
-            model.support_radius = entry(SUPPORT_RADIUS_ENTRY, model.support_radius.shape)
-            meta = entry("__meta__", parse_json=True)
+                tensor.data = numbers(name, tensor.data.shape, np.isfinite, "finite real numbers")
+            model.support_radius = numbers(SUPPORT_RADIUS_ENTRY, model.support_radius.shape,
+                                           lambda r: r >= 0.0, "real numbers >= 0 (inf: no cap)")
+            meta = json_object("__meta__")
         return model, meta

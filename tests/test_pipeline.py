@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -490,24 +491,100 @@ class TestCheckpointPipeline:
          "checkpoint __spec__ n_classes must be an integer >= 2, got '4'"),
         (lambda arrays: _edit_json(arrays, "__spec__", lambda spec: spec.update(view_dims=[0])),
          "checkpoint __spec__ view_dims must list integers >= 1, got [0]"),
+        (lambda arrays: arrays.update(__support_radius__=np.array([-1.0, 5.0])),
+         "checkpoint entry __support_radius__ must hold real numbers >= 0 (inf: no cap)"),
+        (lambda arrays: arrays.update(__support_radius__=np.array([np.nan, 5.0])),
+         "checkpoint entry __support_radius__ must hold real numbers >= 0 (inf: no cap)"),
+        (lambda arrays: arrays["ev_common.b1"].__setitem__(0, np.nan),
+         "checkpoint entry ev_common.b1 must hold finite real numbers"),
+        (lambda arrays: arrays["mapper0.w0"].__setitem__((0, 0), np.inf),
+         "checkpoint entry mapper0.w0 must hold finite real numbers"),
+        (lambda arrays: arrays.update({"mapper0.b0": arrays["mapper0.b0"].astype(str)}),
+         "checkpoint entry mapper0.b0 must hold finite real numbers"),
+        # sizes beyond the address space: drawing the model first fails on memory
+        (lambda arrays: _edit_json(arrays, "__spec__",
+                                   lambda spec: spec.update(view_dims=[10**15, 6])),
+         "checkpoint entry mapper0.w0 has shape (5, 8), expected (1000000000000000, 8)"),
+        (lambda arrays: _edit_json(arrays, "__spec__",
+                                   lambda spec: spec.update(disc_hidden=10**15)),
+         "checkpoint entry disc.w0 has shape (8, 6), expected (8, 1000000000000000)"),
+        (lambda arrays: _edit_json(arrays, "__spec__",
+                                   lambda spec: spec.update(n_classes=10**15)),
+         "checkpoint entry pred.w0 has shape (8, 2), expected (8, 1000000000000000)"),
     ], ids=["no-spec", "no-meta", "spec-not-json", "spec-number", "meta-no-config",
             "stats-no-means", "radius-shape", "stats-width", "stats-not-number",
-            "stats-negative-std", "spec-dims-number", "spec-classes-str", "spec-dims-zero"])
+            "stats-negative-std", "spec-dims-number", "spec-classes-str", "spec-dims-zero",
+            "radius-negative", "radius-nan", "param-nan", "param-inf", "param-str",
+            "spec-dims-huge", "spec-disc-huge", "spec-classes-huge"])
     def test_malformed_checkpoint_is_exit_two(self, edit, named, smoke_run, tiny_dataset,
                                               tmp_path, capsys):
         trained, _, _ = smoke_run
         path = tmp_path / "ckpt.npz"
-        trained.save(path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        edit(arrays)
-        np.savez(path, **arrays)
+        _save_edited(trained, path, edit)
         manifest = save_dataset(tiny_dataset, tmp_path / "data")
         code = cli_main(["eval", "--model", str(path), "--data", str(manifest),
                          "--out", str(tmp_path / "eval")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: {named}\n"
         assert not (tmp_path / "eval").exists()
+
+    def test_every_entry_mutation_is_exit_two(self, smoke_run, tiny_dataset, tmp_path, capsys):
+        """Delete or reshape each entry; fill each parameter and the radius with
+        NaN or strings; write __spec__ and __meta__ as non-JSON text or a JSON array."""
+        trained, _, _ = smoke_run
+        path = tmp_path / "ckpt.npz"
+        trained.save(path)
+        with np.load(path) as bundle:
+            entries = {k: bundle[k] for k in bundle.files}
+        mutations = []
+        for name, value in entries.items():
+            mutations += [(name, "deleted", None), (name, "reshaped", value[None])]
+            if name in ("__spec__", "__meta__"):
+                as_list = json.dumps([json.loads(str(value))])
+                mutations += [(name, "not JSON", np.array("{" + str(value))),
+                              (name, "JSON array", np.array(as_list))]
+            elif name != "__format__":
+                mutations += [(name, "NaN", np.full_like(value, np.nan)),
+                              (name, "strings", value.astype(str))]
+        manifest = save_dataset(tiny_dataset, tmp_path / "data")
+        failures = []
+        for i, (name, kind, replacement) in enumerate(mutations):
+            out = tmp_path / f"eval{i}"
+            arrays = {k: v for k, v in entries.items() if k != name}
+            if replacement is not None:
+                arrays[name] = replacement
+            np.savez(path, **arrays)
+            code = cli_main(["eval", "--model", str(path), "--data", str(manifest),
+                             "--out", str(out)])
+            err = capsys.readouterr().err
+            if code != 2 or not err.startswith(f"error: {path}: ") or out.exists():
+                failures.append(f"{name} {kind}: exit {code}, {err!r}")
+        assert len(mutations) == 4 * (len(entries) - 1) + 2
+        assert not failures, "\n".join(failures)
+
+    def test_spec_sizes_checked_before_any_draw(self, smoke_run, tmp_path):
+        trained, _, _ = smoke_run
+        path = tmp_path / "ckpt.npz"
+        _save_edited(trained, path, lambda arrays: _edit_json(
+            arrays, "__spec__", lambda spec: spec.update(view_dims=[10**5, 6])))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="mapper0.w0 has shape"):
+                Model.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # drawing the (10**5, 8) mapper weight alone would take 6.4 MB
+        assert peak < 2 * 2**20
+
+
+def _save_edited(trained, path, edit):
+    """Save ``trained`` to ``path`` with ``edit`` applied to its dict of entries."""
+    trained.save(path)
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    edit(arrays)
+    np.savez(path, **arrays)
 
 
 def _edit_json(arrays, name, edit):
