@@ -26,9 +26,10 @@ leaf, such as a parameter, requires one.  ``lift()`` of a plain number or
 array and ``detach()`` make constants, and ``_node`` returns a parentless
 constant when no parent requires a gradient, so a constant never holds a
 graph.  ``backward`` neither visits a constant nor calls the closure of a
-constant parent, so no op computes an adjoint that would be dropped.  Only
-``_node`` and ``backward`` read ``requires_grad``.  Inside ``no_grad()``
-every op returns a constant, so inference builds no graph at all.
+constant parent, so no op computes an adjoint that would be dropped; a
+fused node, below, is the exception.  Only ``_node`` and ``backward`` read
+``requires_grad``.  Inside ``no_grad()`` every op returns a constant, so
+inference builds no graph at all.
 
 ``backward`` stores a node's first adjoint into ``np.empty_like(data)`` and
 adds later ones in with ``+=``.  The stored array takes the layout of the
@@ -36,6 +37,23 @@ node's value, as ``np.zeros_like`` would, not the layout of the adjoint.
 A node reached through ``transpose`` receives a transposed adjoint; kept
 in that layout, the sums in later closures and matmuls over it would run
 in another memory order and move the last bit of a parameter.
+
+A fused node (``fused``) stands for a whole composed graph, such as a
+loss, in one node.  Its parent tuple may name a parent more than once: it
+holds one entry per path by which the composed graph delivers an adjoint
+to an outside node, in the order in which ``backward`` would deliver them.
+One ``vjp`` maps the node's adjoint to every entry's adjoint at once,
+running the composed graph's closures and reductions in their order; the
+first closure ``backward`` calls runs it and the others take their entry
+from its result, the entries of a constant parent included.  ``backward``
+then unbroadcasts and adds each entry on its own, so every sum into a
+parent's ``grad`` runs in the composed graph's order and the adjoints are
+bit-identical to it.  One topology breaks that: where an input feeds
+another input that comes first in the parent tuple, as ``x`` does in
+``conflict_degree(x + 1, x)``, the composed graph adds that path into
+``x`` between its own two, so the same terms are summed in another order.
+No caller in the package passes such inputs.  ``unbroadcast`` serves the
+reductions inside a ``vjp``.
 """
 
 from __future__ import annotations
@@ -45,7 +63,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import special
 from .errors import ContractError, DomainError, ShapeError
 
 
@@ -142,10 +159,6 @@ class Tensor:
         active = self.data > 0.0
         return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * active,))
 
-    def abs(self):
-        sign = np.sign(self.data)
-        return _node(np.abs(self.data), (self,), (lambda g: g * sign,))
-
     def exp(self):
         value = np.exp(self.data)
         return _node(value, (self,), (lambda g: g * value,))
@@ -172,14 +185,6 @@ class Tensor:
             return (g - inner) * s
 
         return _node(s, (self,), (adjoint,))
-
-    def digamma(self):
-        a = self.data
-        return _node(special.digamma(a), (self,), (lambda g: g * special.trigamma(a),))
-
-    def lgamma(self):
-        a = self.data
-        return _node(special.lgamma(a), (self,), (lambda g: g * special.digamma(a),))
 
     def clamp(self, lo=None, hi=None):
         passthrough = np.ones_like(self.data, dtype=bool)
@@ -266,8 +271,23 @@ def _node(value, parents, adjoints):
     return out
 
 
+def fused(value, parents, vjp):
+    """Interior node whose ``vjp(g)`` returns one adjoint per entry of
+    ``parents``, computed once; see the module docstring."""
+    adjoints = []
+
+    def entry(i):
+        def adjoint(g):
+            if not adjoints:
+                adjoints.extend(vjp(g))
+            return adjoints[i]
+        return adjoint
+
+    return _node(value, parents, tuple(entry(i) for i in range(len(parents))))
+
+
 def _check_broadcast(op, a, b):
-    if a.shape == b.shape:
+    if a.shape == b.shape or not a.shape or not b.shape:
         return
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -275,7 +295,7 @@ def _check_broadcast(op, a, b):
         raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
 
 
-def _unbroadcast(grad, shape):
+def unbroadcast(grad, shape):
     """Reduce ``grad`` back to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
         return grad
@@ -337,7 +357,7 @@ def backward(root):
         for parent, adjoint_of in zip(node._parents, node._adjoints):
             if not parent.requires_grad:
                 continue
-            adjoint = _unbroadcast(adjoint_of(node.grad), parent.data.shape)
+            adjoint = unbroadcast(adjoint_of(node.grad), parent.data.shape)
             if parent.grad is None:
                 # parent.data's layout, not the adjoint's; see the module docstring
                 parent.grad = np.empty_like(parent.data)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import special
 from .errors import ContractError
 from .opinions import conflict_degree
 from .special import lgamma as _lgamma_value
@@ -110,34 +111,86 @@ def _check_alpha(alpha):
 
 
 def ace_loss(alpha, y):
-    """Evidential cross-entropy: sum_k y_k (psi(S) - psi(alpha_k)), batch mean."""
+    """Evidential cross-entropy: sum_k y_k (psi(S) - psi(alpha_k)), batch mean.
+
+    One graph node over the parent entries ``(alpha, alpha)``: the strength
+    path, then the psi(alpha) path.  Value and adjoints are bit-identical
+    to the graph of ``sum``, ``digamma``, ``-``, ``* y``, ``sum`` and
+    ``mean`` nodes that computes the formula.
+    """
     alpha = ad.lift(alpha)
     _check_alpha(alpha)
-    strength = alpha.sum(axis=-1, keepdims=True)
-    per_class = (strength.digamma() - alpha.digamma()) * y
-    return per_class.sum(axis=-1).mean()
+    a, y = alpha.data, np.asarray(y, dtype=np.float64)
+    q = a.shape[-1]
+    strength = a.sum(axis=-1, keepdims=True)
+    psi, psi1 = special.polygamma_pass(np.concatenate([a, strength], axis=-1))
+    per_class = (psi[..., q:] - psi[..., :q]) * y
+    rows = per_class.sum(axis=-1)
+    count = max(rows.size, 1)
+
+    def vjp(g):
+        g_rows = np.expand_dims(np.broadcast_to(g, rows.shape) / count, -1)
+        g_difference = ad.unbroadcast(np.broadcast_to(g_rows, per_class.shape) * y, a.shape)
+        g_strength = ad.unbroadcast(g_difference, strength.shape) * psi1[..., q:]
+        return np.broadcast_to(g_strength, a.shape), -g_difference * psi1[..., :q]
+
+    return ad.fused(rows.mean(), (alpha, alpha), vjp)
+
+
+def _masked_kl(alpha, y):
+    """Batch mean of KL[Dir(alpha_tilde) || Dir(1)] with alpha_tilde = alpha * (1 - y) + y.
+
+    One graph node over the single parent entry ``alpha``: every path of the
+    composed graph meets in alpha_tilde before it reaches ``alpha``.  Value
+    and adjoint are bit-identical to the graph of elementwise, ``sum``,
+    ``lgamma``, ``digamma`` and ``mean`` nodes that computes the formula.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    keep = 1.0 - y
+    tilde = alpha.data * keep + y
+    q = tilde.shape[-1]
+    strength = tilde.sum(axis=-1, keepdims=True)
+    psi, psi1, log_gamma = special.polygamma_pass(
+        np.concatenate([tilde, strength], axis=-1), with_lgamma=True
+    )
+    log_norm = log_gamma[..., q:] - log_gamma[..., :q].sum(axis=-1, keepdims=True) - float(
+        _lgamma_value(float(q))
+    )
+    excess = tilde - 1.0
+    gap = psi[..., :q] - psi[..., q:]
+    total = log_norm + (excess * gap).sum(axis=-1, keepdims=True)
+    count = max(total.size, 1)
+
+    def vjp(g):
+        g_total = np.broadcast_to(g, total.shape) / count
+        # log-normalizer: d lnGamma = psi, on the strength and on each parameter
+        g_strength = g_total * psi[..., q:]
+        g_tilde = np.broadcast_to(-g_total, tilde.shape) * psi[..., :q]
+        # concentration: (tilde - 1) * (psi(tilde) - psi(S)), summed over classes;
+        # its adjoints add into tilde in the composed graph's order
+        g_terms = np.broadcast_to(g_total, tilde.shape)
+        g_gap = g_terms * excess
+        g_tilde = g_tilde + g_terms * gap
+        g_tilde = g_tilde + g_gap * psi1[..., :q]
+        g_strength = g_strength + ad.unbroadcast(-g_gap, strength.shape) * psi1[..., q:]
+        g_tilde = g_tilde + np.broadcast_to(g_strength, tilde.shape)
+        return (g_tilde * keep,)
+
+    return ad.fused(total.mean(), (alpha,), vjp)
 
 
 def kl_uniform(alpha_tilde):
     """KL divergence from Dir(alpha_tilde) to the uniform Dirichlet, batch mean."""
     alpha_tilde = ad.lift(alpha_tilde)
-    q = alpha_tilde.shape[-1]
-    strength = alpha_tilde.sum(axis=-1, keepdims=True)
-    log_norm = strength.lgamma() - alpha_tilde.lgamma().sum(axis=-1, keepdims=True) - float(
-        _lgamma_value(float(q))
-    )
-    concentration = ((alpha_tilde - 1.0) * (alpha_tilde.digamma() - strength.digamma())).sum(
-        axis=-1, keepdims=True
-    )
-    return (log_norm + concentration).mean()
+    # no class spared: alpha * 1 + 0 and g * 1 change no bit
+    return _masked_kl(alpha_tilde, np.zeros(alpha_tilde.shape))
 
 
 def kl_loss(alpha, y):
     """KL regularizer on the masked parameters that spare the true class."""
     alpha = ad.lift(alpha)
     _check_alpha(alpha)
-    masked = alpha * (1.0 - y) + y
-    return kl_uniform(masked)
+    return _masked_kl(alpha, y)
 
 
 def acc_loss(alpha, y, lambda_t):

@@ -225,7 +225,17 @@ class Model:
         if not isinstance(bundle, np.lib.npyio.NpzFile):
             raise ContractError(f"{path}: not an npz checkpoint")
         with bundle:
-            fmt = str(bundle["__format__"]) if "__format__" in bundle.files else None
+
+            def read(name):
+                """Entry ``name``; an object array is refused, not unpickled."""
+                try:
+                    return bundle[name]
+                except ValueError:
+                    raise ContractError(
+                        f"{path}: checkpoint entry {name} holds Python objects"
+                    ) from None
+
+            fmt = str(read("__format__")) if "__format__" in bundle.files else None
             if fmt != CHECKPOINT_FORMAT:
                 raise ContractError(f"{path}: unsupported checkpoint __format__ {fmt!r}")
 
@@ -233,7 +243,7 @@ class Model:
                 """Entry ``name``, checked present and of ``shape``."""
                 if name not in bundle.files:
                     raise ContractError(f"{path}: checkpoint has no {name} entry")
-                value = bundle[name]
+                value = read(name)
                 if value.shape != shape:
                     raise ContractError(
                         f"{path}: checkpoint entry {name} has shape {value.shape}, expected {shape}"

@@ -14,8 +14,22 @@ Dempster-style conflict blow-up).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import autodiff as ad
 from .errors import ContractError
+
+
+def _opinion(evidence):
+    """``(beliefs, uncertainty, strength)`` of ``(..., q)`` evidence, as
+    Tensors or as ndarrays, whichever ``evidence`` is."""
+    q = evidence.shape[-1]
+    strength = evidence.sum(axis=-1, keepdims=True) + float(q)
+    return evidence / strength, float(q) / strength, strength
+
+
+def _projection(beliefs, uncertainty):
+    return beliefs + uncertainty * (1.0 / beliefs.shape[-1])
 
 
 def evidence_to_opinion(evidence):
@@ -23,17 +37,13 @@ def evidence_to_opinion(evidence):
 
     Returns ``(beliefs, uncertainty)`` shaped ``(..., q)`` and ``(..., 1)``.
     """
-    evidence = ad.lift(evidence)
-    q = evidence.shape[-1]
-    strength = evidence.sum(axis=-1, keepdims=True) + float(q)
-    return evidence / strength, float(q) / strength
+    beliefs, uncertainty, _ = _opinion(ad.lift(evidence))
+    return beliefs, uncertainty
 
 
 def projected_probability(beliefs, uncertainty):
     """Point probabilities p = b + u / q under uniform base rates."""
-    beliefs = ad.lift(beliefs)
-    q = beliefs.shape[-1]
-    return beliefs + uncertainty * (1.0 / q)
+    return _projection(ad.lift(beliefs), uncertainty)
 
 
 def fuse_evidence(e_common, e_specific):
@@ -49,15 +59,43 @@ def conflict_degree(evidence_a, evidence_b):
     between mutually uncertain opinions is small and C(x, x) = 0.  The
     leading axes broadcast, so ``(v, 1, n, q)`` against ``(1, v, n, q)``
     gives every ordered pair of v views; C(a, b) equals C(b, a) exactly.
+
+    One graph node over the parent entries ``(a, a, b, b)``: for each side
+    the belief numerator path, then the strength path.  Its value and
+    adjoints are those of the graph that ``evidence_to_opinion``,
+    ``projected_probability`` and elementwise Tensor ops would build, bit
+    for bit; the subgradient of ``|p_A - p_B|`` at 0 is 0.
     """
+    evidence_a, evidence_b = ad.lift(evidence_a), ad.lift(evidence_b)
     if evidence_a.shape[-1:] != evidence_b.shape[-1:]:
         raise ContractError(
             f"conflict_degree: class counts differ, {evidence_a.shape} vs {evidence_b.shape}"
         )
-    b_a, u_a = evidence_to_opinion(evidence_a)
-    b_b, u_b = evidence_to_opinion(evidence_b)
-    p_a = projected_probability(b_a, u_a)
-    p_b = projected_probability(b_b, u_b)
-    distance = (p_a - p_b).abs().sum(axis=-1, keepdims=True) * 0.5
-    certainty = (1.0 - u_a) * (1.0 - u_b)
-    return distance * certainty
+    ad._check_broadcast("conflict_degree", evidence_a, evidence_b)
+    e_a, e_b = evidence_a.data, evidence_b.data
+    b_a, u_a, s_a = _opinion(e_a)
+    b_b, u_b, s_b = _opinion(e_b)
+    difference = _projection(b_a, u_a) - _projection(b_b, u_b)
+    distance = np.abs(difference).sum(axis=-1, keepdims=True) * 0.5
+    certain_a, certain_b = 1.0 - u_a, 1.0 - u_b
+    certainty = certain_a * certain_b
+    q, inv_q = float(e_a.shape[-1]), 1.0 / e_a.shape[-1]
+
+    def vjp(g):
+        # through the halved sum of |p_A - p_B|, then p = b + u / q on each side
+        sign = np.sign(difference)
+        g_difference = np.broadcast_to((g * certainty) * 0.5, difference.shape) * sign
+        g_certainty = g * distance
+        adjoints = []
+        for e, s, other, g_p in ((e_a, s_a, certain_b, g_difference),
+                                 (e_b, s_b, certain_a, -g_difference)):
+            g_beliefs = ad.unbroadcast(g_p, e.shape)
+            # b = e / S and u = q / S reach S; u also reaches (1 - u) in the certainty
+            g_strength = ad.unbroadcast(-g_beliefs * e / (s * s), s.shape)
+            g_u = ad.unbroadcast(g_beliefs, s.shape) * inv_q
+            g_u += -ad.unbroadcast(g_certainty * other, s.shape)
+            g_strength += -g_u * q / (s * s)
+            adjoints += [g_beliefs / s, np.broadcast_to(g_strength, e.shape)]
+        return adjoints
+
+    return ad.fused(distance * certainty, (evidence_a, evidence_a, evidence_b, evidence_b), vjp)

@@ -5,7 +5,11 @@ values come from mpmath at 30 decimal digits, the loss loops use scipy's
 digamma/gammaln and plain Python sums, Dirichlet KL is estimated by Monte
 Carlo with stdlib lgamma densities, opinion fusion follows the paper's
 opinion-level rules, and attention is evaluated one sample at a time.
-Nothing here imports mvtrust.
+
+The one exception is the last section, the composed graphs of the fused
+loss nodes.  They are references for bit-identity, not for the formulas,
+so they are built from mvtrust's own engine, special functions and
+opinion projections, with test-local digamma, log-gamma and abs nodes.
 """
 
 import math
@@ -14,6 +18,10 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy import special as sp
+
+from mvtrust import autodiff as ad
+from mvtrust import special
+from mvtrust.opinions import evidence_to_opinion, projected_probability
 
 mpmath.mp.dps = 30
 
@@ -208,3 +216,56 @@ def fd_gradient(f, x, h=1e-5):
         f_minus = f(bumped)
         grad.flat[j] = (f_plus - f_minus) / (2 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# composed graphs of the fused nodes: one engine node per elementary op
+
+
+def digamma_node(x):
+    a = x.data
+    return ad._node(special.digamma(a), (x,), (lambda g: g * special.trigamma(a),))
+
+
+def lgamma_node(x):
+    a = x.data
+    return ad._node(special.lgamma(a), (x,), (lambda g: g * special.digamma(a),))
+
+
+def abs_node(x):
+    sign = np.sign(x.data)
+    return ad._node(np.abs(x.data), (x,), (lambda g: g * sign,))
+
+
+def composed_ace(alpha, y):
+    alpha = ad.lift(alpha)
+    strength = alpha.sum(axis=-1, keepdims=True)
+    per_class = (digamma_node(strength) - digamma_node(alpha)) * y
+    return per_class.sum(axis=-1).mean()
+
+
+def composed_kl_uniform(alpha_tilde):
+    alpha_tilde = ad.lift(alpha_tilde)
+    q = alpha_tilde.shape[-1]
+    strength = alpha_tilde.sum(axis=-1, keepdims=True)
+    log_norm = lgamma_node(strength) - lgamma_node(alpha_tilde).sum(
+        axis=-1, keepdims=True
+    ) - float(special.lgamma(float(q)))
+    gap = digamma_node(alpha_tilde) - digamma_node(strength)
+    concentration = ((alpha_tilde - 1.0) * gap).sum(axis=-1, keepdims=True)
+    return (log_norm + concentration).mean()
+
+
+def composed_kl(alpha, y):
+    alpha = ad.lift(alpha)
+    return composed_kl_uniform(alpha * (1.0 - y) + y)
+
+
+def composed_conflict(evidence_a, evidence_b):
+    b_a, u_a = evidence_to_opinion(evidence_a)
+    b_b, u_b = evidence_to_opinion(evidence_b)
+    p_a = projected_probability(b_a, u_a)
+    p_b = projected_probability(b_b, u_b)
+    distance = abs_node(p_a - p_b).sum(axis=-1, keepdims=True) * 0.5
+    certainty = (1.0 - u_a) * (1.0 - u_b)
+    return distance * certainty

@@ -345,27 +345,44 @@ def _interior_nodes(root):
     return len(seen)
 
 
+def _step_cost(monkeypatch, names):
+    """Interior nodes of one 3-view training step, and its calls of each
+    function ``names`` lists from ``special``."""
+    calls = Counter()
+
+    def counted(name, raw):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return raw(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
+    monkeypatch.setattr(L, "_lgamma_value", special.lgamma)
+    ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
+    model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
+                            disc_hidden=6, evidence_hidden=6, seed=1))
+    bundle = forward_pass(model, ds.views, SMOKE)
+    objective, _ = training_objective(model, bundle, one_hot(ds.labels, 3), SMOKE, 0.5)
+    backward(objective)
+    return _interior_nodes(objective), calls
+
+
 class TestStepCost:
     def test_three_view_step_stays_small(self, monkeypatch):
-        calls = Counter()
-
-        def counted(name, raw):
-            def wrapper(x):
-                calls[name] += 1
-                return raw(x)
-            return wrapper
-
-        for name in ("digamma", "trigamma", "lgamma"):
-            monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
-        monkeypatch.setattr(L, "_lgamma_value", special.lgamma)
-        ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
-        model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
-                                disc_hidden=6, evidence_hidden=6, seed=1))
-        bundle = forward_pass(model, ds.views, SMOKE)
-        objective, _ = training_objective(model, bundle, one_hot(ds.labels, 3), SMOKE, 0.5)
-        backward(objective)
-        assert _interior_nodes(objective) <= 300
+        nodes, calls = _step_cost(monkeypatch, ("digamma", "trigamma", "lgamma"))
+        assert nodes <= 300
         assert sum(calls.values()) <= 40, calls
+
+    def test_fused_losses_keep_the_step_smaller(self, monkeypatch):
+        # each ace_loss, kl_loss and conflict_degree is one node, and each
+        # Dirichlet loss makes one polygamma_pass: 5 ace and 2 kl passes plus
+        # the two lgamma(q) constants of kl_loss
+        nodes, calls = _step_cost(
+            monkeypatch, ("digamma", "trigamma", "lgamma", "polygamma_pass")
+        )
+        assert nodes <= 180
+        assert sum(calls.values()) <= 9, calls
 
 
 class TestSweepAndAblate:
@@ -501,6 +518,10 @@ class TestCheckpointPipeline:
          "checkpoint entry mapper0.w0 must hold finite real numbers"),
         (lambda arrays: arrays.update({"mapper0.b0": arrays["mapper0.b0"].astype(str)}),
          "checkpoint entry mapper0.b0 must hold finite real numbers"),
+        (lambda arrays: arrays.update({"mapper0.b0": arrays["mapper0.b0"].astype(object)}),
+         "checkpoint entry mapper0.b0 holds Python objects"),
+        (lambda arrays: arrays.update(__format__=arrays["__format__"].astype(object)),
+         "checkpoint entry __format__ holds Python objects"),
         # sizes beyond the address space: drawing the model first fails on memory
         (lambda arrays: _edit_json(arrays, "__spec__",
                                    lambda spec: spec.update(view_dims=[10**15, 6])),
@@ -515,6 +536,7 @@ class TestCheckpointPipeline:
             "stats-no-means", "radius-shape", "stats-width", "stats-not-number",
             "stats-negative-std", "spec-dims-number", "spec-classes-str", "spec-dims-zero",
             "radius-negative", "radius-nan", "param-nan", "param-inf", "param-str",
+            "param-object", "format-object",
             "spec-dims-huge", "spec-disc-huge", "spec-classes-huge"])
     def test_malformed_checkpoint_is_exit_two(self, edit, named, smoke_run, tiny_dataset,
                                               tmp_path, capsys):
@@ -529,8 +551,9 @@ class TestCheckpointPipeline:
         assert not (tmp_path / "eval").exists()
 
     def test_every_entry_mutation_is_exit_two(self, smoke_run, tiny_dataset, tmp_path, capsys):
-        """Delete or reshape each entry; fill each parameter and the radius with
-        NaN or strings; write __spec__ and __meta__ as non-JSON text or a JSON array."""
+        """Delete, reshape or re-save as Python objects each entry; fill each
+        parameter and the radius with NaN or strings; write __spec__ and
+        __meta__ as non-JSON text or a JSON array."""
         trained, _, _ = smoke_run
         path = tmp_path / "ckpt.npz"
         trained.save(path)
@@ -538,7 +561,8 @@ class TestCheckpointPipeline:
             entries = {k: bundle[k] for k in bundle.files}
         mutations = []
         for name, value in entries.items():
-            mutations += [(name, "deleted", None), (name, "reshaped", value[None])]
+            mutations += [(name, "deleted", None), (name, "reshaped", value[None]),
+                          (name, "objects", value.astype(object))]
             if name in ("__spec__", "__meta__"):
                 as_list = json.dumps([json.loads(str(value))])
                 mutations += [(name, "not JSON", np.array("{" + str(value))),
@@ -559,7 +583,7 @@ class TestCheckpointPipeline:
             err = capsys.readouterr().err
             if code != 2 or not err.startswith(f"error: {path}: ") or out.exists():
                 failures.append(f"{name} {kind}: exit {code}, {err!r}")
-        assert len(mutations) == 4 * (len(entries) - 1) + 2
+        assert len(mutations) == 5 * (len(entries) - 1) + 3
         assert not failures, "\n".join(failures)
 
     def test_spec_sizes_checked_before_any_draw(self, smoke_run, tmp_path):
