@@ -1,8 +1,11 @@
 """Subjective-logic opinion algebra over batches of per-class evidence.
 
 Every function takes evidence shaped ``(..., q)``, as an ndarray or a
-``Tensor``, lifts it to a ``Tensor`` and builds graph nodes, so the training
-losses and the evaluation report share one definition of each formula.
+``Tensor``, lifts it to a ``Tensor`` and returns graph nodes, so the
+training losses and the evaluation report share one definition of each
+formula.  The opinion and projection formulas are written once, in
+``_opinion`` and ``_projection``, which run on Tensors or on plain arrays;
+``conflict_degree`` runs them on arrays inside one fused node.
 
 An opinion assigns one belief mass per class plus a single uncertainty
 mass, all summing to one.  Evidence maps to opinions through the Dirichlet
