@@ -4,7 +4,8 @@
 
 Each ``LABEL=SOURCE`` names a tree: a directory, or a git revision of the
 repository this script lives in, which is exported with ``git archive`` into
-a temporary directory.  For every repeat, each workload of
+a temporary directory (once per commit, so ``a=HEAD b=HEAD`` measures the
+noise between two runs of one tree).  For every repeat, each workload of
 ``BENCHMARK.json`` runs once per tree, the trees taking turns at running
 first, as
 
@@ -12,8 +13,8 @@ first, as
 
 in that tree; the JSON object on the last line of its output is kept.  Then
 each tree gets two more timings: ``mvtrust gradcheck --seeds 20`` and the
-tier-1 suite (``python -m pytest -q --continue-on-collection-errors``,
-which ``--no-tier1`` skips).  BLAS runs on one thread throughout.
+tier-1 suite (``python -m pytest -q --continue-on-collection-errors``).
+BLAS runs on one thread throughout.
 
 The record holds the machine (cores, ``OPENBLAS_NUM_THREADS``, versions),
 every run, per tree and workload the median of each end-to-end metric, and,
@@ -41,9 +42,8 @@ def parse_args(argv):
     parser.add_argument("trees", nargs="+", metavar="LABEL=SOURCE")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seconds", type=float, default=20.0, help="timed loop per run")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per tree and workload")
+    parser.add_argument("--repeats", type=int, default=10, help="runs per tree and workload")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first repeat")
-    parser.add_argument("--no-tier1", action="store_true", help="skip the tier-1 timing")
     args = parser.parse_args(argv)
     if any("=" not in tree for tree in args.trees):
         parser.error("trees are given as LABEL=SOURCE")
@@ -71,6 +71,8 @@ def materialize(source, scratch):
         return path, commit
     commit = git("rev-parse", "--verify", f"{source}^{{commit}}")
     target = Path(scratch) / commit
+    if target.is_dir():  # another label names the same commit
+        return target, commit
     target.mkdir()
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
                              capture_output=True).stdout
@@ -170,14 +172,13 @@ def main(argv=None):
                                    "--seeds", "20"], tree["path"])
             tree["gradcheck"] = {"wall_s": seconds, "exit": done.returncode,
                                  "output": done.stdout.strip().splitlines()}
-            if not args.no_tier1:
-                print(f"tier-1 on {label}", file=sys.stderr, flush=True)
-                seconds, done = timed([sys.executable, "-m", "pytest", "-q", "-p",
-                                       "no:cacheprovider", "--continue-on-collection-errors"],
-                                      tree["path"])
-                lines = done.stdout.strip().splitlines()
-                tree["tier1"] = {"wall_s": seconds, "exit": done.returncode,
-                                 "summary": lines[-1] if lines else ""}
+            print(f"tier-1 on {label}", file=sys.stderr, flush=True)
+            seconds, done = timed([sys.executable, "-m", "pytest", "-q", "-p",
+                                   "no:cacheprovider", "--continue-on-collection-errors"],
+                                  tree["path"])
+            lines = done.stdout.strip().splitlines()
+            tree["tier1"] = {"wall_s": seconds, "exit": done.returncode,
+                             "summary": lines[-1] if lines else ""}
             del tree["path"]
     record = {
         "machine": machine(),

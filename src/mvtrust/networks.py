@@ -14,6 +14,8 @@ belongs to the training loop.
 from __future__ import annotations
 
 import json
+import tokenize
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -227,13 +229,17 @@ class Model:
         with bundle:
 
             def read(name):
-                """Entry ``name``; an object array is refused, not unpickled."""
+                """Entry ``name`` as an array; an object array is refused, not
+                unpickled, and a damaged entry is named with numpy's reason."""
                 try:
-                    return bundle[name]
-                except ValueError:
+                    value = bundle[name]
+                except (ValueError, MemoryError, tokenize.TokenError, zipfile.BadZipFile) as err:
                     raise ContractError(
-                        f"{path}: checkpoint entry {name} holds Python objects"
+                        f"{path}: checkpoint entry {name} cannot be read: {err}"
                     ) from None
+                if not isinstance(value, np.ndarray):  # a member without the npy magic
+                    raise ContractError(f"{path}: checkpoint entry {name} is not an npy array")
+                return value
 
             fmt = str(read("__format__")) if "__format__" in bundle.files else None
             if fmt != CHECKPOINT_FORMAT:

@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import re
+import struct
 import tracemalloc
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -519,9 +521,11 @@ class TestCheckpointPipeline:
         (lambda arrays: arrays.update({"mapper0.b0": arrays["mapper0.b0"].astype(str)}),
          "checkpoint entry mapper0.b0 must hold finite real numbers"),
         (lambda arrays: arrays.update({"mapper0.b0": arrays["mapper0.b0"].astype(object)}),
-         "checkpoint entry mapper0.b0 holds Python objects"),
+         "checkpoint entry mapper0.b0 cannot be read: "
+         "Object arrays cannot be loaded when allow_pickle=False"),
         (lambda arrays: arrays.update(__format__=arrays["__format__"].astype(object)),
-         "checkpoint entry __format__ holds Python objects"),
+         "checkpoint entry __format__ cannot be read: "
+         "Object arrays cannot be loaded when allow_pickle=False"),
         # sizes beyond the address space: drawing the model first fails on memory
         (lambda arrays: _edit_json(arrays, "__spec__",
                                    lambda spec: spec.update(view_dims=[10**15, 6])),
@@ -586,6 +590,41 @@ class TestCheckpointPipeline:
         assert len(mutations) == 5 * (len(entries) - 1) + 3
         assert not failures, "\n".join(failures)
 
+    @pytest.mark.parametrize("damage, named", [
+        (lambda raw: raw.replace(b"'descr'", b"'dscr' "),
+         "cannot be read: Header does not contain the correct keys"),
+        (lambda raw: raw[:10] + b"{{{" + raw[13:], "cannot be read: "),
+        (lambda raw: raw[:-1], "cannot be read: EOF: reading array data"),
+        (lambda raw: b"XX" + raw[2:], "is not an npy array"),
+        (None, "cannot be read: Bad CRC-32"),
+    ], ids=["header-keys", "header-garbled", "truncated", "no-magic", "bad-crc"])
+    def test_every_damaged_entry_is_exit_two(self, damage, named, smoke_run, tiny_dataset,
+                                             tmp_path, capsys):
+        """Damage the bytes of each entry in turn: its npy header, its data, its
+        magic, or its stored checksum (``damage`` None)."""
+        trained, _, _ = smoke_run
+        path = tmp_path / "ckpt.npz"
+        trained.save(path)
+        pristine = path.read_bytes()
+        with zipfile.ZipFile(path) as bundle:
+            members = bundle.namelist()
+        manifest = save_dataset(tiny_dataset, tmp_path / "data")
+        failures = []
+        for i, member in enumerate(members):
+            path.write_bytes(pristine)
+            if damage is None:
+                _flip_last_byte(path, member)
+            else:
+                _rewrite_member(path, member, damage)
+            out = tmp_path / f"eval{i}"
+            code = cli_main(["eval", "--model", str(path), "--data", str(manifest),
+                             "--out", str(out)])
+            err = capsys.readouterr().err
+            prefix = f"error: {path}: checkpoint entry {member.removesuffix('.npy')} {named}"
+            if code != 2 or not err.startswith(prefix) or out.exists():
+                failures.append(f"{member}: exit {code}, {err!r}")
+        assert not failures, "\n".join(failures)
+
     def test_spec_sizes_checked_before_any_draw(self, smoke_run, tmp_path):
         trained, _, _ = smoke_run
         path = tmp_path / "ckpt.npz"
@@ -609,6 +648,28 @@ def _save_edited(trained, path, edit):
         arrays = {k: bundle[k] for k in bundle.files}
     edit(arrays)
     np.savez(path, **arrays)
+
+
+def _rewrite_member(path, member, damage):
+    """Replace the bytes of zip member ``member`` of ``path`` with ``damage`` of them."""
+    with zipfile.ZipFile(path) as bundle:
+        members = {m: bundle.read(m) for m in bundle.namelist()}
+    members[member] = damage(members[member])
+    with zipfile.ZipFile(path, "w") as bundle:
+        for m, raw in members.items():
+            bundle.writestr(m, raw)
+
+
+def _flip_last_byte(path, member):
+    """Flip the last stored byte of zip member ``member`` of ``path``, leaving
+    its checksum stale."""
+    with zipfile.ZipFile(path) as bundle:
+        info = bundle.getinfo(member)
+    raw = bytearray(path.read_bytes())
+    start = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[start + 26:start + 30])
+    raw[start + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(raw))
 
 
 def _edit_json(arrays, name, edit):
