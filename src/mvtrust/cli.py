@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .data import (
     synthesize,
 )
 from .errors import ContractError, TrainingDiverged
+from .schema import RULES, json_object, naming, read_text
 from .pipeline import (
     TrainConfig,
     TrainedModel,
@@ -47,42 +48,24 @@ from .pipeline import (
     write_training_log,
 )
 
-_CONFIG_FLAGS = (
-    ("subspace_dim", int),
-    ("gamma", float),
-    ("delta", float),
-    ("eta", float),
-    ("learning_rate", float),
-    ("weight_decay", float),
-    ("epochs", int),
-    ("anneal_epochs", int),
-    ("batch_size", int),
-    ("seed", int),
-    ("train_fraction", float),
-)
+# TrainConfig fields that have a flag, in flag order; schema.RULES gives each its type
+_CONFIG_FLAGS = ("subspace_dim", "gamma", "delta", "eta", "learning_rate", "weight_decay",
+                 "epochs", "anneal_epochs", "batch_size", "seed", "train_fraction")
 
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON file with TrainConfig keys")
-    for name, kind in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=kind, dest=name)
+    for name in _CONFIG_FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=RULES[name].kind, dest=name)
 
 
 def _build_config(args):
-    flags = {name: getattr(args, name) for name, _ in _CONFIG_FLAGS}
+    flags = {name: getattr(args, name) for name in _CONFIG_FLAGS}
     flags = {name: value for name, value in flags.items() if value is not None}
     if not args.config:
         return TrainConfig.from_dict(flags)
-    path = Path(args.config)
-    if not path.exists():
-        raise ContractError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-        return TrainConfig.from_dict({**payload, **flags} if isinstance(payload, dict) else payload)
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"{path}: invalid JSON ({exc})") from None
-    except ContractError as exc:
-        raise ContractError(f"{path}: {exc}") from None
+    with naming(args.config):
+        return TrainConfig.from_dict({**json_object(read_text(args.config)), **flags})
 
 
 def _comma_list(kind):
@@ -95,27 +78,24 @@ def _comma_list(kind):
     return parse
 
 
-def _positive_int(text):
-    """argparse ``type=`` for a count flag; 0, a negative or a non-integer is a usage error."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _positive(kind):
+    """argparse ``type=`` for a count or a tolerance; 0, a negative, NaN, inf or
+    a value of another kind is a usage error."""
 
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise ValueError(text)
+        return value
 
-_positive_int.__name__ = "positive int"
+    parse.__name__ = f"positive {kind.__name__}"  # argparse: "invalid <name> value"
+    return parse
 
 
 def _cmd_synth(args):
-    ds = synthesize(
-        n_classes=args.classes,
-        n_views=len(args.dims),
-        n_samples=args.samples,
-        view_dims=args.dims,
-        separation=args.separation,
-        nuisance_ratio=args.nuisance[0] if len(args.nuisance) == 1 else args.nuisance,
-        seed=args.seed,
-    )
+    nuisance = args.nuisance[0] if len(args.nuisance) == 1 else args.nuisance
+    ds = synthesize(args.classes, len(args.dims), args.samples, args.dims, seed=args.seed,
+                    separation=args.separation, nuisance_ratio=nuisance)
     manifest = save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples x {ds.n_views} views to {manifest}")
     return 0
@@ -123,9 +103,9 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     cfg = _build_config(args)
+    ds = load_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ds = load_dataset(args.data)
     accuracies = []
     for trial in range(args.trials):
         trial_cfg = dataclasses.replace(cfg, seed=cfg.seed + trial)
@@ -135,15 +115,10 @@ def _cmd_train(args):
         write_training_log(result.log, out / f"training_log{suffix}.tsv")
         accuracies.append(result.report.accuracy)
         print(f"trial {trial}: test accuracy {result.report.accuracy:.4f}")
-    write_run_meta(
-        cfg,
-        out / "run.meta",
-        extras={
-            "trials": args.trials,
-            "test_accuracy": accuracies,
-            "test_accuracy_mean": float(np.mean(accuracies)),
-        },
-    )
+    write_run_meta(cfg, out / "run.meta", extras={
+        "trials": args.trials, "test_accuracy": accuracies,
+        "test_accuracy_mean": float(np.mean(accuracies)),
+    })
     return 0
 
 
@@ -153,9 +128,7 @@ def _cmd_eval(args):
         raise ContractError("--noise-fraction needs --noise-sigma")
     if args.corrupt_views is not None and not (noise or conflict):
         raise ContractError("--corrupt-views needs --noise-sigma or --conflict-fraction")
-    trained = TrainedModel.load(args.model)
-    ds = trained.prepare(load_dataset(args.data))
-    test_ds = _maybe_holdout(ds, trained, args)
+    trained, test_ds = _scored_rows(args)
     mask, views = None, args.corrupt_views
     if noise:
         fraction = 0.1 if args.noise_fraction is None else args.noise_fraction
@@ -172,17 +145,18 @@ def _cmd_eval(args):
     return 0
 
 
-def _maybe_holdout(ds, trained, args):
-    """The seeded test split of the checkpoint's config under --holdout, else all rows."""
-    if not args.holdout:
-        return ds
-    return split(ds, trained.cfg.train_fraction, trained.cfg.seed)[1]
+def _scored_rows(args):
+    """The checkpoint, and the standardized rows it scores: all of them, or under
+    --holdout the seeded test split of the checkpoint's config."""
+    trained = TrainedModel.load(args.model)
+    ds = trained.prepare(load_dataset(args.data))
+    if args.holdout:
+        ds = split(ds, trained.cfg.train_fraction, trained.cfg.seed)[1]
+    return trained, ds
 
 
 def _cmd_sweep(args):
-    trained = TrainedModel.load(args.model)
-    ds = trained.prepare(load_dataset(args.data))
-    test_ds = _maybe_holdout(ds, trained, args)
+    trained, test_ds = _scored_rows(args)
     rows = run_noise_sweep(trained, test_ds, args.sigmas, args.noise_fraction, args.corruption_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,9 +184,9 @@ def _cmd_gradcheck(args):
     worst = gradcheck_losses(n_seeds=args.seeds)
     failed = False
     for name, err in worst.items():
-        status = "ok" if err < args.tol else "FAIL"
-        print(f"{name}\tmax_rel_error={err:.3e}\t{status}")
-        failed = failed or err >= args.tol
+        ok = err < args.tol  # NaN is no pass
+        print(f"{name}\tmax_rel_error={err:.3e}\t{'ok' if ok else 'FAIL'}")
+        failed = failed or not ok
     return 1 if failed else 0
 
 
@@ -238,7 +212,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a dataset manifest")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--trials", type=_positive(int), default=1)
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_train)
 
@@ -276,8 +250,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference validation of every loss")
-    p.add_argument("--seeds", type=_positive_int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--seeds", type=_positive(int), default=20)
+    p.add_argument("--tol", type=_positive(float), default=1e-4)
     p.set_defaults(fn=_cmd_gradcheck)
     return parser
 
@@ -287,7 +261,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ContractError, TrainingDiverged, FileNotFoundError) as exc:
+    except (ContractError, TrainingDiverged, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,14 +11,16 @@ delta.  Every seeded operation is bit-reproducible.
 from __future__ import annotations
 
 import json
-
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DataError
+from .schema import MANIFEST_FORMAT, RULES, Rule, check, check_object, field, json_object, naming
+from .schema import read_text
 
-MANIFEST_FORMAT = "mvtrust-dataset/1"
 LATENT_DIM = 8  # width of the latent space that synthesize maps into each view
 
 
@@ -41,18 +43,13 @@ class MultiViewDataset:
             if v.ndim != 2 or v.shape[1] < 1:
                 raise ContractError(f"view {i} must be a 2-d matrix with >= 1 column")
             if v.shape[0] != n:
-                raise ContractError(
-                    f"view {i} has {v.shape[0]} rows but view 0 has {n}"
-                )
+                raise ContractError(f"view {i} has {v.shape[0]} rows but view 0 has {n}")
             if not np.isfinite(v).all():
                 row = np.flatnonzero(~np.isfinite(v).all(axis=1))[0]
                 raise DataError(f"view {i} has a non-finite feature in row {row}")
         if self.labels.shape != (n,):
-            raise ContractError(
-                f"labels must be one per sample: {self.labels.shape} vs {n} rows"
-            )
-        if self.n_classes < 2:
-            raise ContractError("n_classes must be >= 2")
+            raise ContractError(f"labels must be one per sample: {self.labels.shape} vs {n} rows")
+        check("n_classes", self.n_classes)
         if n and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ContractError(
                 f"labels must lie in [0, {self.n_classes}), got range "
@@ -75,27 +72,16 @@ class MultiViewDataset:
 
     def subset(self, indices):
         indices = np.asarray(indices, dtype=np.int64)
-        return MultiViewDataset(
-            [v[indices] for v in self.views],
-            self.labels[indices],
-            self.n_classes,
-            self.view_names,
-        )
+        return MultiViewDataset([v[indices] for v in self.views], self.labels[indices],
+                                self.n_classes, self.view_names)
 
 
 # ---------------------------------------------------------------------------
 # synthetic generation
 
 
-def synthesize(
-    n_classes,
-    n_views,
-    n_samples,
-    view_dims,
-    separation=2.5,
-    nuisance_ratio=0.3,
-    seed=0,
-):
+def synthesize(n_classes, n_views, n_samples, view_dims, separation=2.5, nuisance_ratio=0.3,
+               seed=0):
     """Latent class-conditional Gaussian mapped linearly into each view.
 
     Class centers sit on a sphere of radius ``separation`` in the latent
@@ -145,8 +131,7 @@ def synthesize(
 
 def split(ds: MultiViewDataset, train_fraction, seed):
     """Stratified, disjoint, exhaustive train/test split, seeded."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ContractError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    check("train_fraction", train_fraction)
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []
@@ -169,6 +154,9 @@ def split(ds: MultiViewDataset, train_fraction, seed):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
+_PER_VIEW = Rule(list, each=True)  # stats hold one list per view; RULES says what each holds
+
+
 @dataclass(frozen=True)
 class StandardStats:
     """Train-set per-view, per-feature moments; zero-variance columns map to 0."""
@@ -179,9 +167,8 @@ class StandardStats:
     def apply(self, ds: MultiViewDataset) -> MultiViewDataset:
         widths = tuple(m.size for m in self.means)
         if widths != ds.view_dims:
-            raise ContractError(
-                f"standardization stats cover view widths {widths}, the data has {ds.view_dims}"
-            )
+            raise ContractError(f"standardization stats cover view widths {widths}, "
+                                f"the data has {ds.view_dims}")
         views = []
         for x, mu, sd in zip(ds.views, self.means, self.stds):
             safe = np.where(sd > 0.0, sd, 1.0)
@@ -191,30 +178,18 @@ class StandardStats:
         return MultiViewDataset(views, ds.labels, ds.n_classes, ds.view_names)
 
     def to_jsonable(self):
-        return {
-            "means": [m.tolist() for m in self.means],
-            "stds": [s.tolist() for s in self.stds],
-        }
+        return {"means": [m.tolist() for m in self.means], "stds": [s.tolist() for s in self.stds]}
 
     @classmethod
     def from_jsonable(cls, payload, view_dims):
         """Stats from ``to_jsonable`` output, checked against the model's ``view_dims``."""
         moments = []
         for key in ("means", "stds"):
-            if not isinstance(payload, dict) or key not in payload:
-                raise ContractError(f"standardization stats have no {key!r} entry")
-            rows = payload[key]
-            if not isinstance(rows, list) or len(rows) != len(view_dims):
-                raise ContractError(f"standardization {key} must list {len(view_dims)} views")
-            for i, (row, dim) in enumerate(zip(rows, view_dims)):
-                if not (isinstance(row, list) and len(row) == dim
-                        and all(type(x) in (int, float) and np.isfinite(x) for x in row)
-                        and (key == "means" or min(row) >= 0)):
-                    raise ContractError(
-                        f"standardization {key} of view {i} must be {dim} finite numbers"
-                        + ("" if key == "means" else " >= 0")
-                    )
-            moments.append(tuple(np.asarray(row, dtype=np.float64) for row in rows))
+            rows = check(key, field(payload, key), _PER_VIEW, len(view_dims))
+            moments.append(tuple(
+                np.asarray(check(f"{key}[{i}]", row, RULES[key], dim), dtype=np.float64)
+                for i, (row, dim) in enumerate(zip(rows, view_dims))
+            ))
         return cls(*moments)
 
 
@@ -324,25 +299,14 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
 # ---------------------------------------------------------------------------
 # manifest io
 
-# Manifest schema (JSON): {"format": MANIFEST_FORMAT, "n_classes": int,
-#   "views": [{"name": str, "path": str}, ...], "labels": str}
-# View names are distinct strings.  View files hold one whitespace-separated
-# float row per sample; the label file one integer per line.  Paths are
-# relative to the manifest; save_dataset names view files by index.
-
-# manifest key -> (value test, what the value must be); a bool is no integer
-_MANIFEST_KEYS = {
-    "format": (lambda v: v == MANIFEST_FORMAT, repr(MANIFEST_FORMAT)),
-    "n_classes": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
-    "views": (lambda v: isinstance(v, list), "a list"),
-    "labels": (lambda v: isinstance(v, str), "a str"),
-}
+# Manifest (JSON): {"format", "n_classes", "views": [{"name", "path"}, ...], "labels"},
+# each key as schema.RULES says, with distinct view names.  A view file holds one
+# whitespace-separated float row per sample, the label file one integer per line.
+# Paths are relative to the manifest; save_dataset names view files by index.
 
 
 def save_dataset(ds: MultiViewDataset, out_dir):
     """Write view matrices, labels, and the manifest; returns the manifest path."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -351,42 +315,34 @@ def save_dataset(ds: MultiViewDataset, out_dir):
         np.savetxt(out / path, x, fmt="%.17g", delimiter="\t")
         entries.append({"name": name, "path": path})
     np.savetxt(out / "labels.tsv", ds.labels, fmt="%d")
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "n_classes": int(ds.n_classes),
-        "views": entries,
-        "labels": "labels.tsv",
-    }
+    manifest = {"format": MANIFEST_FORMAT, "n_classes": int(ds.n_classes), "views": entries,
+                "labels": "labels.tsv"}
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
-def _numbered_lines(path):
-    """(line number, line) pairs of a UTF-8 text file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return list(enumerate(fh, start=1))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
+def _lines(path):
+    """(line number, stripped line) of each non-blank line of the UTF-8 file ``path``."""
+    with naming(path, error=DataError):
+        text = read_text(path)
+    return [(n, line.strip()) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 def _read_matrix(path):
     rows = []
-    width = None
-    for lineno, line in _numbered_lines(path):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path):
         cells = line.split()
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        width = len(rows[0]) if rows else len(cells)
+        if len(cells) != width:
             raise DataError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: unparseable cell ({exc})") from None
+        if not all(map(math.isfinite, rows[-1])):
+            bad = next(c for c, x in zip(cells, rows[-1]) if not math.isfinite(x))
+            raise DataError(f"{path}:{lineno}: cell {bad!r} is not a finite number")
     if not rows:
         raise DataError(f"{path}: file holds no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -394,10 +350,7 @@ def _read_matrix(path):
 
 def _read_labels(path, n_classes):
     labels = []
-    for lineno, line in _numbered_lines(path):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path):
         try:
             value = int(line)
         except ValueError:
@@ -412,51 +365,23 @@ def _read_labels(path, n_classes):
 
 def load_dataset(manifest_path) -> MultiViewDataset:
     """Load and validate a dataset from its manifest."""
-    from pathlib import Path
-
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise DataError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{manifest_path}: invalid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{manifest_path}: manifest must be a JSON object")
-    for key, (valid, wanted) in _MANIFEST_KEYS.items():
-        if key not in manifest:
-            raise DataError(f"{manifest_path}: manifest is missing key {key!r}")
-        if not valid(manifest[key]):
-            raise DataError(
-                f"{manifest_path}: manifest key {key!r} must be {wanted}, got {manifest[key]!r}"
-            )
-    n_classes = manifest["n_classes"]
+    with naming(manifest_path, error=DataError):
+        manifest = json_object(read_text(manifest_path))
+        check_object(manifest, ("format", "n_classes", "views", "labels"))
+        names = []
+        for index, entry in enumerate(manifest["views"]):
+            with naming(f"views[{index}]"):
+                check_object(entry, ("path", "name"), optional=("name",))
+                name = entry.get("name", Path(entry["path"]).stem)
+                if name in names:
+                    raise ContractError(f"name: must differ from each earlier view's, got {name!r}")
+            names.append(name)
     base = manifest_path.parent
-    views = []
-    names = []
-    for index, entry in enumerate(manifest["views"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-            raise DataError(f"{manifest_path}: view entry {index} has no 'path' string: {entry!r}")
-        path = base / entry["path"]
-        name = entry.get("name", path.stem)
-        if not isinstance(name, str) or name in names:
-            raise DataError(
-                f"{manifest_path}: view entry {index} needs a 'name' string that no earlier "
-                f"entry uses, got {name!r}"
-            )
-        if not path.exists():
-            raise DataError(f"{manifest_path}: view file not found: {path}")
-        views.append(_read_matrix(path))
-        names.append(name)
-    labels_path = base / manifest["labels"]
-    if not labels_path.exists():
-        raise DataError(f"{manifest_path}: label file not found: {labels_path}")
-    labels = _read_labels(labels_path, n_classes)
+    views = [_read_matrix(base / entry["path"]) for entry in manifest["views"]]
+    labels = _read_labels(base / manifest["labels"], manifest["n_classes"])
     counts = {name: v.shape[0] for name, v in zip(names, views)}
     counts["labels"] = labels.size
     if len(set(counts.values())) > 1:
-        raise DataError(f"row counts disagree across files: {counts}")
-    try:
-        return MultiViewDataset(views, labels, n_classes, tuple(names))
-    except ContractError as exc:
-        raise DataError(f"{manifest_path}: {exc}") from None
+        raise DataError(f"{manifest_path}: row counts disagree across files: {counts}")
+    return MultiViewDataset(views, labels, manifest["n_classes"], tuple(names))

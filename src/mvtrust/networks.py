@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import tokenize
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ShapeError
+from .schema import CHECKPOINT_FORMAT, RULES, build, check, check_fields, json_object, naming
 
-CHECKPOINT_FORMAT = "mvtrust-checkpoint/1"
 SUPPORT_RADIUS_ENTRY = "__support_radius__"
 
 
@@ -67,14 +67,10 @@ class Mlp:
         return out
 
 
-def _is_int(value, least):
-    """Whether ``value`` is a Python or numpy integer >= ``least``; a bool is no integer."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Shape table for the full model; the parameter count follows from it."""
+    """Shape table for the full model; the parameter count follows from it,
+    and ``schema.RULES`` says what each field holds."""
 
     view_dims: tuple
     n_classes: int
@@ -84,15 +80,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = self.view_dims
-        if not (isinstance(dims, (list, tuple)) and dims and all(_is_int(d, 1) for d in dims)):
-            raise ContractError(f"view_dims must list integers >= 1, got {dims!r}")
-        object.__setattr__(self, "view_dims", tuple(dims))
-        for name, least in (("n_classes", 2), ("subspace_dim", 1), ("disc_hidden", 1),
-                            ("evidence_hidden", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_int(value, least):
-                raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_fields(self)
+        object.__setattr__(self, "view_dims", tuple(self.view_dims))
 
     @property
     def n_views(self):
@@ -226,72 +215,39 @@ class Model:
             bundle = None
         if not isinstance(bundle, np.lib.npyio.NpzFile):
             raise ContractError(f"{path}: not an npz checkpoint")
-        with bundle:
+        with bundle, naming(path):
 
-            def read(name):
-                """Entry ``name`` as an array; an object array is refused, not
-                unpickled, and a damaged entry is named with numpy's reason."""
+            def entry(name, shape=(), rule=None):
+                """Entry ``name``, of ``shape`` and every element obeying ``rule``; an
+                object array is refused, not unpickled, and a damaged entry is
+                named with numpy's reason."""
+                if name not in bundle.files:
+                    raise ContractError(f"{name}: missing")
                 try:
                     value = bundle[name]
                 except (ValueError, MemoryError, tokenize.TokenError, zipfile.BadZipFile) as err:
-                    raise ContractError(
-                        f"{path}: checkpoint entry {name} cannot be read: {err}"
-                    ) from None
+                    raise ContractError(f"{name}: cannot be read: {err}") from None
                 if not isinstance(value, np.ndarray):  # a member without the npy magic
-                    raise ContractError(f"{path}: checkpoint entry {name} is not an npy array")
-                return value
-
-            fmt = str(read("__format__")) if "__format__" in bundle.files else None
-            if fmt != CHECKPOINT_FORMAT:
-                raise ContractError(f"{path}: unsupported checkpoint __format__ {fmt!r}")
-
-            def entry(name, shape=()):
-                """Entry ``name``, checked present and of ``shape``."""
-                if name not in bundle.files:
-                    raise ContractError(f"{path}: checkpoint has no {name} entry")
-                value = read(name)
+                    raise ContractError(f"{name}: is not an npy array")
                 if value.shape != shape:
-                    raise ContractError(
-                        f"{path}: checkpoint entry {name} has shape {value.shape}, expected {shape}"
-                    )
+                    raise ContractError(f"{name}: has shape {value.shape}, expected {shape}")
+                if rule and not rule.admits(value):
+                    raise ContractError(f"{name}: every element must be {rule.describe()}")
                 return value
 
-            def numbers(name, shape, valid, rule):
-                """Entry ``name`` as float64, checked: real numbers that all pass ``valid``."""
-                value = entry(name, shape)
-                if value.dtype.kind not in "iuf" or not valid(value).all():
-                    raise ContractError(f"{path}: checkpoint entry {name} must hold {rule}")
-                return value.astype(np.float64)
-
-            def json_object(name):
-                """The JSON object that the string of entry ``name`` holds."""
-                try:
-                    value = json.loads(str(entry(name)))
-                except json.JSONDecodeError:
-                    value = None
-                if not isinstance(value, dict):
-                    raise ContractError(f"{path}: checkpoint entry {name} is not a JSON object")
-                return value
-
-            spec_dict = json_object("__spec__")
-            keys, known = set(spec_dict), {f.name for f in fields(ModelSpec)}
-            if keys != known:
-                raise ContractError(
-                    f"{path}: checkpoint __spec__ has unknown keys {sorted(keys - known)} "
-                    f"and missing keys {sorted(known - keys)}"
-                )
-            try:
-                spec = ModelSpec(**spec_dict)
-            except ContractError as exc:
-                raise ContractError(f"{path}: checkpoint __spec__ {exc}") from None
+            check("__format__", str(entry("__format__")))
+            spec_text, meta_text = str(entry("__spec__")), str(entry("__meta__"))
+            with naming("__spec__"):
+                spec = build(ModelSpec, json_object(spec_text))
             # every weight shape the spec implies, before any draw allocates it
             for prefix, (widths, _) in _part_layout(spec).items():
                 for i, shape in enumerate(zip(widths[:-1], widths[1:])):
                     entry(f"{prefix}.w{i}", shape)
             model = cls(spec)
             for name, tensor in model.named_params():
-                tensor.data = numbers(name, tensor.data.shape, np.isfinite, "finite real numbers")
-            model.support_radius = numbers(SUPPORT_RADIUS_ENTRY, model.support_radius.shape,
-                                           lambda r: r >= 0.0, "real numbers >= 0 (inf: no cap)")
-            meta = json_object("__meta__")
+                tensor.data = entry(name, tensor.data.shape, RULES["parameter"]).astype(np.float64)
+            radius = entry(SUPPORT_RADIUS_ENTRY, (spec.n_views,), RULES[SUPPORT_RADIUS_ENTRY])
+            model.support_radius = radius.astype(np.float64)
+            with naming("__meta__"):
+                meta = json_object(meta_text)
         return model, meta

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +40,7 @@ from .data import (
 from .errors import ContractError, TrainingDiverged
 from .networks import Model, ModelSpec
 from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence
+from .schema import build, check_fields, check_object, naming
 
 # ablation switch -> the TrainConfig fields it overrides
 _ABLATIONS = {
@@ -53,18 +53,10 @@ ABLATION_SWITCHES = tuple(_ABLATIONS)
 
 HIST_BINS = 20
 
-# JSON values accepted per TrainConfig field annotation; a bool is never a number
-_CONFIG_VALUE_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "bool": (bool,),
-    "int | None": (int, type(None)),
-}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All hyperparameters of one run."""
+    """All hyperparameters of one run; ``schema.RULES`` says what each field holds."""
 
     subspace_dim: int = 64
     gamma: float = 1.0
@@ -83,38 +75,14 @@ class TrainConfig:
     evidence_hidden: int = 64
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ContractError(f"config key {f.name!r} must be finite, got {value!r}")
-        for key in ("gamma", "delta", "eta", "weight_decay"):
-            if getattr(self, key) < 0.0:
-                raise ContractError(f"config key {key!r} must be >= 0, got {getattr(self, key)!r}")
-        if self.learning_rate <= 0.0 or self.epochs < 1 or self.anneal_epochs < 1:
-            raise ContractError("need learning_rate > 0, epochs >= 1, anneal_epochs >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1 when set")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ContractError("train_fraction must lie in (0, 1)")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        check_fields(self)
 
     def to_dict(self):
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload):
-        if not isinstance(payload, dict):
-            raise ContractError(f"config must be a JSON object, got {type(payload).__name__}")
-        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(payload) - set(kinds)
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in payload.items():
-            wanted = _CONFIG_VALUE_TYPES[kinds[key]]
-            if isinstance(value, bool) is not (bool in wanted) or not isinstance(value, wanted):
-                raise ContractError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
-        return cls(**payload)
+        return build(cls, payload, optional=True)
 
     def config_hash(self):
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -243,21 +211,12 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
 
     The model's support radius is fitted on ``ds`` before the first step.
     """
-    spec = ModelSpec(
-        view_dims=ds.view_dims,
-        n_classes=ds.n_classes,
-        subspace_dim=cfg.subspace_dim,
-        disc_hidden=cfg.disc_hidden,
-        evidence_hidden=cfg.evidence_hidden,
-        seed=cfg.seed,
-    )
+    spec = ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim, seed=cfg.seed,
+                     disc_hidden=cfg.disc_hidden, evidence_hidden=cfg.evidence_hidden)
     model = Model(spec)
     model.fit_support(ds.views)
-    optimizer = Adam(
-        model.trainable_params(uniform_attention=cfg.uniform_attention),
-        lr=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-    )
+    optimizer = Adam(model.trainable_params(uniform_attention=cfg.uniform_attention),
+                     lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     y = one_hot(ds.labels, ds.n_classes)
     rng = np.random.default_rng(cfg.seed)
     log_rows = []
@@ -292,24 +251,19 @@ class TrainedModel:
         return self.stats.apply(ds)
 
     def save(self, path):
-        meta = {
-            "config": self.cfg.to_dict(),
-            "config_hash": self.cfg.config_hash(),
-            "stats": self.stats.to_jsonable(),
-        }
+        meta = {"config": self.cfg.to_dict(), "config_hash": self.cfg.config_hash(),
+                "stats": self.stats.to_jsonable()}
         self.model.save(path, extra_meta=meta)
 
     @classmethod
     def load(cls, path):
         model, meta = Model.load(path)
-        try:
-            for key in ("config", "stats"):
-                if key not in meta:
-                    raise ContractError(f"checkpoint __meta__ has no {key} entry")
-            cfg = TrainConfig.from_dict(meta["config"])
-            stats = StandardStats.from_jsonable(meta["stats"], model.spec.view_dims)
-        except ContractError as exc:
-            raise ContractError(f"{path}: {exc}") from None
+        with naming(path, "__meta__"):
+            check_object(meta, ("config", "stats"))
+            with naming("config"):
+                cfg = TrainConfig.from_dict(meta["config"])
+            with naming("stats"):
+                stats = StandardStats.from_jsonable(meta["stats"], model.spec.view_dims)
         return cls(model, cfg, stats)
 
 
@@ -359,13 +313,11 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     """
     model, cfg = trained.model, trained.cfg
     if ds.view_dims != model.spec.view_dims:
-        raise ContractError(
-            f"dataset views {ds.view_dims} do not match model views {model.spec.view_dims}"
-        )
+        raise ContractError(f"dataset views {ds.view_dims} do not match model views "
+                            f"{model.spec.view_dims}")
     if ds.n_classes != model.spec.n_classes:
-        raise ContractError(
-            f"dataset has {ds.n_classes} classes but the model has {model.spec.n_classes}"
-        )
+        raise ContractError(f"dataset has {ds.n_classes} classes but the model has "
+                            f"{model.spec.n_classes}")
     with ad.no_grad():
         bundle = forward_pass(model, ds.views, cfg)
         predictions = np.argmax(bundle.evidence_joint.data, axis=1)
@@ -478,9 +430,8 @@ def ablate(ds: MultiViewDataset, cfg: TrainConfig, switches=()):
     rows = [AblationRow("full", baseline.report.accuracy, 0.0)]
     for switch, variant_cfg in variants:
         result = run_experiment(ds, variant_cfg)
-        rows.append(
-            AblationRow(switch, result.report.accuracy, result.report.accuracy - baseline.report.accuracy)
-        )
+        delta = result.report.accuracy - baseline.report.accuracy
+        rows.append(AblationRow(switch, result.report.accuracy, delta))
     return rows
 
 
@@ -581,16 +532,10 @@ def write_ablation(rows, path):
 
 
 def write_run_meta(cfg: TrainConfig, path, extras=None):
-    payload = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "versions": {
-            "mvtrust": _pkg_version,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-    }
+    versions = {"mvtrust": _pkg_version, "numpy": np.__version__,
+                "python": platform.python_version()}
+    payload = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(), "seed": cfg.seed,
+               "versions": versions}
     payload.update(extras or {})
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

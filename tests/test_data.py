@@ -130,11 +130,15 @@ class TestStandardize:
         np.testing.assert_allclose(test_std.views[0], (100.0 - 1.0) / 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda p: p["means"].pop(), "means must list 2 views"),
-        (lambda p: p["stds"][0].pop(), "stds of view 0 must be 2 finite numbers >= 0"),
-        (lambda p: p["means"][1].__setitem__(0, float("nan")), "means of view 1 must be 3 finite"),
-        (lambda p: p["means"][1].__setitem__(0, True), "means of view 1 must be 3 finite"),
-        (lambda p: p["stds"][1].__setitem__(2, -0.5), "stds of view 1 must be 3 finite numbers >= 0"),
+        (lambda p: p["means"].pop(), "means: must be a list of 2 items, each a list"),
+        (lambda p: p["stds"][0].pop(),
+         "stds[0]: must be a list of 2 items, each a finite number >= 0, got [1.0]"),
+        (lambda p: p["means"][1].__setitem__(0, float("nan")),
+         "means[1][0]: must be a finite number, got nan"),
+        (lambda p: p["means"][1].__setitem__(0, True),
+         "means[1][0]: must be a finite number, got True"),
+        (lambda p: p["stds"][1].__setitem__(2, -0.5),
+         "stds[1][2]: must be a finite number >= 0, got -0.5"),
     ], ids=["view-count", "width", "nan", "bool", "negative-std"])
     def test_bad_stats_named(self, edit, named):
         payload = {"means": [[0.0, 1.0], [0.0, 1.0, 2.0]], "stds": [[1.0, 1.0], [1.0, 0.0, 1.0]]}
@@ -288,7 +292,7 @@ class TestManifestIo:
         manifest = save_dataset(ds, tmp_path / "toy")
         labels_file = tmp_path / "toy" / "labels.tsv"
         labels_file.write_text("".join(f"{i % 2}\n" for i in range(9)))
-        with pytest.raises(DataError, match="row counts"):
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: row counts disagree")):
             load_dataset(manifest)
 
     def test_unparseable_cell_names_file_and_line(self, tmp_path):
@@ -315,13 +319,14 @@ class TestManifestIo:
         with pytest.raises(DataError, match="empty"):
             load_dataset(manifest)
 
-    def test_nan_cell_rejected_with_manifest_path(self, tmp_path):
+    def test_nan_cell_names_view_file_and_line(self, tmp_path):
         manifest = save_dataset(synthesize(2, 1, 5, (3,), seed=8), tmp_path / "toy")
         view_file = tmp_path / "toy" / "view0.tsv"
         lines = view_file.read_text().splitlines()
         lines[3] = "\t".join(["nan"] + lines[3].split("\t")[1:])
         view_file.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=r"manifest\.json: view 0 .* row 3"):
+        named = f"{view_file}:4: cell 'nan' is not a finite number"
+        with pytest.raises(DataError, match=re.escape(named)):
             load_dataset(manifest)
 
     def test_view_entry_without_path_named(self, tmp_path):
@@ -329,16 +334,17 @@ class TestManifestIo:
         payload = json.loads(manifest.read_text())
         del payload["views"][1]["path"]
         manifest.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match=r"manifest\.json: view entry 1 has no 'path'"):
+        with pytest.raises(DataError, match=r"manifest\.json: views\[1\]: path: missing"):
             load_dataset(manifest)
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda m: m.update(labels=5), "manifest key 'labels' must be a str, got 5"),
-        (lambda m: m["views"][0].update(path=3), "view entry 0 has no 'path' string"),
-        (lambda m: m.update(views=5), "manifest key 'views' must be a list, got 5"),
-        (lambda m: m.pop("format"), "manifest is missing key 'format'"),
+        (lambda m: m.update(labels=5), "labels: must be a string, got 5"),
+        (lambda m: m["views"][0].update(path=3), "views[0]: path: must be a string, got 3"),
+        (lambda m: m.update(views=5),
+         "views: must be a list of one or more items, each a JSON object, got 5"),
+        (lambda m: m.pop("format"), "format: missing"),
         (lambda m: m.update(format="other/1"),
-         "manifest key 'format' must be 'mvtrust-dataset/1', got 'other/1'"),
+         "format: must be 'mvtrust-dataset/1', got 'other/1'"),
     ], ids=["labels-int", "path-int", "views-int", "no-format", "wrong-format"])
     def test_bad_manifest_value_named(self, edit, named, tmp_path, capsys):
         manifest = save_dataset(synthesize(2, 1, 5, (3,), seed=8), tmp_path / "toy")
@@ -361,9 +367,9 @@ class TestManifestIo:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("names, named", [
-        ((5, "b"), "view entry 0 needs a 'name' string that no earlier entry uses, got 5"),
+        ((5, "b"), "views[0]: name: must be a string, got 5"),
         (("view0", "view0"),
-         "view entry 1 needs a 'name' string that no earlier entry uses, got 'view0'"),
+         "views[1]: name: must differ from each earlier view's, got 'view0'"),
     ], ids=["not-str", "repeated"])
     def test_bad_view_name_named(self, names, named, tmp_path, capsys):
         manifest = save_dataset(synthesize(2, 2, 5, (3, 2), seed=8), tmp_path / "toy")
@@ -392,8 +398,9 @@ class TestManifestIo:
         np.testing.assert_array_equal(ds.labels, loaded.labels)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DataError, match="not found"):
-            load_dataset(tmp_path / "nope" / "manifest.json")
+        missing = tmp_path / "nope" / "manifest.json"
+        with pytest.raises(DataError, match=re.escape(f"{missing}: No such file or directory")):
+            load_dataset(missing)
 
     @pytest.mark.parametrize("n_classes", ["abc", None, 2.5, 2.0, True, 1, -3],
                              ids=["str", "null", "fraction", "float", "bool", "one", "negative"])
@@ -402,9 +409,8 @@ class TestManifestIo:
         payload = json.loads(manifest.read_text())
         payload["n_classes"] = n_classes
         manifest.write_text(json.dumps(payload))
-        named = (r"manifest\.json: manifest key 'n_classes' must be an integer >= 2, "
-                 rf"got {n_classes!r}")
-        with pytest.raises(DataError, match=named):
+        named = f"{manifest}: n_classes: must be an integer >= 2, got {n_classes!r}"
+        with pytest.raises(DataError, match=re.escape(named)):
             load_dataset(manifest)
 
 

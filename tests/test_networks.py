@@ -24,12 +24,14 @@ class TestMlp:
             ModelSpec(view_dims=(4,), n_classes=2, **{field: 0})
 
     @pytest.mark.parametrize("fields, named", [
-        ({"view_dims": 5}, "view_dims must list integers >= 1, got 5"),
-        ({"view_dims": (4, 2.0)}, "view_dims must list integers >= 1"),
-        ({"view_dims": ()}, "view_dims must list integers >= 1"),
-        ({"n_classes": "4"}, "n_classes must be an integer >= 2, got '4'"),
-        ({"n_classes": True}, "n_classes must be an integer >= 2, got True"),
-        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"view_dims": 5},
+         "view_dims: must be a list of one or more items, each an integer >= 1, got 5"),
+        ({"view_dims": (4, 2.0)}, "view_dims[1]: must be an integer >= 1, got 2.0"),
+        ({"view_dims": ()},
+         "view_dims: must be a list of one or more items, each an integer >= 1, got ()"),
+        ({"n_classes": "4"}, "n_classes: must be an integer >= 2, got '4'"),
+        ({"n_classes": True}, "n_classes: must be an integer >= 2, got True"),
+        ({"seed": -1}, "seed: must be an integer >= 0, got -1"),
     ], ids=["dims-number", "dims-float", "dims-empty", "classes-str", "classes-bool",
             "negative-seed"])
     def test_spec_value_types_named(self, fields, named):
@@ -216,8 +218,9 @@ class TestCheckpoint:
             Model.load(path)
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda spec: spec.update(evidence_activation="relu"), r"unknown keys \['evidence_activation'\]"),
-        (lambda spec: spec.pop("disc_hidden"), r"missing keys \['disc_hidden'\]"),
+        (lambda spec: spec.update(evidence_activation="relu"),
+         "ckpt.npz: __spec__: evidence_activation: unknown key"),
+        (lambda spec: spec.pop("disc_hidden"), "ckpt.npz: __spec__: disc_hidden: missing"),
     ], ids=["unknown", "missing"])
     def test_spec_keys_checked_by_name(self, model, tmp_path, edit, named):
         path = tmp_path / "ckpt.npz"
