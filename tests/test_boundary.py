@@ -234,6 +234,33 @@ def test_checkpoint_meta_stats_key(named, edit, base, tmp_path):
 # -- checkpoint entries ------------------------------------------------------------
 
 
+def _array_cases():
+    """(entry, fill, expected exit) from the rules of a parameter, the support
+    radius and the format; inf is a radius's "no cap"."""
+    cases = [pytest.param("__format__", np.array(RULES["__format__"].kind + "x"), 2,
+                          id="__format__-other-text")]
+    for name, rule in (("mapper0.w0", RULES["parameter"]),
+                       ("__support_radius__", RULES["__support_radius__"])):
+        fills = [("bool", True), ("string", "1"), ("nan", math.nan), ("inf", math.inf),
+                 ("-inf", -math.inf)] + ([("least-minus-1", rule.least - 1)]
+                                         if rule.least > -math.inf else [])
+        for label, fill in fills:
+            expected = 0 if name == "__support_radius__" and label == "inf" else 2
+            cases.append(pytest.param(name, fill, expected, id=f"{name}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("name, fill, expected", _array_cases())
+def test_checkpoint_array_entry(name, fill, expected, base, tmp_path):
+    def edit(arrays):
+        value = arrays[name]
+        arrays[name] = fill if value.ndim == 0 else np.full(value.shape, fill)
+
+    path = _checkpoint(base, tmp_path, edit)
+    assert_named(eval_argv(base, tmp_path, model=path), expected, f"{path}: {name}: ")
+
+
+
 def test_every_entry_mutation_is_exit_two(base, tmp_path):
     """Delete, reshape or re-save as Python objects each entry; fill each
     parameter and the radius with NaN or strings; write __spec__ and
