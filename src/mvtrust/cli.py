@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .data import (
     synthesize,
 )
 from .errors import ContractError, TrainingDiverged
-from .schema import RULES, json_object, naming, read_text
+from .schema import RULES, check, json_object, naming, read_text
 from .pipeline import (
     TrainConfig,
     TrainedModel,
@@ -48,24 +47,9 @@ from .pipeline import (
     write_training_log,
 )
 
-# TrainConfig fields that have a flag, in flag order; schema.RULES gives each its type
+# TrainConfig fields that have a flag, in flag order; schema.RULES gives each its rule
 _CONFIG_FLAGS = ("subspace_dim", "gamma", "delta", "eta", "learning_rate", "weight_decay",
                  "epochs", "anneal_epochs", "batch_size", "seed", "train_fraction")
-
-
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="JSON file with TrainConfig keys")
-    for name in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=RULES[name].kind, dest=name)
-
-
-def _build_config(args):
-    flags = {name: getattr(args, name) for name in _CONFIG_FLAGS}
-    flags = {name: value for name, value in flags.items() if value is not None}
-    if not args.config:
-        return TrainConfig.from_dict(flags)
-    with naming(args.config):
-        return TrainConfig.from_dict({**json_object(read_text(args.config)), **flags})
 
 
 def _comma_list(kind):
@@ -78,18 +62,34 @@ def _comma_list(kind):
     return parse
 
 
-def _positive(kind):
-    """argparse ``type=`` for a count or a tolerance; 0, a negative, NaN, inf or
-    a value of another kind is a usage error."""
+def _flag(key):
+    """argparse ``type=`` that reads a flag as ``schema.RULES[key]``, comma-separated
+    for a list rule; a rejection reads ``argument --<flag>: <key>: must be ...``."""
+    rule = RULES[key]
 
     def parse(text):
-        value = kind(text)
-        if not 0 < value < math.inf:
-            raise ValueError(text)
-        return value
+        try:
+            value = _comma_list(rule.kind)(text) if rule.each else rule.kind(text)
+        except ValueError:
+            value = text  # check rejects the text as it stands
+        with naming(error=argparse.ArgumentTypeError):
+            return check(key, value)
 
-    parse.__name__ = f"positive {kind.__name__}"  # argparse: "invalid <name> value"
     return parse
+
+
+def _add_config_flags(parser):
+    parser.add_argument("--config", help="JSON file with TrainConfig keys")
+    for name in _CONFIG_FLAGS:
+        parser.add_argument(f"--{name.replace('_', '-')}", type=_flag(name), dest=name)
+
+
+def _build_config(args):
+    flags = {name: getattr(args, name) for name in _CONFIG_FLAGS if getattr(args, name) is not None}
+    if not args.config:
+        return TrainConfig.from_dict(flags)
+    with naming(args.config):
+        return TrainConfig.from_dict({**json_object(read_text(args.config)), **flags})
 
 
 def _cmd_synth(args):
@@ -199,20 +199,20 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic multi-view dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--classes", type=_flag("n_classes"), default=4)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--dims", type=_comma_list(int), default="20,30,25",
+    p.add_argument("--dims", type=_flag("view_dims"), default="20,30,25",
                    help="comma-separated view widths")
-    p.add_argument("--separation", type=float, default=2.5)
+    p.add_argument("--separation", type=_flag("separation"), default=2.5)
     p.add_argument("--nuisance", type=_comma_list(float), default="0.3",
                    help="nuisance column ratio: one for every view, or one per view")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset manifest")
     p.add_argument("--data", required=True, help="path to manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--trials", type=_positive(int), default=1)
+    p.add_argument("--trials", type=_flag("trials"), default=1)
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_train)
 
@@ -222,13 +222,13 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", action="store_true", help="evaluate only the seeded test split")
     corruption = p.add_mutually_exclusive_group()
-    corruption.add_argument("--noise-sigma", type=float, default=None)
-    corruption.add_argument("--conflict-fraction", type=float, default=None)
-    p.add_argument("--noise-fraction", type=float, default=None,
+    corruption.add_argument("--noise-sigma", type=_flag("sigma"), default=None)
+    corruption.add_argument("--conflict-fraction", type=_flag("fraction"), default=None)
+    p.add_argument("--noise-fraction", type=_flag("fraction"), default=None,
                    help="share of rows --noise-sigma corrupts (default 0.1)")
-    p.add_argument("--corrupt-views", type=_comma_list(int), default=None,
+    p.add_argument("--corrupt-views", type=_flag("corrupt_views"), default=None,
                    help="comma-separated view indices of the corruption")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("sweep", help="noise sweep over a checkpoint")
@@ -236,9 +236,9 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--holdout", action="store_true")
-    p.add_argument("--sigmas", type=_comma_list(float), default="0,1,10,100,10000")
-    p.add_argument("--noise-fraction", type=float, default=1.0)
-    p.add_argument("--corruption-seed", type=int, default=0)
+    p.add_argument("--sigmas", type=_flag("sigmas"), default="0,1,10,100,10000")
+    p.add_argument("--noise-fraction", type=_flag("fraction"), default=1.0)
+    p.add_argument("--corruption-seed", type=_flag("seed"), default=0)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("ablate", help="train ablation variants under identical seeds")
@@ -250,8 +250,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference validation of every loss")
-    p.add_argument("--seeds", type=_positive(int), default=20)
-    p.add_argument("--tol", type=_positive(float), default=1e-4)
+    p.add_argument("--seeds", type=_flag("seeds"), default=20)
+    p.add_argument("--tol", type=_flag("tol"), default=1e-4)
     p.set_defaults(fn=_cmd_gradcheck)
     return parser
 

@@ -90,20 +90,17 @@ def synthesize(n_classes, n_views, n_samples, view_dims, separation=2.5, nuisanc
     standard-normal noise.  Pass a per-view sequence to give views unequal
     quality.  Labels are balanced within one sample per class.
     """
-    if n_classes < 2 or n_views < 1 or n_samples < n_classes:
-        raise ContractError("synthesize: need q >= 2, v >= 1 and n >= q")
-    view_dims = tuple(int(d) for d in view_dims)
-    if len(view_dims) != n_views or any(d < 1 for d in view_dims):
-        raise ContractError(f"synthesize: need {n_views} positive view dims, got {view_dims}")
+    check("n_classes", n_classes)
+    check("view_dims", view_dims, length=n_views)
+    check("seed", seed)
+    check("separation", separation)
+    if n_samples < n_classes:
+        raise ContractError(f"synthesize: n_samples {n_samples} is below n_classes {n_classes}")
     if np.isscalar(nuisance_ratio):
         nuisance_ratio = (float(nuisance_ratio),) * n_views
     nuisance_ratio = tuple(float(r) for r in nuisance_ratio)
     if len(nuisance_ratio) != n_views or any(not 0.0 <= r < 1.0 for r in nuisance_ratio):
         raise ContractError("synthesize: nuisance ratios must lie in [0, 1), one per view")
-    if seed < 0:
-        raise ContractError(f"synthesize: seed must be >= 0, got {seed}")
-    if not np.isfinite(separation):
-        raise ContractError(f"synthesize: separation must be finite, got {separation!r}")
     rng = np.random.default_rng(seed)
 
     centers = rng.normal(size=(n_classes, LATENT_DIM))
@@ -224,16 +221,12 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian_noise", "view_misalign"):
             raise ContractError(f"unknown corruption kind {self.kind!r}")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ContractError("corruption fraction must lie in [0, 1]")
-        if self.kind == "gaussian_noise" and not 0.0 < (self.sigma or 0.0) < np.inf:
-            raise ContractError(f"gaussian_noise needs a finite sigma > 0, got {self.sigma!r}")
-        if self.seed < 0:
-            raise ContractError(f"corruption seed must be >= 0, got {self.seed}")
+        check("fraction", self.fraction)
+        if self.kind == "gaussian_noise":
+            check("sigma", self.sigma)
+        check("seed", self.seed)
         if self.views is not None:
-            object.__setattr__(self, "views", tuple(int(i) for i in self.views))
-            if not self.views:
-                raise ContractError("corruption views must name at least one view, or be None")
+            object.__setattr__(self, "views", tuple(map(int, check("corrupt_views", self.views))))
             repeated = sorted({i for i in self.views if self.views.count(i) > 1})
             if repeated:
                 raise ContractError(
@@ -249,10 +242,8 @@ def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, corrupt_row):
         raise ContractError(f"expected a {kind} spec, got a {spec.kind} spec")
     n, v = ds.n_samples, ds.n_views
     for i in spec.views or ():
-        if not 0 <= i < v:
-            raise ContractError(
-                f"corruption view index {i} outside [0, {v}): dataset has {v} views"
-            )
+        if i >= v:
+            raise ContractError(f"corruption view index {i} outside [0, {v}): dataset has {v} views")
     rng = np.random.default_rng(spec.seed)
     views = [x.copy() for x in ds.views]
     mask = np.zeros((n, v), dtype=bool)

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from . import special
 from .errors import ContractError
 from .opinions import conflict_degree
+from .schema import check
 from .special import lgamma as _lgamma_value
 
 log = logging.getLogger(__name__)
@@ -51,9 +52,7 @@ class LossBreakdown:
 
 def lambda_schedule(epoch, anneal_epochs):
     """Annealing coefficient ramping linearly from 0 to 1."""
-    if anneal_epochs < 1:
-        raise ContractError("anneal_epochs must be >= 1")
-    return min(1.0, epoch / anneal_epochs)
+    return min(1.0, epoch / check("anneal_epochs", anneal_epochs))
 
 
 # ---------------------------------------------------------------------------

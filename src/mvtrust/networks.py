@@ -239,13 +239,15 @@ class Model:
             spec_text, meta_text = str(entry("__spec__")), str(entry("__meta__"))
             with naming("__spec__"):
                 spec = build(ModelSpec, json_object(spec_text))
-            # every weight shape the spec implies, before any draw allocates it
-            for prefix, (widths, _) in _part_layout(spec).items():
-                for i, shape in enumerate(zip(widths[:-1], widths[1:])):
-                    entry(f"{prefix}.w{i}", shape)
+            # every weight shape the spec implies, read before any draw allocates it
+            arrays = {f"{prefix}.w{i}": entry(f"{prefix}.w{i}", shape, RULES["parameter"])
+                      for prefix, (widths, _) in _part_layout(spec).items()
+                      for i, shape in enumerate(zip(widths[:-1], widths[1:]))}
             model = cls(spec)
             for name, tensor in model.named_params():
-                tensor.data = entry(name, tensor.data.shape, RULES["parameter"]).astype(np.float64)
+                if name not in arrays:
+                    arrays[name] = entry(name, tensor.data.shape, RULES["parameter"])
+                tensor.data = arrays[name].astype(np.float64)
             radius = entry(SUPPORT_RADIUS_ENTRY, (spec.n_views,), RULES[SUPPORT_RADIUS_ENTRY])
             model.support_radius = radius.astype(np.float64)
             with naming("__meta__"):

@@ -40,7 +40,7 @@ from .data import (
 from .errors import ContractError, TrainingDiverged
 from .networks import Model, ModelSpec
 from .opinions import conflict_degree, evidence_to_opinion, fuse_evidence
-from .schema import build, check_fields, check_object, naming
+from .schema import build, check, check_fields, check_object, naming
 
 # ablation switch -> the TrainConfig fields it overrides
 _ABLATIONS = {
@@ -390,19 +390,17 @@ def run_noise_sweep(trained: TrainedModel, test_ds: MultiViewDataset, sigmas, fr
 
     Reusing one seed keeps the corrupted instances, views, and noise
     directions identical across sigma values, so only the scale varies.
-    Every spec is built before the first evaluate, so a bad seed, fraction
-    or sigma fails before any work.
+    The fraction and seed are checked before the first evaluate, whatever
+    the sigmas; a sigma is checked when its corruption is built.
     """
-    specs = [
-        None if sigma == 0
-        else CorruptionSpec("gaussian_noise", fraction, sigma=float(sigma), seed=seed)
-        for sigma in sigmas
-    ]
+    check("fraction", fraction)
+    check("seed", seed)
     rows = []
-    for sigma, spec in zip(sigmas, specs):
-        if spec is None:
+    for sigma in sigmas:
+        if sigma == 0:
             report = evaluate(trained, test_ds)
         else:
+            spec = CorruptionSpec("gaussian_noise", fraction, sigma=float(sigma), seed=seed)
             corrupted, mask = inject_noise(test_ds, spec)
             report = evaluate(trained, corrupted, mask)
         rows.append(SweepRow(float(sigma), report.accuracy, float(report.joint_uncertainty.mean())))

@@ -2,10 +2,10 @@
 
 ``RULES`` holds one rule per field name: the manifest's keys and view
 entries, the ``TrainConfig`` and ``ModelSpec`` fields (a name both have, such
-as ``seed``, has one rule), and the checkpoint's entries, ``__meta__`` keys and
-statistics.  ``check`` rejects a value as ``<key>: <what is wrong>`` and
-``naming`` puts the file in front: ``<file>: <key>: <what is wrong>``, with the
-entry between them for a key inside a checkpoint entry.
+as ``seed``, has one rule), the other API arguments and flags, and the
+checkpoint's entries, ``__meta__`` keys and statistics.  ``check`` rejects a
+value as ``<key>: <what is wrong>``; ``naming`` puts the file (and the entry
+of a key inside a checkpoint entry) in front: ``<file>: <key>: <what is wrong>``.
 """
 
 from __future__ import annotations
@@ -96,6 +96,13 @@ RULES = {
     "learning_rate": Rule(float, least=0, open=True),
     "train_fraction": Rule(float, least=0, most=1, open=True),
     **dict.fromkeys(("bypass_h1", "uniform_attention"), Rule(bool)),
+    # synthesize and corruption arguments, and the counts and tolerance of train and gradcheck
+    "separation": Rule(float),
+    "fraction": Rule(float, least=0, most=1),
+    **dict.fromkeys(("sigma", "tol"), Rule(float, least=0, open=True)),
+    "sigmas": Rule(float, least=0, each=True),
+    "corrupt_views": Rule(int, least=0, each=True),
+    **dict.fromkeys(("trials", "seeds"), Rule(int, least=1)),
     # checkpoint entries, __meta__ keys, and one view's standardization row
     "__format__": Rule(CHECKPOINT_FORMAT),
     "parameter": Rule(float),

@@ -12,6 +12,11 @@ The rule for all of them: the command exits 0, or it exits 2 with an error
 that names the file and the key, entry or line.  It never exits 1.  A dropped
 optional key or an added key that an open object allows gives exit 0; every
 other mutation gives exit 2.
+
+The same mutations, written as text, break each command-line flag that has a
+rule: argparse rejects each with exit 2, naming the flag and the key, before
+any file is read.  As Python values they break each argument of the Python
+API that has a rule, which raises a ContractError naming the key.
 """
 
 import contextlib
@@ -19,16 +24,20 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvtrust.cli import _CONFIG_FLAGS
 from mvtrust.cli import main as cli_main
-from mvtrust.data import save_dataset, synthesize
+from mvtrust.data import CorruptionSpec, save_dataset, synthesize
+from mvtrust.errors import ContractError
+from mvtrust.losses import lambda_schedule
 from mvtrust.networks import ModelSpec
-from mvtrust.pipeline import TrainConfig
+from mvtrust.pipeline import TrainConfig, run_noise_sweep
 from mvtrust.schema import RULES
 
 DROP = object()  # the mutation that deletes a key
@@ -92,10 +101,13 @@ def edited(payload, key, value):
 
 
 def outcome(argv):
-    """(exit code, stderr) of one CLI run."""
+    """(exit code, stderr) of one CLI run; argparse exits on a usage error."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main([str(arg) for arg in argv])
+        try:
+            code = cli_main([str(arg) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -408,3 +420,106 @@ def test_out_that_is_a_file_is_named(argv, base, tmp_path):
     out.write_text("a file\n")
     code, err = outcome(argv(base, out))
     assert (code, err) == (2, f"error: {out}: File exists\n")
+
+
+# -- command-line flags and Python API arguments -------------------------------------
+
+# a valid value of each list rule that a flag or an argument has
+LIST_BASE = {"view_dims": [5, 6], "sigmas": [0, 1], "corrupt_views": [0]}
+CONFIG = [(name.replace("_", "-"), name) for name in _CONFIG_FLAGS]
+# command -> (its other arguments, (flag, rule key) of each flag that has a rule)
+FLAGS = {
+    "synth": (["--out", "out"], [("classes", "n_classes"), ("dims", "view_dims"),
+                                 ("separation", "separation"), ("seed", "seed")]),
+    "train": (["--data", "d.json", "--out", "out"], [("trials", "trials"), *CONFIG]),
+    "eval": (["--model", "m.npz", "--data", "d.json", "--out", "out"], [
+        ("noise-sigma", "sigma"), ("conflict-fraction", "fraction"),
+        ("noise-fraction", "fraction"), ("corrupt-views", "corrupt_views"), ("seed", "seed")]),
+    "sweep": (["--model", "m.npz", "--data", "d.json", "--out", "out"], [
+        ("sigmas", "sigmas"), ("noise-fraction", "fraction"), ("corruption-seed", "seed")]),
+    "ablate": (["--data", "d.json", "--out", "out"], CONFIG),
+    "gradcheck": ([], [("seeds", "seeds"), ("tol", "tol")]),
+}
+
+
+def flag_text(value):
+    """A mutation's value as a flag's text: JSON, comma-separated for a list."""
+    return ",".join(map(json.dumps, value)) if isinstance(value, list) else json.dumps(value)
+
+
+def flag_cases():
+    """pytest params (argv, flag, key): each mutation of each flag's rule, as
+    text.  A dropped flag takes its default and one number is a list of one,
+    so neither is a mutation of a flag."""
+    cases = []
+    for command, (inputs, flags) in FLAGS.items():
+        for flag, key in flags:
+            rule = RULES[key]
+            for label, value in mutations(rule, LIST_BASE.get(key)):
+                if value is not DROP and not (rule.each and label == "number"):
+                    argv = [command, *inputs, f"--{flag}={flag_text(value)}"]
+                    cases.append(pytest.param(argv, flag, key, id=f"{command}-{flag}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("argv, flag, key", flag_cases())
+def test_flag_rejected_as_parsed(argv, flag, key, tmp_path, monkeypatch):
+    """No file the command names exists, so only parsing can reject it."""
+    monkeypatch.chdir(tmp_path)
+    code, err = outcome(argv)
+    assert code == 2 and f"error: argument --{flag}: {key}" in err, err
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--sigmas", "0", "--noise-fraction", "5"], "noise-fraction"),
+    (["sweep", "--sigmas", "0", "--corruption-seed=-1"], "corruption-seed"),
+    (["sweep", "--sigmas", ","], "sigmas"),
+    (["eval", "--seed=-1"], "seed"),
+    (["train", "--config", "config.json", "--epochs", "0"], "epochs"),
+], ids=["sweep-clean-fraction", "sweep-clean-seed", "sweep-no-sigma", "eval-clean-seed",
+        "train-flag-over-config"])
+def test_flag_a_run_would_not_use_is_rejected(argv, flag, base, tmp_path):
+    """A flag is checked although the run would not use it, and a bad flag
+    over a good --config file is not blamed on the file."""
+    inputs = {"sweep": ["--model", base[0] / "run" / "checkpoint.npz"],
+              "eval": ["--model", base[0] / "run" / "checkpoint.npz"], "train": []}[argv[0]]
+    argv = [base[0] / arg if arg == "config.json" else arg for arg in argv]
+    code, err = outcome([*argv, *inputs, "--data", base[0] / "data" / "manifest.json",
+                         "--out", tmp_path / "out"])
+    assert code == 2 and f"error: argument --{flag}: " in err and "config.json" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# function -> (valid keyword arguments, {argument: rule key} of each argument that has a rule)
+API = {
+    synthesize: (dict(n_classes=2, n_views=2, n_samples=20, view_dims=[5, 6], separation=2.5,
+                      seed=0), {"n_classes": "n_classes", "view_dims": "view_dims",
+                                "seed": "seed", "separation": "separation"}),
+    CorruptionSpec: (dict(kind="gaussian_noise", fraction=0.5, sigma=1.0, views=[0], seed=0),
+                     {"fraction": "fraction", "sigma": "sigma", "views": "corrupt_views",
+                      "seed": "seed"}),
+    lambda_schedule: (dict(epoch=1, anneal_epochs=5), {"anneal_epochs": "anneal_epochs"}),
+    # both are checked before the model or the rows are touched
+    run_noise_sweep: (dict(trained=None, test_ds=None, sigmas=[0.0], fraction=0.5, seed=0),
+                      {"fraction": "fraction", "seed": "seed"}),
+}
+
+
+def api_cases():
+    """pytest params (function, keyword arguments, key): each mutation of each
+    argument's rule, but a dropped argument and views=None, which means every view."""
+    cases = []
+    for fn, (kwargs, checked) in API.items():
+        for argument, key in checked.items():
+            for label, value in mutations(RULES[key], kwargs[argument]):
+                if value is not DROP and not (argument == "views" and value is None):
+                    cases.append(pytest.param(fn, {**kwargs, argument: value}, key,
+                                              id=f"{fn.__name__}-{argument}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("fn, kwargs, key", api_cases())
+def test_api_argument_rejected_by_rule(fn, kwargs, key):
+    with pytest.raises(ContractError, match=f"^{re.escape(key)}(\\[0\\])?: must be "):
+        fn(**kwargs)

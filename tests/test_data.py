@@ -54,10 +54,10 @@ class TestSynthesize:
         assert ds.n_views == 2
 
     def test_invalid_sizes(self):
-        with pytest.raises(ContractError):
-            synthesize(1, 2, 10, (3, 3))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=re.escape("view_dims: must be a list of 2 items")):
             synthesize(2, 2, 10, (3,))
+        with pytest.raises(ContractError, match="n_samples 1 is below n_classes 2"):
+            synthesize(2, 2, 1, (3, 3))
         with pytest.raises(ContractError):
             synthesize(2, 2, 10, (3, 3), nuisance_ratio=1.0)
 
@@ -204,12 +204,15 @@ class TestInjectNoise:
         )
         assert mask[:, 2].all() and not mask[:, :2].any()
 
-    @pytest.mark.parametrize("view", [3, -1])
-    def test_view_index_out_of_range_named(self, view):
+    @pytest.mark.parametrize("view, named", [
+        (3, "index 3 outside [0, 3)"),
+        (-1, "corrupt_views[1]: must be an integer >= 0, got -1"),
+    ], ids=["3", "-1"])
+    def test_view_index_out_of_range_named(self, view, named):
         ds = synthesize(2, 3, 20, (4, 4, 4), seed=6)
-        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, views=(0, view), seed=1)
-        with pytest.raises(ContractError, match=rf"index {view} outside \[0, 3\)"):
-            inject_noise(ds, spec)
+        with pytest.raises(ContractError, match=re.escape(named)):
+            inject_noise(ds, CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, views=(0, view),
+                                            seed=1))
 
     def test_repeated_view_index_named(self):
         with pytest.raises(ContractError, match=r"\(1, 0, 1\) repeat index 1"):
@@ -227,15 +230,12 @@ class TestInjectNoise:
 
     @pytest.mark.parametrize("kind", ["gaussian_noise", "view_misalign"])
     def test_empty_views_named(self, kind):
-        with pytest.raises(ContractError, match="corruption views must name at least one view"):
+        named = "corrupt_views: must be a list of one or more items, each an integer >= 0"
+        with pytest.raises(ContractError, match=re.escape(f"{named}, got ()")):
             CorruptionSpec(kind, 0.5, sigma=1.0, views=(), seed=1)
 
     def test_spec_validation(self):
-        with pytest.raises(ContractError):
-            CorruptionSpec("gaussian_noise", 0.5)  # sigma missing
-        with pytest.raises(ContractError):
-            CorruptionSpec("gaussian_noise", 1.5, sigma=1.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="unknown corruption kind 'saturation'"):
             CorruptionSpec("saturation", 0.5)
 
 
@@ -269,12 +269,14 @@ class TestInjectConflict:
         with pytest.raises(DataError):
             inject_conflict(ds, CorruptionSpec("view_misalign", 0.5, seed=1))
 
-    @pytest.mark.parametrize("view", [2, -1])
-    def test_view_index_out_of_range_named(self, view):
+    @pytest.mark.parametrize("view, named", [
+        (2, "index 2 outside [0, 2)"),
+        (-1, "corrupt_views[0]: must be an integer >= 0, got -1"),
+    ], ids=["2", "-1"])
+    def test_view_index_out_of_range_named(self, view, named):
         ds = synthesize(2, 2, 30, (4, 4), seed=6)
-        spec = CorruptionSpec("view_misalign", 0.5, views=(view,), seed=1)
-        with pytest.raises(ContractError, match=rf"index {view} outside \[0, 2\)"):
-            inject_conflict(ds, spec)
+        with pytest.raises(ContractError, match=re.escape(named)):
+            inject_conflict(ds, CorruptionSpec("view_misalign", 0.5, views=(view,), seed=1))
 
 
 class TestManifestIo:

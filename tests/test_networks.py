@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a.data, b.data)
         assert np.all(np.isfinite(model.support_radius))
         np.testing.assert_array_equal(loaded.support_radius, model.support_radius)
+
+    def test_load_reads_each_entry_once(self, model, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.npz"
+        model.save(path)
+        with np.load(path) as bundle:
+            entries = bundle.files
+        reads = Counter()
+        read = np.lib.npyio.NpzFile.__getitem__
+
+        def counted(bundle, name):
+            reads[name] += 1
+            return read(bundle, name)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+        Model.load(path)
+        assert len(entries) == 35 and reads == Counter(entries)
 
     @staticmethod
     def _load_without(model, path, entry):
