@@ -27,9 +27,9 @@ array and ``detach()`` make constants, and ``_node`` returns a parentless
 constant when no parent requires a gradient, so a constant never holds a
 graph.  ``backward`` neither visits a constant nor calls the closure of a
 constant parent, so no op computes an adjoint that would be dropped; a
-fused node, below, is the exception.  Only ``_node`` and ``backward`` read
-``requires_grad``.  Inside ``no_grad()`` every op returns a constant, so
-inference builds no graph at all.
+fused loss node, below, is the exception.  Only ``_node``, ``dense`` and
+``backward`` read ``requires_grad``.  Inside ``no_grad()`` every op returns
+a constant, so inference builds no graph at all.
 
 ``backward`` stores a node's first adjoint into ``np.empty_like(data)`` and
 adds later ones in with ``+=``.  The stored array takes the layout of the
@@ -45,7 +45,8 @@ to an outside node, in the order in which ``backward`` would deliver them.
 One ``vjp`` maps the node's adjoint to every entry's adjoint at once,
 running the composed graph's closures and reductions in their order; the
 first closure ``backward`` calls runs it and the others take their entry
-from its result, the entries of a constant parent included.  ``backward``
+from its result.  The entry of a constant parent is never taken, so a
+``vjp`` may leave it ``None``, as ``dense`` does.  ``backward``
 then unbroadcasts and adds each entry on its own, so every sum into a
 parent's ``grad`` runs in the composed graph's order and the adjoints are
 bit-identical to it.  One topology breaks that: where an input feeds
@@ -54,12 +55,19 @@ another input that comes first in the parent tuple, as ``x`` does in
 ``x`` between its own two, so the same terms are summed in another order.
 No caller in the package passes such inputs.  ``unbroadcast`` serves the
 reductions inside a ``vjp``.
+
+``dense`` is the fused node of a stack of dense layers.  Each activation
+is one ``Activation`` whose adjoint reads only the activation's output, so
+the ``Tensor`` methods and ``dense`` share it and ``dense`` can run the
+activation in place.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,9 +163,7 @@ class Tensor:
         return _node(-self.data, (self,), (lambda g: -g,))
 
     def relu(self):
-        # subgradient at 0 is 0: dead units stay dead deterministically
-        active = self.data > 0.0
-        return _node(np.maximum(self.data, 0.0), (self,), (lambda g: g * active,))
+        return self._activate(RELU)
 
     def exp(self):
         value = np.exp(self.data)
@@ -170,21 +176,16 @@ class Tensor:
         return _node(np.log(a), (self,), (lambda g: g / a,))
 
     def sigmoid(self):
-        z = np.exp(-np.abs(self.data))
-        s = np.where(self.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return _node(s, (self,), (lambda g: g * s * (1.0 - s),))
+        return self._activate(SIGMOID)
 
     def softmax_rows(self):
         if self.data.ndim < 1:
             raise ShapeError("softmax_rows: needs at least one axis")
-        z = np.exp(self.data - self.data.max(axis=-1, keepdims=True))
-        s = z / z.sum(axis=-1, keepdims=True)
+        return self._activate(SOFTMAX_ROWS)
 
-        def adjoint(g):
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            return (g - inner) * s
-
-        return _node(s, (self,), (adjoint,))
+    def _activate(self, activation):
+        value = activation.forward(self.data)
+        return _node(value, (self,), (lambda g: activation.adjoint(g, value),))
 
     def clamp(self, lo=None, hi=None):
         passthrough = np.ones_like(self.data, dtype=bool)
@@ -256,14 +257,18 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+def _makes_node(parents):
+    """False inside ``no_grad()`` and where no parent requires a gradient."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _node(value, parents, adjoints):
     """The one constructor of interior nodes; ``adjoints`` holds one closure
     per parent, as the module docstring describes.
 
-    The node is a parentless constant when no parent requires a gradient or
-    inside ``no_grad()``.
+    The node is a parentless constant where ``_makes_node`` is False.
     """
-    if not (_grad_mode.enabled and any(p.requires_grad for p in parents)):
+    if not _makes_node(parents):
         return _constant(value)
     out = Tensor(value)
     out._parents = parents
@@ -280,10 +285,73 @@ def fused(value, parents, vjp):
         def adjoint(g):
             if not adjoints:
                 adjoints.extend(vjp(g))
-            return adjoints[i]
+            # each entry is taken once; the node keeps no adjoint after it
+            taken, adjoints[i] = adjoints[i], None
+            return taken
         return adjoint
 
     return _node(value, parents, tuple(entry(i) for i in range(len(parents))))
+
+
+def dense(x, weights, biases, output, split=False):
+    """Dense layers ``h @ w + b`` over ``x``, ReLU after each but the last and
+    the ``Activation`` ``output`` after it, as one fused node over the parent
+    entries ``(x, w0, b0, w1, b1, ...)``.
+
+    The forward is the composed graph's numpy sequence, with each layer's
+    bias add and activation run in place on its matmul's result.  The vjp
+    runs each layer's activation, add and matmul adjoints in reverse; it
+    computes no entry of a constant parent and stops at the first layer
+    with no entry to compute before it.  Where no node is made, no layer
+    input is kept for it.
+
+    With ``split`` it returns two nodes over one forward: the first takes
+    ``x`` as a constant, so its adjoints reach only the parameters; the
+    second takes the parameters as constants, so its adjoints reach only
+    ``x``.
+    """
+    x = lift(x)
+    if x.data.ndim < 2:
+        raise ShapeError(f"dense: input must be >= 2-d, got {x.shape}")
+    params = tuple(p for layer in zip(weights, biases) for p in layer)
+    if split:
+        groups = ((x.detach(), *params), (x, *(p.detach() for p in params)))
+    else:
+        groups = ((x, *params),)
+    needs = [tuple(p.requires_grad for p in group) if _makes_node(group) else None
+             for group in groups]
+    ws = [w.data for w in weights]
+    activations = [RELU] * (len(ws) - 1) + [output]
+    # the input, then each layer's output: what the vjp reads
+    values = [x.data] if any(needs) else None
+    h = x.data
+    for w, b, activation in zip(ws, biases, activations):
+        h = np.matmul(h, w)
+        h += b.data
+        h = activation.forward(h, overwrite=True)
+        if values is not None:
+            values.append(h)
+
+    def vjp(g, need):
+        entries = [None] * len(need)
+        for i in reversed(range(len(ws))):
+            g = activations[i].adjoint(g, values[i + 1])
+            if need[2 * i + 2]:
+                entries[2 * i + 2] = g
+            if need[2 * i + 1]:
+                entries[2 * i + 1] = np.matmul(np.swapaxes(values[i], -1, -2), g)
+            if not any(need[: 2 * i + 1]):
+                break
+            g = np.matmul(g, np.swapaxes(ws[i], -1, -2))
+        else:
+            entries[0] = g
+        return entries
+
+    nodes = tuple(
+        _constant(h) if need is None else fused(h, group, lambda g, need=need: vjp(g, need))
+        for group, need in zip(groups, needs)
+    )
+    return nodes if split else nodes[0]
 
 
 def _check_broadcast(op, a, b):
@@ -326,6 +394,52 @@ def stack(tensors):
         tensors,
         tuple((lambda g, i=i: g[i]) for i in range(len(tensors))),
     )
+
+
+# ---------------------------------------------------------------------------
+# activations
+
+
+class Activation(NamedTuple):
+    """An activation, written once for ``Tensor`` and ``dense``.
+
+    ``forward(a, overwrite=False)`` is its value, computed into ``a`` itself
+    where ``overwrite`` allows it; ``adjoint(g, value)`` maps the adjoint of
+    that value to the adjoint of ``a`` and reads only the value.
+    """
+
+    forward: Callable
+    adjoint: Callable
+
+
+def _relu(a, overwrite=False):
+    return np.maximum(a, 0.0, out=a if overwrite else None)
+
+
+def _relu_adjoint(g, value):
+    # value > 0 exactly where the input is; the subgradient at 0 is 0, so
+    # dead units stay dead deterministically
+    return g * (value > 0.0)
+
+
+def _sigmoid(a, overwrite=False):
+    z = np.exp(-np.abs(a))
+    return np.where(a >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _softmax_rows(a, overwrite=False):
+    z = np.exp(a - a.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def _softmax_rows_adjoint(g, value):
+    inner = (g * value).sum(axis=-1, keepdims=True)
+    return (g - inner) * value
+
+
+RELU = Activation(_relu, _relu_adjoint)
+SIGMOID = Activation(_sigmoid, lambda g, value: g * value * (1.0 - value))
+SOFTMAX_ROWS = Activation(_softmax_rows, _softmax_rows_adjoint)
 
 
 # ---------------------------------------------------------------------------

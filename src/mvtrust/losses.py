@@ -11,6 +11,7 @@ gradients flow back to whatever leaves produced the inputs.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -136,6 +137,12 @@ def ace_loss(alpha, y):
     return ad.fused(rows.mean(), (alpha, alpha), vjp)
 
 
+@functools.cache
+def _log_gamma_of_count(q):
+    """lnGamma(q) of a class count ``q``, computed once per count."""
+    return float(_lgamma_value(float(q)))
+
+
 def _masked_kl(alpha, y):
     """Batch mean of KL[Dir(alpha_tilde) || Dir(1)] with alpha_tilde = alpha * (1 - y) + y.
 
@@ -152,9 +159,8 @@ def _masked_kl(alpha, y):
     psi, psi1, log_gamma = special.polygamma_pass(
         np.concatenate([tilde, strength], axis=-1), with_lgamma=True
     )
-    log_norm = log_gamma[..., q:] - log_gamma[..., :q].sum(axis=-1, keepdims=True) - float(
-        _lgamma_value(float(q))
-    )
+    log_norm = (log_gamma[..., q:] - log_gamma[..., :q].sum(axis=-1, keepdims=True)
+                - _log_gamma_of_count(q))
     excess = tilde - 1.0
     gap = psi[..., :q] - psi[..., q:]
     total = log_norm + (excess * gap).sum(axis=-1, keepdims=True)

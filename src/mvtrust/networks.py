@@ -9,6 +9,12 @@ inter-view attention.  Each view also carries a support radius, fitted on
 the training rows, that caps evidence on inputs far outside them.  Forward
 passes on shared read-only parameters are safe concurrently; mutation
 belongs to the training loop.
+
+Each sub-network call is one ``autodiff.dense`` node.  The discriminator
+runs once per training step and returns two nodes over that forward pass:
+one for its own cross-entropy, whose adjoints reach only its parameters,
+and one for the encoders' confusion term, whose adjoints reach only the
+common codes.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ class Mlp:
     """Dense layers with uniform fan-in initialization (+-1/sqrt(fan_in)).
 
     ``widths`` lists the layer widths, input first; hidden layers are ReLU
-    and ``output`` is the ``Tensor`` method the last layer applies
-    (``Tensor.relu``, ``Tensor.softmax_rows`` or ``Tensor.sigmoid``).
+    and ``output`` is the ``autodiff.Activation`` of the last layer
+    (``RELU``, ``SOFTMAX_ROWS`` or ``SIGMOID``).  A forward pass is one
+    ``autodiff.dense`` node over the input and every weight and bias.
     """
 
     def __init__(self, widths, output, seed):
@@ -46,18 +53,13 @@ class Mlp:
             self.weights.append(ad.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
             self.biases.append(ad.Tensor(rng.uniform(-bound, bound, size=fan_out)))
 
-    def forward(self, x, detach_params=False):
+    def forward(self, x, split=False):
+        """The layers over ``x``; ``split`` as in ``autodiff.dense``."""
         if x.shape[-1] != self.widths[0]:
             raise ShapeError(
                 f"mlp: input width {x.shape[-1]} does not match expected {self.widths[0]}"
             )
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if detach_params:
-                w, b = w.detach(), b.detach()
-            x = x @ w + b
-            x = self.output(x) if i == last else x.relu()
-        return x
+        return ad.dense(x, self.weights, self.biases, self.output, split=split)
 
     def named_params(self, prefix):
         out = []
@@ -91,14 +93,14 @@ class ModelSpec:
 def _part_layout(spec):
     """Each part's checkpoint prefix -> (layer widths, output op), in seed order."""
     v, l, q = spec.n_views, spec.subspace_dim, spec.n_classes
-    relu = ad.Tensor.relu
+    relu = ad.RELU
     evidence = (l, spec.evidence_hidden, q)
     return {
         **{f"mapper{i}": ((d, l), relu) for i, d in enumerate(spec.view_dims)},
         "common": ((l, l), relu),
         **{f"specific{i}": ((d, l), relu) for i, d in enumerate(spec.view_dims)},
-        "disc": ((l, spec.disc_hidden, v), ad.Tensor.softmax_rows),
-        "pred": ((l, q), ad.Tensor.sigmoid),
+        "disc": ((l, spec.disc_hidden, v), ad.SOFTMAX_ROWS),
+        "pred": ((l, q), ad.SIGMOID),
         "ev_common": (evidence, relu),
         **{f"ev_specific{i}": (evidence, relu) for i in range(v)},
     }
@@ -150,9 +152,12 @@ class Model:
         """View-specific representation of view ``view`` features."""
         return self.parts[f"specific{view}"].forward(x)
 
-    def discriminate(self, c, detach_params=False):
-        """Row-softmax view probabilities for common representations."""
-        return self.parts["disc"].forward(c, detach_params=detach_params)
+    def discriminate(self, c):
+        """Row-softmax view probabilities for common representations, from one
+        forward pass, as two nodes: the first passes adjoints only to the
+        discriminator's parameters (for its own cross-entropy), the second
+        only to ``c`` (for the encoders' confusion term)."""
+        return self.parts["disc"].forward(c, split=True)
 
     def predict_common(self, c):
         """Per-class sigmoid outputs of the common prediction head."""

@@ -179,8 +179,9 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
 
     # adversarial split: D sees detached representations, encoders a frozen D
     z_rows = np.kron(np.eye(n_views), np.ones((n, 1)))
-    disc_ce = L.cross_entropy(model.discriminate(common_rows.detach()), z_rows)
-    adv = L.adv_loss(model.discriminate(common_rows, detach_params=True), z_rows)
+    own, confusion = model.discriminate(common_rows)
+    disc_ce = L.cross_entropy(own, z_rows)
+    adv = L.adv_loss(confusion, z_rows)
 
     cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
     com = adv + cml
@@ -224,18 +225,39 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
         lambda_t = L.lambda_schedule(epoch, cfg.anneal_epochs)
         rows, sizes = [], []
         for batch in _batches(ds.n_samples, cfg.batch_size, rng):
-            bundle = forward_pass(model, [v[batch] for v in ds.views], cfg)
-            objective, row = training_objective(model, bundle, y[batch], cfg, lambda_t)
-            if not np.isfinite(row).all():
-                bad = {term: x for term, x in zip(L.LossBreakdown.TERMS, row) if not np.isfinite(x)}
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {bad}", terms=bad)
-            backward(objective)
-            optimizer.step()
-            rows.append(row)
+            views = [v[batch] for v in ds.views]
+            rows.append(_step(model, optimizer, views, y[batch], cfg, lambda_t, epoch))
             sizes.append(batch.size)
         mean = np.average(rows, axis=0, weights=sizes).tolist()
         log_rows.append(L.LossBreakdown(*mean, lambda_t=lambda_t, epoch=epoch))
     return model, log_rows
+
+
+# the ForwardBundle fields the losses read, in the order the forward pass makes them
+_EVIDENCE_STAGES = ("evidence_common", "evidence_specific", "evidence_fused",
+                    "evidence_attended", "evidence_joint")
+
+
+def _step(model, optimizer, views, y, cfg, lambda_t, epoch):
+    """One optimizer step on a batch; returns the logged term values.
+
+    A non-finite evidence stage or loss term raises ``TrainingDiverged``.
+    The step's graph is freed when this returns, before the next forward.
+    """
+    bundle = forward_pass(model, views, cfg)
+    for stage in _EVIDENCE_STAGES:
+        values = getattr(bundle, stage).data
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = {stage: float(values[~finite][0])}
+            raise TrainingDiverged(f"non-finite {stage} at epoch {epoch}: {bad}", terms=bad)
+    objective, row = training_objective(model, bundle, y, cfg, lambda_t)
+    if not np.isfinite(row).all():
+        bad = {term: x for term, x in zip(L.LossBreakdown.TERMS, row) if not np.isfinite(x)}
+        raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {bad}", terms=bad)
+    backward(objective)
+    optimizer.step()
+    return row
 
 
 @dataclass

@@ -7,9 +7,11 @@ Carlo with stdlib lgamma densities, opinion fusion follows the paper's
 opinion-level rules, and attention is evaluated one sample at a time.
 
 The one exception is the last section, the composed graphs of the fused
-loss nodes.  They are references for bit-identity, not for the formulas,
-so they are built from mvtrust's own engine, special functions and
-opinion projections, with test-local digamma, log-gamma and abs nodes.
+loss and layer nodes.  They are references for bit-identity, not for the
+formulas, so they are built from mvtrust's own engine, special functions
+and opinion projections, with test-local digamma, log-gamma and abs nodes
+and test-local activation nodes as ``Tensor`` wrote them before the
+activations were shared with the fused layers.
 """
 
 import math
@@ -269,3 +271,44 @@ def composed_conflict(evidence_a, evidence_b):
     distance = abs_node(p_a - p_b).sum(axis=-1, keepdims=True) * 0.5
     certainty = (1.0 - u_a) * (1.0 - u_b)
     return distance * certainty
+
+
+def relu_node(x):
+    active = x.data > 0.0
+    return ad._node(np.maximum(x.data, 0.0), (x,), (lambda g: g * active,))
+
+
+def sigmoid_node(x):
+    z = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return ad._node(s, (x,), (lambda g: g * s * (1.0 - s),))
+
+
+def softmax_rows_node(x):
+    z = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    s = z / z.sum(axis=-1, keepdims=True)
+
+    def adjoint(g):
+        inner = (g * s).sum(axis=-1, keepdims=True)
+        return (g - inner) * s
+
+    return ad._node(s, (x,), (adjoint,))
+
+
+def composed_dense(x, weights, biases, output):
+    """Matmul, bias-add and activation nodes per layer: ReLU on hidden layers,
+    ``output`` (one of the nodes above) on the last."""
+    h = ad.lift(x)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        h = output(h) if i == last else relu_node(h)
+    return h
+
+
+def composed_discriminate(c, weights, biases, output):
+    """The two passes the discriminator ran before they shared one: on detached
+    codes with live parameters, and on live codes with detached parameters."""
+    own = composed_dense(c.detach(), weights, biases, output)
+    frozen = [p.detach() for p in weights], [p.detach() for p in biases]
+    return own, composed_dense(c, *frozen, output)

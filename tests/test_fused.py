@@ -1,10 +1,11 @@
-"""Fused loss nodes against the composed graphs they replace, bit for bit.
+"""Fused nodes against the composed graphs they replace, bit for bit.
 
-``ace_loss``, ``kl_loss`` and ``conflict_degree`` are one graph node each;
-``oracles`` builds the graph of elementary nodes each used to be.  Both
-are run on the same leaves, and the value and every leaf's adjoint must be
-equal to the last bit.  ``special.polygamma_pass`` must likewise equal the
-single special functions bit for bit.
+``ace_loss``, ``kl_loss``, ``conflict_degree`` and each ``autodiff.dense``
+stack of layers are one graph node each; ``oracles`` builds the graph of
+elementary nodes each used to be.  Both are run on the same leaves, and the
+value and every leaf's adjoint must be equal to the last bit.
+``special.polygamma_pass`` must likewise equal the single special functions
+bit for bit.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from mvtrust import autodiff as ad
 from mvtrust import losses as L
 from mvtrust import special
 from mvtrust.autodiff import Tensor, backward
+from mvtrust.networks import Model, ModelSpec
 from mvtrust.opinions import conflict_degree
 
 
@@ -163,6 +165,141 @@ class TestConflict:
 
         _assert_same(self_conflict(conflict_degree), self_conflict(oracles.composed_conflict),
                      [np.exp(rng.normal(size=(5, 4)))])
+
+
+ACTIVATIONS = {
+    "relu": (ad.RELU, oracles.relu_node),
+    "sigmoid": (ad.SIGMOID, oracles.sigmoid_node),
+    "softmax_rows": (ad.SOFTMAX_ROWS, oracles.softmax_rows_node),
+}
+LAYER_WIDTHS = {"one_layer": (5, 3), "two_layers": (5, 6, 3)}
+
+
+def _layers(rng, widths, rows=7):
+    """An input and the (w0, b0, w1, b1, ...) arrays of ``widths``."""
+    arrays = [rng.normal(size=(rows, widths[0]))]
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        arrays += [rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                   rng.uniform(-bound, bound, size=fan_out)]
+    return arrays
+
+
+def _dense(activation):
+    return lambda x, *p: ad.dense(x, p[0::2], p[1::2], activation)
+
+
+def _composed(node):
+    return lambda x, *p: oracles.composed_dense(x, p[0::2], p[1::2], node)
+
+
+class TestDenseLayers:
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_activation_matches_composed(self, act, rng):
+        # the Tensor methods run the activations the fused layers share
+        activation, node = ACTIVATIONS[act]
+        method = getattr(Tensor, act)
+        a = rng.normal(size=(9, 4))
+        a[0, :2] = 0.0  # the ReLU subgradient at 0
+        _assert_same(method, node, [a])
+        assert method(Tensor(a)).data.tobytes() == activation.forward(a.copy(), True).tobytes()
+
+    @pytest.mark.parametrize("widths", LAYER_WIDTHS)
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_composed(self, widths, act, seed):
+        activation, node = ACTIVATIONS[act]
+        arrays = _layers(np.random.default_rng(seed), LAYER_WIDTHS[widths])
+        _assert_same(_dense(activation), _composed(node), arrays, seed=seed)
+
+    @pytest.mark.parametrize("widths", LAYER_WIDTHS)
+    def test_constant_input(self, widths, rng):
+        # a mapper's or a specific extractor's call on the data
+        arrays = _layers(rng, LAYER_WIDTHS[widths])
+        live = [False] + [True] * (len(arrays) - 1)
+        _assert_same(_dense(ad.RELU), _composed(oracles.relu_node), arrays, live=live)
+
+    @pytest.mark.parametrize("widths", LAYER_WIDTHS)
+    def test_constant_parameters(self, widths, rng):
+        arrays = _layers(rng, LAYER_WIDTHS[widths])
+        live = [True] + [False] * (len(arrays) - 1)
+        _assert_same(_dense(ad.SOFTMAX_ROWS), _composed(oracles.softmax_rows_node), arrays,
+                     live=live)
+
+    @pytest.mark.parametrize("live, products", [
+        ([False, True, True, True, True], 3),   # no adjoint for the input
+        ([True, False, False, False, False], 2),  # no weight adjoints
+        ([False, False, False, True, True], 1),  # nothing below the last layer
+    ], ids=["constant-input", "constant-parameters", "last-layer-only"])
+    def test_computes_no_entry_of_a_constant(self, live, products, rng, monkeypatch):
+        arrays = _layers(rng, LAYER_WIDTHS["two_layers"])
+        inputs = [Tensor(a) if on else ad.lift(a) for a, on in zip(arrays, live)]
+        root = _dense(ad.RELU)(*inputs).sum()
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a: calls.append(1) or matmul(*a))
+        backward(root)
+        assert len(calls) == products
+
+    def test_calls_sharing_parameters(self, rng):
+        # the common extractor runs once per view on the same parameters,
+        # and its inputs are nodes of one leaf
+        def calls(layers):
+            def build(x, *p):
+                return ad.stack([layers(x * scale, *p) for scale in (1.0, -0.5, 2.0)])
+            return build
+
+        arrays = _layers(rng, LAYER_WIDTHS["two_layers"])
+        _assert_same(calls(_dense(ad.RELU)), calls(_composed(oracles.relu_node)), arrays)
+
+    def test_all_constant_gives_a_constant(self, rng):
+        arrays = _layers(rng, LAYER_WIDTHS["two_layers"])
+        out = _dense(ad.RELU)(*map(ad.lift, arrays))
+        assert not out.requires_grad and out._parents == ()
+        with ad.no_grad():
+            out = _dense(ad.RELU)(*map(Tensor, arrays))
+        assert not out.requires_grad and out._parents == ()
+        reference = oracles.composed_dense(arrays[0], arrays[1::2], arrays[2::2],
+                                           oracles.relu_node)
+        assert out.data.tobytes() == reference.data.tobytes()
+
+
+class TestDiscriminatePair:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_both_nodes_match_composed(self, seed):
+        def pair(form):
+            def build(c, *p):
+                return ad.stack(form(c, p[0::2], p[1::2]))
+            return build
+
+        def fused(c, weights, biases):
+            return ad.dense(c, weights, biases, ad.SOFTMAX_ROWS, split=True)
+
+        def composed(c, weights, biases):
+            return oracles.composed_discriminate(c, weights, biases, oracles.softmax_rows_node)
+
+        arrays = _layers(np.random.default_rng(seed), (5, 6, 3))
+        _assert_same(pair(fused), pair(composed), arrays, seed=seed)
+
+    def test_model_discriminate_matches_composed(self, rng):
+        # the objective's use: each node feeds its own loss
+        model = Model(ModelSpec(view_dims=(4, 5, 6), n_classes=3, subspace_dim=8,
+                                disc_hidden=6, seed=2))
+        disc = model.parts["disc"]
+        c_data = rng.normal(size=(12, 8))
+        weights = rng.uniform(0.5, 2.0, size=(2, 12, 3))
+        runs = []
+        for discriminate in (model.discriminate, lambda c: oracles.composed_discriminate(
+                c, disc.weights, disc.biases, oracles.softmax_rows_node)):
+            c = Tensor(c_data.copy())
+            own, confusion = discriminate(c)
+            backward((own * weights[0]).sum() + ((confusion * weights[1]).sum() * 0.5).exp())
+            params = [*disc.weights, *disc.biases]
+            runs.append([own.data, confusion.data, c.grad] + [p.grad for p in params])
+            for p in params:
+                p.grad = None
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
 
 
 def _shaped(values, kind):

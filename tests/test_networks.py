@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mvtrust.autodiff import Tensor
+from mvtrust import autodiff as ad
+from mvtrust.autodiff import Tensor, backward
 from mvtrust.errors import ContractError, ShapeError
 from mvtrust.networks import SUPPORT_RADIUS_ENTRY, Mlp, Model, ModelSpec
 
@@ -44,17 +45,22 @@ class TestMlp:
         assert spec.view_dims == (4,) and spec.n_classes == 2
 
     def test_width_mismatch(self):
-        mlp = Mlp((4, 2), Tensor.relu, 0)
+        mlp = Mlp((4, 2), ad.RELU, 0)
         with pytest.raises(ShapeError):
             mlp.forward(Tensor(np.ones((3, 5))))
 
     def test_detached_params_block_gradients(self):
-        from mvtrust.autodiff import backward
-
-        mlp = Mlp((3, 2), Tensor.relu, 0)
+        # split: the first node takes the input as a constant, the second the parameters
+        mlp = Mlp((3, 4, 2), ad.RELU, 0)
         x = Tensor(np.ones((2, 3)))
-        backward(mlp.forward(x, detach_params=True).sum())
-        assert all(w.grad is None for w in mlp.weights)
+        own, confusion = mlp.forward(x, split=True)
+        backward(confusion.sum())
+        assert all(p.grad is None for p in (*mlp.weights, *mlp.biases))
+        assert x.grad is not None
+        x.grad = None
+        backward(own.sum())
+        assert x.grad is None
+        assert all(p.grad is not None for p in (*mlp.weights, *mlp.biases))
 
 
 class TestEncoders:
@@ -85,19 +91,41 @@ class TestEncoders:
             model.encode_common(Tensor(np.ones((2, 6))), 0)
 
 
+def _disc_params(model):
+    return (*model.parts["disc"].weights, *model.parts["disc"].biases)
+
+
 class TestHeads:
     def test_discriminator_rows_on_simplex(self, model, rng):
-        out = model.discriminate(Tensor(rng.normal(size=(20, 8))))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(out.data >= 0.0)
+        own, confusion = model.discriminate(Tensor(rng.normal(size=(20, 8))))
+        assert own.data is confusion.data  # one forward pass
+        np.testing.assert_allclose(own.data.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(own.data >= 0.0)
 
     def test_discriminator_uniform_on_zero_logits(self, model):
-        for w in model.parts["disc"].weights:
-            w.data[:] = 0.0
-        for b in model.parts["disc"].biases:
-            b.data[:] = 0.0
-        out = model.discriminate(Tensor(np.ones((3, 8))))
-        np.testing.assert_allclose(out.data, 0.5, atol=1e-15)
+        for p in _disc_params(model):
+            p.data[:] = 0.0
+        for out in model.discriminate(Tensor(np.ones((3, 8)))):
+            np.testing.assert_allclose(out.data, 0.5, atol=1e-15)
+
+    def test_encoder_side_node_reaches_only_the_codes(self, model, rng):
+        c = Tensor(rng.normal(size=(6, 8)))
+        _, confusion = model.discriminate(c)
+        backward((confusion * rng.uniform(size=confusion.shape)).sum())
+        assert all(p.grad is None for p in _disc_params(model))
+        assert c.grad.shape == c.shape and np.any(c.grad != 0.0)
+
+    def test_discriminator_side_node_reaches_only_its_parameters(self, model, rng):
+        c = Tensor(rng.normal(size=(6, 8)))
+        own, _ = model.discriminate(c)
+        backward((own * rng.uniform(size=own.shape)).sum())
+        assert c.grad is None
+        assert all(p.grad.shape == p.shape for p in _disc_params(model))
+
+    def test_no_grad_pair_holds_no_graph(self, model, rng):
+        with ad.no_grad():
+            pair = model.discriminate(Tensor(rng.normal(size=(6, 8))))
+        assert all(not out.requires_grad and out._parents == () for out in pair)
 
     def test_predictor_interval_and_midpoint(self, model, rng):
         out = model.predict_common(Tensor(rng.normal(size=(10, 8))))
