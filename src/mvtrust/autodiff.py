@@ -45,8 +45,10 @@ to an outside node, in the order in which ``backward`` would deliver them.
 One ``vjp`` maps the node's adjoint to every entry's adjoint at once,
 running the composed graph's closures and reductions in their order; the
 first closure ``backward`` calls runs it and the others take their entry
-from its result.  The entry of a constant parent is never taken, so a
-``vjp`` may leave it ``None``, as ``dense`` does.  ``backward``
+from its result, which drops each entry once it is taken, so a graph
+with fused nodes is walked by ``backward`` once.  The entry of a constant
+parent is never taken, so a ``vjp`` may leave it ``None``, as ``dense``
+does.  ``backward``
 then unbroadcasts and adds each entry on its own, so every sum into a
 parent's ``grad`` runs in the composed graph's order and the adjoints are
 bit-identical to it.  One topology breaks that: where an input feeds
@@ -285,7 +287,7 @@ def fused(value, parents, vjp):
         def adjoint(g):
             if not adjoints:
                 adjoints.extend(vjp(g))
-            # each entry is taken once; the node keeps no adjoint after it
+            # backward takes each entry once; the node keeps none after that
             taken, adjoints[i] = adjoints[i], None
             return taken
         return adjoint

@@ -18,7 +18,6 @@ from mvtrust import autodiff as ad
 from mvtrust import losses as L
 from mvtrust import special
 from mvtrust.autodiff import Tensor, backward
-from mvtrust.networks import Model, ModelSpec
 from mvtrust.opinions import conflict_degree
 
 
@@ -280,26 +279,6 @@ class TestDiscriminatePair:
 
         arrays = _layers(np.random.default_rng(seed), (5, 6, 3))
         _assert_same(pair(fused), pair(composed), arrays, seed=seed)
-
-    def test_model_discriminate_matches_composed(self, rng):
-        # the objective's use: each node feeds its own loss
-        model = Model(ModelSpec(view_dims=(4, 5, 6), n_classes=3, subspace_dim=8,
-                                disc_hidden=6, seed=2))
-        disc = model.parts["disc"]
-        c_data = rng.normal(size=(12, 8))
-        weights = rng.uniform(0.5, 2.0, size=(2, 12, 3))
-        runs = []
-        for discriminate in (model.discriminate, lambda c: oracles.composed_discriminate(
-                c, disc.weights, disc.biases, oracles.softmax_rows_node)):
-            c = Tensor(c_data.copy())
-            own, confusion = discriminate(c)
-            backward((own * weights[0]).sum() + ((confusion * weights[1]).sum() * 0.5).exp())
-            params = [*disc.weights, *disc.biases]
-            runs.append([own.data, confusion.data, c.grad] + [p.grad for p in params])
-            for p in params:
-                p.grad = None
-        for got, want in zip(*runs):
-            assert got.tobytes() == want.tobytes()
 
 
 def _shaped(values, kind):
