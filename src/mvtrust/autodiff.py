@@ -305,7 +305,10 @@ def dense(x, weights, biases, output, split=False):
     runs each layer's activation, add and matmul adjoints in reverse; it
     computes no entry of a constant parent and stops at the first layer
     with no entry to compute before it.  Where no node is made, no layer
-    input is kept for it.
+    input is kept for it.  Each parent is one entry, and the node takes the
+    place of the composed chain in ``backward``'s order, so the sums into
+    a parameter that several calls share run as the composed graph ran
+    them.
 
     With ``split`` it returns two nodes over one forward: the first takes
     ``x`` as a constant, so its adjoints reach only the parameters; the
