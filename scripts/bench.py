@@ -12,14 +12,18 @@ first, as
     python3 perfbench/run.py --workload W --seed N --seconds S
 
 in that tree; the JSON object on the last line of its output is kept.  Then
-each tree gets two more timings: ``mvtrust gradcheck --seeds 20`` and the
-tier-1 suite (``python -m pytest -q --continue-on-collection-errors``).
-BLAS runs on one thread throughout.
+each tree runs every workload once more with ``--trace 1``, which gives the
+layer split: each wrapped function's calls and self time, and the graph
+nodes per step.  Last, each tree gets two more timings: ``mvtrust gradcheck
+--seeds 20`` and the tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors``).  BLAS runs on one thread throughout.
 
 The record holds the machine (cores, ``OPENBLAS_NUM_THREADS``, versions),
-every run, per tree and workload the median of each end-to-end metric, and,
-against the first tree, each later tree's relative change of the medians and
-the number of repeats in which it did better.
+every run, per tree and workload the median of each end-to-end metric and
+the traced run's per-layer metrics, and, against the first tree, each later
+tree's relative change of the medians, the number of repeats in which it
+did better, and per workload the self time per call of every function
+either tree called, with the graph nodes per step.
 """
 
 import argparse
@@ -88,9 +92,9 @@ def timed(command, cwd):
     return time.perf_counter() - start, done
 
 
-def run_workload(tree, workload, seed, seconds):
+def run_workload(tree, workload, seed, seconds, trace=0):
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds)]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     _, done = timed(command, tree)
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(command)} exited {done.returncode}:\n"
@@ -111,14 +115,33 @@ def machine():
     }
 
 
+def layer_split(metrics):
+    """Self time per call in ms of each traced function that was called, and
+    the graph nodes per step, from a traced run's per-layer metrics."""
+    split = {}
+    for name, calls in metrics.items():
+        if name.endswith(".calls") and calls:
+            layer = name[: -len(".calls")]
+            split[f"{layer}.self_ms_per_call"] = 1e3 * metrics[f"{layer}.self_s"] / calls
+    split["autodiff.graph_nodes"] = metrics["autodiff.graph_nodes"]
+    return split
+
+
 def compare(trees, end_to_end):
     """Each later tree against the first: relative change of the medians and
-    the repeats in which it did better, per workload and metric."""
+    the repeats in which it did better, per workload and metric, and the two
+    traced runs' layer splits side by side."""
     (base_label, base), *others = trees.items()
     out = {}
     for label, tree in others:
         rows = out[f"{label} vs {base_label}"] = {}
         for workload, record in tree["workloads"].items():
+            old_split = layer_split(base["workloads"][workload]["trace"]["metrics"])
+            new_split = layer_split(record["trace"]["metrics"])
+            rows[f"{workload} layers"] = {
+                name: {base_label: old_split.get(name), label: new_split.get(name)}
+                for name in sorted(old_split.keys() | new_split.keys())
+            }
             base_runs = base["workloads"][workload]["runs"]
             rows[workload] = {}
             for name, better in end_to_end.items():
@@ -167,6 +190,10 @@ def main(argv=None):
                     for name in end_to_end
                 }
                 record["failed"] = sum(run["failed"] for run in record["runs"])
+            for workload, record in tree["workloads"].items():
+                print(f"traced {workload} on {label}", file=sys.stderr, flush=True)
+                record["trace"] = run_workload(tree["path"], workload, args.seed, args.seconds,
+                                               trace=1)
             print(f"gradcheck on {label}", file=sys.stderr, flush=True)
             seconds, done = timed([sys.executable, "-m", "mvtrust.cli", "gradcheck",
                                    "--seeds", "20"], tree["path"])

@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 
 class Tensor:
@@ -150,32 +150,13 @@ class Tensor:
             lambda g: np.matmul(np.swapaxes(a, -1, -2), g),
         ))
 
-    def __rsub__(self, other):
-        return lift(other) - self
-
-    def __rmul__(self, other):
-        return lift(other) * self
-
     def __rtruediv__(self, other):
         return lift(other) / self
 
     # -- elementwise unary ops -----------------------------------------------
 
-    def __neg__(self):
-        return _node(-self.data, (self,), (lambda g: -g,))
-
     def relu(self):
         return self._activate(RELU)
-
-    def exp(self):
-        value = np.exp(self.data)
-        return _node(value, (self,), (lambda g: g * value,))
-
-    def log(self):
-        a = self.data
-        if np.any(a <= 0.0):
-            raise DomainError("log: input must be strictly positive")
-        return _node(np.log(a), (self,), (lambda g: g / a,))
 
     def sigmoid(self):
         return self._activate(SIGMOID)
@@ -188,14 +169,6 @@ class Tensor:
     def _activate(self, activation):
         value = activation.forward(self.data)
         return _node(value, (self,), (lambda g: activation.adjoint(g, value),))
-
-    def clamp(self, lo=None, hi=None):
-        passthrough = np.ones_like(self.data, dtype=bool)
-        if lo is not None:
-            passthrough &= self.data > lo
-        if hi is not None:
-            passthrough &= self.data < hi
-        return _node(np.clip(self.data, lo, hi), (self,), (lambda g: g * passthrough,))
 
     # -- shape and reduction ops ---------------------------------------------
 

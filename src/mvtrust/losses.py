@@ -1,12 +1,38 @@
-"""Differentiable training objectives.
+"""Differentiable training objectives, one graph node per loss term.
 
 Composition: an adversarial confusion term and a per-view prediction term
 supervise the common subspace; an orthogonality penalty shapes the
 specific representations; evidential cross-entropy terms (with an annealed
 KL regularizer toward the uniform Dirichlet) drive both aggregation
 levels; and conflict-degree penalties discourage contradictory opinions
-within and across views.  Every function builds a scalar graph node, so
-gradients flow back to whatever leaves produced the inputs.
+within and across views.
+
+Every loss is one ``autodiff.fused`` node.  Its forward is the numpy
+sequence of the composed graph of elementary nodes it replaces
+(``tests/oracles.py`` keeps those graphs), and its vjp runs that graph's
+adjoint arithmetic in the order ``backward`` ran it, with one parent entry
+per path by which the graph reached the parent, so value and adjoints are
+bit-identical to it.  Adjoints that the composed graph summed in a node
+inside the term, such as the Dirichlet parameters that several terms
+read, are summed in the vjp in the same order.  The array-level
+``_cross_entropy``, ``_ace``, ``_masked_kl``, ``_acc_terms`` and
+``opinions.conflict_arrays`` each return values and vjps; each loss node
+composes the ones it needs.  The ACE terms of one node take psi and psi'
+from one ``special.polygamma_pass`` over all their arguments side by
+side, and its KL terms psi, psi' and lnGamma from another; the pass is
+elementwise, so each value is bit-equal to a pass per term:
+
+- ``cross_entropy``, ``adv_loss`` (exp(-CE)), ``cml_loss`` and
+  ``spe_loss``: one node over their input;
+- ``ace_loss``, ``kl_loss`` and ``acc_loss``: one node over alpha;
+- ``h1_loss``: one node over the views' Dirichlet parameters and the
+  common and specific evidence, holding three ACE terms, their shift by
+  one and the gamma-scaled mean conflict;
+- ``con_loss``: one node over the views' Dirichlet parameters, holding the
+  shift back to evidence, the pairwise conflict, its mean and scale;
+- ``h2_loss``: one node over the joint and attended evidence and the
+  ``con_loss`` node, holding both annealed classification terms;
+- ``overall_loss``: one node over the five top-level terms.
 """
 
 from __future__ import annotations
@@ -20,7 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from . import special
 from .errors import ContractError
-from .opinions import conflict_degree
+from .opinions import conflict_arrays
 from .schema import check
 from .special import lgamma as _lgamma_value
 
@@ -60,14 +86,33 @@ def lambda_schedule(epoch, anneal_epochs):
 # common / specific subspace losses
 
 
+def _cross_entropy(p, onehot):
+    """Value and vjp of ``cross_entropy`` on a probability array ``p``."""
+    onehot = np.asarray(onehot, dtype=np.float64)
+    floored = int((p < _PROB_FLOOR).sum())
+    if floored:
+        log.warning("cross_entropy: flooring %d probabilities below %g", floored, _PROB_FLOOR)
+    clamped = np.clip(p, _PROB_FLOOR, None)
+    passthrough = p > _PROB_FLOOR
+    product = np.log(clamped) * onehot
+    picked = product.sum(axis=-1)
+
+    def vjp(g):
+        # negation, mean over rows, sum over classes, the one-hot product, log, floor
+        g_rows = np.broadcast_to(-g, picked.shape) / max(picked.size, 1)
+        g_product = np.broadcast_to(np.expand_dims(g_rows, -1), product.shape)
+        g_log = ad.unbroadcast(g_product * onehot, p.shape)
+        return ((g_log / clamped) * passthrough,)
+
+    return -picked.mean(), vjp
+
+
 def cross_entropy(probs, onehot):
-    """Mean categorical cross-entropy over rows; probabilities are floored."""
+    """Mean categorical cross-entropy over rows; probabilities below 1e-12
+    are floored to it, with a warning that counts them."""
     probs = ad.lift(probs)
-    if np.any(probs.data <= 0.0):
-        clamped = int((probs.data <= _PROB_FLOOR).sum())
-        log.warning("cross_entropy: flooring %d non-positive probabilities", clamped)
-    picked = (probs.clamp(lo=_PROB_FLOOR).log() * onehot).sum(axis=-1)
-    return -picked.mean()
+    value, vjp = _cross_entropy(probs.data, onehot)
+    return ad.fused(value, (probs,), vjp)
 
 
 def adv_loss(z_hat, z):
@@ -78,36 +123,103 @@ def adv_loss(z_hat, z):
     averaged over rows before the exponential so the value stays in a
     usable floating-point range for any batch size.
     """
-    return (-cross_entropy(z_hat, z)).exp()
+    z_hat = ad.lift(z_hat)
+    entropy, entropy_vjp = _cross_entropy(z_hat.data, z)
+    value = np.exp(-entropy)
+    return ad.fused(value, (z_hat,), lambda g: entropy_vjp(-(g * value)))
 
 
 def cml_loss(y_hat, y):
     """Mean per-class binary cross-entropy of the common prediction head."""
     y_hat = ad.lift(y_hat)
-    clipped = y_hat.clamp(lo=_PROB_FLOOR, hi=1.0 - _PROB_FLOOR)
-    term = clipped.log() * y + (1.0 - clipped).log() * (1.0 - y)
-    return -term.mean()
+    p, y = y_hat.data, np.asarray(y, dtype=np.float64)
+    clipped = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    passthrough = (p > _PROB_FLOOR) & (p < 1.0 - _PROB_FLOOR)
+    rest, miss = 1.0 - clipped, 1.0 - y
+    term = np.log(clipped) * y + np.log(rest) * miss
+
+    def vjp(g):
+        g_term = np.broadcast_to(-g, term.shape) / max(term.size, 1)
+        g_hit = ad.unbroadcast(g_term * y, p.shape)
+        g_miss = ad.unbroadcast(g_term * miss, p.shape)
+        # the log(clipped) path reaches the clip first, then the log(1 - clipped) path
+        g_clipped = g_hit / clipped
+        g_clipped += -(g_miss / rest)
+        return (g_clipped * passthrough,)
+
+    return ad.fused(-term.mean(), (y_hat,), vjp)
 
 
 def spe_loss(specific, common):
     """Squared per-sample inner products between each specific vector of the
     (v, n, l) stack and the mean common vector, summed over views and
     averaged over the batch."""
+    specific, common = ad.lift(specific), ad.lift(common)
     if specific.shape[-1] != common.shape[-1]:
         raise ContractError(
             f"spe_loss: specific width {specific.shape[-1]} != common width {common.shape[-1]}"
         )
-    inner = (specific * common).sum(axis=-1)
-    return (inner * inner).mean() * float(specific.shape[0])
+    s, c = specific.data, common.data
+    product = s * c
+    inner = product.sum(axis=-1)
+    n_views = float(s.shape[0])
+
+    def vjp(g):
+        g_square = np.broadcast_to(g * n_views, inner.shape) / max(inner.size, 1)
+        # inner * inner: both factors deliver the same product
+        g_factor = g_square * inner
+        g_product = np.broadcast_to(np.expand_dims(g_factor + g_factor, -1), product.shape)
+        return ad.unbroadcast(g_product * c, s.shape), ad.unbroadcast(g_product * s, c.shape)
+
+    return ad.fused((inner * inner).mean() * n_views, (specific, common), vjp)
 
 
 # ---------------------------------------------------------------------------
 # evidential classification losses
 
 
-def _check_alpha(alpha):
-    if np.any(alpha.data < 1.0 - 1e-12):
+def _check_alpha(a):
+    if np.any(a < 1.0 - 1e-12):
         raise ContractError("Dirichlet parameters must satisfy alpha_k >= 1")
+
+
+def _polygamma_each(arguments, with_lgamma=False):
+    """``special.polygamma_pass`` of each array in ``arguments``, from one
+    call on all of them side by side; the pass is elementwise, so each
+    result is bit-equal to a call of its own."""
+    values = special.polygamma_pass(np.concatenate([x.reshape(-1) for x in arguments]),
+                                    with_lgamma=with_lgamma)
+    ends = np.cumsum([x.size for x in arguments])[:-1]
+    return [tuple(part.reshape(x.shape) for part in parts)
+            for x, parts in zip(arguments, zip(*(np.split(v, ends) for v in values)))]
+
+
+def _ace_argument(a):
+    """Dirichlet parameters and their strengths side by side: the argument
+    of the ACE term's polygamma pass."""
+    _check_alpha(a)
+    return np.concatenate([a, a.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def _ace(argument, y, psi, psi1):
+    """Value and vjp of ``ace_loss`` from ``_ace_argument(a)`` and the pass
+    over it; the vjp returns the strength path's adjoint of ``a``, then the
+    psi(alpha) path's."""
+    y = np.asarray(y, dtype=np.float64)
+    *lead, q = argument.shape
+    q -= 1
+    shape, strength_shape = (*lead, q), (*lead, 1)
+    per_class = (psi[..., q:] - psi[..., :q]) * y
+    rows = per_class.sum(axis=-1)
+    count = max(rows.size, 1)
+
+    def vjp(g):
+        g_rows = np.expand_dims(np.broadcast_to(g, rows.shape) / count, -1)
+        g_difference = ad.unbroadcast(np.broadcast_to(g_rows, per_class.shape) * y, shape)
+        g_strength = ad.unbroadcast(g_difference, strength_shape) * psi1[..., q:]
+        return np.broadcast_to(g_strength, shape), -g_difference * psi1[..., :q]
+
+    return rows.mean(), vjp
 
 
 def ace_loss(alpha, y):
@@ -119,22 +231,9 @@ def ace_loss(alpha, y):
     ``mean`` nodes that computes the formula.
     """
     alpha = ad.lift(alpha)
-    _check_alpha(alpha)
-    a, y = alpha.data, np.asarray(y, dtype=np.float64)
-    q = a.shape[-1]
-    strength = a.sum(axis=-1, keepdims=True)
-    psi, psi1 = special.polygamma_pass(np.concatenate([a, strength], axis=-1))
-    per_class = (psi[..., q:] - psi[..., :q]) * y
-    rows = per_class.sum(axis=-1)
-    count = max(rows.size, 1)
-
-    def vjp(g):
-        g_rows = np.expand_dims(np.broadcast_to(g, rows.shape) / count, -1)
-        g_difference = ad.unbroadcast(np.broadcast_to(g_rows, per_class.shape) * y, a.shape)
-        g_strength = ad.unbroadcast(g_difference, strength.shape) * psi1[..., q:]
-        return np.broadcast_to(g_strength, a.shape), -g_difference * psi1[..., :q]
-
-    return ad.fused(rows.mean(), (alpha, alpha), vjp)
+    argument = _ace_argument(alpha.data)
+    value, vjp = _ace(argument, y, *special.polygamma_pass(argument))
+    return ad.fused(value, (alpha, alpha), vjp)
 
 
 @functools.cache
@@ -143,22 +242,26 @@ def _log_gamma_of_count(q):
     return float(_lgamma_value(float(q)))
 
 
-def _masked_kl(alpha, y):
-    """Batch mean of KL[Dir(alpha_tilde) || Dir(1)] with alpha_tilde = alpha * (1 - y) + y.
-
-    One graph node over the single parent entry ``alpha``: every path of the
-    composed graph meets in alpha_tilde before it reaches ``alpha``.  Value
-    and adjoint are bit-identical to the graph of elementwise, ``sum``,
-    ``lgamma``, ``digamma`` and ``mean`` nodes that computes the formula.
-    """
-    y = np.asarray(y, dtype=np.float64)
+def _kl_argument(a, y):
+    """``(keep, tilde, argument)`` of the KL term on ``a``: the mask 1 - y,
+    the masked parameters alpha_tilde = a * (1 - y) + y, and alpha_tilde
+    with its strengths side by side, the argument of its polygamma pass."""
     keep = 1.0 - y
-    tilde = alpha.data * keep + y
+    tilde = a * keep + y
+    return keep, tilde, np.concatenate([tilde, tilde.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def _masked_kl(keep, tilde, psi, psi1, log_gamma):
+    """Value and vjp of the batch mean of KL[Dir(alpha_tilde) || Dir(1)], from
+    ``_kl_argument`` and the pass (with lnGamma) over its argument.
+
+    Every path of the composed graph meets in alpha_tilde before it reaches
+    ``a``, so the vjp returns one adjoint.  Value and adjoint are
+    bit-identical to the graph of elementwise, ``sum``, ``lgamma``,
+    ``digamma`` and ``mean`` nodes that computes the formula.
+    """
     q = tilde.shape[-1]
-    strength = tilde.sum(axis=-1, keepdims=True)
-    psi, psi1, log_gamma = special.polygamma_pass(
-        np.concatenate([tilde, strength], axis=-1), with_lgamma=True
-    )
+    strength_shape = (*tilde.shape[:-1], 1)
     log_norm = (log_gamma[..., q:] - log_gamma[..., :q].sum(axis=-1, keepdims=True)
                 - _log_gamma_of_count(q))
     excess = tilde - 1.0
@@ -177,77 +280,172 @@ def _masked_kl(alpha, y):
         g_gap = g_terms * excess
         g_tilde = g_tilde + g_terms * gap
         g_tilde = g_tilde + g_gap * psi1[..., :q]
-        g_strength = g_strength + ad.unbroadcast(-g_gap, strength.shape) * psi1[..., q:]
+        g_strength = g_strength + ad.unbroadcast(-g_gap, strength_shape) * psi1[..., q:]
         g_tilde = g_tilde + np.broadcast_to(g_strength, tilde.shape)
         return (g_tilde * keep,)
 
-    return ad.fused(total.mean(), (alpha,), vjp)
+    return total.mean(), vjp
+
+
+def _kl_node(alpha, y):
+    keep, tilde, argument = _kl_argument(alpha.data, np.asarray(y, dtype=np.float64))
+    value, vjp = _masked_kl(keep, tilde, *special.polygamma_pass(argument, with_lgamma=True))
+    return ad.fused(value, (alpha,), vjp)
 
 
 def kl_uniform(alpha_tilde):
     """KL divergence from Dir(alpha_tilde) to the uniform Dirichlet, batch mean."""
     alpha_tilde = ad.lift(alpha_tilde)
     # no class spared: alpha * 1 + 0 and g * 1 change no bit
-    return _masked_kl(alpha_tilde, np.zeros(alpha_tilde.shape))
+    return _kl_node(alpha_tilde, np.zeros(alpha_tilde.shape))
 
 
 def kl_loss(alpha, y):
     """KL regularizer on the masked parameters that spare the true class."""
     alpha = ad.lift(alpha)
-    _check_alpha(alpha)
-    return _masked_kl(alpha, y)
+    _check_alpha(alpha.data)
+    return _kl_node(alpha, y)
+
+
+def _acc_terms(alphas, y, lambda_t):
+    """Value and vjp of ``acc_loss`` on each array in ``alphas``.  The ACE
+    terms take psi and psi' from one polygamma pass and the KL terms psi,
+    psi' and lnGamma from another.  Each vjp returns one adjoint, the ACE
+    paths' sum and then the KL path's, as they met in alpha."""
+    y = np.asarray(y, dtype=np.float64)
+    ace_arguments = [_ace_argument(a) for a in alphas]
+    kl_parts = [_kl_argument(a, y) for a in alphas]
+    ace_values = _polygamma_each(ace_arguments)
+    kl_values = _polygamma_each([argument for _, _, argument in kl_parts], with_lgamma=True)
+    terms = []
+    for ace_argument, ace_value, (keep, tilde, _), kl_value in zip(
+            ace_arguments, ace_values, kl_parts, kl_values):
+        ace, ace_vjp = _ace(ace_argument, y, *ace_value)
+        kl, kl_vjp = _masked_kl(keep, tilde, *kl_value)
+        terms.append((ace + lambda_t * kl, _acc_vjp(ace_vjp, kl_vjp, lambda_t)))
+    return terms
+
+
+def _acc_vjp(ace_vjp, kl_vjp, lambda_t):
+    def vjp(g):
+        strength_path, psi_path = ace_vjp(g)
+        (kl_path,) = kl_vjp(g * lambda_t)
+        return strength_path + psi_path + kl_path
+    return vjp
 
 
 def acc_loss(alpha, y, lambda_t):
     """Annealed classification loss: ace + lambda_t * masked KL."""
-    return ace_loss(alpha, y) + lambda_t * kl_loss(alpha, y)
+    alpha = ad.lift(alpha)
+    ((value, vjp),) = _acc_terms([alpha.data], y, lambda_t)
+    return ad.fused(value, (alpha,), lambda g: (vjp(g),))
 
 
 # ---------------------------------------------------------------------------
 # hierarchy losses
 
 
-def h1_loss(alpha_views, alpha_common, alpha_specific, y, gamma):
+def h1_loss(alpha_views, evidence_common, evidence_specific, y, gamma):
     """First-hierarchy loss: per-view, common and specific classification
     terms plus the common/specific conflict penalty, averaged over views.
 
-    ``alpha_views`` and ``alpha_specific`` are (v, n, q) stacks, so
-    ``ace_loss`` and the conflict mean average over views and samples at once.
+    ``alpha_views`` holds the (v, n, q) Dirichlet parameters of the fused
+    views, which ``con_loss`` reads too; the common (n, q) and specific
+    (v, n, q) terms take evidence and shift it by one inside the node, and
+    the conflict reads that shift back, as ``(e + 1) - 1``.  ``ace`` and the
+    conflict mean average over views and samples at once.
+
+    One node over the entries ``(alpha_views, alpha_views, evidence_common,
+    evidence_specific)``: the views' ACE strength and psi paths, then the
+    common and the specific side, each the sum of its ACE paths and then its
+    conflict paths.
     """
-    if alpha_specific.shape != alpha_views.shape:
-        raise ContractError(f"h1_loss: stacks {alpha_views.shape} != {alpha_specific.shape}")
-    total = ace_loss(alpha_views, y) + ace_loss(alpha_common, y) + ace_loss(alpha_specific, y)
-    return total + gamma * conflict_degree(alpha_common - 1.0, alpha_specific - 1.0).mean()
+    alpha_views, evidence_common, evidence_specific = map(
+        ad.lift, (alpha_views, evidence_common, evidence_specific))
+    if evidence_specific.shape != alpha_views.shape:
+        raise ContractError(f"h1_loss: stacks {alpha_views.shape} != {evidence_specific.shape}")
+    alpha_common, alpha_specific = evidence_common.data + 1.0, evidence_specific.data + 1.0
+    arguments = [_ace_argument(a) for a in (alpha_views.data, alpha_common, alpha_specific)]
+    (views, views_vjp), (common, common_vjp), (specific, specific_vjp) = (
+        _ace(argument, y, *values)
+        for argument, values in zip(arguments, _polygamma_each(arguments)))
+    pairs, pairs_vjp = conflict_arrays(alpha_common - 1.0, alpha_specific - 1.0)
+
+    def vjp(g):
+        g_pairs = np.broadcast_to(g * gamma, pairs.shape) / max(pairs.size, 1)
+        common_beliefs, common_strength, specific_beliefs, specific_strength = pairs_vjp(g_pairs)
+        common_paths, specific_paths = common_vjp(g), specific_vjp(g)
+        g_common = common_paths[0] + common_paths[1]
+        g_common += common_beliefs + common_strength
+        g_specific = specific_paths[0] + specific_paths[1]
+        g_specific += specific_beliefs + specific_strength
+        return (*views_vjp(g), g_common, g_specific)
+
+    value = views + common + specific + gamma * pairs.mean()
+    return ad.fused(value, (alpha_views, alpha_views, evidence_common, evidence_specific), vjp)
 
 
 def con_loss(alpha_views):
-    """Mean pairwise conflict across the views of a (v, n, q) stack,
-    normalized by v - 1.
+    """Mean pairwise conflict across the views of a (v, n, q) stack of
+    Dirichlet parameters, normalized by v - 1.
 
-    One conflict call compares every ordered pair of views; the diagonal
-    pairs are exactly 0, so the mean over all v^2 pairs times v^2 / (v - 1)
-    is the sum over distinct pairs divided by v - 1.
+    One conflict call compares every ordered pair of views, the
+    ``(v, 1, n, q)`` rows against the ``(1, v, n, q)`` columns of the
+    evidence ``alpha - 1``; the diagonal pairs are exactly 0, so the mean
+    over all v^2 pairs times v^2 / (v - 1) is the sum over distinct pairs
+    divided by v - 1.  One node over ``alpha_views``, whose adjoint adds the
+    rows' paths, then the columns'.
     """
+    alpha_views = ad.lift(alpha_views)
     n_views = alpha_views.shape[0]
     if n_views < 2:
         return ad.lift(0.0)
-    evidence = alpha_views - 1.0
+    evidence = alpha_views.data - 1.0
     rest = evidence.shape[1:]
-    rows, columns = evidence.reshape((n_views, 1, *rest)), evidence.reshape((1, n_views, *rest))
-    pairs = conflict_degree(rows, columns)
-    return pairs.mean() * (n_views * n_views / (n_views - 1))
+    pairs, pairs_vjp = conflict_arrays(evidence.reshape((n_views, 1, *rest)),
+                                       evidence.reshape((1, n_views, *rest)))
+    scale = n_views * n_views / (n_views - 1)
+
+    def vjp(g):
+        g_pairs = np.broadcast_to(g * scale, pairs.shape) / max(pairs.size, 1)
+        row_beliefs, row_strength, column_beliefs, column_strength = pairs_vjp(g_pairs)
+        g_evidence = (row_beliefs + row_strength).reshape(evidence.shape)
+        g_evidence += (column_beliefs + column_strength).reshape(evidence.shape)
+        return (g_evidence,)
+
+    return ad.fused(pairs.mean() * scale, (alpha_views,), vjp)
 
 
-def h2_loss(alpha_joint, alpha_attended, y, lambda_t, gamma, conflict):
+def h2_loss(evidence_joint, evidence_attended, y, lambda_t, gamma, conflict):
     """Second-hierarchy loss: annealed classification of the joint and of
     every view of the (v, n, q) attended stack, plus ``gamma`` times
     ``conflict``, the ``con_loss`` node of the fused views, which the caller
     also logs.
+
+    The joint (n, q) and attended evidence are shifted by one inside the
+    node.  One node over ``(evidence_joint, evidence_attended, conflict)``.
     """
-    attended = acc_loss(alpha_attended, y, lambda_t) * float(alpha_attended.shape[0])
-    return acc_loss(alpha_joint, y, lambda_t) + attended + gamma * conflict
+    evidence_joint, evidence_attended, conflict = map(
+        ad.lift, (evidence_joint, evidence_attended, conflict))
+    (joint, joint_vjp), (attended, attended_vjp) = _acc_terms(
+        [evidence_joint.data + 1.0, evidence_attended.data + 1.0], y, lambda_t)
+    n_views = float(evidence_attended.shape[0])
+
+    def vjp(g):
+        return joint_vjp(g), attended_vjp(g * n_views), g * gamma
+
+    value = joint + attended * n_views + gamma * conflict.data
+    return ad.fused(value, (evidence_joint, evidence_attended, conflict), vjp)
 
 
-def overall_loss(h1, h2, com, spe, delta, eta):
-    """Trade-off combination of the four top-level terms."""
-    return h1 + h2 + delta * com + eta * spe
+def overall_loss(h1, h2, adv, cml, spe, delta, eta):
+    """Trade-off combination of the top-level terms, where the common loss
+    is ``adv + cml``: h1 + h2 + delta * (adv + cml) + eta * spe."""
+    h1, h2, adv, cml, spe = map(ad.lift, (h1, h2, adv, cml, spe))
+
+    def vjp(g):
+        g_common = g * delta
+        return g, g, g_common, g_common, g * eta
+
+    value = h1.data + h2.data + delta * (adv.data + cml.data) + eta * spe.data
+    return ad.fused(value, (h1, h2, adv, cml, spe), vjp)

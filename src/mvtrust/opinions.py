@@ -5,7 +5,8 @@ Every function takes evidence shaped ``(..., q)``, as an ndarray or a
 training losses and the evaluation report share one definition of each
 formula.  The opinion and projection formulas are written once, in
 ``_opinion`` and ``_projection``, which run on Tensors or on plain arrays;
-``conflict_degree`` runs them on arrays inside one fused node.
+``conflict_arrays`` runs them on arrays, inside ``conflict_degree``'s fused
+node or inside the node of a loss that holds a conflict term.
 
 An opinion assigns one belief mass per class plus a single uncertainty
 mass, all summing to one.  Evidence maps to opinions through the Dirichlet
@@ -75,7 +76,16 @@ def conflict_degree(evidence_a, evidence_b):
             f"conflict_degree: class counts differ, {evidence_a.shape} vs {evidence_b.shape}"
         )
     ad._check_broadcast("conflict_degree", evidence_a, evidence_b)
-    e_a, e_b = evidence_a.data, evidence_b.data
+    value, vjp = conflict_arrays(evidence_a.data, evidence_b.data)
+    return ad.fused(value, (evidence_a, evidence_a, evidence_b, evidence_b), vjp)
+
+
+def conflict_arrays(e_a, e_b):
+    """``conflict_degree`` on two evidence arrays: its value and its vjp,
+    which returns the adjoints of the entries ``(a, a, b, b)``.
+
+    The losses that take the conflict inside their own node call this.
+    """
     b_a, u_a, s_a = _opinion(e_a)
     b_b, u_b, s_b = _opinion(e_b)
     difference = _projection(b_a, u_a) - _projection(b_b, u_b)
@@ -101,4 +111,4 @@ def conflict_degree(evidence_a, evidence_b):
             adjoints += [g_beliefs / s, np.broadcast_to(g_strength, e.shape)]
         return adjoints
 
-    return ad.fused(distance * certainty, (evidence_a, evidence_a, evidence_b, evidence_b), vjp)
+    return distance * certainty, vjp

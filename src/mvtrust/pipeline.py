@@ -171,7 +171,9 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
 
     The returned scalar adds the discriminator's plain cross-entropy (with
     encoder inputs detached) on top of the overall loss; the two touch
-    disjoint parameters, so one backward pass drives both updates.
+    disjoint parameters, so one backward pass drives both updates.  Each
+    loss term is one graph node (see ``losses``); the common loss
+    ``adv + cml`` is logged but lives inside ``overall_loss``'s node.
     """
     n_views, n, width = bundle.common_stack.shape
     # view-major rows: row i * n + j is sample j's common code from view i
@@ -184,19 +186,20 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
     adv = L.adv_loss(confusion, z_rows)
 
     cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
-    com = adv + cml
     spe = L.spe_loss(ad.stack(bundle.specific_views), bundle.common_mean)
 
+    # h1 and con both read the fused views' parameters, and their adjoints
+    # must meet before they reach evidence_fused, which attention also
+    # reads; so this shift stays a node, and the losses shift the rest
     alpha_fused = bundle.evidence_fused + 1.0
-    alpha_common = bundle.evidence_common + 1.0
-    h1 = L.h1_loss(alpha_fused, alpha_common, bundle.evidence_specific + 1.0, y, cfg.gamma)
-
+    h1 = L.h1_loss(alpha_fused, bundle.evidence_common, bundle.evidence_specific, y, cfg.gamma)
     con = L.con_loss(alpha_fused)
-    alpha_joint = bundle.evidence_joint + 1.0
-    h2 = L.h2_loss(alpha_joint, bundle.evidence_attended + 1.0, y, lambda_t, cfg.gamma, con)
+    h2 = L.h2_loss(bundle.evidence_joint, bundle.evidence_attended, y, lambda_t, cfg.gamma, con)
 
-    overall = L.overall_loss(h1, h2, com, spe, cfg.delta, cfg.eta)
-    terms = [t.item() for t in (adv, cml, com, spe, h1, h2, con, overall)]
+    overall = L.overall_loss(h1, h2, adv, cml, spe, cfg.delta, cfg.eta)
+    adv_value, cml_value = adv.item(), cml.item()
+    terms = [adv_value, cml_value, adv_value + cml_value,
+             *(t.item() for t in (spe, h1, h2, con, overall))]
     return overall + disc_ce, terms
 
 
@@ -491,15 +494,15 @@ def gradcheck_losses(n_seeds=20, h=1e-5):
             return fuse_evidence(e_common, e_specific)
 
         def h1():
-            return L.h1_loss(fused() + 1.0, e_common + 1.0, e_specific + 1.0, y, 1.0)
+            return L.h1_loss(fused() + 1.0, e_common, e_specific, y, 1.0)
 
         def h2():
             views = fused()
             joint = views.sum(axis=0) * (1.0 / v)
-            return L.h2_loss(joint + 1.0, e_att + 1.0, y, 0.5, 1.0, L.con_loss(views + 1.0))
+            return L.h2_loss(joint, e_att, y, 0.5, 1.0, L.con_loss(views + 1.0))
 
         def overall():
-            return L.overall_loss(h1(), h2(), adv() + cml(), spe(), 1.0, 0.01)
+            return L.overall_loss(h1(), h2(), adv(), cml(), spe(), 1.0, 0.01)
 
         every_leaf = [logits, pred_logits, common, e_common, specific, e_specific, e_att]
         checks = {

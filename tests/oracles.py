@@ -7,11 +7,13 @@ Carlo with stdlib lgamma densities, opinion fusion follows the paper's
 opinion-level rules, and attention is evaluated one sample at a time.
 
 The one exception is the last section, the composed graphs of the fused
-loss and layer nodes.  They are references for bit-identity, not for the
-formulas, so they are built from mvtrust's own engine, special functions
-and opinion projections, with test-local digamma, log-gamma and abs nodes
-and test-local activation nodes as ``Tensor`` wrote them before the
-activations were shared with the fused layers.
+loss, objective and layer nodes.  They are references for bit-identity,
+not for the formulas, so they are built from mvtrust's own engine, special
+functions and opinion projections, with test-local digamma, log-gamma,
+abs, exp, log, clamp and negation nodes, and test-local activation nodes
+as ``Tensor`` wrote them before the activations were shared with the fused
+layers.  ``composed_objective`` is the training objective as one node per
+elementary op, the graph that ``pipeline.training_objective`` replaces.
 """
 
 import math
@@ -23,6 +25,7 @@ from scipy import special as sp
 
 from mvtrust import autodiff as ad
 from mvtrust import special
+from mvtrust.losses import _PROB_FLOOR
 from mvtrust.opinions import evidence_to_opinion, projected_probability
 
 mpmath.mp.dps = 30
@@ -239,6 +242,29 @@ def abs_node(x):
     return ad._node(np.abs(x.data), (x,), (lambda g: g * sign,))
 
 
+def exp_node(x):
+    value = np.exp(x.data)
+    return ad._node(value, (x,), (lambda g: g * value,))
+
+
+def log_node(x):
+    a = x.data
+    return ad._node(np.log(a), (x,), (lambda g: g / a,))
+
+
+def clamp_node(x, lo=None, hi=None):
+    passthrough = np.ones_like(x.data, dtype=bool)
+    if lo is not None:
+        passthrough &= x.data > lo
+    if hi is not None:
+        passthrough &= x.data < hi
+    return ad._node(np.clip(x.data, lo, hi), (x,), (lambda g: g * passthrough,))
+
+
+def neg_node(x):
+    return ad._node(-x.data, (x,), (lambda g: -g,))
+
+
 def composed_ace(alpha, y):
     alpha = ad.lift(alpha)
     strength = alpha.sum(axis=-1, keepdims=True)
@@ -269,8 +295,82 @@ def composed_conflict(evidence_a, evidence_b):
     p_a = projected_probability(b_a, u_a)
     p_b = projected_probability(b_b, u_b)
     distance = abs_node(p_a - p_b).sum(axis=-1, keepdims=True) * 0.5
-    certainty = (1.0 - u_a) * (1.0 - u_b)
+    certainty = (ad.lift(1.0) - u_a) * (ad.lift(1.0) - u_b)
     return distance * certainty
+
+
+def composed_cross_entropy(probs, onehot):
+    picked = (log_node(clamp_node(ad.lift(probs), lo=_PROB_FLOOR)) * onehot).sum(axis=-1)
+    return neg_node(picked.mean())
+
+
+def composed_adv(z_hat, z):
+    return exp_node(neg_node(composed_cross_entropy(z_hat, z)))
+
+
+def composed_cml(y_hat, y):
+    clipped = clamp_node(ad.lift(y_hat), lo=_PROB_FLOOR, hi=1.0 - _PROB_FLOOR)
+    term = log_node(clipped) * y + log_node(ad.lift(1.0) - clipped) * (1.0 - y)
+    return neg_node(term.mean())
+
+
+def composed_spe(specific, common):
+    inner = (ad.lift(specific) * common).sum(axis=-1)
+    return (inner * inner).mean() * float(specific.shape[0])
+
+
+def composed_acc(alpha, y, lambda_t):
+    return composed_ace(alpha, y) + ad.lift(lambda_t) * composed_kl(alpha, y)
+
+
+def composed_h1(alpha_views, alpha_common, alpha_specific, y, gamma):
+    total = (composed_ace(alpha_views, y) + composed_ace(alpha_common, y)
+             + composed_ace(alpha_specific, y))
+    conflict = composed_conflict(alpha_common - 1.0, alpha_specific - 1.0)
+    return total + ad.lift(gamma) * conflict.mean()
+
+
+def composed_con(alpha_views):
+    n_views = alpha_views.shape[0]
+    if n_views < 2:
+        return ad.lift(0.0)
+    evidence = alpha_views - 1.0
+    rest = evidence.shape[1:]
+    pairs = composed_conflict(evidence.reshape((n_views, 1, *rest)),
+                              evidence.reshape((1, n_views, *rest)))
+    return pairs.mean() * (n_views * n_views / (n_views - 1))
+
+
+def composed_h2(alpha_joint, alpha_attended, y, lambda_t, gamma, conflict):
+    attended = composed_acc(alpha_attended, y, lambda_t) * float(alpha_attended.shape[0])
+    return composed_acc(alpha_joint, y, lambda_t) + attended + ad.lift(gamma) * conflict
+
+
+def composed_overall(h1, h2, com, spe, delta, eta):
+    return h1 + h2 + ad.lift(delta) * com + ad.lift(eta) * spe
+
+
+def composed_objective(model, bundle, y, cfg, lambda_t):
+    """``training_objective`` with every loss term and shift composed of
+    elementary nodes, over the Dirichlet parameters as it was written."""
+    n_views, n, width = bundle.common_stack.shape
+    common_rows = bundle.common_stack.reshape((n_views * n, width))
+    z_rows = np.kron(np.eye(n_views), np.ones((n, 1)))
+    own, confusion = model.discriminate(common_rows)
+    disc_ce = composed_cross_entropy(own, z_rows)
+    adv = composed_adv(confusion, z_rows)
+    cml = composed_cml(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
+    com = adv + cml
+    spe = composed_spe(ad.stack(bundle.specific_views), bundle.common_mean)
+    alpha_fused = bundle.evidence_fused + 1.0
+    alpha_common = bundle.evidence_common + 1.0
+    h1 = composed_h1(alpha_fused, alpha_common, bundle.evidence_specific + 1.0, y, cfg.gamma)
+    con = composed_con(alpha_fused)
+    alpha_joint = bundle.evidence_joint + 1.0
+    h2 = composed_h2(alpha_joint, bundle.evidence_attended + 1.0, y, lambda_t, cfg.gamma, con)
+    overall = composed_overall(h1, h2, com, spe, cfg.delta, cfg.eta)
+    terms = [t.item() for t in (adv, cml, com, spe, h1, h2, con, overall)]
+    return overall + disc_ce, terms
 
 
 def relu_node(x):

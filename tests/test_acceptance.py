@@ -97,8 +97,8 @@ def test_criterion_05_loss_oracles():
         pairs = (
             (L.ace_loss(Tensor(a_views[0]), y).item(), oracles.naive_ace(a_views[0], y)),
             (
-                L.h1_loss(Tensor(np.stack(a_views)), Tensor(a_c),
-                          Tensor(np.stack(a_s)), y, gamma).item(),
+                L.h1_loss(Tensor(np.stack(a_views)), Tensor(a_c - 1.0),
+                          Tensor(np.stack(a_s) - 1.0), y, gamma).item(),
                 oracles.naive_h1(a_views, a_c, a_s, y, gamma),
             ),
             (
@@ -106,7 +106,7 @@ def test_criterion_05_loss_oracles():
                 oracles.naive_con(a_views),
             ),
             (
-                L.h2_loss(Tensor(a_joint), Tensor(np.stack(a_att)), y, lam, gamma,
+                L.h2_loss(Tensor(a_joint - 1.0), Tensor(np.stack(a_att) - 1.0), y, lam, gamma,
                           conflict=L.con_loss(Tensor(np.stack(a_views)))).item(),
                 oracles.naive_h2(a_joint, a_att, a_views, y, lam, gamma),
             ),

@@ -39,8 +39,13 @@ class TestForwardOps:
             Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
 
     def test_log_domain(self):
-        with pytest.raises(DomainError):
-            Tensor([1.0, 0.0]).log()
+        # the floor keeps the log of cross_entropy inside its domain: zero and
+        # negative probabilities give a finite loss and no adjoint
+        p = Tensor([[0.0, 1.0], [-1.0, 2.0]])
+        loss = losses.cross_entropy(p, np.eye(2)[[0, 0]])
+        assert loss.item() == -np.log(1e-12)
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, np.zeros((2, 2)))
 
     def test_digamma_domain(self):
         with pytest.raises(DomainError, match="polygamma_pass"):
@@ -97,7 +102,7 @@ class TestBackward:
 
         def run():
             x, wt = Tensor(data), Tensor(w)
-            loss = ((x @ wt).relu().softmax_rows().clamp(lo=1e-12).log() * -1.0).mean()
+            loss = losses.cross_entropy((x @ wt).relu().softmax_rows(), np.eye(3)[[0, 2, 1, 1]])
             backward(loss)
             return wt.grad.copy()
 
@@ -169,9 +174,9 @@ class TestConstants:
 
     def test_no_grad_restores_after_an_exception(self):
         x = Tensor([1.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError):
             with ad.no_grad():
-                Tensor([0.0]).log()
+                Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
         assert (x * 2.0).requires_grad
 
     def test_first_adjoint_takes_the_layout_of_the_value(self, rng):
@@ -226,18 +231,18 @@ def _op_cases(rng):
         "sub": (lambda: (a - b).mean(), [a, b]),
         "mul": (lambda: (a * b).sum(), [a, b]),
         "div": (lambda: (a / pos).sum(), [a, pos]),
-        "neg": (lambda: (-a).sum(), [a]),
         "matmul": (lambda: (m1 @ m2).sum(), [m1, m2]),
         "matmul_batched": (lambda: (mixer @ batch_a).sum(), [mixer, batch_a]),
         "relu": (lambda: a.relu().sum(), [a]),
-        "conflict": (lambda: conflict_degree(pos, a.exp()).sum(), [pos, a]),
-        "exp": (lambda: a.exp().sum(), [a]),
-        "log": (lambda: pos.log().sum(), [pos]),
+        "conflict": (lambda: conflict_degree(pos, b * b).sum(), [pos, b]),
+        "adv": (lambda: losses.adv_loss(a.softmax_rows(), onehot), [a]),
+        "cross_entropy": (lambda: losses.cross_entropy(pos.softmax_rows(), onehot), [pos]),
         "sigmoid": (lambda: a.sigmoid().sum(), [a]),
         "softmax_rows": (lambda: (a.softmax_rows() * b.detach()).sum(), [a]),
         "ace": (lambda: losses.ace_loss(pos + 1.0, onehot), [pos]),
         "kl": (lambda: losses.kl_loss(pos + 1.0, onehot), [pos]),
-        "clamp": (lambda: a.clamp(lo=-0.5, hi=0.5).sum(), [a]),
+        "cml": (lambda: losses.cml_loss(a.sigmoid(), onehot), [a]),
+        "spe": (lambda: losses.spe_loss(batch_a, b.detach().data), [batch_a]),
         "sum_axis": (lambda: (a.sum(axis=1, keepdims=True) * b.detach()).sum(), [a]),
         "mean_axis": (lambda: (a.mean(axis=0) * vec1.detach().data[:4]).sum(), [a]),
         "transpose": (lambda: (a.transpose() * b.transpose().detach()).sum(), [a]),

@@ -1,12 +1,16 @@
 """Fused nodes against the composed graphs they replace, bit for bit.
 
-``ace_loss``, ``kl_loss``, ``conflict_degree`` and each ``autodiff.dense``
-stack of layers are one graph node each; ``oracles`` builds the graph of
-elementary nodes each used to be.  Both are run on the same leaves, and the
-value and every leaf's adjoint must be equal to the last bit.
-``special.polygamma_pass`` must likewise equal the single special functions
-bit for bit.
+Every loss term, ``conflict_degree`` and each ``autodiff.dense`` stack of
+layers are one graph node each; ``oracles`` builds the graph of elementary
+nodes each used to be.  Both are run on the same leaves, and the value and
+every leaf's adjoint must be equal to the last bit.  The whole training
+objective is checked the same way, on every parameter of a model after
+one step.  ``special.polygamma_pass`` must likewise equal the single
+special functions bit for bit.
 """
+
+import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -18,7 +22,10 @@ from mvtrust import autodiff as ad
 from mvtrust import losses as L
 from mvtrust import special
 from mvtrust.autodiff import Tensor, backward
+from mvtrust.data import synthesize
+from mvtrust.networks import Model, ModelSpec
 from mvtrust.opinions import conflict_degree
+from mvtrust.pipeline import TrainConfig, forward_pass, one_hot, training_objective
 
 
 def _alpha(rng, shape):
@@ -98,7 +105,7 @@ class TestDirichletLosses:
         evidence, y = np.exp(rng.normal(size=(3, 6, 4))), _labels(rng, 6, 4)
 
         def both(acc_form, kl_form):
-            return lambda e: acc_form(e + 1.0, y) + 0.3 * kl_form(e + 1.0, y)
+            return lambda e: acc_form(e + 1.0, y) + ad.lift(0.3) * kl_form(e + 1.0, y)
 
         _assert_same(both(L.ace_loss, L.kl_loss),
                      both(oracles.composed_ace, oracles.composed_kl), [evidence])
@@ -164,6 +171,167 @@ class TestConflict:
 
         _assert_same(self_conflict(conflict_degree), self_conflict(oracles.composed_conflict),
                      [np.exp(rng.normal(size=(5, 4)))])
+
+
+def _probabilities(rng, shape):
+    """Row-softmax probabilities, with an exact 0, a value inside the floor
+    and a value on it, so the floor changes some entries and passes one."""
+    z = np.exp(rng.normal(0.0, 2.0, size=shape))
+    p = z / z.sum(axis=-1, keepdims=True)
+    p[0, 0], p[-1, 0], p[-1, -1] = 0.0, 3e-13, 1e-12
+    return p
+
+
+LABEL_SHAPES = {"full": lambda y: y, "row": lambda y: y[:1], "flat": lambda y: y[0]}
+
+
+class TestObjectiveTerms:
+    """Each loss node of the objective against its composed form."""
+
+    @pytest.mark.parametrize("labels", LABEL_SHAPES)
+    @pytest.mark.parametrize("name", ["cross_entropy", "adv"])
+    def test_cross_entropies(self, name, labels, rng):
+        fused, composed = {"cross_entropy": (L.cross_entropy, oracles.composed_cross_entropy),
+                           "adv": (L.adv_loss, oracles.composed_adv)}[name]
+        y = LABEL_SHAPES[labels](_labels(rng, 9, 4))
+        _assert_same(lambda p: fused(p, y), lambda p: composed(p, y), [_probabilities(rng, (9, 4))])
+
+    @pytest.mark.parametrize("labels", LABEL_SHAPES)
+    def test_cml(self, labels, rng):
+        p = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, size=(9, 4))))
+        p[0, :2], p[1, :2] = (0.0, 5e-13), (1.0, 1.0 - 5e-13)
+        y = LABEL_SHAPES[labels](rng.integers(2, size=(9, 4)).astype(np.float64))
+        _assert_same(lambda a: L.cml_loss(a, y), lambda a: oracles.composed_cml(a, y), [p])
+
+    @pytest.mark.parametrize("n_views", [1, 3])
+    def test_spe(self, n_views, rng):
+        arrays = [rng.normal(size=(n_views, 6, 5)), rng.normal(size=(6, 5))]
+        _assert_same(L.spe_loss, oracles.composed_spe, arrays)
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["one-hot", "soft"])
+    @pytest.mark.parametrize("lambda_t", [0.0, 0.4])
+    def test_acc(self, lambda_t, soft, rng):
+        # under one-hot labels one of the three paths is 0 in every entry, so
+        # only soft labels show the order in which they add up
+        alpha = _alpha(rng, (3, 7, 4))
+        y = rng.dirichlet(np.ones(4), size=7) if soft else _labels(rng, 7, 4)
+        _assert_same(lambda a: L.acc_loss(a, y, lambda_t),
+                     lambda a: oracles.composed_acc(a, y, lambda_t), [alpha])
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_h1(self, gamma, seed):
+        rng = np.random.default_rng(seed)
+        y = _labels(rng, 7, 4)
+        arrays = [_alpha(rng, (3, 7, 4)), _alpha(rng, (7, 4)) - 1.0, _alpha(rng, (3, 7, 4)) - 1.0]
+        _assert_same(lambda a, c, s: L.h1_loss(a, c, s, y, gamma),
+                     lambda a, c, s: oracles.composed_h1(a, c + 1.0, s + 1.0, y, gamma),
+                     arrays, seed=seed)
+
+    def test_h1_bypassed(self, rng):
+        # under bypass_h1 the fused views are the specific evidence itself
+        y = _labels(rng, 7, 4)
+        arrays = [_alpha(rng, (7, 4)) - 1.0, _alpha(rng, (3, 7, 4)) - 1.0]
+        _assert_same(lambda c, s: L.h1_loss(s + 1.0, c, s, y, 1.0),
+                     lambda c, s: oracles.composed_h1(s + 1.0, c + 1.0, s + 1.0, y, 1.0), arrays)
+
+    @pytest.mark.parametrize("n_views", [2, 3])
+    def test_con(self, n_views, rng):
+        _assert_same(L.con_loss, oracles.composed_con, [_alpha(rng, (n_views, 7, 4))])
+
+    def test_con_of_one_view_is_a_constant(self, rng):
+        # one view has no pairs: the loss is the constant 0 and holds no graph
+        for form in (L.con_loss, oracles.composed_con):
+            out = form(Tensor(_alpha(rng, (1, 7, 4))))
+            assert out.item() == 0.0 and not out.requires_grad and out._parents == ()
+
+    @pytest.mark.parametrize("lambda_t, gamma", [(0.0, 1.1), (0.6, 0.0), (0.6, 1.1)])
+    def test_h2(self, lambda_t, gamma, rng):
+        # as in training, the joint is the mean of the attended stack, and
+        # the conflict node is con_loss over another leaf
+        y = _labels(rng, 7, 4)
+        arrays = [_alpha(rng, (3, 7, 4)) - 1.0, _alpha(rng, (3, 7, 4))]
+
+        def fused(attended, views):
+            joint = attended.mean(axis=0)
+            return L.h2_loss(joint, attended, y, lambda_t, gamma, L.con_loss(views))
+
+        def composed(attended, views):
+            joint = attended.mean(axis=0)
+            return oracles.composed_h2(joint + 1.0, attended + 1.0, y, lambda_t, gamma,
+                                       oracles.composed_con(views))
+
+        _assert_same(fused, composed, arrays)
+
+    def test_overall(self, rng):
+        arrays = list(rng.uniform(0.1, 2.0, size=(5, 1)))
+        _assert_same(lambda h1, h2, adv, cml, spe: L.overall_loss(h1, h2, adv, cml, spe, 0.7, 0.01),
+                     lambda h1, h2, adv, cml, spe: oracles.composed_overall(
+                         h1, h2, adv + cml, spe, 0.7, 0.01),
+                     arrays)
+
+    @pytest.mark.parametrize("p, floored", [(np.array([[0.5, 0.5]]), 0),
+                                            (np.array([[1e-12, 1.0]]), 0),
+                                            (np.array([[3e-13, 1.0]]), 1),
+                                            (np.array([[0.0, 1.0], [-1.0, 2.0]]), 2)])
+    def test_floor_warns_exactly_when_it_clips(self, p, floored, caplog):
+        with caplog.at_level(logging.WARNING, logger="mvtrust.losses"):
+            L.cross_entropy(Tensor(p), np.eye(2)[: len(p)])
+        messages = [r.getMessage() for r in caplog.records]
+        if floored:
+            assert messages == [f"cross_entropy: flooring {floored} probabilities below 1e-12"]
+        else:
+            assert messages == []
+
+
+OBJECTIVE_CONFIGS = {
+    "default": {},
+    "bypass_h1": {"bypass_h1": True},
+    "uniform_attention": {"uniform_attention": True},
+    "gamma_zero": {"gamma": 0.0},
+    "no_tradeoffs": {"delta": 0.0, "eta": 0.0},
+}
+
+
+def _objective_run(form, ds, cfg, lambda_t):
+    """Objective value, logged terms, and every parameter's adjoint after one
+    backward pass of ``form`` on a fresh model."""
+    model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
+                            disc_hidden=6, evidence_hidden=6, seed=2))
+    bundle = forward_pass(model, ds.views, cfg)
+    objective, terms = form(model, bundle, one_hot(ds.labels, 3), cfg, lambda_t)
+    backward(objective)
+    grads = {name: p.grad for name, p in model.named_params() if p.grad is not None}
+    return objective.data, terms, grads
+
+
+class TestObjective:
+    """The training objective against the composed graph it replaces: the
+    logged terms, the value and every parameter's adjoint, bit for bit."""
+
+    @pytest.mark.parametrize("lambda_t", [0.0, 0.5])
+    @pytest.mark.parametrize("config", OBJECTIVE_CONFIGS)
+    def test_matches_composed(self, config, lambda_t):
+        ds = synthesize(3, 3, 24, (4, 5, 6), seed=9)
+        cfg = dataclasses.replace(TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6),
+                                  **OBJECTIVE_CONFIGS[config])
+        value, terms, grads = _objective_run(training_objective, ds, cfg, lambda_t)
+        ref_value, ref_terms, ref_grads = _objective_run(oracles.composed_objective, ds, cfg,
+                                                         lambda_t)
+        assert value.tobytes() == ref_value.tobytes()
+        assert terms == ref_terms
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+
+    def test_one_view(self):
+        ds = synthesize(3, 1, 24, (5,), seed=9)
+        cfg = TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6)
+        value, terms, grads = _objective_run(training_objective, ds, cfg, 0.5)
+        ref_value, ref_terms, ref_grads = _objective_run(oracles.composed_objective, ds, cfg, 0.5)
+        assert value.tobytes() == ref_value.tobytes() and terms == ref_terms
+        assert all(grad.tobytes() == ref_grads[name].tobytes() for name, grad in grads.items())
+        assert terms[L.LossBreakdown.TERMS.index("con")] == 0.0
 
 
 ACTIVATIONS = {

@@ -61,7 +61,7 @@ class TestComSpe:
         for _ in range(3):
             a, c = Tensor(rng.uniform(0.1, 1.0)), Tensor(rng.uniform(0.1, 1.0))
             zero = Tensor(0.0)
-            backward(L.overall_loss(zero, zero, a + c, zero, 0.7, 0.01))
+            backward(L.overall_loss(zero, zero, a, c, zero, 0.7, 0.01))
             assert a.grad == c.grad == 0.7
 
     def test_orthogonal_pair_is_zero(self):
@@ -158,7 +158,7 @@ class TestHierarchyLosses:
 
     def test_h1_single_view_no_conflict(self, rng):
         y, views, common, specific = self._random_case(rng, 3, 2, 1)
-        got = L.h1_loss(views, common, specific, y, 0.0).item()
+        got = L.h1_loss(views, common - 1.0, specific - 1.0, y, 0.0).item()
         expected = (
             L.ace_loss(views.data[0], y).item()
             + L.ace_loss(common, y).item()
@@ -182,7 +182,7 @@ class TestHierarchyLosses:
     def test_h1_matches_naive_loops(self, v, rng):
         for _ in range(25):
             y, views, common, specific = self._random_case(rng, 4, 3, v)
-            fast = L.h1_loss(views, common, specific, y, 1.3).item()
+            fast = L.h1_loss(views, common - 1.0, specific - 1.0, y, 1.3).item()
             ref = oracles.naive_h1(views.data, common.data, specific.data, y, 1.3)
             assert abs(fast - ref) < 1e-12
 
@@ -218,7 +218,7 @@ class TestHierarchyLosses:
         y = _onehot(rng, 3, 2)
         joint = Tensor(rng.uniform(1.0, 4.0, size=(3, 2)))
         att = Tensor(rng.uniform(1.0, 4.0, size=(1, 3, 2)))
-        got = L.h2_loss(joint, att, y, 0.3, 0.0, L.con_loss(att)).item()
+        got = L.h2_loss(joint - 1.0, att - 1.0, y, 0.3, 0.0, L.con_loss(att)).item()
         expected = L.acc_loss(joint, y, 0.3).item() + L.acc_loss(att.data[0], y, 0.3).item()
         assert abs(got - expected) < 1e-12
 
@@ -229,7 +229,7 @@ class TestHierarchyLosses:
             joint = Tensor(rng.uniform(1.0, 6.0, size=(4, 3)))
             att = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
             views = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
-            fast = L.h2_loss(joint, att, y, 0.7, 1.1, L.con_loss(views)).item()
+            fast = L.h2_loss(joint - 1.0, att - 1.0, y, 0.7, 1.1, L.con_loss(views)).item()
             ref = oracles.naive_h2(joint.data, att.data, views.data, y, 0.7, 1.1)
             assert abs(fast - ref) < 1e-12
 
@@ -244,14 +244,15 @@ class TestHierarchyLosses:
 class TestOverall:
     def test_zero_tradeoffs(self, rng):
         h1, h2 = Tensor(rng.uniform(0.5)), Tensor(rng.uniform(0.5))
-        com, spe = Tensor(rng.uniform(0.5)), Tensor(rng.uniform(0.5))
-        got = L.overall_loss(h1, h2, com, spe, 0.0, 0.0).item()
+        adv, cml, spe = (Tensor(rng.uniform(0.5)) for _ in range(3))
+        got = L.overall_loss(h1, h2, adv, cml, spe, 0.0, 0.0).item()
         assert got == h1.item() + h2.item()
 
     def test_recombination_identity(self, rng):
-        parts = [Tensor(rng.uniform(0.1, 2.0)) for _ in range(4)]
+        parts = [Tensor(rng.uniform(0.1, 2.0)) for _ in range(5)]
         total = L.overall_loss(*parts, 1.0, 0.01).item()
-        manual = parts[0].item() + parts[1].item() + parts[2].item() + 0.01 * parts[3].item()
+        manual = (parts[0].item() + parts[1].item() + (parts[2].item() + parts[3].item())
+                  + 0.01 * parts[4].item())
         assert abs(total - manual) < 1e-12
 
     def test_overall_gradient_sums_subgradients(self, rng):
@@ -261,9 +262,10 @@ class TestOverall:
         def overall():
             h1 = L.ace_loss(e + 1.0, y)
             h2 = L.kl_loss(e + 1.0, y)
-            com = (e * 0.1).mean()
+            adv = (e * 0.1).mean()
+            cml = (e * 0.3).sum()
             spe = (e * e).mean()
-            return L.overall_loss(h1, h2, com, spe, 1.0, 0.01)
+            return L.overall_loss(h1, h2, adv, cml, spe, 1.0, 0.01)
 
         assert grad_check(overall, [e], h=1e-5) < 1e-4
 
@@ -272,7 +274,7 @@ class TestOverall:
             adv=0.4, cml=0.3, com=0.7, spe=0.2, h1=1.1, h2=0.9,
             con=0.05, overall=1.1 + 0.9 + 0.7 + 0.01 * 0.2, lambda_t=0.5, epoch=3,
         )
-        resum = L.overall_loss(row.h1, row.h2, row.com, row.spe, 1.0, 0.01)
+        resum = L.overall_loss(row.h1, row.h2, row.adv, row.cml, row.spe, 1.0, 0.01).item()
         assert abs(resum - row.overall) < 1e-9
         assert row.finite()
 

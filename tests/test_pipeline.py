@@ -121,7 +121,8 @@ class TestTrain:
     def test_log_rows_resum(self, smoke_run):
         _, _, log = smoke_run
         for row in log:
-            resum = L.overall_loss(row.h1, row.h2, row.com, row.spe, SMOKE.delta, SMOKE.eta)
+            resum = L.overall_loss(row.h1, row.h2, row.adv, row.cml, row.spe,
+                                   SMOKE.delta, SMOKE.eta).item()
             assert abs(resum - row.overall) < 1e-9
 
     def test_bit_identical_reruns(self, train_std):
@@ -334,7 +335,8 @@ class TestObjective:
         y = one_hot(train_std.labels, 2)
         _, terms = training_objective(model, bundle, y, SMOKE, lambda_t=0.5)
         row = dict(zip(L.LossBreakdown.TERMS, terms, strict=True))
-        resum = L.overall_loss(row["h1"], row["h2"], row["com"], row["spe"], SMOKE.delta, SMOKE.eta)
+        resum = L.overall_loss(row["h1"], row["h2"], row["adv"], row["cml"], row["spe"],
+                               SMOKE.delta, SMOKE.eta).item()
         assert abs(resum - row["overall"]) < 1e-9
         assert row["com"] == row["adv"] + row["cml"]
         assert 0.0 < row["adv"] <= 1.0
@@ -372,9 +374,9 @@ class TestBundleLayout:
                                           sample_major[:, view])
 
 
-def _interior_nodes(root):
-    """Nodes with parents reachable from ``root``, each counted once."""
-    seen, todo = set(), [root]
+def _interior_nodes(*roots):
+    """Nodes with parents reachable from ``roots``, each counted once."""
+    seen, todo = set(), list(roots)
     while todo:
         node = todo.pop()
         if id(node) not in seen and node._parents:
@@ -384,8 +386,9 @@ def _interior_nodes(root):
 
 
 def _step_cost(monkeypatch, names):
-    """Interior nodes of a 3-view training step after the first, and its
-    calls of each function ``names`` lists from ``special``."""
+    """Interior nodes of a 3-view training step after the first, those the
+    objective adds to the forward pass's, and the step's calls of each
+    function ``names`` lists from ``special``."""
     calls = Counter()
 
     def counted(name, raw):
@@ -402,30 +405,43 @@ def _step_cost(monkeypatch, names):
         bundle = forward_pass(model, ds.views, SMOKE)
         objective, _ = training_objective(model, bundle, one_hot(ds.labels, 3), SMOKE, 0.5)
         backward(objective)
-        return objective
+        return objective, bundle
 
     step()
     for name in names:
         monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
     monkeypatch.setattr(L, "_lgamma_value", special.lgamma)
-    return _interior_nodes(step()), calls
+    objective, bundle = step()
+    nodes = _interior_nodes(objective)
+    forward = _interior_nodes(*(getattr(bundle, f.name) for f in dataclasses.fields(bundle)
+                                if f.name != "specific_views"), *bundle.specific_views)
+    return nodes, nodes - forward, calls
 
 
 class TestStepCost:
     def test_three_view_step_stays_small(self, monkeypatch):
-        nodes, calls = _step_cost(monkeypatch, ("digamma", "trigamma", "lgamma"))
+        nodes, _, calls = _step_cost(monkeypatch, ("digamma", "trigamma", "lgamma"))
         assert nodes <= 300
         assert sum(calls.values()) <= 40, calls
 
     def test_fused_losses_keep_the_step_smaller(self, monkeypatch):
-        # each ace_loss, kl_loss, conflict_degree and Mlp call is one node,
-        # and each Dirichlet loss makes one polygamma_pass: 5 ace and 2 kl
-        # passes; kl_loss's lgamma(q) constant was computed in the first step
-        nodes, calls = _step_cost(
+        # each loss term and Mlp call is one node; h1's three ACE terms share
+        # one polygamma_pass, and h2's two ACE terms one and its two KL terms
+        # one, so a step makes 3 passes; the KL's lgamma(q) constant was
+        # computed in the first step
+        nodes, _, calls = _step_cost(
             monkeypatch, ("digamma", "trigamma", "lgamma", "polygamma_pass")
         )
         assert nodes <= 125
-        assert sum(calls.values()) <= 7, calls
+        assert sum(calls.values()) <= 3, calls
+
+    def test_fused_objective_keeps_the_step_smaller(self, monkeypatch):
+        # every loss term is one node; the objective adds the common-code
+        # reshape, three Mlp nodes, the specific stack, one shift and the sum
+        # of the overall loss and the discriminator's cross-entropy
+        nodes, objective, _ = _step_cost(monkeypatch, ())
+        assert objective <= 30
+        assert nodes <= 80
 
 
 class TestSweepAndAblate:
