@@ -116,11 +116,6 @@ class Tensor:
         _check_broadcast("add", self, other)
         return _node(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
-    def __sub__(self, other):
-        other = lift(other)
-        _check_broadcast("sub", self, other)
-        return _node(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
-
     def __mul__(self, other):
         other = lift(other)
         _check_broadcast("mul", self, other)

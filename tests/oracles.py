@@ -10,7 +10,7 @@ The one exception is the last section, the composed graphs of the fused
 loss, objective and layer nodes.  They are references for bit-identity,
 not for the formulas, so they are built from mvtrust's own engine, special
 functions and opinion projections, with test-local digamma, log-gamma,
-abs, exp, log, clamp and negation nodes, and test-local activation nodes
+abs, exp, log, clamp, negation and subtraction nodes, and test-local activation nodes
 as ``Tensor`` wrote them before the activations were shared with the fused
 layers.  ``composed_objective`` is the training objective as one node per
 elementary op, the graph that ``pipeline.training_objective`` replaces.
@@ -265,10 +265,16 @@ def neg_node(x):
     return ad._node(-x.data, (x,), (lambda g: -g,))
 
 
+def sub_node(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    ad._check_broadcast("sub", a, b)
+    return ad._node(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
+
+
 def composed_ace(alpha, y):
     alpha = ad.lift(alpha)
     strength = alpha.sum(axis=-1, keepdims=True)
-    per_class = (digamma_node(strength) - digamma_node(alpha)) * y
+    per_class = sub_node(digamma_node(strength), digamma_node(alpha)) * y
     return per_class.sum(axis=-1).mean()
 
 
@@ -276,11 +282,12 @@ def composed_kl_uniform(alpha_tilde):
     alpha_tilde = ad.lift(alpha_tilde)
     q = alpha_tilde.shape[-1]
     strength = alpha_tilde.sum(axis=-1, keepdims=True)
-    log_norm = lgamma_node(strength) - lgamma_node(alpha_tilde).sum(
-        axis=-1, keepdims=True
-    ) - float(special.lgamma(float(q)))
-    gap = digamma_node(alpha_tilde) - digamma_node(strength)
-    concentration = ((alpha_tilde - 1.0) * gap).sum(axis=-1, keepdims=True)
+    log_norm = sub_node(
+        sub_node(lgamma_node(strength), lgamma_node(alpha_tilde).sum(axis=-1, keepdims=True)),
+        float(special.lgamma(float(q))),
+    )
+    gap = sub_node(digamma_node(alpha_tilde), digamma_node(strength))
+    concentration = (sub_node(alpha_tilde, 1.0) * gap).sum(axis=-1, keepdims=True)
     return (log_norm + concentration).mean()
 
 
@@ -294,8 +301,8 @@ def composed_conflict(evidence_a, evidence_b):
     b_b, u_b = evidence_to_opinion(evidence_b)
     p_a = projected_probability(b_a, u_a)
     p_b = projected_probability(b_b, u_b)
-    distance = abs_node(p_a - p_b).sum(axis=-1, keepdims=True) * 0.5
-    certainty = (ad.lift(1.0) - u_a) * (ad.lift(1.0) - u_b)
+    distance = abs_node(sub_node(p_a, p_b)).sum(axis=-1, keepdims=True) * 0.5
+    certainty = sub_node(1.0, u_a) * sub_node(1.0, u_b)
     return distance * certainty
 
 
@@ -310,7 +317,7 @@ def composed_adv(z_hat, z):
 
 def composed_cml(y_hat, y):
     clipped = clamp_node(ad.lift(y_hat), lo=_PROB_FLOOR, hi=1.0 - _PROB_FLOOR)
-    term = log_node(clipped) * y + log_node(ad.lift(1.0) - clipped) * (1.0 - y)
+    term = log_node(clipped) * y + log_node(sub_node(1.0, clipped)) * (1.0 - y)
     return neg_node(term.mean())
 
 
@@ -326,7 +333,7 @@ def composed_acc(alpha, y, lambda_t):
 def composed_h1(alpha_views, alpha_common, alpha_specific, y, gamma):
     total = (composed_ace(alpha_views, y) + composed_ace(alpha_common, y)
              + composed_ace(alpha_specific, y))
-    conflict = composed_conflict(alpha_common - 1.0, alpha_specific - 1.0)
+    conflict = composed_conflict(sub_node(alpha_common, 1.0), sub_node(alpha_specific, 1.0))
     return total + ad.lift(gamma) * conflict.mean()
 
 
@@ -334,7 +341,7 @@ def composed_con(alpha_views):
     n_views = alpha_views.shape[0]
     if n_views < 2:
         return ad.lift(0.0)
-    evidence = alpha_views - 1.0
+    evidence = sub_node(alpha_views, 1.0)
     rest = evidence.shape[1:]
     pairs = composed_conflict(evidence.reshape((n_views, 1, *rest)),
                               evidence.reshape((1, n_views, *rest)))

@@ -158,7 +158,7 @@ class TestHierarchyLosses:
 
     def test_h1_single_view_no_conflict(self, rng):
         y, views, common, specific = self._random_case(rng, 3, 2, 1)
-        got = L.h1_loss(views, common - 1.0, specific - 1.0, y, 0.0).item()
+        got = L.h1_loss(views, common.data - 1.0, specific.data - 1.0, y, 0.0).item()
         expected = (
             L.ace_loss(views.data[0], y).item()
             + L.ace_loss(common, y).item()
@@ -182,7 +182,7 @@ class TestHierarchyLosses:
     def test_h1_matches_naive_loops(self, v, rng):
         for _ in range(25):
             y, views, common, specific = self._random_case(rng, 4, 3, v)
-            fast = L.h1_loss(views, common - 1.0, specific - 1.0, y, 1.3).item()
+            fast = L.h1_loss(views, common.data - 1.0, specific.data - 1.0, y, 1.3).item()
             ref = oracles.naive_h1(views.data, common.data, specific.data, y, 1.3)
             assert abs(fast - ref) < 1e-12
 
@@ -218,7 +218,7 @@ class TestHierarchyLosses:
         y = _onehot(rng, 3, 2)
         joint = Tensor(rng.uniform(1.0, 4.0, size=(3, 2)))
         att = Tensor(rng.uniform(1.0, 4.0, size=(1, 3, 2)))
-        got = L.h2_loss(joint - 1.0, att - 1.0, y, 0.3, 0.0, L.con_loss(att)).item()
+        got = L.h2_loss(joint.data - 1.0, att.data - 1.0, y, 0.3, 0.0, L.con_loss(att)).item()
         expected = L.acc_loss(joint, y, 0.3).item() + L.acc_loss(att.data[0], y, 0.3).item()
         assert abs(got - expected) < 1e-12
 
@@ -229,7 +229,8 @@ class TestHierarchyLosses:
             joint = Tensor(rng.uniform(1.0, 6.0, size=(4, 3)))
             att = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
             views = Tensor(rng.uniform(1.0, 6.0, size=(v, 4, 3)))
-            fast = L.h2_loss(joint - 1.0, att - 1.0, y, 0.7, 1.1, L.con_loss(views)).item()
+            fast = L.h2_loss(joint.data - 1.0, att.data - 1.0, y, 0.7, 1.1,
+                             L.con_loss(views)).item()
             ref = oracles.naive_h2(joint.data, att.data, views.data, y, 0.7, 1.1)
             assert abs(fast - ref) < 1e-12
 
