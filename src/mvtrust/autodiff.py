@@ -7,14 +7,15 @@ adjoints.  Everything is single-threaded; ``Tensor.data`` may be shared
 read-only, while parameter updates (``Adam.step``) require exclusive
 access.
 
-Every op is a ``Tensor`` method or operator that computes its forward value
-and hands it to ``_node`` with its parents and one adjoint closure per
-parent, in parent order.  Closure ``i`` maps the node's adjoint to the
-adjoint of parent ``i``; that adjoint may still carry broadcast axes, which
-``backward`` alone sums away before adding it into ``parent.grad``.  A
-closure captures the arrays it needs, never the node itself: a graph then
-holds no reference cycle, so its arrays are freed as soon as the last
-reference drops rather than whenever the cyclic garbage collector next runs.
+``fused`` makes every interior node from its forward value, its parent
+entries and one ``vjp(g)`` that maps the node's adjoint to one adjoint per
+entry, in entry order.  ``backward`` calls each node's vjp once; an
+adjoint may still carry broadcast axes, which ``backward`` alone sums away
+before adding it into ``parent.grad``.  A ``Tensor`` op hands ``_node`` one
+closure per parent instead, and ``_node`` joins them into one vjp.  A vjp
+captures the arrays it needs, never the node itself: a graph then holds no
+reference cycle, so its arrays are freed as soon as the last reference
+drops rather than whenever the cyclic garbage collector next runs.
 
 ``transpose`` returns a view of its input.  numpy reduces an array that
 is not C-ordered in memory order, so a sum over a transposed view can
@@ -23,11 +24,12 @@ copies a value into C order where that summation order matters.
 
 Only tensors that require a gradient get one.  An explicit ``Tensor(data)``
 leaf, such as a parameter, requires one.  ``lift()`` of a plain number or
-array and ``detach()`` make constants, and ``_node`` returns a parentless
+array and ``detach()`` make constants, and ``fused`` returns a parentless
 constant when no parent requires a gradient, so a constant never holds a
-graph.  ``backward`` neither visits a constant nor calls the closure of a
-constant parent, so no op computes an adjoint that would be dropped; a
-fused loss node, below, is the exception.  Only ``_node``, ``dense`` and
+graph.  ``backward`` neither visits a constant nor adds an adjoint into
+one, and ``_node`` never calls a constant parent's closure, so no
+``Tensor`` op computes an adjoint that would be dropped; a fused loss
+node, below, may.  Only ``_makes_node``, ``_node``, ``dense`` and
 ``backward`` read ``requires_grad``.  Inside ``no_grad()`` every op returns
 a constant, so inference builds no graph at all.
 
@@ -38,25 +40,20 @@ A node reached through ``transpose`` receives a transposed adjoint; kept
 in that layout, the sums in later closures and matmuls over it would run
 in another memory order and move the last bit of a parameter.
 
-A fused node (``fused``) stands for a whole composed graph, such as a
-loss, in one node.  Its parent tuple may name a parent more than once: it
-holds one entry per path by which the composed graph delivers an adjoint
-to an outside node, in the order in which ``backward`` would deliver them.
-One ``vjp`` maps the node's adjoint to every entry's adjoint at once,
-running the composed graph's closures and reductions in their order; the
-first closure ``backward`` calls runs it and the others take their entry
-from its result, which drops each entry once it is taken, so a graph
-with fused nodes is walked by ``backward`` once.  The entry of a constant
-parent is never taken, so a ``vjp`` may leave it ``None``, as ``dense``
-does.  ``backward``
-then unbroadcasts and adds each entry on its own, so every sum into a
-parent's ``grad`` runs in the composed graph's order and the adjoints are
-bit-identical to it.  One topology breaks that: where an input feeds
-another input that comes first in the parent tuple, as ``x`` does in
-``conflict_degree(x + 1, x)``, the composed graph adds that path into
-``x`` between its own two, so the same terms are summed in another order.
-No caller in the package passes such inputs.  ``unbroadcast`` serves the
-reductions inside a ``vjp``.
+A fused node may stand for a whole composed graph, such as a loss.  Its
+parent tuple may then name a parent more than once: it holds one entry per
+path by which the composed graph delivers an adjoint to an outside node,
+in the order in which ``backward`` would deliver them.  Its vjp runs the
+composed graph's closures and reductions in their order.  The adjoint of a
+constant parent's entry is never read, so a vjp may leave it ``None``, as
+``dense`` does.  ``backward`` unbroadcasts and adds each entry on its own,
+so every sum into a parent's ``grad`` runs in the composed graph's order
+and the adjoints are bit-identical to it.  One topology breaks that: where
+an input feeds another input that comes first in the parent tuple, as
+``x`` does in ``conflict_degree(x + 1, x)``, the composed graph adds that
+path into ``x`` between its own two, so the same terms are summed in
+another order.  No caller in the package passes such inputs.
+``unbroadcast`` serves the reductions inside a vjp.
 
 ``dense`` is the fused node of a stack of dense layers.  Each activation
 is one ``Activation`` whose adjoint reads only the activation's output, so
@@ -83,14 +80,14 @@ class Tensor:
     node built from one outside ``no_grad()``; see the module docstring.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_adjoints")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = True
         self._parents = ()
-        self._adjoints = ()
+        self._vjp = None
 
     @property
     def shape(self):
@@ -232,9 +229,9 @@ def _makes_node(parents):
     return _grad_mode.enabled and any(p.requires_grad for p in parents)
 
 
-def _node(value, parents, adjoints):
-    """The one constructor of interior nodes; ``adjoints`` holds one closure
-    per parent, as the module docstring describes.
+def fused(value, parents, vjp):
+    """The one constructor of interior nodes: ``vjp(g)`` returns one adjoint
+    per entry of ``parents``; see the module docstring.
 
     The node is a parentless constant where ``_makes_node`` is False.
     """
@@ -242,25 +239,17 @@ def _node(value, parents, adjoints):
         return _constant(value)
     out = Tensor(value)
     out._parents = parents
-    out._adjoints = adjoints
+    out._vjp = vjp
     return out
 
 
-def fused(value, parents, vjp):
-    """Interior node whose ``vjp(g)`` returns one adjoint per entry of
-    ``parents``, computed once; see the module docstring."""
-    adjoints = []
-
-    def entry(i):
-        def adjoint(g):
-            if not adjoints:
-                adjoints.extend(vjp(g))
-            # backward takes each entry once; the node keeps none after that
-            taken, adjoints[i] = adjoints[i], None
-            return taken
-        return adjoint
-
-    return _node(value, parents, tuple(entry(i) for i in range(len(parents))))
+def _node(value, parents, adjoints):
+    """``fused`` over one closure per parent: closure ``i`` maps the node's
+    adjoint to parent ``i``'s.  The vjp yields them one at a time, as
+    ``backward`` adds each in, and never calls a constant parent's closure."""
+    return fused(value, parents, lambda g: (
+        adjoint(g) if parent.requires_grad else None
+        for parent, adjoint in zip(parents, adjoints)))
 
 
 def dense(x, weights, biases, output, split=False):
@@ -435,16 +424,17 @@ def backward(root):
         if id(node) in visited:
             continue
         visited.add(id(node))
-        stack_.append((node, True))
+        if node._parents:  # a leaf has no vjp to call
+            stack_.append((node, True))
         for parent in node._parents:
             if parent.requires_grad:
                 stack_.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        for parent, adjoint_of in zip(node._parents, node._adjoints):
+        for parent, adjoint in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad:
                 continue
-            adjoint = unbroadcast(adjoint_of(node.grad), parent.data.shape)
+            adjoint = unbroadcast(adjoint, parent.data.shape)
             if parent.grad is None:
                 # parent.data's layout, not the adjoint's; see the module docstring
                 parent.grad = np.empty_like(parent.data)

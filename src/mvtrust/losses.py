@@ -24,7 +24,7 @@ elementwise, so each value is bit-equal to a pass per term:
 
 - ``cross_entropy``, ``adv_loss`` (exp(-CE)), ``cml_loss`` and
   ``spe_loss``: one node over their input;
-- ``ace_loss``, ``kl_loss`` and ``acc_loss``: one node over alpha;
+- ``ace_loss`` and ``kl_loss``: one node over alpha;
 - ``h1_loss``: one node over the views' Dirichlet parameters and the
   common and specific evidence, holding three ACE terms, their shift by
   one and the gamma-scaled mean conflict;
@@ -89,7 +89,8 @@ def lambda_schedule(epoch, anneal_epochs):
 def _cross_entropy(p, onehot):
     """Value and vjp of ``cross_entropy`` on a probability array ``p``."""
     onehot = np.asarray(onehot, dtype=np.float64)
-    floored = int((p < _PROB_FLOOR).sum())
+    # a floored entry under a zero label cannot change the loss
+    floored = int(((p < _PROB_FLOOR) & (onehot != 0.0)).sum())
     if floored:
         log.warning("cross_entropy: flooring %d probabilities below %g", floored, _PROB_FLOOR)
     clamped = np.clip(p, _PROB_FLOOR, None)
@@ -109,7 +110,8 @@ def _cross_entropy(p, onehot):
 
 def cross_entropy(probs, onehot):
     """Mean categorical cross-entropy over rows; probabilities below 1e-12
-    are floored to it, with a warning that counts them."""
+    are floored to it, with a warning that counts those under a nonzero
+    label."""
     probs = ad.lift(probs)
     value, vjp = _cross_entropy(probs.data, onehot)
     return ad.fused(value, (probs,), vjp)
@@ -287,31 +289,23 @@ def _masked_kl(keep, tilde, psi, psi1, log_gamma):
     return total.mean(), vjp
 
 
-def _kl_node(alpha, y):
+def kl_loss(alpha, y):
+    """KL regularizer on the masked parameters that spare the true class:
+    the batch mean of KL[Dir(alpha_tilde) || Dir(1)], one node over alpha.
+    With ``y`` all zeros no class is spared, and alpha_tilde is alpha."""
+    alpha = ad.lift(alpha)
+    _check_alpha(alpha.data)
     keep, tilde, argument = _kl_argument(alpha.data, np.asarray(y, dtype=np.float64))
     value, vjp = _masked_kl(keep, tilde, *special.polygamma_pass(argument, with_lgamma=True))
     return ad.fused(value, (alpha,), vjp)
 
 
-def kl_uniform(alpha_tilde):
-    """KL divergence from Dir(alpha_tilde) to the uniform Dirichlet, batch mean."""
-    alpha_tilde = ad.lift(alpha_tilde)
-    # no class spared: alpha * 1 + 0 and g * 1 change no bit
-    return _kl_node(alpha_tilde, np.zeros(alpha_tilde.shape))
-
-
-def kl_loss(alpha, y):
-    """KL regularizer on the masked parameters that spare the true class."""
-    alpha = ad.lift(alpha)
-    _check_alpha(alpha.data)
-    return _kl_node(alpha, y)
-
-
 def _acc_terms(alphas, y, lambda_t):
-    """Value and vjp of ``acc_loss`` on each array in ``alphas``.  The ACE
-    terms take psi and psi' from one polygamma pass and the KL terms psi,
-    psi' and lnGamma from another.  Each vjp returns one adjoint, the ACE
-    paths' sum and then the KL path's, as they met in alpha."""
+    """Value and vjp of the annealed classification term ace + lambda_t *
+    masked KL on each array in ``alphas``.  The ACE terms take psi and psi'
+    from one polygamma pass and the KL terms psi, psi' and lnGamma from
+    another.  Each vjp returns one adjoint, the ACE paths' sum and then the
+    KL path's, as they met in alpha."""
     y = np.asarray(y, dtype=np.float64)
     ace_arguments = [_ace_argument(a) for a in alphas]
     kl_parts = [_kl_argument(a, y) for a in alphas]
@@ -332,13 +326,6 @@ def _acc_vjp(ace_vjp, kl_vjp, lambda_t):
         (kl_path,) = kl_vjp(g * lambda_t)
         return strength_path + psi_path + kl_path
     return vjp
-
-
-def acc_loss(alpha, y, lambda_t):
-    """Annealed classification loss: ace + lambda_t * masked KL."""
-    alpha = ad.lift(alpha)
-    ((value, vjp),) = _acc_terms([alpha.data], y, lambda_t)
-    return ad.fused(value, (alpha,), lambda g: (vjp(g),))
 
 
 # ---------------------------------------------------------------------------

