@@ -718,6 +718,14 @@ def _synth_and_train(tmp_path):
 
 
 class TestCli:
+    def test_missing_config_names_path(self, capsys, tmp_path):
+        code = cli_main([
+            "train", "--data", str(tmp_path / "missing-manifest.json"),
+            "--out", str(tmp_path / "run"), "--config", str(tmp_path / "missing.json"),
+        ])
+        assert code != 0
+        assert "missing.json" in capsys.readouterr().err
+
     def test_synth_is_reproducible(self, tmp_path):
         for sub in ("a", "b"):
             assert cli_main([
@@ -736,6 +744,21 @@ class TestCli:
         save_dataset(synthesize(**ACCEPTANCE_DATA), tmp_path / "api")
         for name in ("view0.tsv", "view1.tsv", "view2.tsv", "labels.tsv", "manifest.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+    @pytest.mark.parametrize("content, named", [
+        ('{"epochs": "5"}', "epochs: must be an integer >= 1, got '5'"),
+        ("[1, 2]", "must be a JSON object"),
+    ], ids=["str-for-int", "list"])
+    def test_bad_config_file_named(self, content, named, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(content)
+        code = cli_main([
+            "train", "--data", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "run"),
+            "--config", str(config), "--subspace-dim", "8",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and named in err
 
     @pytest.mark.parametrize("content, flags, named", [
         ('{"learning_rate": Infinity}', [], "learning_rate: must be a finite number > 0, got inf"),
