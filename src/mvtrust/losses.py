@@ -23,7 +23,8 @@ side, and its KL terms psi, psi' and lnGamma from another; the pass is
 elementwise, so each value is bit-equal to a pass per term:
 
 - ``cross_entropy``, ``adv_loss`` (exp(-CE)), ``cml_loss`` and
-  ``spe_loss``: one node over their input;
+  ``spe_loss``: one node over their input; ``discriminator_losses``
+  builds the first two from one cross-entropy;
 - ``ace_loss`` and ``kl_loss``: one node over alpha;
 - ``h1_loss``: one node over the views' Dirichlet parameters and the
   common and specific evidence, holding three ACE terms, their shift by
@@ -126,7 +127,24 @@ def adv_loss(z_hat, z):
     usable floating-point range for any batch size.
     """
     z_hat = ad.lift(z_hat)
-    entropy, entropy_vjp = _cross_entropy(z_hat.data, z)
+    return _adv_node(z_hat, *_cross_entropy(z_hat.data, z))
+
+
+def discriminator_losses(own, confusion, z):
+    """``(cross_entropy(own, z), adv_loss(confusion, z))`` from one cross-entropy.
+
+    ``own`` and ``confusion`` are the two nodes of one split discriminator
+    forward (``Model.discriminate``), which hold the same probability array,
+    so one ``_cross_entropy`` serves both: the values and adjoints are those
+    of the two calls, and a floor warning is logged once.
+    """
+    if own.data is not confusion.data:
+        raise ContractError("discriminator_losses: own and confusion must hold one array")
+    entropy, vjp = _cross_entropy(own.data, z)
+    return ad.fused(entropy, (own,), vjp), _adv_node(confusion, entropy, vjp)
+
+
+def _adv_node(z_hat, entropy, entropy_vjp):
     value = np.exp(-entropy)
     return ad.fused(value, (z_hat,), lambda g: entropy_vjp(-(g * value)))
 

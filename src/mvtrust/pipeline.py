@@ -181,9 +181,7 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
 
     # adversarial split: D sees detached representations, encoders a frozen D
     z_rows = np.kron(np.eye(n_views), np.ones((n, 1)))
-    own, confusion = model.discriminate(common_rows)
-    disc_ce = L.cross_entropy(own, z_rows)
-    adv = L.adv_loss(confusion, z_rows)
+    disc_ce, adv = L.discriminator_losses(*model.discriminate(common_rows), z_rows)
 
     cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))
     spe = L.spe_loss(ad.stack(bundle.specific_views), bundle.common_mean)

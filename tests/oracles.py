@@ -14,6 +14,8 @@ abs, exp, log, clamp, negation and subtraction nodes, and test-local activation 
 as ``Tensor`` wrote them before the activations were shared with the fused
 layers.  ``composed_objective`` is the training objective as one node per
 elementary op, the graph that ``pipeline.training_objective`` replaces.
+``PerArrayAdam`` is likewise ``autodiff.Adam`` as it was written before it
+packed its parameters into one buffer, the reference for its bit-identity.
 """
 
 import math
@@ -419,3 +421,34 @@ def composed_discriminate(c, weights, biases, output):
     own = composed_dense(c.detach(), weights, biases, output)
     frozen = [p.detach() for p in weights], [p.detach() for p in biases]
     return own, composed_dense(c, *frozen, output)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer, one array at a time
+
+
+class PerArrayAdam:
+    """``autodiff.Adam`` with a moment pair per parameter array and one
+    expression per update, as it was written before the flat buffer."""
+
+    def __init__(self, params, lr=1e-3, weight_decay=1e-5):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.moment1 = [np.zeros_like(p.data) for p in self.params]
+        self.moment2 = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.step_count += 1
+        b1, b2 = ad.ADAM_BETAS
+        corr1 = 1.0 - b1 ** self.step_count
+        corr2 = 1.0 - b2 ** self.step_count
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.moment1[i] = b1 * self.moment1[i] + (1.0 - b1) * g
+            self.moment2[i] = b2 * self.moment2[i] + (1.0 - b2) * g * g
+            m_hat = self.moment1[i] / corr1
+            v_hat = self.moment2[i] / corr2
+            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS) + self.weight_decay * p.data)
+        ad.zero_grads(self.params)

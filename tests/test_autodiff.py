@@ -1,6 +1,7 @@
 """Engine tests: forward semantics, adjoint soundness, optimizer, checker."""
 
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mvtrust import autodiff as ad
 from mvtrust import losses, special
 from mvtrust.autodiff import Adam, Tensor, backward, grad_check
 from mvtrust.errors import ContractError, DomainError, ShapeError
+from mvtrust.networks import Model, ModelSpec
 from mvtrust.opinions import conflict_degree
 
 
@@ -347,6 +349,64 @@ class TestAdam:
         opt = Adam([Tensor([1.0])])
         with pytest.raises(ContractError):
             opt.step()
+
+    @pytest.mark.parametrize("case", ["model", "uniform_attention", "one"])
+    def test_flat_update_is_bit_equal_to_per_array(self, case):
+        def params():
+            if case == "one":
+                return [Tensor(np.random.default_rng(4).normal(size=(3, 5)))]
+            model = Model(ModelSpec(view_dims=(4, 5, 6), n_classes=3, subspace_dim=8, seed=2))
+            return model.trainable_params(uniform_attention=case == "uniform_attention")
+
+        flat, per_array = params(), params()
+        opt, oracle = Adam(flat, lr=3e-3), oracles.PerArrayAdam(per_array, lr=3e-3)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            for p, q in zip(flat, per_array):
+                p.grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=p.shape)
+                q.grad = p.grad.copy()
+            opt.step()
+            oracle.step()
+            for p, q in zip(flat, per_array):
+                assert p.data.tobytes() == q.data.tobytes()
+        assert opt.step_count == oracle.step_count == 5
+
+    def test_parameters_are_views_of_one_buffer(self):
+        params = [Tensor(np.arange(6.0).reshape(2, 3)), Tensor([7.0]), Tensor(np.ones((2, 2)))]
+        before = [p.data.copy() for p in params]
+        opt = Adam(params)
+        for p, values in zip(params, before):
+            assert np.shares_memory(p.data, opt.values)
+            np.testing.assert_array_equal(p.data, values)
+
+    def test_rebound_data_rejected(self):
+        # a rebound parameter would no longer be updated, so step refuses it
+        params = [Tensor([1.0, 2.0]), Tensor([3.0])]
+        opt = Adam(params)
+        params[1].data = params[1].data.copy()
+        for p in params:
+            p.grad = np.ones(p.shape)
+        with pytest.raises(ContractError, match="rebound"):
+            opt.step()
+
+    def test_step_allocates_no_parameter_sized_temporary(self):
+        # the acceptance model: 36,466 values, 292 KB per parameter-sized temporary
+        model = Model(ModelSpec(view_dims=(20, 30, 25), n_classes=4, seed=7))
+        params = model.trainable_params()
+        assert sum(p.size for p in params) == 36_466
+        opt = Adam(params)
+        rng = np.random.default_rng(0)
+        for step in range(3):
+            for p in params:
+                p.grad = rng.normal(size=p.shape)
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if step > 0:  # the first step allocates the flat buffers
+                assert peak <= 64 * 1024, peak
 
 
 class TestGradCheck:

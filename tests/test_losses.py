@@ -38,6 +38,12 @@ class TestAdvLoss:
         assert 0.0 < value < 1e-10
 
 
+    def test_discriminator_losses_need_one_array(self):
+        z = np.eye(2)
+        with pytest.raises(ContractError, match="one array"):
+            L.discriminator_losses(Tensor(z), Tensor(z.copy()), z)
+
+
 class TestCmlLoss:
     def test_exact_prediction_is_zero(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -443,6 +443,20 @@ class TestStepCost:
         assert objective <= 30
         assert nodes <= 80
 
+    def test_discriminator_losses_share_one_cross_entropy(self, monkeypatch):
+        # disc_ce and adv read the one array of a split discriminator forward:
+        # 96 rows at batch 32 for 2 epochs is 6 steps, and 6 cross-entropies
+        calls = Counter()
+        raw = L._cross_entropy
+
+        def counted(*args):
+            calls["_cross_entropy"] += 1
+            return raw(*args)
+
+        monkeypatch.setattr(L, "_cross_entropy", counted)
+        train(synthesize(3, 3, 96, (4, 5, 6), seed=5), dataclasses.replace(SMOKE, batch_size=32))
+        assert calls["_cross_entropy"] == 6
+
 
 class TestSweepAndAblate:
     def test_empty_sigma_list(self, smoke_run):
