@@ -37,7 +37,6 @@ class TestAdvLoss:
         value = L.adv_loss(z_hat, z).item()
         assert 0.0 < value < 1e-10
 
-
     def test_discriminator_losses_need_one_array(self):
         z = np.eye(2)
         with pytest.raises(ContractError, match="one array"):
