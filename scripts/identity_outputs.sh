@@ -33,6 +33,13 @@
 # `run.meta` and the `__meta__` entry of `checkpoint.npz` also hold the
 # config and its hash, so they differ when a TrainConfig field changes.
 #
+# The baseline moved a second time when the `disc_hidden` and
+# `evidence_hidden` fields left `TrainConfig` and `ModelSpec` (the hidden
+# width became the constant 64, the only width any run used): the 24
+# `run.meta` and `checkpoint*.npz` files changed, each only by those two
+# keys and `config_hash`, with every parameter array byte-equal; the other
+# 55 files kept their digests.
+#
 # The runs:
 #   c11/            the criterion 11 setup: 60 rows, 5 epochs, clean held-out eval
 #   c11/ablate      every ablation switch, 3 epochs each, on the criterion 11 data

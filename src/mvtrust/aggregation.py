@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import lift
+from .autodiff import RELU, lift
 from .errors import ShapeError
 
 # Added to every ReLU score before normalizing, so that no view's weight can
@@ -46,7 +46,7 @@ def attend_batch(features, evidences, w_query, w_key, w_value, uniform=False):
         query = w_query @ feat3
         key = w_key @ feat3
         scores = (query @ key.transpose()) * (1.0 / np.sqrt(subspace_dim))
-        positive = scores.relu() + SCORE_FLOOR
+        positive = scores.activate(RELU) + SCORE_FLOOR
         weights = positive / positive.sum(axis=-1, keepdims=True)
-    attended = (weights @ value).relu()
+    attended = (weights @ value).activate(RELU)
     return weights, attended.transpose(0, 1).contiguous()

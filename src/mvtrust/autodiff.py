@@ -57,7 +57,7 @@ another order.  No caller in the package passes such inputs.
 
 ``dense`` is the fused node of a stack of dense layers.  Each activation
 is one ``Activation`` whose adjoint reads only the activation's output, so
-the ``Tensor`` methods and ``dense`` share it and ``dense`` can run the
+``Tensor.activate`` and ``dense`` share it and ``dense`` can run the
 activation in place.
 
 ``Adam`` packs the parameters it is given into one flat buffer: from then
@@ -151,20 +151,13 @@ class Tensor:
     def __rtruediv__(self, other):
         return lift(other) / self
 
-    # -- elementwise unary ops -----------------------------------------------
+    # -- activations ---------------------------------------------------------
 
-    def relu(self):
-        return self._activate(RELU)
-
-    def sigmoid(self):
-        return self._activate(SIGMOID)
-
-    def softmax_rows(self):
-        if self.data.ndim < 1:
+    def activate(self, activation):
+        """The ``Activation`` ``activation`` (``RELU``, ``SIGMOID`` or
+        ``SOFTMAX_ROWS``) of the value; a row softmax needs at least one axis."""
+        if activation is SOFTMAX_ROWS and self.data.ndim < 1:
             raise ShapeError("softmax_rows: needs at least one axis")
-        return self._activate(SOFTMAX_ROWS)
-
-    def _activate(self, activation):
         value = activation.forward(self.data)
         return _node(value, (self,), (lambda g: activation.adjoint(g, value),))
 

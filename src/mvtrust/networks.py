@@ -31,6 +31,8 @@ from .errors import ContractError, ShapeError
 from .schema import CHECKPOINT_FORMAT, RULES, build, check, check_fields, json_object, naming
 
 SUPPORT_RADIUS_ENTRY = "__support_radius__"
+# the hidden width of the discriminator and of every evidence head
+HIDDEN_WIDTH = 64
 
 
 class Mlp:
@@ -77,8 +79,6 @@ class ModelSpec:
     view_dims: tuple
     n_classes: int
     subspace_dim: int = 64
-    disc_hidden: int = 64
-    evidence_hidden: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -94,12 +94,12 @@ def _part_layout(spec):
     """Each part's checkpoint prefix -> (layer widths, output op), in seed order."""
     v, l, q = spec.n_views, spec.subspace_dim, spec.n_classes
     relu = ad.RELU
-    evidence = (l, spec.evidence_hidden, q)
+    evidence = (l, HIDDEN_WIDTH, q)
     return {
         **{f"mapper{i}": ((d, l), relu) for i, d in enumerate(spec.view_dims)},
         "common": ((l, l), relu),
         **{f"specific{i}": ((d, l), relu) for i, d in enumerate(spec.view_dims)},
-        "disc": ((l, spec.disc_hidden, v), ad.SOFTMAX_ROWS),
+        "disc": ((l, HIDDEN_WIDTH, v), ad.SOFTMAX_ROWS),
         "pred": ((l, q), ad.SIGMOID),
         "ev_common": (evidence, relu),
         **{f"ev_specific{i}": (evidence, relu) for i in range(v)},

@@ -71,8 +71,6 @@ class TrainConfig:
     train_fraction: float = 0.8
     bypass_h1: bool = False
     uniform_attention: bool = False
-    disc_hidden: int = 64
-    evidence_hidden: int = 64
 
     def __post_init__(self):
         check_fields(self)
@@ -213,8 +211,7 @@ def train(ds: MultiViewDataset, cfg: TrainConfig):
 
     The model's support radius is fitted on ``ds`` before the first step.
     """
-    spec = ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim, seed=cfg.seed,
-                     disc_hidden=cfg.disc_hidden, evidence_hidden=cfg.evidence_hidden)
+    spec = ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim, seed=cfg.seed)
     model = Model(spec)
     model.fit_support(ds.views)
     optimizer = Adam(model.trainable_params(uniform_attention=cfg.uniform_attention),
@@ -280,11 +277,16 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path):
+        """Read a ``save`` checkpoint, whose config must agree with its spec."""
         model, meta = Model.load(path)
         with naming(path, "__meta__"):
             check_object(meta, ("config", "stats"))
             with naming("config"):
                 cfg = TrainConfig.from_dict(meta["config"])
+                for key in ("seed", "subspace_dim"):  # the TrainConfig fields __spec__ holds
+                    if getattr(cfg, key) != getattr(model.spec, key):
+                        raise ContractError(f"{key}: {getattr(cfg, key)!r} disagrees with "
+                                            f"__spec__, which holds {getattr(model.spec, key)!r}")
             with naming("stats"):
                 stats = StandardStats.from_jsonable(meta["stats"], model.spec.view_dims)
         return cls(model, cfg, stats)
@@ -480,10 +482,10 @@ def gradcheck_losses(n_seeds=20, h=1e-5):
         e_att = Tensor(rng.uniform(0.1, 3.0, size=(v, n, q)))
 
         def adv():
-            return L.adv_loss(logits.softmax_rows(), z)
+            return L.adv_loss(logits.activate(ad.SOFTMAX_ROWS), z)
 
         def cml():
-            return L.cml_loss(pred_logits.sigmoid(), y_tiled)
+            return L.cml_loss(pred_logits.activate(ad.SIGMOID), y_tiled)
 
         def spe():
             return L.spe_loss(specific, common)

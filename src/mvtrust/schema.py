@@ -86,10 +86,9 @@ RULES = {
     "n_classes": Rule(int, least=2),
     "views": Rule(dict, each=True),
     **dict.fromkeys(("labels", "path", "name"), Rule(str)),
-    # TrainConfig and ModelSpec fields; the two share subspace_dim, seed and the hidden widths
+    # TrainConfig and ModelSpec fields; the two share subspace_dim and seed
     "view_dims": Rule(int, least=1, each=True),
-    **dict.fromkeys(("subspace_dim", "disc_hidden", "evidence_hidden", "epochs", "anneal_epochs"),
-                    Rule(int, least=1)),
+    **dict.fromkeys(("subspace_dim", "epochs", "anneal_epochs"), Rule(int, least=1)),
     "batch_size": Rule(int, least=1, null=True),
     "seed": Rule(int, least=0),
     **dict.fromkeys(("gamma", "delta", "eta", "weight_decay"), Rule(float, least=0)),

@@ -1,6 +1,7 @@
 """Engine tests: forward semantics, adjoint soundness, optimizer, checker."""
 
 import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from mvtrust.opinions import conflict_degree
 
 class TestForwardOps:
     def test_relu_definition(self):
-        out = Tensor([-1.0, 2.0]).relu()
+        out = Tensor([-1.0, 2.0]).activate(ad.RELU)
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_digamma_recurrence(self):
@@ -35,6 +36,33 @@ class TestForwardOps:
     def test_matmul_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 1\)"):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 1)))
+
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda: Tensor(np.ones(2)).item(), ContractError,
+         "item: tensor has shape (2,), not scalar"),
+        (lambda: Tensor(np.ones(3)) @ Tensor(np.ones((3, 2))), ShapeError,
+         "matmul: operands must be >= 2-d, got (3,) @ (3, 2)"),
+        (lambda: Tensor(np.ones((2, 1, 3))) @ Tensor(np.ones((3, 3, 1))), ShapeError,
+         "matmul: batch dims incompatible, (2, 1, 3) @ (3, 3, 1)"),
+        (lambda: Tensor(np.ones(3)).transpose(), ShapeError,
+         "transpose: needs >= 2 axes, got (3,)"),
+        (lambda: Tensor(np.ones((2, 3))).reshape((4,)), ShapeError,
+         "reshape: cannot view (2, 3) as (4,)"),
+        (lambda: ad.dense(np.ones(3), [Tensor(np.ones((3, 2)))], [Tensor(np.ones(2))], ad.RELU),
+         ShapeError, "dense: input must be >= 2-d, got (3,)"),
+        (lambda: ad.stack([]), ContractError, "stack: needs at least one tensor"),
+        (lambda: ad.stack([np.ones(2), np.ones(3)]), ShapeError,
+         "stack: mixed shapes [(2,), (3,)]"),
+        (lambda: Tensor(2.0).activate(ad.SOFTMAX_ROWS), ShapeError,
+         "softmax_rows: needs at least one axis"),
+        (lambda: grad_check(lambda: Tensor(np.ones(2)) * 1.0, []), ContractError,
+         "grad_check: f() must return a scalar tensor"),
+    ], ids=["item-non-scalar", "matmul-1d", "matmul-batch-dims", "transpose-1d",
+            "reshape-other-size", "dense-1d", "stack-nothing", "stack-mixed-shapes",
+            "softmax-0d", "grad-check-non-scalar"])
+    def test_contract_violation_named(self, call, error, named):
+        with pytest.raises(error, match=f"^{re.escape(named)}$"):
+            call()
 
     def test_add_broadcast_mismatch(self):
         with pytest.raises(ShapeError, match="add"):
@@ -58,7 +86,7 @@ class TestForwardOps:
             special.polygamma_pass(np.array([0.0]), with_lgamma=True)
 
     def test_softmax_rows_simplex(self, rng):
-        out = Tensor(rng.normal(size=(8, 5))).softmax_rows()
+        out = Tensor(rng.normal(size=(8, 5))).activate(ad.SOFTMAX_ROWS)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_transpose_is_a_view_and_contiguous_a_copy(self, rng):
@@ -90,7 +118,7 @@ class TestBackward:
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([0.0])
-        backward(x.relu().sum())
+        backward(x.activate(ad.RELU).sum())
         assert x.grad[0] == 0.0
 
     def test_root_must_be_scalar(self):
@@ -104,7 +132,8 @@ class TestBackward:
 
         def run():
             x, wt = Tensor(data), Tensor(w)
-            loss = losses.cross_entropy((x @ wt).relu().softmax_rows(), np.eye(3)[[0, 2, 1, 1]])
+            probs = (x @ wt).activate(ad.RELU).activate(ad.SOFTMAX_ROWS)
+            loss = losses.cross_entropy(probs, np.eye(3)[[0, 2, 1, 1]])
             backward(loss)
             return wt.grad.copy()
 
@@ -132,7 +161,7 @@ class TestConstants:
 
     def test_ops_over_constants_give_parentless_constants(self):
         a, b = ad.lift(np.ones((2, 3))), ad.lift(np.ones((3, 2)))
-        for out in ((a + 1.0) * 2.0, a @ b, (a @ b).relu().sum(), ad.stack([a, a])):
+        for out in ((a + 1.0) * 2.0, a @ b, (a @ b).activate(ad.RELU).sum(), ad.stack([a, a])):
             assert not out.requires_grad
             assert out._parents == () and out._vjp is None
 
@@ -203,9 +232,8 @@ class TestConstants:
 
         train_raw, test_raw = split(tiny_dataset, 0.5, seed=1)
         _, test_std, stats = standardize(train_raw, test_raw)
-        cfg = pipeline.TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6)
-        model = Model(ModelSpec(view_dims=test_std.view_dims, n_classes=2, subspace_dim=8,
-                                disc_hidden=6, evidence_hidden=6, seed=1))
+        cfg = pipeline.TrainConfig(subspace_dim=8)
+        model = Model(ModelSpec(view_dims=test_std.view_dims, n_classes=2, subspace_dim=8, seed=1))
         bundles = []
         forward = pipeline.forward_pass
 
@@ -242,15 +270,17 @@ def _op_cases(rng):
         "div": (lambda: (a / pos).sum(), [a, pos]),
         "matmul": (lambda: (m1 @ m2).sum(), [m1, m2]),
         "matmul_batched": (lambda: (mixer @ batch_a).sum(), [mixer, batch_a]),
-        "relu": (lambda: a.relu().sum(), [a]),
+        "relu": (lambda: a.activate(ad.RELU).sum(), [a]),
         "conflict": (lambda: conflict_degree(pos, b * b).sum(), [pos, b]),
-        "adv": (lambda: losses.adv_loss(a.softmax_rows(), onehot), [a]),
-        "cross_entropy": (lambda: losses.cross_entropy(pos.softmax_rows(), onehot), [pos]),
-        "sigmoid": (lambda: a.sigmoid().sum(), [a]),
-        "softmax_rows": (lambda: (a.softmax_rows() * b.detach()).sum(), [a]),
+        "adv": (lambda: losses.adv_loss(a.activate(ad.SOFTMAX_ROWS), onehot), [a]),
+        "cross_entropy": (
+            lambda: losses.cross_entropy(pos.activate(ad.SOFTMAX_ROWS), onehot), [pos]
+        ),
+        "sigmoid": (lambda: a.activate(ad.SIGMOID).sum(), [a]),
+        "softmax_rows": (lambda: (a.activate(ad.SOFTMAX_ROWS) * b.detach()).sum(), [a]),
         "ace": (lambda: losses.ace_loss(pos + 1.0, onehot), [pos]),
         "kl": (lambda: losses.kl_loss(pos + 1.0, onehot), [pos]),
-        "cml": (lambda: losses.cml_loss(a.sigmoid(), onehot), [a]),
+        "cml": (lambda: losses.cml_loss(a.activate(ad.SIGMOID), onehot), [a]),
         "spe": (lambda: losses.spe_loss(batch_a, b.detach().data), [batch_a]),
         "sum_axis": (lambda: (a.sum(axis=1, keepdims=True) * b.detach()).sum(), [a]),
         "mean_axis": (lambda: (a.mean(axis=0) * vec1.detach().data[:4]).sum(), [a]),

@@ -43,8 +43,8 @@ from mvtrust.schema import RULES
 DROP = object()  # the mutation that deletes a key
 
 # every TrainConfig key, small enough that a run with one key dropped is quick
-BASE_CONFIG = {**TrainConfig().to_dict(), "subspace_dim": 4, "disc_hidden": 4,
-               "evidence_hidden": 4, "epochs": 1, "anneal_epochs": 1, "train_fraction": 0.5}
+BASE_CONFIG = {**TrainConfig().to_dict(), "subspace_dim": 4, "epochs": 1, "anneal_epochs": 1,
+               "train_fraction": 0.5}
 BASE_SPEC = {"view_dims": [5, 6], "n_classes": 2,
              **{f.name: BASE_CONFIG[f.name] for f in dataclasses.fields(ModelSpec)
                 if f.name in BASE_CONFIG}}
@@ -208,8 +208,14 @@ def test_checkpoint_meta_key(key, value, expected, base, tmp_path):
     assert_named(eval_argv(base, tmp_path, model=path), expected, f"{path}: __meta__: ", key)
 
 
+# a key dropped from the config takes its default, which must agree with the spec
+DEFAULTS = TrainConfig().to_dict()
+META_CONFIG_OPTIONAL = tuple(key for key in BASE_CONFIG
+                             if key not in BASE_SPEC or BASE_SPEC[key] == DEFAULTS[key])
+
+
 @pytest.mark.parametrize("key, value, expected", key_cases(
-    BASE_CONFIG, BASE_CONFIG, optional=tuple(BASE_CONFIG), closed=True))
+    BASE_CONFIG, BASE_CONFIG, optional=META_CONFIG_OPTIONAL, closed=True))
 def test_checkpoint_meta_config_key(key, value, expected, base, tmp_path):
     def edit(meta):
         return {**meta, "config": edited(meta["config"], key, value)}
@@ -217,6 +223,22 @@ def test_checkpoint_meta_config_key(key, value, expected, base, tmp_path):
     path = _checkpoint(base, tmp_path, _edit_json("__meta__", edit))
     assert_named(eval_argv(base, tmp_path, model=path), expected,
                  f"{path}: __meta__: config: ", key)
+
+
+@pytest.mark.parametrize("key", ["disc_hidden", "evidence_hidden"])
+def test_deleted_hidden_width_key_named(key, base, tmp_path):
+    """The hidden widths were once keys of the config and the spec; a config
+    file, a ``__spec__`` or a ``__meta__`` config that still holds one, at the
+    one width ever used, is refused naming it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, key: 64}))
+    assert_named(_config_argv(base, tmp_path, config), 2, f"{config}: {key}: unknown key")
+    path = _checkpoint(base, tmp_path, _edit_json("__spec__", lambda spec: {**spec, key: 64}))
+    assert_named(eval_argv(base, tmp_path, model=path), 2, f"{path}: __spec__: {key}: unknown key")
+    path = _checkpoint(base, tmp_path, _edit_json(
+        "__meta__", lambda meta: {**meta, "config": {**meta["config"], key: 64}}))
+    assert_named(eval_argv(base, tmp_path, model=path), 2,
+                 f"{path}: __meta__: config: {key}: unknown key")
 
 
 def _stats_cases():

@@ -98,6 +98,13 @@ class TestSplit:
         with pytest.raises(ContractError, match=rf"{fraction} of 30 rows leaves the {side} split"):
             split(ds, fraction, seed=0)
 
+    def test_class_with_no_rows_is_skipped(self):
+        ds = synthesize(2, 1, 20, (3,), seed=0)
+        three_classes = MultiViewDataset(ds.views, ds.labels, 3)
+        train, test = split(three_classes, 0.5, seed=0)
+        assert train.n_samples == test.n_samples == 10
+        assert set(train.labels) == set(test.labels) == {0, 1}
+
     def test_deterministic(self):
         ds = synthesize(3, 1, 100, (5,), seed=0)
         a = split(ds, 0.8, seed=9)[0]
@@ -424,6 +431,16 @@ class TestDatasetValidation:
     def test_label_range(self):
         with pytest.raises(ContractError):
             MultiViewDataset([np.ones((3, 2))], np.array([0, 1, 2]), 2)
+
+    @pytest.mark.parametrize("views, labels, named", [
+        ([], np.zeros(3, int), "dataset needs at least one view"),
+        ([np.ones((3, 2)), np.ones(3)], np.zeros(3, int),
+         "view 1 must be a 2-d matrix with >= 1 column"),
+        ([np.ones((3, 2))], np.zeros(4, int), "labels must be one per sample: (4,) vs 3 rows"),
+    ], ids=["no-views", "one-d-view", "label-count"])
+    def test_malformed_dataset_named(self, views, labels, named):
+        with pytest.raises(ContractError, match=f"^{re.escape(named)}$"):
+            MultiViewDataset(views, labels, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_view_and_row(self, bad):

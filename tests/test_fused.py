@@ -309,8 +309,7 @@ OBJECTIVE_CONFIGS = {
 def _objective_run(form, ds, cfg, lambda_t):
     """Objective value, logged terms, and every parameter's adjoint after one
     backward pass of ``form`` on a fresh model."""
-    model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
-                            disc_hidden=6, evidence_hidden=6, seed=2))
+    model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8, seed=2))
     bundle = forward_pass(model, ds.views, cfg)
     objective, terms = form(model, bundle, one_hot(ds.labels, 3), cfg, lambda_t)
     backward(objective)
@@ -326,8 +325,7 @@ class TestObjective:
     @pytest.mark.parametrize("config", OBJECTIVE_CONFIGS)
     def test_matches_composed(self, config, lambda_t):
         ds = synthesize(3, 3, 24, (4, 5, 6), seed=9)
-        cfg = dataclasses.replace(TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6),
-                                  **OBJECTIVE_CONFIGS[config])
+        cfg = dataclasses.replace(TrainConfig(subspace_dim=8), **OBJECTIVE_CONFIGS[config])
         value, terms, grads = _objective_run(training_objective, ds, cfg, lambda_t)
         ref_value, ref_terms, ref_grads = _objective_run(oracles.composed_objective, ds, cfg,
                                                          lambda_t)
@@ -339,7 +337,7 @@ class TestObjective:
 
     def test_one_view(self):
         ds = synthesize(3, 1, 24, (5,), seed=9)
-        cfg = TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6)
+        cfg = TrainConfig(subspace_dim=8)
         value, terms, grads = _objective_run(training_objective, ds, cfg, 0.5)
         ref_value, ref_terms, ref_grads = _objective_run(oracles.composed_objective, ds, cfg, 0.5)
         assert value.tobytes() == ref_value.tobytes() and terms == ref_terms
@@ -376,9 +374,12 @@ def _composed(node):
 class TestDenseLayers:
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_activation_matches_composed(self, act, rng):
-        # the Tensor methods run the activations the fused layers share
+        # Tensor.activate runs the activations the fused layers share
         activation, node = ACTIVATIONS[act]
-        method = getattr(Tensor, act)
+
+        def method(x):
+            return x.activate(activation)
+
         a = rng.normal(size=(9, 4))
         a[0, :2] = 0.0  # the ReLU subgradient at 0
         _assert_same(method, node, [a])

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from mvtrust import losses as L
-from mvtrust.autodiff import Tensor, backward, grad_check
+from mvtrust.autodiff import SIGMOID, SOFTMAX_ROWS, Tensor, backward, grad_check
 from mvtrust.errors import ContractError
 from mvtrust.opinions import conflict_degree
 
@@ -305,9 +305,9 @@ class TestRanges:
             n, q, v = 4, 3, 3
             y = _onehot(rng, n, q)
             z = _onehot(rng, n, v)
-            z_hat = Tensor(rng.normal(size=(n, v))).softmax_rows()
+            z_hat = Tensor(rng.normal(size=(n, v))).activate(SOFTMAX_ROWS)
             assert 0.0 < L.adv_loss(z_hat, z).item() <= 1.0
-            y_hat = Tensor(rng.normal(size=(n, q))).sigmoid()
+            y_hat = Tensor(rng.normal(size=(n, q))).activate(SIGMOID)
             assert L.cml_loss(y_hat, y).item() >= 0.0
             s = Tensor(rng.normal(size=(v, n, 5)))
             assert L.spe_loss(s, Tensor(rng.normal(size=(n, 5)))).item() >= 0.0
@@ -329,10 +329,11 @@ class TestLossGradients:
         y = _onehot(rng, n, q)
 
         logits = Tensor(rng.normal(size=(n, q)))
-        assert grad_check(lambda: L.adv_loss(logits.softmax_rows(), y), [logits]) < 1e-4
+        assert grad_check(lambda: L.adv_loss(logits.activate(SOFTMAX_ROWS), y),
+                          [logits]) < 1e-4
 
         p_logits = Tensor(rng.normal(size=(n, q)))
-        assert grad_check(lambda: L.cml_loss(p_logits.sigmoid(), y), [p_logits]) < 1e-4
+        assert grad_check(lambda: L.cml_loss(p_logits.activate(SIGMOID), y), [p_logits]) < 1e-4
 
         e = Tensor(rng.uniform(0.2, 3.0, size=(n, q)))
         assert grad_check(lambda: L.ace_loss(e + 1.0, y), [e]) < 1e-4

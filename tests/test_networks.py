@@ -10,17 +10,16 @@ import pytest
 from mvtrust import autodiff as ad
 from mvtrust.autodiff import Tensor, backward
 from mvtrust.errors import ContractError, ShapeError
-from mvtrust.networks import SUPPORT_RADIUS_ENTRY, Mlp, Model, ModelSpec
+from mvtrust.networks import HIDDEN_WIDTH, SUPPORT_RADIUS_ENTRY, Mlp, Model, ModelSpec
 
 
 @pytest.fixture()
 def model():
-    return Model(ModelSpec(view_dims=(5, 7), n_classes=3, subspace_dim=8,
-                           disc_hidden=6, evidence_hidden=6, seed=11))
+    return Model(ModelSpec(view_dims=(5, 7), n_classes=3, subspace_dim=8, seed=11))
 
 
 class TestMlp:
-    @pytest.mark.parametrize("field", ["subspace_dim", "disc_hidden", "evidence_hidden"])
+    @pytest.mark.parametrize("field", ["subspace_dim"])
     def test_zero_width_rejected(self, field):
         with pytest.raises(ContractError, match=field):
             ModelSpec(view_dims=(4,), n_classes=2, **{field: 0})
@@ -142,12 +141,11 @@ class TestHeads:
         assert np.all(model.evidence_from_specific(h, 0).data >= 0.0)
 
     def test_evidence_head_passes_positive_preactivations(self):
-        model = Model(ModelSpec(view_dims=(3,), n_classes=3, subspace_dim=3,
-                                evidence_hidden=3, seed=0))
+        model = Model(ModelSpec(view_dims=(3,), n_classes=3, subspace_dim=3, seed=0))
         head = model.parts["ev_common"]
-        head.weights[0].data = np.eye(3)
+        head.weights[0].data = np.eye(3, HIDDEN_WIDTH)
         head.biases[0].data[:] = 0.0
-        head.weights[1].data = np.eye(3)
+        head.weights[1].data = np.eye(HIDDEN_WIDTH, 3)
         head.biases[1].data[:] = 0.0
         out = model.evidence_from_common(Tensor([[19.0, 1.0, 1.0]]))
         np.testing.assert_array_equal(out.data, [[19.0, 1.0, 1.0]])
@@ -162,9 +160,8 @@ class TestHeads:
 class TestParameters:
     def test_param_count_closed_form(self):
         d = (20, 30, 25)
-        l, q, v, hd, he = 64, 4, 3, 64, 64
-        model = Model(ModelSpec(view_dims=d, n_classes=q, subspace_dim=l,
-                                disc_hidden=hd, evidence_hidden=he, seed=0))
+        l, q, v, hd, he = 64, 4, 3, HIDDEN_WIDTH, HIDDEN_WIDTH
+        model = Model(ModelSpec(view_dims=d, n_classes=q, subspace_dim=l, seed=0))
         mappers = sum((di + 1) * l for di in d)
         cse = (l + 1) * l
         sie = sum((di + 1) * l for di in d)
@@ -258,7 +255,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, named", [
         (lambda spec: spec.update(evidence_activation="relu"),
          "ckpt.npz: __spec__: evidence_activation: unknown key"),
-        (lambda spec: spec.pop("disc_hidden"), "ckpt.npz: __spec__: disc_hidden: missing"),
+        (lambda spec: spec.pop("subspace_dim"), "ckpt.npz: __spec__: subspace_dim: missing"),
     ], ids=["unknown", "missing"])
     def test_spec_keys_checked_by_name(self, model, tmp_path, edit, named):
         path = tmp_path / "ckpt.npz"

@@ -38,8 +38,7 @@ from mvtrust.pipeline import (
     write_eval_report,
 )
 
-SMOKE = TrainConfig(subspace_dim=8, disc_hidden=6, evidence_hidden=6, epochs=2,
-                    anneal_epochs=5, seed=1)
+SMOKE = TrainConfig(subspace_dim=8, epochs=2, anneal_epochs=5, seed=1)
 
 
 @pytest.fixture()
@@ -85,11 +84,8 @@ class TestTrainConfig:
         ({"seed": -1}, "seed: must be an integer >= 0, got -1"),
         ({"weight_decay": -1.0}, "weight_decay: must be a finite number >= 0, got -1.0"),
         ({"subspace_dim": 0}, "subspace_dim: must be an integer >= 1, got 0"),
-        ({"disc_hidden": 0}, "disc_hidden: must be an integer >= 1, got 0"),
-        ({"evidence_hidden": 0}, "evidence_hidden: must be an integer >= 1, got 0"),
     ], ids=["list", "str-for-int", "float-for-int", "bool-for-float", "int-for-bool",
-            "float-for-batch", "negative-seed", "negative-weight-decay", "zero-subspace-dim",
-            "zero-disc-hidden", "zero-evidence-hidden"])
+            "float-for-batch", "negative-seed", "negative-weight-decay", "zero-subspace-dim"])
     def test_value_types_checked_by_key(self, payload, named):
         with pytest.raises(ContractError, match=re.escape(named)):
             TrainConfig.from_dict(payload)
@@ -324,8 +320,7 @@ class TestEvaluate:
 
 
 def _fresh_model(ds):
-    return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2,
-                           subspace_dim=8, disc_hidden=6, evidence_hidden=6, seed=1))
+    return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2, subspace_dim=8, seed=1))
 
 
 class TestObjective:
@@ -354,8 +349,7 @@ class TestBundleLayout:
     @pytest.fixture()
     def three_view(self):
         ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
-        model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
-                                disc_hidden=6, evidence_hidden=6, seed=1))
+        model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8, seed=1))
         return model, forward_pass(model, ds.views, SMOKE)
 
     @pytest.mark.parametrize("name", ["evidence_specific", "evidence_fused", "evidence_attended"])
@@ -398,8 +392,7 @@ def _step_cost(monkeypatch, names):
         return wrapper
 
     ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
-    model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8,
-                            disc_hidden=6, evidence_hidden=6, seed=1))
+    model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8, seed=1))
 
     def step():
         bundle = forward_pass(model, ds.views, SMOKE)
@@ -567,6 +560,15 @@ class TestCheckpointPipeline:
          "__spec__: must be a JSON object, got int"),
         (lambda arrays: _edit_json(arrays, "__meta__", lambda meta: meta.pop("config")),
          "__meta__: config: missing"),
+        # the config and the spec share subspace_dim and seed, and must agree on them
+        (lambda arrays: _edit_json(arrays, "__meta__",
+                                   lambda meta: meta["config"].update(subspace_dim=999)),
+         "__meta__: config: subspace_dim: 999 disagrees with __spec__, which holds 8"),
+        (lambda arrays: _edit_json(arrays, "__meta__",
+                                   lambda meta: meta["config"].pop("subspace_dim")),
+         "__meta__: config: subspace_dim: 64 disagrees with __spec__, which holds 8"),
+        (lambda arrays: _edit_json(arrays, "__meta__", lambda meta: meta["config"].update(seed=5)),
+         "__meta__: config: seed: 5 disagrees with __spec__, which holds 1"),
         (lambda arrays: _edit_json(arrays, "__meta__", lambda meta: meta["stats"].pop("means")),
          "__meta__: stats: means: missing"),
         (lambda arrays: arrays.update(__support_radius__=np.ones(3)),
@@ -606,17 +608,16 @@ class TestCheckpointPipeline:
                                    lambda spec: spec.update(view_dims=[10**15, 6])),
          "mapper0.w0: has shape (5, 8), expected (1000000000000000, 8)"),
         (lambda arrays: _edit_json(arrays, "__spec__",
-                                   lambda spec: spec.update(disc_hidden=10**15)),
-         "disc.w0: has shape (8, 6), expected (8, 1000000000000000)"),
-        (lambda arrays: _edit_json(arrays, "__spec__",
                                    lambda spec: spec.update(n_classes=10**15)),
          "pred.w0: has shape (8, 2), expected (8, 1000000000000000)"),
     ], ids=["no-spec", "no-meta", "spec-not-json", "spec-number", "meta-no-config",
+            "config-width-contradicts-spec", "config-width-default-contradicts-spec",
+            "config-seed-contradicts-spec",
             "stats-no-means", "radius-shape", "stats-width", "stats-not-number",
             "stats-negative-std", "spec-dims-number", "spec-classes-str", "spec-dims-zero",
             "radius-negative", "radius-nan", "param-nan", "param-inf", "param-str",
             "param-object", "format-object",
-            "spec-dims-huge", "spec-disc-huge", "spec-classes-huge"])
+            "spec-dims-huge", "spec-classes-huge"])
     def test_malformed_checkpoint_is_exit_two(self, edit, named, smoke_run, tiny_dataset,
                                               tmp_path, capsys):
         trained, _, _ = smoke_run
@@ -863,6 +864,22 @@ class TestCli:
         for name in ("metrics.tsv", "uncertainty_hist.tsv", "conflict_matrix.tsv",
                      "records.tsv", "corruption_mask.tsv", "run.meta"):
             assert (eval_dir / name).exists(), name
+
+    def test_eval_with_every_row_corrupted(self, tmp_path):
+        # no clean row: the clean accuracy reads NA and the histograms have no clean group
+        data_dir, run_dir = _synth_and_train(tmp_path)
+        eval_dir = tmp_path / "eval"
+        assert cli_main([
+            "eval", "--model", str(run_dir / "checkpoint.npz"),
+            "--data", str(data_dir / "manifest.json"), "--out", str(eval_dir),
+            "--noise-sigma", "2.0", "--noise-fraction", "1.0",
+        ]) == 0
+        metrics = dict(line.split("\t") for line in
+                       (eval_dir / "metrics.tsv").read_text().splitlines())
+        assert metrics["accuracy_clean"] == "NA"
+        assert metrics["accuracy_corrupted"] == metrics["accuracy"] != "NA"
+        hist = (eval_dir / "uncertainty_hist.tsv").read_text().splitlines()[1:]
+        assert Counter(row.split("\t")[0] for row in hist) == {"all": 40, "corrupted": 40}
 
     def test_sweep_and_ablate_commands(self, tmp_path):
         data_dir, run_dir = _synth_and_train(tmp_path)
