@@ -11,25 +11,30 @@ first, as
 
     python3 perfbench/run.py --workload W --seed N --seconds S
 
-in that tree; the JSON object on the last line of its output is kept.  Then
-each tree runs every workload once more with ``--trace 1``, which gives the
-layer split: each wrapped function's calls and self time, and the graph
-nodes per step.  Last, each tree gets two more timings: ``mvtrust gradcheck
---seeds 20`` and the tier-1 suite (``python -m pytest -q
---continue-on-collection-errors``).  BLAS runs on one thread throughout.
+in that tree; the JSON object on the last line of its output is kept.  Its
+metrics gain the run's minor page faults, ``minor_faults``: the delta of
+``getrusage(RUSAGE_CHILDREN)`` around it, which is the run's own count
+because the runs are sequential.  A heap handed back to the system and
+faulted in again shows there directly.  Then each tree runs every workload
+once more with ``--trace 1``, which gives the layer split: each wrapped
+function's calls and self time, and the graph nodes per step.  Last, each
+tree gets two more timings: ``mvtrust gradcheck --seeds 20`` and the tier-1
+suite (``python -m pytest -q --continue-on-collection-errors``).  BLAS runs
+on one thread throughout.
 
-The record holds the machine (cores, ``OPENBLAS_NUM_THREADS``, versions),
-every run, per tree and workload the median of each end-to-end metric and
-the traced run's per-layer metrics, and, against the first tree, each later
-tree's relative change of the medians, the number of repeats in which it
-did better, and per workload the self time per call of every function
-either tree called, with the graph nodes per step.
+The record holds the machine (cores, ``OPENBLAS_NUM_THREADS``, versions,
+libc), every run, per tree and workload the median of each end-to-end metric
+and of ``minor_faults`` and the traced run's per-layer metrics, and, against
+the first tree, each later tree's relative change of the medians, the number
+of repeats in which it did better, and per workload the self time per call
+of every function either tree called, with the graph nodes per step.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -95,12 +100,15 @@ def timed(command, cwd):
 def run_workload(tree, workload, seed, seconds, trace=0):
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     _, done = timed(command, tree)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(command)} exited {done.returncode}:\n"
                            f"{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    result["metrics"]["minor_faults"] = faults
     return result
 
 
@@ -110,6 +118,7 @@ def machine():
         "cores_usable": len(os.sched_getaffinity(0)),
         "blas_threads": THREADS,
         "python": platform.python_version(),
+        "libc": "-".join(platform.libc_ver()),
         "platform": platform.platform(),
         "bench_commit": git("rev-parse", "HEAD"),
     }
@@ -166,6 +175,7 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end["minor_faults"] = "lower"
     with tempfile.TemporaryDirectory(prefix="mvtrust-bench-") as scratch:
         trees = {}
         for item in args.trees:

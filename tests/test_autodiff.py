@@ -1,8 +1,13 @@
 """Engine tests: forward semantics, adjoint soundness, optimizer, checker."""
 
 import operator
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +385,10 @@ class TestAdam:
         with pytest.raises(ContractError):
             opt.step()
 
+    def test_empty_parameter_list_rejected(self):
+        with pytest.raises(ContractError, match="parameter list is empty"):
+            Adam([])
+
     @pytest.mark.parametrize("case", ["model", "uniform_attention", "one"])
     def test_flat_update_is_bit_equal_to_per_array(self, case):
         def params():
@@ -435,8 +444,35 @@ class TestAdam:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            if step > 0:  # the first step allocates the flat buffers
-                assert peak <= 64 * 1024, peak
+            assert peak <= 64 * 1024, (step, peak)
+
+
+class TestHeapTopPad:
+    # importing autodiff asks glibc's mallopt for a heap top pad; a libc that
+    # cannot be opened, or that has no mallopt, must not stop the import
+    @pytest.mark.parametrize("libc", ["cdll-fails", "no-mallopt"])
+    def test_import_without_mallopt_raises_nothing(self, libc):
+        code = f"""
+import ctypes
+import numpy
+calls = []
+def cdll(*args, **kwargs):
+    calls.append(args)
+    if {libc!r} == "cdll-fails":
+        raise OSError("no libc")
+    return object()
+ctypes.CDLL = cdll
+import mvtrust
+print(len(calls))
+"""
+        src = Path(ad.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+        # a child process, so this test run's own allocator is not touched
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # on glibc the import reached the failing call; elsewhere it never makes it
+        assert done.stdout.split() == ["1" if platform.libc_ver()[0] == "glibc" else "0"]
 
 
 class TestGradCheck:

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import json
+import platform
 import re
+import resource
 import struct
 import tracemalloc
 import zipfile
@@ -186,6 +188,42 @@ class TestTrain:
         assert [row.lambda_t for row in log] == [
             L.lambda_schedule(epoch, cfg.anneal_epochs) for epoch in range(cfg.epochs)
         ]
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap top pad is set only on glibc")
+class TestHeapTop:
+    # glibc keeps 64 MiB free above its heap top (see the autodiff module
+    # docstring), so freed graphs and evaluate temporaries leave pages that
+    # the next step or call reuses instead of faulting in again; without the
+    # pad each of these takes thousands of minor faults
+    @pytest.fixture(scope="class")
+    def acceptance_split(self, acceptance_dataset):
+        return split(acceptance_dataset, 0.8, seed=7)
+
+    def test_full_batch_epochs_reuse_the_heap(self, acceptance_split):
+        ds = standardize(*acceptance_split)[0]
+        train(ds, TrainConfig(epochs=1, seed=7))
+        before = minor_faults()
+        train(ds, TrainConfig(epochs=3, seed=7))
+        per_epoch = (minor_faults() - before) / 3
+        assert per_epoch < 100, per_epoch
+
+    def test_evaluate_reuses_the_heap(self, acceptance_split):
+        held_out = synthesize(**{**ACCEPTANCE_DATA, "n_samples": 2000, "seed": 8})
+        train_std, held_out, stats = standardize(acceptance_split[0], held_out)
+        assert held_out.n_samples >= 2000
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=7)
+        trained = TrainedModel(train(train_std, cfg)[0], cfg, stats)
+        evaluate(trained, held_out)  # the first call may grow the heap
+        before = minor_faults()
+        evaluate(trained, held_out)
+        faults = minor_faults() - before
+        assert faults < 100, faults
 
 
 class TestSupportGate:
