@@ -26,8 +26,14 @@ The record holds the machine (cores, ``OPENBLAS_NUM_THREADS``, versions,
 libc), every run, per tree and workload the median of each end-to-end metric
 and of ``minor_faults`` and the traced run's per-layer metrics, and, against
 the first tree, each later tree's relative change of the medians, the number
-of repeats in which it did better, and per workload the self time per call
-of every function either tree called, with the graph nodes per step.
+of repeats in which it did better, the first tree's interquartile range, a
+verdict, and per workload the self time per call of every function either
+tree called, with the graph nodes per step.  The verdict on a metric is
+``gain`` when the later tree did better in at least nine tenths of the
+pairs and its median is better by more than the first tree's interquartile
+range, ``worse`` when its median is worse by more than the metric's
+``bound`` in ``BENCHMARK.json`` (a fraction of the first tree's median;
+``minor_faults`` has none), and ``unresolved`` otherwise.
 """
 
 import argparse
@@ -136,10 +142,32 @@ def layer_split(metrics):
     return split
 
 
+def interquartile_range(values):
+    """Distance between the quartiles, interpolated as ``numpy.percentile``
+    does; None for a single run, which gives no spread to beat."""
+    if len(values) < 2:
+        return None
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return high - low
+
+
+def verdict(old, new, sign, wins, pairs, iqr, bound):
+    """``gain``, ``worse`` or ``unresolved`` for the medians ``old`` and
+    ``new`` of a metric whose ``sign`` is 1 if higher is better and -1 if
+    lower is; see the module docstring."""
+    if 10 * wins >= 9 * pairs and iqr is not None and (new - old) * sign > iqr:
+        return "gain"
+    if bound is not None and old and (old - new) * sign / abs(old) > bound:
+        return "worse"
+    return "unresolved"
+
+
 def compare(trees, end_to_end):
-    """Each later tree against the first: relative change of the medians and
-    the repeats in which it did better, per workload and metric, and the two
-    traced runs' layer splits side by side."""
+    """Each later tree against the first: relative change of the medians, the
+    repeats in which it did better, the first tree's interquartile range and
+    the verdict, per workload and metric, and the two traced runs' layer
+    splits side by side.  ``end_to_end`` maps each metric to its
+    ``(better, bound)``."""
     (base_label, base), *others = trees.items()
     out = {}
     for label, tree in others:
@@ -153,19 +181,20 @@ def compare(trees, end_to_end):
             }
             base_runs = base["workloads"][workload]["runs"]
             rows[workload] = {}
-            for name, better in end_to_end.items():
+            for name, (better, bound) in end_to_end.items():
                 old = base["workloads"][workload]["median"][name]
                 new = record["median"][name]
+                sign = 1 if better == "higher" else -1
                 pairs = list(zip(base_runs, record["runs"]))
-                wins = sum(
-                    (b["metrics"][name] - a["metrics"][name]) * (1 if better == "higher" else -1) > 0
-                    for a, b in pairs
-                )
+                wins = sum((b["metrics"][name] - a["metrics"][name]) * sign > 0 for a, b in pairs)
+                iqr = interquartile_range([run["metrics"][name] for run in base_runs])
                 rows[workload][name] = {
                     base_label: old,
                     label: new,
                     "relative": (new - old) / old if old else None,
                     "better_in": f"{wins} of {len(pairs)}",
+                    f"{base_label}_iqr": iqr,
+                    "verdict": verdict(old, new, sign, wins, len(pairs), iqr, bound),
                 }
     return out
 
@@ -174,8 +203,8 @@ def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    end_to_end = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    end_to_end["minor_faults"] = "lower"
+    end_to_end = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    end_to_end["minor_faults"] = ("lower", None)
     with tempfile.TemporaryDirectory(prefix="mvtrust-bench-") as scratch:
         trees = {}
         for item in args.trees:

@@ -33,12 +33,25 @@ node, below, may.  Only ``_makes_node``, ``_node``, ``dense`` and
 ``backward`` read ``requires_grad``.  Inside ``no_grad()`` every op returns
 a constant, so inference builds no graph at all.
 
-``backward`` stores a node's first adjoint into ``np.empty_like(data)`` and
-adds later ones in with ``+=``.  The stored array takes the layout of the
-node's value, as ``np.zeros_like`` would, not the layout of the adjoint.
-A node reached through ``transpose`` receives a transposed adjoint; kept
-in that layout, the sums in later closures and matmuls over it would run
-in another memory order and move the last bit of a parameter.
+``backward`` collects a node's vjp output before it adds anything in, and
+sets the node's ``grad`` back to None once the vjp has run, so only leaves
+keep adjoints.  A parent's first adjoint is stored as it is when it is a
+writeable float64 array, the parent's value is C-ordered, the adjoint has
+the shape and strides ``np.empty_like(data)`` would give, and no other
+entry of the same output shares memory with it; any other first adjoint
+is copied into ``np.empty_like(data)``.  Later adjoints are
+added in with ``+=``, so every sum runs in the same order either way.  The
+stored array thus always has the layout of the node's value, as
+``np.zeros_like`` would, not the layout of the adjoint.  A node reached
+through ``transpose`` receives a transposed adjoint; kept in that layout,
+the sums in later closures and matmuls over it would run in another memory
+order and move the last bit of a parameter.
+
+The vjp contract: a vjp returns arrays it does not keep and will not read
+again, because ``backward`` may store one as a ``grad`` and add into it.
+An array the vjp makes qualifies, and so does a view of its adjoint
+argument, which ``backward`` releases; a forward array the vjp captured
+does not.
 
 A fused node may stand for a whole composed graph, such as a loss.  Its
 parent tuple may then name a parent more than once: it holds one entry per
@@ -89,6 +102,7 @@ import.
 from __future__ import annotations
 
 import ctypes
+import functools
 import platform
 import threading
 from collections.abc import Callable
@@ -286,8 +300,9 @@ def fused(value, parents, vjp):
 
 def _node(value, parents, adjoints):
     """``fused`` over one closure per parent: closure ``i`` maps the node's
-    adjoint to parent ``i``'s.  The vjp yields them one at a time, as
-    ``backward`` adds each in, and never calls a constant parent's closure."""
+    adjoint to parent ``i``'s.  The vjp yields them in entry order, which
+    ``backward`` collects before it adds any in, and never calls a constant
+    parent's closure."""
     return fused(value, parents, lambda g: (
         adjoint(g) if parent.requires_grad else None
         for parent, adjoint in zip(parents, adjoints)))
@@ -450,10 +465,14 @@ SOFTMAX_ROWS = Activation(_softmax_rows, _softmax_rows_adjoint)
 
 
 def backward(root):
-    """Populate adjoints of every node reachable from the scalar ``root``
-    through nodes that require a gradient; constants keep ``grad`` None."""
+    """Populate the adjoints of the leaves reachable from the scalar ``root``
+    through nodes that require a gradient.  Every node with parents, the
+    root included, has ``grad`` None again once its vjp has run, and
+    constants keep ``grad`` None; see the module docstring."""
     if root.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
+    if not root.requires_grad:
+        raise ContractError("backward: root requires no gradient")
     topo = []
     visited = set()
     stack_ = [(root, False)]
@@ -472,16 +491,52 @@ def backward(root):
                 stack_.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        for parent, adjoint in zip(node._parents, node._vjp(node.grad)):
+        entries = tuple(node._vjp(node.grad))
+        node.grad = None
+        for i, (parent, entry) in enumerate(zip(node._parents, entries)):
             if not parent.requires_grad:
                 continue
-            adjoint = unbroadcast(adjoint, parent.data.shape)
-            if parent.grad is None:
+            adjoint = unbroadcast(entry, parent.data.shape)
+            if parent.grad is not None:
+                parent.grad += adjoint
+            elif _can_keep(adjoint, parent.data, entries, i):
+                parent.grad = adjoint
+            else:
                 # parent.data's layout, not the adjoint's; see the module docstring
                 parent.grad = np.empty_like(parent.data)
                 parent.grad[...] = adjoint
-            else:
-                parent.grad += adjoint
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _can_keep(adjoint, data, entries, i):
+    """Whether ``backward`` may store ``adjoint``, the unbroadcast entry ``i``
+    of one vjp output, as the first adjoint of a parent with value ``data``
+    rather than a copy: it is a writeable float64 array with the C-ordered
+    layout ``np.empty_like(data)`` would give, and no other entry of the
+    output shares memory with it."""
+    if not (type(adjoint) is np.ndarray and adjoint.dtype is _FLOAT64
+            and adjoint.flags.writeable and adjoint.shape == data.shape
+            and data.flags.c_contiguous and adjoint.strides == _c_strides(data.shape)):
+        return False
+    owns = adjoint.flags.owndata
+    for j, other in enumerate(entries):
+        if j == i or other is None:
+            continue
+        # two arrays that each allocated their own memory cannot overlap
+        if owns and type(other) is np.ndarray and other is not adjoint and other.flags.owndata:
+            continue
+        if np.may_share_memory(adjoint, other):
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=1024)
+def _c_strides(shape):
+    """Strides of ``np.empty(shape)``, which ``np.empty_like`` gives a C-ordered
+    float64 value of that shape."""
+    return np.empty(shape).strides
 
 
 def zero_grads(params):

@@ -15,7 +15,9 @@ as ``Tensor`` wrote them before the activations were shared with the fused
 layers.  ``composed_objective`` is the training objective as one node per
 elementary op, the graph that ``pipeline.training_objective`` replaces.
 ``PerArrayAdam`` is likewise ``autodiff.Adam`` as it was written before it
-packed its parameters into one buffer, the reference for its bit-identity.
+packed its parameters into one buffer, the reference for its bit-identity,
+and ``reference_backward`` is ``autodiff.backward`` as it was written
+before it kept fresh first adjoints and freed interior ones.
 """
 
 import math
@@ -452,3 +454,39 @@ class PerArrayAdam:
             v_hat = self.moment2[i] / corr2
             p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS) + self.weight_decay * p.data)
         ad.zero_grads(self.params)
+
+
+# ---------------------------------------------------------------------------
+# the backward walk that copies every first adjoint
+
+
+def reference_backward(root):
+    """``autodiff.backward`` as it was written before it kept fresh first
+    adjoints and freed interior ones: every first adjoint is copied into
+    ``np.empty_like`` of the node's value, later ones are added in with
+    ``+=``, and every node reached keeps its ``grad``."""
+    topo, visited, todo = [], set(), [(root, False)]
+    while todo:
+        node, processed = todo.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        if node._parents:
+            todo.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad:
+                todo.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        for parent, adjoint in zip(node._parents, node._vjp(node.grad)):
+            if not parent.requires_grad:
+                continue
+            adjoint = ad.unbroadcast(adjoint, parent.data.shape)
+            if parent.grad is None:
+                parent.grad = np.empty_like(parent.data)
+                parent.grad[...] = adjoint
+            else:
+                parent.grad += adjoint

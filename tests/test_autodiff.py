@@ -17,8 +17,10 @@ from mvtrust import autodiff as ad
 from mvtrust import losses, special
 from mvtrust.autodiff import Adam, Tensor, backward, grad_check
 from mvtrust.errors import ContractError, DomainError, ShapeError
+from mvtrust.data import split, standardize
 from mvtrust.networks import Model, ModelSpec
 from mvtrust.opinions import conflict_degree
+from mvtrust.pipeline import TrainConfig, forward_pass, one_hot, training_objective
 
 
 class TestForwardOps:
@@ -223,6 +225,17 @@ class TestConstants:
                 Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
         assert (x * 2.0).requires_grad
 
+    @pytest.mark.parametrize("build", [
+        lambda x: ad.lift(3.0),
+        lambda x: _under_no_grad(lambda: (x * x).sum()),
+    ], ids=["lifted-number", "built-under-no-grad"])
+    def test_backward_refuses_a_root_that_requires_no_gradient(self, build):
+        x = Tensor([1.0, 2.0])
+        root = build(x)
+        with pytest.raises(ContractError, match="^backward: root requires no gradient$"):
+            backward(root)
+        assert root.grad is None and x.grad is None
+
     def test_first_adjoint_takes_the_layout_of_the_value(self, rng):
         # the adjoint reaching p through transpose is transposed in memory;
         # the stored grad must be laid out like p.data, as zeros_like is
@@ -254,6 +267,71 @@ class TestConstants:
         assert len(tensors) == 8 + test_std.n_views
         assert all(t._parents == () and not t.requires_grad for t in tensors)
         assert (model.w_value * 1.0).requires_grad
+
+
+def _under_no_grad(build):
+    with ad.no_grad():
+        return build()
+
+
+def _graph(root):
+    """``(interior, leaves)``: the nodes with parents and the leaves that
+    require a gradient, reachable from ``root``, each once, in walk order."""
+    interior, leaves, seen, todo = [], [], set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        (interior if node._parents else leaves).append(node)
+        todo.extend(node._parents)
+    return interior, leaves
+
+
+def _assert_reference_adjoints(build):
+    """``backward`` gives every leaf of ``build()``'s graph the adjoint that
+    ``oracles.reference_backward`` gives it, byte for byte and in the same
+    layout, and no two leaves' adjoints share memory.  Each walk runs on a
+    graph of its own."""
+    root = build()
+    leaves = _graph(root)[1]
+    oracles.reference_backward(root)
+    expected = [leaf.grad for leaf in leaves]
+    ad.zero_grads(leaves)
+    root = build()
+    assert _graph(root)[1] == leaves
+    backward(root)
+    for leaf, want in zip(leaves, expected):
+        got = leaf.grad
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+    for i, leaf in enumerate(leaves):
+        assert not any(np.shares_memory(leaf.grad, other.grad) for other in leaves[i + 1:])
+
+
+def _aliasing_cases(rng):
+    """Graphs whose vjps hand one array, or views of one array, to several
+    entries, or return an array ``backward`` must not keep: name ->
+    zero-argument builder of the root."""
+    x, y = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+    cube = Tensor(rng.normal(size=(2, 3, 4)))
+    w, w3 = rng.normal(size=(3, 4)), rng.normal(size=(3, 3, 4))
+    a, b, c, d = (Tensor(rng.uniform(0.5, 2.0)) for _ in range(4))
+    return {
+        "x+x": lambda: ((x + x) * w).sum(),
+        "x*x": lambda: ((x * x) * w).sum(),
+        "x+y": lambda: ((x + y) * w).sum(),
+        "stack-x-x-y": lambda: (ad.stack([x, x, y]) * w3).sum(),
+        "transpose-contiguous": lambda: (cube.transpose(0, 1).contiguous() * w3[:, :2]).sum(),
+        # overall_loss hands its adjoint array g to both h1 and h2, here two
+        # leaves, into one of which a later product adds
+        "overall-g-twice": lambda: losses.overall_loss(a, b, c, c, d, 0.3, 0.7) + a * b,
+        # fresh entries that backward must still copy: another layout, another dtype
+        "transposed-entry": lambda: (ad.fused(x.data * 2.0, (x,), lambda g: (
+            np.ascontiguousarray(g.T * 2.0).T,)) * w).sum(),
+        "int64-entry": lambda: (ad.fused(x.data * 2.0, (x,), lambda g: (
+            (g * 2.0).astype(np.int64),)) * w).sum(),
+    }
 
 
 # one entry per op: (f, params) for grad_check
@@ -309,6 +387,69 @@ class TestGradientSoundness:
         for name, (fn, params) in _op_cases(rng).items():
             err = grad_check(fn, params, h=1e-5)
             assert err < 1e-4, f"op {name}: max rel err {err:.2e}"
+
+
+@pytest.fixture(scope="module")
+def acceptance_train(acceptance_dataset):
+    """The acceptance split's standardized 800 training rows."""
+    return standardize(*split(acceptance_dataset, 0.8, seed=7))[0]
+
+
+def _acceptance_step(ds, rows, **config):
+    """The model and a zero-argument builder of one training step on the
+    first ``rows`` rows of ``ds``, which returns the forward bundle and the
+    objective; the model is built once, so every call makes the same graph
+    over the same leaves."""
+    cfg = TrainConfig(seed=7, **config)
+    model = Model(ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim,
+                            seed=cfg.seed))
+    views, y = [v[:rows] for v in ds.views], one_hot(ds.labels[:rows], ds.n_classes)
+
+    def step():
+        bundle = forward_pass(model, views, cfg)
+        return bundle, training_objective(model, bundle, y, cfg, 0.5)[0]
+
+    return model, step
+
+
+class TestLeafAdjoints:
+    """``backward`` keeps only leaf adjoints, stores a fresh first adjoint
+    itself instead of a copy, and stays byte-equal to the walk that copied
+    every first adjoint and kept every node's ``grad``."""
+
+    @pytest.mark.parametrize("rows", [800, 32])
+    @pytest.mark.parametrize("config", [{}, {"uniform_attention": True}, {"bypass_h1": True}],
+                             ids=["default", "uniform_attention", "bypass_h1"])
+    def test_acceptance_step_matches_reference(self, acceptance_train, rows, config):
+        assert acceptance_train.n_samples == 800
+        step = _acceptance_step(acceptance_train, rows, **config)[1]
+        _assert_reference_adjoints(lambda: step()[1])
+
+    @pytest.mark.parametrize("case", list(_aliasing_cases(np.random.default_rng(0))))
+    def test_aliased_entries_match_reference(self, case):
+        _assert_reference_adjoints(_aliasing_cases(np.random.default_rng(0))[case])
+
+    def test_full_batch_step_holds_only_parameter_adjoints(self, acceptance_train):
+        model, step = _acceptance_step(acceptance_train, 800)
+        bundle, objective = step()
+        interior, leaves = _graph(objective)
+        assert {id(p) for p in leaves} == {id(p) for p in model.trainable_params()}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backward(objective)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the 36,466 parameter adjoints, plus room for small Python objects;
+        # keeping every interior adjoint held about 17 MB here
+        assert sum(p.grad.nbytes for p in leaves) == 36_466 * 8
+        assert held <= 36_466 * 8 + 64 * 1024, held
+        # the forward stages, the loss nodes and the root
+        stages = [*(t for t in vars(bundle).values() if isinstance(t, Tensor)),
+                  *bundle.specific_views]
+        assert all(t._parents for t in stages) and len(interior) > len(stages)
+        assert all(node.grad is None for node in (*stages, *interior))
 
 
 class TestSpecialFunctions:
