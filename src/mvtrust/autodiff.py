@@ -33,25 +33,14 @@ node, below, may.  Only ``_makes_node``, ``_node``, ``dense`` and
 ``backward`` read ``requires_grad``.  Inside ``no_grad()`` every op returns
 a constant, so inference builds no graph at all.
 
-``backward`` collects a node's vjp output before it adds anything in, and
-sets the node's ``grad`` back to None once the vjp has run, so only leaves
-keep adjoints.  A parent's first adjoint is stored as it is when it is a
-writeable float64 array, the parent's value is C-ordered, the adjoint has
-the shape and strides ``np.empty_like(data)`` would give, and no other
-entry of the same output shares memory with it; any other first adjoint
-is copied into ``np.empty_like(data)``.  Later adjoints are
-added in with ``+=``, so every sum runs in the same order either way.  The
-stored array thus always has the layout of the node's value, as
-``np.zeros_like`` would, not the layout of the adjoint.  A node reached
-through ``transpose`` receives a transposed adjoint; kept in that layout,
-the sums in later closures and matmuls over it would run in another memory
-order and move the last bit of a parameter.
-
-The vjp contract: a vjp returns arrays it does not keep and will not read
-again, because ``backward`` may store one as a ``grad`` and add into it.
-An array the vjp makes qualifies, and so does a view of its adjoint
-argument, which ``backward`` releases; a forward array the vjp captured
-does not.
+``backward`` sets a node's ``grad`` back to None once its vjp has run, so
+only leaves keep adjoints.  It copies a parent's first adjoint into
+``np.empty_like(data)`` and adds later ones in with ``+=``, so it never
+stores or writes into an array a vjp returned.  The stored array takes the
+layout of the node's value, as ``np.zeros_like`` would, not the layout of
+the adjoint.  A node reached through ``transpose`` receives a transposed
+adjoint; kept in that layout, the sums in later closures and matmuls over
+it would run in another memory order and move the last bit of a parameter.
 
 A fused node may stand for a whole composed graph, such as a loss.  Its
 parent tuple may then name a parent more than once: it holds one entry per
@@ -102,7 +91,6 @@ import.
 from __future__ import annotations
 
 import ctypes
-import functools
 import platform
 import threading
 from collections.abc import Callable
@@ -230,6 +218,7 @@ class Tensor:
         return _node(np.ascontiguousarray(self.data), (self,), (lambda g: g,))
 
     def sum(self, axis=None, keepdims=False):
+        _check_axis("sum", axis)
         shape = self.shape
         return _node(
             self.data.sum(axis=axis, keepdims=keepdims),
@@ -238,6 +227,7 @@ class Tensor:
         )
 
     def mean(self, axis=None, keepdims=False):
+        _check_axis("mean", axis)
         shape = self.shape
         value = self.data.mean(axis=axis, keepdims=keepdims)
         count = max(self.data.size // max(value.size, 1), 1)
@@ -300,9 +290,8 @@ def fused(value, parents, vjp):
 
 def _node(value, parents, adjoints):
     """``fused`` over one closure per parent: closure ``i`` maps the node's
-    adjoint to parent ``i``'s.  The vjp yields them in entry order, which
-    ``backward`` collects before it adds any in, and never calls a constant
-    parent's closure."""
+    adjoint to parent ``i``'s.  The vjp yields them in entry order and never
+    calls a constant parent's closure."""
     return fused(value, parents, lambda g: (
         adjoint(g) if parent.requires_grad else None
         for parent, adjoint in zip(parents, adjoints)))
@@ -379,6 +368,11 @@ def _check_broadcast(op, a, b):
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
         raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
+
+
+def _check_axis(op, axis):
+    if axis is not None and not isinstance(axis, (int, np.integer)):
+        raise ShapeError(f"{op}: axis must be an int or None, got {axis}")
 
 
 def unbroadcast(grad, shape):
@@ -466,9 +460,9 @@ SOFTMAX_ROWS = Activation(_softmax_rows, _softmax_rows_adjoint)
 
 def backward(root):
     """Populate the adjoints of the leaves reachable from the scalar ``root``
-    through nodes that require a gradient.  Every node with parents, the
-    root included, has ``grad`` None again once its vjp has run, and
-    constants keep ``grad`` None; see the module docstring."""
+    through nodes that require a gradient, each in an array of its own.
+    Every node with parents, the root included, has ``grad`` None again once
+    its vjp has run, and constants keep ``grad`` None; see the module docstring."""
     if root.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
@@ -493,50 +487,16 @@ def backward(root):
     for node in reversed(topo):
         entries = tuple(node._vjp(node.grad))
         node.grad = None
-        for i, (parent, entry) in enumerate(zip(node._parents, entries)):
+        for parent, entry in zip(node._parents, entries):
             if not parent.requires_grad:
                 continue
             adjoint = unbroadcast(entry, parent.data.shape)
-            if parent.grad is not None:
-                parent.grad += adjoint
-            elif _can_keep(adjoint, parent.data, entries, i):
-                parent.grad = adjoint
-            else:
+            if parent.grad is None:
                 # parent.data's layout, not the adjoint's; see the module docstring
                 parent.grad = np.empty_like(parent.data)
                 parent.grad[...] = adjoint
-
-
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _can_keep(adjoint, data, entries, i):
-    """Whether ``backward`` may store ``adjoint``, the unbroadcast entry ``i``
-    of one vjp output, as the first adjoint of a parent with value ``data``
-    rather than a copy: it is a writeable float64 array with the C-ordered
-    layout ``np.empty_like(data)`` would give, and no other entry of the
-    output shares memory with it."""
-    if not (type(adjoint) is np.ndarray and adjoint.dtype is _FLOAT64
-            and adjoint.flags.writeable and adjoint.shape == data.shape
-            and data.flags.c_contiguous and adjoint.strides == _c_strides(data.shape)):
-        return False
-    owns = adjoint.flags.owndata
-    for j, other in enumerate(entries):
-        if j == i or other is None:
-            continue
-        # two arrays that each allocated their own memory cannot overlap
-        if owns and type(other) is np.ndarray and other is not adjoint and other.flags.owndata:
-            continue
-        if np.may_share_memory(adjoint, other):
-            return False
-    return True
-
-
-@functools.lru_cache(maxsize=1024)
-def _c_strides(shape):
-    """Strides of ``np.empty(shape)``, which ``np.empty_like`` gives a C-ordered
-    float64 value of that shape."""
-    return np.empty(shape).strides
+            else:
+                parent.grad += adjoint
 
 
 def zero_grads(params):

@@ -461,8 +461,8 @@ class PerArrayAdam:
 
 
 def reference_backward(root):
-    """``autodiff.backward`` as it was written before it kept fresh first
-    adjoints and freed interior ones: every first adjoint is copied into
+    """``autodiff.backward`` as it was written before it freed interior
+    adjoints: every first adjoint is copied into
     ``np.empty_like`` of the node's value, later ones are added in with
     ``+=``, and every node reached keeps its ``grad``."""
     topo, visited, todo = [], set(), [(root, False)]

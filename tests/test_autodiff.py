@@ -64,9 +64,13 @@ class TestForwardOps:
          "softmax_rows: needs at least one axis"),
         (lambda: grad_check(lambda: Tensor(np.ones(2)) * 1.0, []), ContractError,
          "grad_check: f() must return a scalar tensor"),
+        (lambda: Tensor(np.ones((2, 3))).sum(axis=(0, 1)), ShapeError,
+         "sum: axis must be an int or None, got (0, 1)"),
+        (lambda: Tensor(np.ones((2, 3))).mean(axis=(0, 1)), ShapeError,
+         "mean: axis must be an int or None, got (0, 1)"),
     ], ids=["item-non-scalar", "matmul-1d", "matmul-batch-dims", "transpose-1d",
             "reshape-other-size", "dense-1d", "stack-nothing", "stack-mixed-shapes",
-            "softmax-0d", "grad-check-non-scalar"])
+            "softmax-0d", "grad-check-non-scalar", "sum-tuple-axis", "mean-tuple-axis"])
     def test_contract_violation_named(self, call, error, named):
         with pytest.raises(error, match=f"^{re.escape(named)}$"):
             call()
@@ -413,9 +417,8 @@ def _acceptance_step(ds, rows, **config):
 
 
 class TestLeafAdjoints:
-    """``backward`` keeps only leaf adjoints, stores a fresh first adjoint
-    itself instead of a copy, and stays byte-equal to the walk that copied
-    every first adjoint and kept every node's ``grad``."""
+    """``backward`` keeps only leaf adjoints, copies every first adjoint, and
+    stays byte-equal to the walk that also kept every node's ``grad``."""
 
     @pytest.mark.parametrize("rows", [800, 32])
     @pytest.mark.parametrize("config", [{}, {"uniform_attention": True}, {"bypass_h1": True}],
@@ -450,6 +453,18 @@ class TestLeafAdjoints:
                   *bundle.specific_views]
         assert all(t._parents for t in stages) and len(interior) > len(stages)
         assert all(node.grad is None for node in (*stages, *interior))
+
+    def test_vjp_may_return_a_captured_forward_array(self):
+        # the first adjoint into x is the array the fused node captured, and
+        # the product adds a second one after it
+        x = Tensor(np.zeros((2, 3)))
+        captured = np.full((2, 3), 2.0)
+        other = x * 1.0
+        first = ad.fused(captured, (x, other), lambda g: (captured, g))
+        backward(first.sum())
+        np.testing.assert_array_equal(captured, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+        assert not np.shares_memory(x.grad, captured)
 
 
 class TestSpecialFunctions:

@@ -7,12 +7,17 @@ public method and property of those classes, must be named somewhere in
 ``mvtrust.__all__``, be a target that ``perfbench/tracing.py`` wraps, or be
 named in ``perfbench/*.py``, which runs the package as its benchmark.  Code
 that none of these reach is dead to the package, however well tested it is.
+
+Each module-level private function and class (``_name``, not a dunder) must
+be named, as a name or an attribute, in ``src/mvtrust`` outside its own
+definition.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import mvtrust
@@ -68,3 +73,22 @@ def test_every_function_has_a_use_outside_the_tests():
     dead = [label for label, name, obj in checked
             if name not in used and obj not in exported and obj not in traced]
     assert not dead, f"no caller in src/ or perfbench/, not exported, not traced: {dead}"
+
+
+def _uses(tree):
+    """Counter of the names and attributes named in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_has_a_use():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = sum((_uses(tree) for tree in trees.values()), Counter())
+    helpers = [(f"mvtrust.{module}.{node.name}", node) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert {"mvtrust.autodiff._node", "mvtrust.autodiff._GradMode",
+            "mvtrust.losses._masked_kl"} <= {label for label, _ in helpers}
+    dead = [label for label, node in helpers if used[node.name] <= _uses(node)[node.name]]
+    assert not dead, f"named nowhere in src/ outside their own definition: {dead}"
