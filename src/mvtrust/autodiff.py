@@ -7,15 +7,15 @@ adjoints.  Everything is single-threaded; ``Tensor.data`` may be shared
 read-only, while parameter updates (``Adam.step``) require exclusive
 access.
 
-``fused`` makes every interior node from its forward value, its parent
-entries and one ``vjp(g)`` that maps the node's adjoint to one adjoint per
-entry, in entry order.  ``backward`` calls each node's vjp once; an
-adjoint may still carry broadcast axes, which ``backward`` alone sums away
-before adding it into ``parent.grad``.  A ``Tensor`` op hands ``_node`` one
-closure per parent instead, and ``_node`` joins them into one vjp.  A vjp
-captures the arrays it needs, never the node itself: a graph then holds no
-reference cycle, so its arrays are freed as soon as the last reference
-drops rather than whenever the cyclic garbage collector next runs.
+``fused`` makes every interior node, that of each ``Tensor`` op, ``stack``,
+``dense`` and each loss alike, from its forward value, its parent entries
+and one ``vjp(g)`` that maps the node's adjoint to one adjoint per entry,
+in entry order.  ``backward`` calls each node's vjp once; an adjoint may
+still carry broadcast axes, which ``backward`` alone sums away before
+adding it into ``parent.grad``.  A vjp captures the arrays it needs, never
+the node itself: a graph then holds no reference cycle, so its arrays are
+freed as soon as the last reference drops rather than whenever the cyclic
+garbage collector next runs.
 
 ``transpose`` returns a view of its input.  numpy reduces an array that
 is not C-ordered in memory order, so a sum over a transposed view can
@@ -26,10 +26,9 @@ Only tensors that require a gradient get one.  An explicit ``Tensor(data)``
 leaf, such as a parameter, requires one.  ``lift()`` of a plain number or
 array and ``detach()`` make constants, and ``fused`` returns a parentless
 constant when no parent requires a gradient, so a constant never holds a
-graph.  ``backward`` neither visits a constant nor adds an adjoint into
-one, and ``_node`` never calls a constant parent's closure, so no
-``Tensor`` op computes an adjoint that would be dropped; a fused loss
-node, below, may.  Only ``_makes_node``, ``_node``, ``dense`` and
+graph.  A vjp may compute the entry of a constant parent, or leave it
+``None`` as ``dense`` does: ``backward`` drops it, and neither visits a
+constant nor adds an adjoint into one.  Only ``_makes_node``, ``dense`` and
 ``backward`` read ``requires_grad``.  Inside ``no_grad()`` every op returns
 a constant, so inference builds no graph at all.
 
@@ -46,16 +45,15 @@ A fused node may stand for a whole composed graph, such as a loss.  Its
 parent tuple may then name a parent more than once: it holds one entry per
 path by which the composed graph delivers an adjoint to an outside node,
 in the order in which ``backward`` would deliver them.  Its vjp runs the
-composed graph's closures and reductions in their order.  The adjoint of a
-constant parent's entry is never read, so a vjp may leave it ``None``, as
-``dense`` does.  ``backward`` unbroadcasts and adds each entry on its own,
-so every sum into a parent's ``grad`` runs in the composed graph's order
-and the adjoints are bit-identical to it.  One topology breaks that: where
-an input feeds another input that comes first in the parent tuple, as
-``x`` does in ``conflict_degree(x + 1, x)``, the composed graph adds that
-path into ``x`` between its own two, so the same terms are summed in
-another order.  No caller in the package passes such inputs.
-``unbroadcast`` serves the reductions inside a vjp.
+composed graph's closures and reductions in their order.  ``backward``
+unbroadcasts and adds each entry on its own, so every sum into a parent's
+``grad`` runs in the composed graph's order and the adjoints are
+bit-identical to it.  One topology breaks that: where a parent named more
+than once feeds another parent named before it, the composed graph may add
+the path through that other parent between the repeated parent's own
+entries, so the same terms are summed in another order.  ``h1_loss``, the
+one such node that names a parent twice, names it first, so it cannot
+meet that topology.  ``unbroadcast`` serves the reductions inside a vjp.
 
 ``dense`` is the fused node of a stack of dense layers.  Each activation
 is one ``Activation`` whose adjoint reads only the activation's output, so
@@ -161,19 +159,19 @@ class Tensor:
     def __add__(self, other):
         other = lift(other)
         _check_broadcast("add", self, other)
-        return _node(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
+        return fused(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __mul__(self, other):
         other = lift(other)
         _check_broadcast("mul", self, other)
         a, b = self.data, other.data
-        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
+        return fused(a * b, (self, other), lambda g: (g * b, g * a))
 
     def __truediv__(self, other):
         other = lift(other)
         _check_broadcast("div", self, other)
         a, b = self.data, other.data
-        return _node(a / b, (self, other), (lambda g: g / b, lambda g: -g * a / (b * b)))
+        return fused(a / b, (self, other), lambda g: (g / b, -g * a / (b * b)))
 
     def __matmul__(self, other):
         other = lift(other)
@@ -187,13 +185,10 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
 
-        return _node(np.matmul(a, b), (self, other), (
-            lambda g: np.matmul(g, np.swapaxes(b, -1, -2)),
-            lambda g: np.matmul(np.swapaxes(a, -1, -2), g),
+        return fused(np.matmul(a, b), (self, other), lambda g: (
+            np.matmul(g, np.swapaxes(b, -1, -2)),
+            np.matmul(np.swapaxes(a, -1, -2), g),
         ))
-
-    def __rtruediv__(self, other):
-        return lift(other) / self
 
     # -- activations ---------------------------------------------------------
 
@@ -203,7 +198,7 @@ class Tensor:
         if activation is SOFTMAX_ROWS and self.data.ndim < 1:
             raise ShapeError("softmax_rows: needs at least one axis")
         value = activation.forward(self.data)
-        return _node(value, (self,), (lambda g: activation.adjoint(g, value),))
+        return fused(value, (self,), lambda g: (activation.adjoint(g, value),))
 
     # -- shape and reduction ops ---------------------------------------------
 
@@ -211,33 +206,30 @@ class Tensor:
         """Swap axes ``a`` and ``b``; the value is a view, not a copy."""
         if self.data.ndim < 2:
             raise ShapeError(f"transpose: needs >= 2 axes, got {self.shape}")
-        return _node(np.swapaxes(self.data, a, b), (self,), (lambda g: np.swapaxes(g, a, b),))
+        return fused(np.swapaxes(self.data, a, b), (self,), lambda g: (np.swapaxes(g, a, b),))
 
     def contiguous(self):
         """C-ordered copy of the value; see the module docstring."""
-        return _node(np.ascontiguousarray(self.data), (self,), (lambda g: g,))
+        return fused(np.ascontiguousarray(self.data), (self,), lambda g: (g,))
 
     def sum(self, axis=None, keepdims=False):
         _check_axis("sum", axis)
         shape = self.shape
-        return _node(
-            self.data.sum(axis=axis, keepdims=keepdims),
-            (self,),
-            (lambda g: _expand_reduced(g, shape, axis, keepdims),),
-        )
+        return fused(self.data.sum(axis=axis, keepdims=keepdims), (self,),
+                     lambda g: (_expand_reduced(g, shape, axis, keepdims),))
 
     def mean(self, axis=None, keepdims=False):
         _check_axis("mean", axis)
         shape = self.shape
         value = self.data.mean(axis=axis, keepdims=keepdims)
         count = max(self.data.size // max(value.size, 1), 1)
-        return _node(value, (self,), (lambda g: _expand_reduced(g, shape, axis, keepdims) / count,))
+        return fused(value, (self,), lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
     def reshape(self, shape):
         if int(np.prod(shape)) != self.data.size:
             raise ShapeError(f"reshape: cannot view {self.shape} as {tuple(shape)}")
         old = self.shape
-        return _node(self.data.reshape(shape), (self,), (lambda g: g.reshape(old),))
+        return fused(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
 
 def lift(x):
@@ -286,15 +278,6 @@ def fused(value, parents, vjp):
     out._parents = parents
     out._vjp = vjp
     return out
-
-
-def _node(value, parents, adjoints):
-    """``fused`` over one closure per parent: closure ``i`` maps the node's
-    adjoint to parent ``i``'s.  The vjp yields them in entry order and never
-    calls a constant parent's closure."""
-    return fused(value, parents, lambda g: (
-        adjoint(g) if parent.requires_grad else None
-        for parent, adjoint in zip(parents, adjoints)))
 
 
 def dense(x, weights, biases, output, split=False):
@@ -401,11 +384,8 @@ def stack(tensors):
     first = tensors[0].shape
     if any(t.shape != first for t in tensors):
         raise ShapeError(f"stack: mixed shapes {[t.shape for t in tensors]}")
-    return _node(
-        np.stack([t.data for t in tensors]),
-        tensors,
-        tuple((lambda g, i=i: g[i]) for i in range(len(tensors))),
-    )
+    # the rows of the stacked adjoint are the entries, in order
+    return fused(np.stack([t.data for t in tensors]), tensors, lambda g: g)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +465,7 @@ def backward(root):
                 stack_.append((parent, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        entries = tuple(node._vjp(node.grad))
+        entries = node._vjp(node.grad)
         node.grad = None
         for parent, entry in zip(node._parents, entries):
             if not parent.requires_grad:

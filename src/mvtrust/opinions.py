@@ -1,12 +1,12 @@
 """Subjective-logic opinion algebra over batches of per-class evidence.
 
-Every function takes evidence shaped ``(..., q)``, as an ndarray or a
-``Tensor``, lifts it to a ``Tensor`` and returns graph nodes, so the
-training losses and the evaluation report share one definition of each
-formula.  The opinion and projection formulas are written once, in
-``_opinion`` and ``_projection``, which run on Tensors or on plain arrays;
-``conflict_arrays`` runs them on arrays, inside ``conflict_degree``'s fused
-node or inside the node of a loss that holds a conflict term.
+Evidence is shaped ``(..., q)``.  ``evidence_to_opinion``,
+``projected_probability`` and ``conflict_degree`` take ndarrays (or
+anything ``np.asarray`` takes) and return ndarrays; they build no graph.
+The opinion and projection formulas are written once, in ``_opinion`` and
+``_projection``; ``conflict_arrays`` runs them for ``conflict_degree`` and,
+with its vjp, inside the node of each loss that holds a conflict term.
+``fuse_evidence`` alone is a graph op, because training differentiates it.
 
 An opinion assigns one belief mass per class plus a single uncertainty
 mass, all summing to one.  Evidence maps to opinions through the Dirichlet
@@ -21,12 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError
+from .errors import ContractError, ShapeError
+
+
+def _classes(op, evidence):
+    """``evidence`` as a float64 array; ``ShapeError`` where it has no class axis."""
+    evidence = np.asarray(evidence, dtype=np.float64)
+    if evidence.ndim == 0:
+        raise ShapeError(f"{op}: needs a class axis, got a 0-d array")
+    return evidence
 
 
 def _opinion(evidence):
-    """``(beliefs, uncertainty, strength)`` of ``(..., q)`` evidence, as
-    Tensors or as ndarrays, whichever ``evidence`` is."""
+    """``(beliefs, uncertainty, strength)`` of ``(..., q)`` evidence."""
     q = evidence.shape[-1]
     strength = evidence.sum(axis=-1, keepdims=True) + float(q)
     return evidence / strength, float(q) / strength, strength
@@ -41,13 +48,13 @@ def evidence_to_opinion(evidence):
 
     Returns ``(beliefs, uncertainty)`` shaped ``(..., q)`` and ``(..., 1)``.
     """
-    beliefs, uncertainty, _ = _opinion(ad.lift(evidence))
+    beliefs, uncertainty, _ = _opinion(_classes("evidence_to_opinion", evidence))
     return beliefs, uncertainty
 
 
 def projected_probability(beliefs, uncertainty):
     """Point probabilities p = b + u / q under uniform base rates."""
-    return _projection(ad.lift(beliefs), uncertainty)
+    return _projection(_classes("projected_probability", beliefs), uncertainty)
 
 
 def fuse_evidence(e_common, e_specific):
@@ -63,26 +70,24 @@ def conflict_degree(evidence_a, evidence_b):
     between mutually uncertain opinions is small and C(x, x) = 0.  The
     leading axes broadcast, so ``(v, 1, n, q)`` against ``(1, v, n, q)``
     gives every ordered pair of v views; C(a, b) equals C(b, a) exactly.
-
-    One graph node over the parent entries ``(a, a, b, b)``: for each side
-    the belief numerator path, then the strength path.  Its value and
-    adjoints are those of the graph that ``evidence_to_opinion``,
-    ``projected_probability`` and elementwise Tensor ops would build, bit
-    for bit; the subgradient of ``|p_A - p_B|`` at 0 is 0.
     """
-    evidence_a, evidence_b = ad.lift(evidence_a), ad.lift(evidence_b)
-    if evidence_a.shape[-1:] != evidence_b.shape[-1:]:
-        raise ContractError(
-            f"conflict_degree: class counts differ, {evidence_a.shape} vs {evidence_b.shape}"
-        )
-    ad._check_broadcast("conflict_degree", evidence_a, evidence_b)
-    value, vjp = conflict_arrays(evidence_a.data, evidence_b.data)
-    return ad.fused(value, (evidence_a, evidence_a, evidence_b, evidence_b), vjp)
+    a, b = _classes("conflict_degree", evidence_a), _classes("conflict_degree", evidence_b)
+    if a.shape[-1] != b.shape[-1]:
+        raise ContractError(f"conflict_degree: class counts differ, {a.shape} vs {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise ShapeError(f"conflict_degree: cannot broadcast {a.shape} with {b.shape}") from exc
+    return conflict_arrays(a, b)[0]
 
 
 def conflict_arrays(e_a, e_b):
     """``conflict_degree`` on two evidence arrays: its value and its vjp,
-    which returns the adjoints of the entries ``(a, a, b, b)``.
+    which returns the adjoints of the entries ``(a, a, b, b)``: for each
+    side the belief numerator path, then the strength path.  They are the
+    adjoints of the graph that elementwise Tensor ops over the opinion
+    formulas would build, bit for bit; the subgradient of ``|p_A - p_B|``
+    at 0 is 0.
 
     The losses that take the conflict inside their own node call this.
     """

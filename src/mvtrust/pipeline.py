@@ -333,8 +333,10 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     """Run the test path on standardized features and collect diagnostics.
 
     Never mutates parameters; repeated calls return identical reports.  The
-    forward pass and the report code run under ``no_grad()``, so no graph
-    holds their intermediates.
+    forward pass runs under ``no_grad()``, so no graph holds its
+    intermediates, and the opinion algebra runs on its arrays.  A ``mask``
+    marks the corrupted (sample, view) cells and must be shaped
+    ``(ds.n_samples, ds.n_views)``.
     """
     model, cfg = trained.model, trained.cfg
     if ds.view_dims != model.spec.view_dims:
@@ -343,21 +345,25 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     if ds.n_classes != model.spec.n_classes:
         raise ContractError(f"dataset has {ds.n_classes} classes but the model has "
                             f"{model.spec.n_classes}")
+    if mask is not None and np.shape(mask) != (ds.n_samples, ds.n_views):
+        raise ContractError(f"evaluate: mask has shape {np.shape(mask)}, but the dataset "
+                            f"needs {(ds.n_samples, ds.n_views)}")
     with ad.no_grad():
         bundle = forward_pass(model, ds.views, cfg)
-        predictions = np.argmax(bundle.evidence_joint.data, axis=1)
-        joint_u = evidence_to_opinion(bundle.evidence_joint)[1].data[:, 0]
-        # (n, v, q) in C order: numpy sums a transposed view in memory order,
-        # and the report's means would move in the last bit
-        fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
-        local_u = evidence_to_opinion(fused)[1].data[..., 0]
-        attention = np.array(bundle.attention.data)
+    joint = bundle.evidence_joint.data
+    predictions = np.argmax(joint, axis=1)
+    joint_u = evidence_to_opinion(joint)[1][:, 0]
+    # (n, v, q) in C order: numpy sums a transposed view in memory order,
+    # and the report's means would move in the last bit
+    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+    local_u = evidence_to_opinion(fused)[1][..., 0]
+    attention = np.array(bundle.attention.data)
 
-        # one conflict call over the unordered view pairs; filling both
-        # triangles makes the matrix exactly symmetric with an exactly zero
-        # diagonal
-        p, r = np.triu_indices(ds.n_views, 1)
-        pair_means = conflict_degree(fused[:, p], fused[:, r]).data[..., 0].mean(axis=0)
+    # one conflict call over the unordered view pairs; filling both
+    # triangles makes the matrix exactly symmetric with an exactly zero
+    # diagonal
+    p, r = np.triu_indices(ds.n_views, 1)
+    pair_means = conflict_degree(fused[:, p], fused[:, r])[..., 0].mean(axis=0)
     conflict = np.zeros((ds.n_views, ds.n_views))
     conflict[p, r] = conflict[r, p] = pair_means
 

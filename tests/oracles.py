@@ -8,12 +8,15 @@ opinion-level rules, and attention is evaluated one sample at a time.
 
 The one exception is the last section, the composed graphs of the fused
 loss, objective and layer nodes.  They are references for bit-identity,
-not for the formulas, so they are built from mvtrust's own engine, special
-functions and opinion projections, with test-local digamma, log-gamma,
-abs, exp, log, clamp, negation and subtraction nodes, and test-local activation nodes
-as ``Tensor`` wrote them before the activations were shared with the fused
-layers.  ``composed_objective`` is the training objective as one node per
-elementary op, the graph that ``pipeline.training_objective`` replaces.
+not for the formulas, so they are built from mvtrust's own engine and
+special functions, with test-local digamma, log-gamma, abs, exp, log,
+clamp, negation and subtraction nodes, the opinion formulas written as
+``Tensor`` ops, and test-local activation nodes as ``Tensor`` wrote them
+before the activations were shared with the fused layers.
+``conflict_node`` wraps ``opinions.conflict_arrays`` in the node that
+``conflict_degree`` made before it returned arrays.  ``composed_objective``
+is the training objective as one node per elementary op, the graph that
+``pipeline.training_objective`` replaces.
 ``PerArrayAdam`` is likewise ``autodiff.Adam`` as it was written before it
 packed its parameters into one buffer, the reference for its bit-identity,
 and ``reference_backward`` is ``autodiff.backward`` as it was written
@@ -30,7 +33,7 @@ from scipy import special as sp
 from mvtrust import autodiff as ad
 from mvtrust import special
 from mvtrust.losses import _PROB_FLOOR
-from mvtrust.opinions import evidence_to_opinion, projected_probability
+from mvtrust.opinions import conflict_arrays
 
 mpmath.mp.dps = 30
 
@@ -233,27 +236,27 @@ def fd_gradient(f, x, h=1e-5):
 
 def digamma_node(x):
     a = x.data
-    return ad._node(special.digamma(a), (x,), (lambda g: g * special.trigamma(a),))
+    return ad.fused(special.digamma(a), (x,), lambda g: (g * special.trigamma(a),))
 
 
 def lgamma_node(x):
     a = x.data
-    return ad._node(special.lgamma(a), (x,), (lambda g: g * special.digamma(a),))
+    return ad.fused(special.lgamma(a), (x,), lambda g: (g * special.digamma(a),))
 
 
 def abs_node(x):
     sign = np.sign(x.data)
-    return ad._node(np.abs(x.data), (x,), (lambda g: g * sign,))
+    return ad.fused(np.abs(x.data), (x,), lambda g: (g * sign,))
 
 
 def exp_node(x):
     value = np.exp(x.data)
-    return ad._node(value, (x,), (lambda g: g * value,))
+    return ad.fused(value, (x,), lambda g: (g * value,))
 
 
 def log_node(x):
     a = x.data
-    return ad._node(np.log(a), (x,), (lambda g: g / a,))
+    return ad.fused(np.log(a), (x,), lambda g: (g / a,))
 
 
 def clamp_node(x, lo=None, hi=None):
@@ -262,17 +265,17 @@ def clamp_node(x, lo=None, hi=None):
         passthrough &= x.data > lo
     if hi is not None:
         passthrough &= x.data < hi
-    return ad._node(np.clip(x.data, lo, hi), (x,), (lambda g: g * passthrough,))
+    return ad.fused(np.clip(x.data, lo, hi), (x,), lambda g: (g * passthrough,))
 
 
 def neg_node(x):
-    return ad._node(-x.data, (x,), (lambda g: -g,))
+    return ad.fused(-x.data, (x,), lambda g: (-g,))
 
 
 def sub_node(a, b):
     a, b = ad.lift(a), ad.lift(b)
     ad._check_broadcast("sub", a, b)
-    return ad._node(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
+    return ad.fused(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def composed_ace(alpha, y):
@@ -300,14 +303,30 @@ def composed_kl(alpha, y):
     return composed_kl_uniform(alpha * (1.0 - y) + y)
 
 
+def composed_opinion(evidence):
+    """The projected probabilities and uncertainty of ``(..., q)`` evidence,
+    as the elementwise nodes of the opinion formulas."""
+    evidence = ad.lift(evidence)
+    q = evidence.shape[-1]
+    strength = evidence.sum(axis=-1, keepdims=True) + float(q)
+    beliefs, uncertainty = evidence / strength, ad.lift(float(q)) / strength
+    return beliefs + uncertainty * (1.0 / q), uncertainty
+
+
 def composed_conflict(evidence_a, evidence_b):
-    b_a, u_a = evidence_to_opinion(evidence_a)
-    b_b, u_b = evidence_to_opinion(evidence_b)
-    p_a = projected_probability(b_a, u_a)
-    p_b = projected_probability(b_b, u_b)
+    p_a, u_a = composed_opinion(evidence_a)
+    p_b, u_b = composed_opinion(evidence_b)
     distance = abs_node(sub_node(p_a, p_b)).sum(axis=-1, keepdims=True) * 0.5
     certainty = sub_node(1.0, u_a) * sub_node(1.0, u_b)
     return distance * certainty
+
+
+def conflict_node(evidence_a, evidence_b):
+    """``opinions.conflict_arrays`` as one node over the entries ``(a, a, b,
+    b)``, so that its vjp can be checked against ``composed_conflict``."""
+    evidence_a, evidence_b = ad.lift(evidence_a), ad.lift(evidence_b)
+    value, vjp = conflict_arrays(evidence_a.data, evidence_b.data)
+    return ad.fused(value, (evidence_a, evidence_a, evidence_b, evidence_b), vjp)
 
 
 def composed_cross_entropy(probs, onehot):
@@ -386,24 +405,24 @@ def composed_objective(model, bundle, y, cfg, lambda_t):
 
 def relu_node(x):
     active = x.data > 0.0
-    return ad._node(np.maximum(x.data, 0.0), (x,), (lambda g: g * active,))
+    return ad.fused(np.maximum(x.data, 0.0), (x,), lambda g: (g * active,))
 
 
 def sigmoid_node(x):
     z = np.exp(-np.abs(x.data))
     s = np.where(x.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return ad._node(s, (x,), (lambda g: g * s * (1.0 - s),))
+    return ad.fused(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def softmax_rows_node(x):
     z = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     s = z / z.sum(axis=-1, keepdims=True)
 
-    def adjoint(g):
+    def vjp(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        return (g - inner) * s
+        return ((g - inner) * s,)
 
-    return ad._node(s, (x,), (adjoint,))
+    return ad.fused(s, (x,), vjp)
 
 
 def composed_dense(x, weights, biases, output):

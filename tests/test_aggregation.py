@@ -33,7 +33,7 @@ def _attend(ctx):
 
 
 def _u(e):
-    return float(evidence_to_opinion(np.asarray(e, dtype=float))[1].data[0])
+    return float(evidence_to_opinion(np.asarray(e, dtype=float))[1][0])
 
 
 class TestIntraView:
@@ -219,8 +219,8 @@ class TestPredict:
     def test_argmax_invariant_under_evidence_scaling(self, rng):
         for _ in range(50):
             e = rng.uniform(0.0, 5.0, size=4)
-            base = np.argmax(evidence_to_opinion(e)[0].data)
-            scaled = np.argmax(evidence_to_opinion(e * 7.5)[0].data)
+            base = np.argmax(evidence_to_opinion(e)[0])
+            scaled = np.argmax(evidence_to_opinion(e * 7.5)[0])
             assert base == scaled
 
 

@@ -88,7 +88,7 @@ def test_every_private_helper_has_a_use():
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.endswith("__")]
-    assert {"mvtrust.autodiff._node", "mvtrust.autodiff._GradMode",
+    assert {"mvtrust.autodiff._makes_node", "mvtrust.autodiff._GradMode",
             "mvtrust.losses._masked_kl"} <= {label for label, _ in helpers}
     dead = [label for label, node in helpers if used[node.name] <= _uses(node)[node.name]]
     assert not dead, f"named nowhere in src/ outside their own definition: {dead}"

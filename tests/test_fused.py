@@ -1,9 +1,10 @@
 """Fused nodes against the composed graphs they replace, bit for bit.
 
-Every loss term, ``conflict_degree`` and each ``autodiff.dense`` stack of
-layers are one graph node each; ``oracles`` builds the graph of elementary
-nodes each used to be.  Both are run on the same leaves, and the value and
-every leaf's adjoint must be equal to the last bit.  The whole training
+Every loss term, the conflict node over ``opinions.conflict_arrays`` and
+each ``autodiff.dense`` stack of layers are one graph node each; ``oracles``
+builds the graph of elementary nodes each used to be.  Both are run on the
+same leaves, and the value and every leaf's adjoint must be equal to the
+last bit.  The whole training
 objective is checked the same way, on every parameter of a model after
 one step.  ``special.polygamma_pass`` must likewise give each argument
 the values a pass of its own gives, bit for bit.
@@ -22,7 +23,6 @@ from mvtrust import special
 from mvtrust.autodiff import Tensor, backward
 from mvtrust.data import synthesize
 from mvtrust.networks import Model, ModelSpec
-from mvtrust.opinions import conflict_degree
 from mvtrust.pipeline import TrainConfig, forward_pass, one_hot, training_objective
 
 
@@ -132,20 +132,20 @@ class TestConflict:
     def test_matches_composed(self, case, seed):
         rng = np.random.default_rng(seed)
         arrays = [np.exp(rng.normal(0.0, 2.0, size=shape)) for shape in CONFLICT_CASES[case]]
-        _assert_same(conflict_degree, oracles.composed_conflict, arrays, seed=seed)
+        _assert_same(oracles.conflict_node, oracles.composed_conflict, arrays, seed=seed)
 
     @pytest.mark.parametrize("live", [[False, True], [True, False]], ids=["a-const", "b-const"])
     def test_one_constant_parent(self, live, rng):
         arrays = [np.exp(rng.normal(size=(6, 4))), np.exp(rng.normal(size=(2, 6, 4)))]
-        _assert_same(conflict_degree, oracles.composed_conflict, arrays, live=live)
+        _assert_same(oracles.conflict_node, oracles.composed_conflict, arrays, live=live)
 
     def test_zero_difference_has_zero_subgradient(self, rng):
         a = np.exp(rng.normal(size=(6, 4)))
         b = a.copy()
         b[::2] = np.exp(rng.normal(size=(3, 4)))  # rows 1, 3 and 5 stay equal
-        _assert_same(conflict_degree, oracles.composed_conflict, [a, b])
+        _assert_same(oracles.conflict_node, oracles.composed_conflict, [a, b])
         # the equal rows have conflict 0 and pass no adjoint through |p_a - p_b|
-        value, grads = _run(conflict_degree, [a, b], [True, True], rng)
+        value, grads = _run(oracles.conflict_node, [a, b], [True, True], rng)
         assert np.all(value[1::2] == 0.0)
         assert np.all(grads[0][1::2] == 0.0) and np.all(grads[1][1::2] == 0.0)
 
@@ -157,7 +157,7 @@ class TestConflict:
                 return form(stack.reshape((v, 1, *rest)), stack.reshape((1, v, *rest)))
             return build
 
-        _assert_same(pairs(conflict_degree), pairs(oracles.composed_conflict),
+        _assert_same(pairs(oracles.conflict_node), pairs(oracles.composed_conflict),
                      [np.exp(rng.normal(size=(3, 7, 4)))])
 
     def test_related_arguments(self, rng):
@@ -168,7 +168,8 @@ class TestConflict:
                 return form(scaled, scaled) + form(e, e + 1.0)
             return build
 
-        _assert_same(self_conflict(conflict_degree), self_conflict(oracles.composed_conflict),
+        _assert_same(self_conflict(oracles.conflict_node),
+                     self_conflict(oracles.composed_conflict),
                      [np.exp(rng.normal(size=(5, 4)))])
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mvtrust.errors import ContractError
+from mvtrust.errors import ContractError, ShapeError
 from mvtrust.opinions import conflict_degree, evidence_to_opinion, fuse_evidence
 from mvtrust.opinions import projected_probability
 
@@ -18,9 +18,9 @@ evidence_lists = st.lists(
 
 
 def opinion_from(e):
-    """(beliefs, uncertainty) of one evidence vector as plain arrays."""
+    """(beliefs, uncertainty) of one evidence vector: an array and a float."""
     b, u = evidence_to_opinion(np.asarray(e, dtype=float))
-    return b.data, float(u.data[0])
+    return b, float(u[0])
 
 
 class TestEvidenceToOpinion:
@@ -139,25 +139,25 @@ class TestAggregateAll:
 class TestProjection:
     def test_vacuous_projects_to_base_rate(self):
         p = projected_probability(np.zeros(4), 1.0)
-        np.testing.assert_allclose(p.data, 0.25, atol=1e-15)
+        np.testing.assert_allclose(p, 0.25, atol=1e-15)
 
     def test_direct_formula(self):
         p = projected_probability(np.array([0.8, 0.0]), 0.2)
-        np.testing.assert_allclose(p.data, [0.9, 0.1], atol=1e-15)
+        np.testing.assert_allclose(p, [0.9, 0.1], atol=1e-15)
 
     def test_certain_opinion_projects_to_beliefs(self):
         p = projected_probability(np.array([0.3, 0.7]), 0.0)
-        np.testing.assert_allclose(p.data, [0.3, 0.7], atol=1e-15)
+        np.testing.assert_allclose(p, [0.3, 0.7], atol=1e-15)
 
     @given(evidence_lists)
     def test_projection_is_a_distribution(self, e):
-        p = projected_probability(*evidence_to_opinion(np.asarray(e, dtype=float))).data
+        p = projected_probability(*evidence_to_opinion(np.asarray(e, dtype=float)))
         assert abs(p.sum() - 1.0) < 1e-9
         assert np.all(p >= 0.0)
 
 
 def conflict(e_a, e_b):
-    return conflict_degree(np.asarray(e_a, dtype=float), np.asarray(e_b, dtype=float)).data[0]
+    return conflict_degree(np.asarray(e_a, dtype=float), np.asarray(e_b, dtype=float))[0]
 
 
 class TestConflictDegree:
@@ -179,11 +179,11 @@ class TestConflictDegree:
 
     def test_stacked_pairs_equal_per_pair_calls(self):
         evidence = np.random.default_rng(8).uniform(0.0, 9.0, size=(4, 6, 3))
-        pairs = conflict_degree(evidence[:, None], evidence[None, :]).data
+        pairs = conflict_degree(evidence[:, None], evidence[None, :])
         assert pairs.shape == (4, 4, 6, 1)
         for p, r in itertools.product(range(4), repeat=2):
             np.testing.assert_array_equal(
-                pairs[p, r], conflict_degree(evidence[p], evidence[r]).data
+                pairs[p, r], conflict_degree(evidence[p], evidence[r])
             )
         assert np.all(pairs[np.arange(4), np.arange(4)] == 0.0)
         np.testing.assert_array_equal(pairs, pairs.swapaxes(0, 1))
@@ -194,3 +194,14 @@ class TestConflictDegree:
         assert 0.0 <= c <= 1.0
         assert c == conflict(e2, e1)
 
+
+
+@pytest.mark.parametrize("name, call", [
+    ("evidence_to_opinion", lambda: evidence_to_opinion(2.0)),
+    ("projected_probability", lambda: projected_probability(np.float64(0.5), 0.5)),
+    ("conflict_degree", lambda: conflict_degree(2.0, 2.0)),
+    ("conflict_degree", lambda: conflict_degree(np.ones(3), np.array(2.0))),
+], ids=["opinion", "projection", "conflict-both", "conflict-second"])
+def test_evidence_without_a_class_axis_is_refused(name, call):
+    with pytest.raises(ShapeError, match=f"^{name}: needs a class axis"):
+        call()

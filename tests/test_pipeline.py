@@ -356,6 +356,21 @@ class TestEvaluate:
         with pytest.raises(ContractError, match="3 classes but the model has 2"):
             evaluate(trained, other)
 
+    @pytest.mark.parametrize("extra", [(0, 1), (1, 0), None], ids=["view", "row", "1-d"])
+    def test_mask_of_another_shape_rejected_before_the_forward_pass(self, smoke_run, extra,
+                                                                    monkeypatch):
+        trained, test_std, _ = smoke_run
+        n, v = test_std.n_samples, test_std.n_views
+        shape = (n,) if extra is None else (n + extra[0], v + extra[1])
+
+        def no_forward(*_):
+            raise AssertionError("the forward pass ran")
+
+        monkeypatch.setattr(pipeline, "forward_pass", no_forward)
+        expected = re.escape(f"evaluate: mask has shape {shape}, but the dataset needs {(n, v)}")
+        with pytest.raises(ContractError, match=f"^{expected}$"):
+            evaluate(trained, test_std, np.ones(shape, dtype=bool))
+
 
 def _fresh_model(ds):
     return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2, subspace_dim=8, seed=1))
