@@ -41,19 +41,18 @@ the adjoint.  A node reached through ``transpose`` receives a transposed
 adjoint; kept in that layout, the sums in later closures and matmuls over
 it would run in another memory order and move the last bit of a parameter.
 
-A fused node may stand for a whole composed graph, such as a loss.  Its
-parent tuple may then name a parent more than once: it holds one entry per
-path by which the composed graph delivers an adjoint to an outside node,
-in the order in which ``backward`` would deliver them.  Its vjp runs the
-composed graph's closures and reductions in their order.  ``backward``
-unbroadcasts and adds each entry on its own, so every sum into a parent's
-``grad`` runs in the composed graph's order and the adjoints are
-bit-identical to it.  One topology breaks that: where a parent named more
-than once feeds another parent named before it, the composed graph may add
-the path through that other parent between the repeated parent's own
-entries, so the same terms are summed in another order.  ``h1_loss``, the
-one such node that names a parent twice, names it first, so it cannot
-meet that topology.  ``unbroadcast`` serves the reductions inside a vjp.
+A fused node may stand for a whole composed graph, such as a loss.  It
+names each parent once, and its vjp runs the composed graph's closures and
+reductions in their order and returns one adjoint per parent: the sum of
+the paths by which the composed graph reaches that parent, added in the
+composed graph's order.  That is bit-identical to the composed graph only
+where the merged sum is added into ``grad`` as the paths were: the
+composed graph must add the node's paths into the parent before any other
+adjoint, and then either the node's vjp runs before any other adjoint
+reaches the parent, or exactly one other adjoint reaches it, since IEEE
+addition commutes.  ``alpha_fused`` in ``pipeline.training_objective``,
+which ``h1_loss`` and ``con_loss`` both read, meets the first case.
+``unbroadcast`` serves the reductions inside a vjp.
 
 ``dense`` is the fused node of a stack of dense layers.  Each activation
 is one ``Activation`` whose adjoint reads only the activation's output, so

@@ -10,11 +10,11 @@ within and across views.
 Every loss is one ``autodiff.fused`` node.  Its forward is the numpy
 sequence of the composed graph of elementary nodes it replaces
 (``tests/oracles.py`` keeps those graphs), and its vjp runs that graph's
-adjoint arithmetic in the order ``backward`` ran it, with one parent entry
-per path by which the graph reached the parent, so value and adjoints are
-bit-identical to it.  Adjoints that the composed graph summed in a node
-inside the term, such as the Dirichlet parameters that several terms
-read, are summed in the vjp in the same order.  The array-level
+adjoint arithmetic in the order ``backward`` ran it.  It names each parent
+once and returns one adjoint per parent, the paths by which the graph
+reached it summed in the graph's order, so value and adjoints are
+bit-identical to it under the condition the ``autodiff`` module docstring
+states.  The array-level
 ``_cross_entropy``, ``_ace``, ``_masked_kl``, ``_acc_terms`` and
 ``opinions.conflict_arrays`` each return values and vjps; each loss node
 composes the ones it needs.  The ACE terms of one node take psi and psi'
@@ -162,10 +162,7 @@ def cml_loss(y_hat, y):
         g_term = np.broadcast_to(-g, term.shape) / max(term.size, 1)
         g_hit = ad.unbroadcast(g_term * y, p.shape)
         g_miss = ad.unbroadcast(g_term * miss, p.shape)
-        # the log(clipped) path reaches the clip first, then the log(1 - clipped) path
-        g_clipped = g_hit / clipped
-        g_clipped += -(g_miss / rest)
-        return (g_clipped * passthrough,)
+        return ((g_hit / clipped - g_miss / rest) * passthrough,)
 
     return ad.fused(-term.mean(), (y_hat,), vjp)
 
@@ -186,9 +183,7 @@ def spe_loss(specific, common):
 
     def vjp(g):
         g_square = np.broadcast_to(g * n_views, inner.shape) / max(inner.size, 1)
-        # inner * inner: both factors deliver the same product
-        g_factor = g_square * inner
-        g_product = np.broadcast_to(np.expand_dims(g_factor + g_factor, -1), product.shape)
+        g_product = np.broadcast_to(np.expand_dims(2.0 * (g_square * inner), -1), product.shape)
         return ad.unbroadcast(g_product * c, s.shape), ad.unbroadcast(g_product * s, c.shape)
 
     return ad.fused((inner * inner).mean() * n_views, (specific, common), vjp)
@@ -223,8 +218,8 @@ def _ace_argument(a):
 
 def _ace(argument, y, psi, psi1):
     """Value and vjp of ``ace_loss`` from ``_ace_argument(a)`` and the pass
-    over it; the vjp returns the strength path's adjoint of ``a``, then the
-    psi(alpha) path's."""
+    over it; the vjp returns the adjoint of ``a``, the strength path's plus
+    the psi(alpha) path's."""
     y = np.asarray(y, dtype=np.float64)
     *lead, q = argument.shape
     q -= 1
@@ -237,7 +232,7 @@ def _ace(argument, y, psi, psi1):
         g_rows = np.expand_dims(np.broadcast_to(g, rows.shape) / count, -1)
         g_difference = ad.unbroadcast(np.broadcast_to(g_rows, per_class.shape) * y, shape)
         g_strength = ad.unbroadcast(g_difference, strength_shape) * psi1[..., q:]
-        return np.broadcast_to(g_strength, shape), -g_difference * psi1[..., :q]
+        return np.broadcast_to(g_strength, shape) + -g_difference * psi1[..., :q]
 
     return rows.mean(), vjp
 
@@ -245,15 +240,14 @@ def _ace(argument, y, psi, psi1):
 def ace_loss(alpha, y):
     """Evidential cross-entropy: sum_k y_k (psi(S) - psi(alpha_k)), batch mean.
 
-    One graph node over the parent entries ``(alpha, alpha)``: the strength
-    path, then the psi(alpha) path.  Value and adjoints are bit-identical
-    to the graph of ``sum``, ``digamma``, ``-``, ``* y``, ``sum`` and
-    ``mean`` nodes that computes the formula.
+    One graph node over ``alpha``.  Value and adjoint are bit-identical to
+    the graph of ``sum``, ``digamma``, ``-``, ``* y``, ``sum`` and ``mean``
+    nodes that computes the formula.
     """
     alpha = ad.lift(alpha)
     argument = _ace_argument(alpha.data)
     value, vjp = _ace(argument, y, *special.polygamma_pass(argument))
-    return ad.fused(value, (alpha, alpha), vjp)
+    return ad.fused(value, (alpha,), lambda g: (vjp(g),))
 
 
 @functools.cache
@@ -322,8 +316,8 @@ def _acc_terms(alphas, y, lambda_t):
     """Value and vjp of the annealed classification term ace + lambda_t *
     masked KL on each array in ``alphas``.  The ACE terms take psi and psi'
     from one polygamma pass and the KL terms psi, psi' and lnGamma from
-    another.  Each vjp returns one adjoint, the ACE paths' sum and then the
-    KL path's, as they met in alpha."""
+    another.  Each vjp returns one adjoint, the ACE term's plus the KL
+    term's, as they met in alpha."""
     y = np.asarray(y, dtype=np.float64)
     ace_arguments = [_ace_argument(a) for a in alphas]
     kl_parts = [_kl_argument(a, y) for a in alphas]
@@ -340,9 +334,8 @@ def _acc_terms(alphas, y, lambda_t):
 
 def _acc_vjp(ace_vjp, kl_vjp, lambda_t):
     def vjp(g):
-        strength_path, psi_path = ace_vjp(g)
         (kl_path,) = kl_vjp(g * lambda_t)
-        return strength_path + psi_path + kl_path
+        return ace_vjp(g) + kl_path
     return vjp
 
 
@@ -360,10 +353,9 @@ def h1_loss(alpha_views, evidence_common, evidence_specific, y, gamma):
     the conflict reads that shift back, as ``(e + 1) - 1``.  ``ace`` and the
     conflict mean average over views and samples at once.
 
-    One node over the entries ``(alpha_views, alpha_views, evidence_common,
-    evidence_specific)``: the views' ACE strength and psi paths, then the
-    common and the specific side, each the sum of its ACE paths and then its
-    conflict paths.
+    One node over ``(alpha_views, evidence_common, evidence_specific)``;
+    the common and the specific side's adjoints are each the ACE term's
+    plus the conflict's.
     """
     alpha_views, evidence_common, evidence_specific = map(
         ad.lift, (alpha_views, evidence_common, evidence_specific))
@@ -378,16 +370,11 @@ def h1_loss(alpha_views, evidence_common, evidence_specific, y, gamma):
 
     def vjp(g):
         g_pairs = np.broadcast_to(g * gamma, pairs.shape) / max(pairs.size, 1)
-        common_beliefs, common_strength, specific_beliefs, specific_strength = pairs_vjp(g_pairs)
-        common_paths, specific_paths = common_vjp(g), specific_vjp(g)
-        g_common = common_paths[0] + common_paths[1]
-        g_common += common_beliefs + common_strength
-        g_specific = specific_paths[0] + specific_paths[1]
-        g_specific += specific_beliefs + specific_strength
-        return (*views_vjp(g), g_common, g_specific)
+        pair_common, pair_specific = pairs_vjp(g_pairs)
+        return views_vjp(g), common_vjp(g) + pair_common, specific_vjp(g) + pair_specific
 
     value = views + common + specific + gamma * pairs.mean()
-    return ad.fused(value, (alpha_views, alpha_views, evidence_common, evidence_specific), vjp)
+    return ad.fused(value, (alpha_views, evidence_common, evidence_specific), vjp)
 
 
 def con_loss(alpha_views):
@@ -398,8 +385,8 @@ def con_loss(alpha_views):
     ``(v, 1, n, q)`` rows against the ``(1, v, n, q)`` columns of the
     evidence ``alpha - 1``; the diagonal pairs are exactly 0, so the mean
     over all v^2 pairs times v^2 / (v - 1) is the sum over distinct pairs
-    divided by v - 1.  One node over ``alpha_views``, whose adjoint adds the
-    rows' paths, then the columns'.
+    divided by v - 1.  One node over ``alpha_views``, whose adjoint is the
+    rows' plus the columns'.
     """
     alpha_views = ad.lift(alpha_views)
     n_views = alpha_views.shape[0]
@@ -413,10 +400,8 @@ def con_loss(alpha_views):
 
     def vjp(g):
         g_pairs = np.broadcast_to(g * scale, pairs.shape) / max(pairs.size, 1)
-        row_beliefs, row_strength, column_beliefs, column_strength = pairs_vjp(g_pairs)
-        g_evidence = (row_beliefs + row_strength).reshape(evidence.shape)
-        g_evidence += (column_beliefs + column_strength).reshape(evidence.shape)
-        return (g_evidence,)
+        rows, columns = pairs_vjp(g_pairs)
+        return (rows.reshape(evidence.shape) + columns.reshape(evidence.shape),)
 
     return ad.fused(pairs.mean() * scale, (alpha_views,), vjp)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 
 
 def _classes(op, evidence):
@@ -29,6 +29,16 @@ def _classes(op, evidence):
     evidence = np.asarray(evidence, dtype=np.float64)
     if evidence.ndim == 0:
         raise ShapeError(f"{op}: needs a class axis, got a 0-d array")
+    return evidence
+
+
+def _evidence(op, evidence):
+    """``_classes`` of ``evidence``; ``DomainError`` where an entry is
+    negative or not finite."""
+    evidence = _classes(op, evidence)
+    valid = (evidence >= 0.0) & (evidence < np.inf)
+    if not valid.all():
+        raise DomainError(f"{op}: evidence must be finite and >= 0, got {evidence[~valid][0]}")
     return evidence
 
 
@@ -48,13 +58,22 @@ def evidence_to_opinion(evidence):
 
     Returns ``(beliefs, uncertainty)`` shaped ``(..., q)`` and ``(..., 1)``.
     """
-    beliefs, uncertainty, _ = _opinion(_classes("evidence_to_opinion", evidence))
+    beliefs, uncertainty, _ = _opinion(_evidence("evidence_to_opinion", evidence))
     return beliefs, uncertainty
 
 
 def projected_probability(beliefs, uncertainty):
-    """Point probabilities p = b + u / q under uniform base rates."""
-    return _projection(_classes("projected_probability", beliefs), uncertainty)
+    """Point probabilities p = b + u / q under uniform base rates.
+
+    ``uncertainty`` is shaped ``(..., 1)`` as ``evidence_to_opinion``
+    returns it, or is one number for every opinion.
+    """
+    beliefs = _classes("projected_probability", beliefs)
+    uncertainty = np.asarray(uncertainty, dtype=np.float64)
+    if uncertainty.ndim and uncertainty.shape != (*beliefs.shape[:-1], 1):
+        raise ShapeError(f"projected_probability: uncertainty has shape {uncertainty.shape}, "
+                         f"but beliefs of shape {beliefs.shape} need {(*beliefs.shape[:-1], 1)}")
+    return _projection(beliefs, uncertainty)
 
 
 def fuse_evidence(e_common, e_specific):
@@ -71,7 +90,7 @@ def conflict_degree(evidence_a, evidence_b):
     leading axes broadcast, so ``(v, 1, n, q)`` against ``(1, v, n, q)``
     gives every ordered pair of v views; C(a, b) equals C(b, a) exactly.
     """
-    a, b = _classes("conflict_degree", evidence_a), _classes("conflict_degree", evidence_b)
+    a, b = _evidence("conflict_degree", evidence_a), _evidence("conflict_degree", evidence_b)
     if a.shape[-1] != b.shape[-1]:
         raise ContractError(f"conflict_degree: class counts differ, {a.shape} vs {b.shape}")
     try:
@@ -83,11 +102,10 @@ def conflict_degree(evidence_a, evidence_b):
 
 def conflict_arrays(e_a, e_b):
     """``conflict_degree`` on two evidence arrays: its value and its vjp,
-    which returns the adjoints of the entries ``(a, a, b, b)``: for each
-    side the belief numerator path, then the strength path.  They are the
-    adjoints of the graph that elementwise Tensor ops over the opinion
-    formulas would build, bit for bit; the subgradient of ``|p_A - p_B|``
-    at 0 is 0.
+    which returns one adjoint per side, ``(a, b)``, each the belief
+    numerator's plus the strength's.  They are the adjoints of the graph
+    that elementwise Tensor ops over the opinion formulas would build, bit
+    for bit; the subgradient of ``|p_A - p_B|`` at 0 is 0.
 
     The losses that take the conflict inside their own node call this.
     """
@@ -111,9 +129,9 @@ def conflict_arrays(e_a, e_b):
             # b = e / S and u = q / S reach S; u also reaches (1 - u) in the certainty
             g_strength = ad.unbroadcast(-g_beliefs * e / (s * s), s.shape)
             g_u = ad.unbroadcast(g_beliefs, s.shape) * inv_q
-            g_u += -ad.unbroadcast(g_certainty * other, s.shape)
-            g_strength += -g_u * q / (s * s)
-            adjoints += [g_beliefs / s, np.broadcast_to(g_strength, e.shape)]
+            g_u -= ad.unbroadcast(g_certainty * other, s.shape)
+            g_strength -= g_u * q / (s * s)
+            adjoints.append(g_beliefs / s + np.broadcast_to(g_strength, e.shape))
         return adjoints
 
     return distance * certainty, vjp

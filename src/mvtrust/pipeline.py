@@ -335,8 +335,8 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     Never mutates parameters; repeated calls return identical reports.  The
     forward pass runs under ``no_grad()``, so no graph holds its
     intermediates, and the opinion algebra runs on its arrays.  A ``mask``
-    marks the corrupted (sample, view) cells and must be shaped
-    ``(ds.n_samples, ds.n_views)``.
+    marks the corrupted (sample, view) cells: a bool array (or nested list)
+    shaped ``(ds.n_samples, ds.n_views)``.
     """
     model, cfg = trained.model, trained.cfg
     if ds.view_dims != model.spec.view_dims:
@@ -345,9 +345,13 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     if ds.n_classes != model.spec.n_classes:
         raise ContractError(f"dataset has {ds.n_classes} classes but the model has "
                             f"{model.spec.n_classes}")
-    if mask is not None and np.shape(mask) != (ds.n_samples, ds.n_views):
-        raise ContractError(f"evaluate: mask has shape {np.shape(mask)}, but the dataset "
-                            f"needs {(ds.n_samples, ds.n_views)}")
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise ContractError(f"evaluate: mask must be a bool array, got dtype {mask.dtype}")
+        if mask.shape != (ds.n_samples, ds.n_views):
+            raise ContractError(f"evaluate: mask has shape {mask.shape}, but the dataset "
+                                f"needs {(ds.n_samples, ds.n_views)}")
     with ad.no_grad():
         bundle = forward_pass(model, ds.views, cfg)
     joint = bundle.evidence_joint.data

@@ -13,8 +13,8 @@ special functions, with test-local digamma, log-gamma, abs, exp, log,
 clamp, negation and subtraction nodes, the opinion formulas written as
 ``Tensor`` ops, and test-local activation nodes as ``Tensor`` wrote them
 before the activations were shared with the fused layers.
-``conflict_node`` wraps ``opinions.conflict_arrays`` in the node that
-``conflict_degree`` made before it returned arrays.  ``composed_objective``
+``conflict_node`` wraps ``opinions.conflict_arrays`` in one node over its
+two arguments, so that its vjp can be checked.  ``composed_objective``
 is the training objective as one node per elementary op, the graph that
 ``pipeline.training_objective`` replaces.
 ``PerArrayAdam`` is likewise ``autodiff.Adam`` as it was written before it
@@ -322,11 +322,11 @@ def composed_conflict(evidence_a, evidence_b):
 
 
 def conflict_node(evidence_a, evidence_b):
-    """``opinions.conflict_arrays`` as one node over the entries ``(a, a, b,
-    b)``, so that its vjp can be checked against ``composed_conflict``."""
+    """``opinions.conflict_arrays`` as one node over ``(a, b)``, so that its
+    vjp can be checked against ``composed_conflict``."""
     evidence_a, evidence_b = ad.lift(evidence_a), ad.lift(evidence_b)
     value, vjp = conflict_arrays(evidence_a.data, evidence_b.data)
-    return ad.fused(value, (evidence_a, evidence_a, evidence_b, evidence_b), vjp)
+    return ad.fused(value, (evidence_a, evidence_b), vjp)
 
 
 def composed_cross_entropy(probs, onehot):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mvtrust.errors import ContractError, ShapeError
+from mvtrust.errors import ContractError, DomainError, ShapeError
 from mvtrust.opinions import conflict_degree, evidence_to_opinion, fuse_evidence
 from mvtrust.opinions import projected_probability
 
@@ -204,4 +204,26 @@ class TestConflictDegree:
 ], ids=["opinion", "projection", "conflict-both", "conflict-second"])
 def test_evidence_without_a_class_axis_is_refused(name, call):
     with pytest.raises(ShapeError, match=f"^{name}: needs a class axis"):
+        call()
+
+
+@pytest.mark.parametrize("error, message, call", [
+    (ShapeError, r"projected_probability: uncertainty has shape \(4,\), but beliefs of shape "
+                 r"\(4, 4\) need \(4, 1\)",
+     lambda: projected_probability(np.full((4, 4), 0.2), np.full(4, 0.2))),
+    (ShapeError, r"projected_probability: uncertainty has shape \(4,\), but beliefs of shape "
+                 r"\(3, 4\) need \(3, 1\)",
+     lambda: projected_probability(np.full((3, 4), 0.2), np.full(4, 0.2))),
+    (DomainError, r"evidence_to_opinion: evidence must be finite and >= 0, got -1\.0",
+     lambda: evidence_to_opinion([-1.0, 0.0, 0.0, 0.0])),
+    (DomainError, r"evidence_to_opinion: evidence must be finite and >= 0, got -4\.0",
+     lambda: evidence_to_opinion([-4.0, 0.0, 0.0, 0.0])),
+    (DomainError, r"evidence_to_opinion: evidence must be finite and >= 0, got inf",
+     lambda: evidence_to_opinion([np.inf, 1.0])),
+    (DomainError, r"conflict_degree: evidence must be finite and >= 0, got nan",
+     lambda: conflict_degree([1.0, 2.0], [np.nan, 1.0])),
+], ids=["projection-rows", "projection-broadcast", "opinion-negative", "opinion-zero-strength",
+        "opinion-inf", "conflict-nan"])
+def test_outside_the_domain_is_refused(error, message, call):
+    with pytest.raises(error, match=f"^{message}$"):
         call()

@@ -371,6 +371,25 @@ class TestEvaluate:
         with pytest.raises(ContractError, match=f"^{expected}$"):
             evaluate(trained, test_std, np.ones(shape, dtype=bool))
 
+    @pytest.mark.parametrize("kind", ["list", "float"])
+    def test_mask_is_read_as_a_bool_array(self, smoke_run, kind, monkeypatch):
+        trained, test_std, _ = smoke_run
+        mask = np.zeros((test_std.n_samples, test_std.n_views), dtype=bool)
+        mask[::3, 0] = True
+        if kind == "list":
+            got, want = evaluate(trained, test_std, mask.tolist()), evaluate(trained, test_std, mask)
+            for field in dataclasses.fields(got):
+                np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+            return
+
+        def no_forward(*_):
+            raise AssertionError("the forward pass ran")
+
+        monkeypatch.setattr(pipeline, "forward_pass", no_forward)
+        with pytest.raises(ContractError, match="^evaluate: mask must be a bool array, "
+                                                "got dtype float64$"):
+            evaluate(trained, test_std, np.where(mask, 0.5, 0.0))
+
 
 def _fresh_model(ds):
     return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2, subspace_dim=8, seed=1))
@@ -422,14 +441,15 @@ class TestBundleLayout:
 
 
 def _interior_nodes(*roots):
-    """Nodes with parents reachable from ``roots``, each counted once."""
-    seen, todo = set(), list(roots)
+    """Nodes with parents reachable from ``roots``, each listed once."""
+    seen, nodes, todo = set(), [], list(roots)
     while todo:
         node = todo.pop()
         if id(node) not in seen and node._parents:
             seen.add(id(node))
+            nodes.append(node)
             todo.extend(node._parents)
-    return len(seen)
+    return nodes
 
 
 def _step_cost(monkeypatch, names):
@@ -458,9 +478,9 @@ def _step_cost(monkeypatch, names):
         monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
     monkeypatch.setattr(L, "_lgamma_value", special.lgamma)
     objective, bundle = step()
-    nodes = _interior_nodes(objective)
-    forward = _interior_nodes(*(getattr(bundle, f.name) for f in dataclasses.fields(bundle)
-                                if f.name != "specific_views"), *bundle.specific_views)
+    nodes = len(_interior_nodes(objective))
+    forward = len(_interior_nodes(*(getattr(bundle, f.name) for f in dataclasses.fields(bundle)
+                                    if f.name != "specific_views"), *bundle.specific_views))
     return nodes, nodes - forward, calls
 
 
@@ -488,6 +508,19 @@ class TestStepCost:
         nodes, objective, _ = _step_cost(monkeypatch, ())
         assert objective <= 30
         assert nodes <= 80
+
+    def test_every_node_names_each_parent_once(self):
+        # a fused node returns one adjoint per parent, the sum of its paths
+        ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
+        model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8, seed=1))
+        cfg = TrainConfig(subspace_dim=8)
+        bundle = forward_pass(model, ds.views, cfg)
+        y = one_hot(ds.labels, 3)
+        objective, _ = training_objective(model, bundle, y, cfg, 0.5)
+        for node in _interior_nodes(objective):
+            assert len({id(parent) for parent in node._parents}) == len(node._parents), node
+        alpha = bundle.evidence_fused + 1.0
+        assert L.ace_loss(alpha, y)._parents == (alpha,)
 
     def test_discriminator_losses_share_one_cross_entropy(self, monkeypatch):
         # disc_ce and adv read the one array of a split discriminator forward:
