@@ -25,10 +25,13 @@ from .errors import ContractError, DomainError, ShapeError
 
 
 def _classes(op, evidence):
-    """``evidence`` as a float64 array; ``ShapeError`` where it has no class axis."""
+    """``evidence`` as a float64 array; ``ShapeError`` where it has no class
+    axis or no class."""
     evidence = np.asarray(evidence, dtype=np.float64)
     if evidence.ndim == 0:
         raise ShapeError(f"{op}: needs a class axis, got a 0-d array")
+    if evidence.shape[-1] == 0:
+        raise ShapeError(f"{op}: needs at least one class, got shape {evidence.shape}")
     return evidence
 
 

@@ -345,6 +345,8 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     if ds.n_classes != model.spec.n_classes:
         raise ContractError(f"dataset has {ds.n_classes} classes but the model has "
                             f"{model.spec.n_classes}")
+    if ds.n_samples == 0:
+        raise ContractError("evaluate: the dataset has no rows")
     if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != bool:

@@ -1,16 +1,18 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints an explicit PASS/FAIL line (run with ``pytest -s`` or
-``-rA`` to see them) and then asserts at the stated tolerance.  The
-trained-model criteria share one full 200-epoch training run through the
-session fixture.
+``-rA`` to see them) and then asserts at the stated tolerance.  Criteria
+6-10 compute their quantities in one function each, from the criterion's
+own data, corruption seed and settings; ``HOLDS`` is each quantity's pass
+predicate, and ``scripts/margins.py`` reruns both at other model seeds.
+Criteria 6-9 share one full 200-epoch training run through the session
+fixture.
 """
 
 import dataclasses
 import itertools
 
 import numpy as np
-import pytest
 from scipy.stats import mannwhitneyu
 
 import oracles
@@ -20,7 +22,7 @@ from mvtrust.autodiff import Tensor
 from mvtrust.cli import main as cli_main
 from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise
 from mvtrust.opinions import evidence_to_opinion, fuse_evidence
-from mvtrust.pipeline import evaluate, gradcheck_losses, run_noise_sweep
+from mvtrust.pipeline import ablate, evaluate, gradcheck_losses, run_noise_sweep
 
 
 def _verdict(criterion, passed, detail):
@@ -125,78 +127,109 @@ def test_criterion_05_loss_oracles():
                     f"max loop deviation {worst:.2e}; MC {'; '.join(mc_detail)}")
 
 
+HOLDS = {
+    "accuracy": lambda x: x >= 0.90,
+    "ratio": lambda x: x >= 1.5,
+    "p": lambda x: x < 0.01,
+    "conflict_margin": lambda x: x > 0.0,
+    "drop": lambda x: x > 0.0,
+    "plateau": lambda x: x < 0.02,
+    "no_h1": lambda x: x <= 0.0,
+    "no_attention": lambda x: x <= 0.0,
+}
+
+
+def _holds(found, *names):
+    return all(HOLDS[name](found[name]) for name in names)
+
+
+def end_to_end_learning(run):
+    """Held-out accuracy and the number of epochs trained."""
+    return {"accuracy": run.report.accuracy, "epochs": len(run.log)}
+
+
+def uncertainty_shift(run):
+    """Median joint uncertainty of the noised rows over that of the clean
+    ones, and the one-sided Mann-Whitney p of the noised rows' joint
+    against their local uncertainties."""
+    spec = CorruptionSpec("gaussian_noise", 0.5, sigma=10.0, seed=11)
+    report = evaluate(run.trained, *inject_noise(run.test_ds, spec))
+    joint, hit = report.joint_uncertainty, report.corrupted
+    _, p = mannwhitneyu(joint[hit], report.local_uncertainty[hit].ravel(), alternative="less")
+    return {"ratio": float(np.median(joint[hit])) / float(np.median(joint[~hit])),
+            "p": float(p)}
+
+
+def conflict_localization(run):
+    """Mean conflicts of the misaligned view 0 with each other view, those
+    between two other views, and the smallest first minus the largest second."""
+    spec = CorruptionSpec("view_misalign", 0.4, views=(0,), seed=13)
+    matrix = evaluate(run.trained, *inject_conflict(run.test_ds, spec)).conflict_matrix
+    v = matrix.shape[0]
+    view0 = [matrix[0, r] for r in range(1, v)]
+    others = [matrix[p, r] for p in range(1, v) for r in range(p + 1, v)]
+    return {"conflict_margin": float(min(view0) - max(others)), "view0": view0, "others": others}
+
+
+def noise_robustness_shape(run):
+    """Accuracy at each swept sigma, the clean one minus that at 1e4, and
+    the absolute difference between 1e6 and 1e8."""
+    rows = run_noise_sweep(run.trained, run.test_ds, [0.0, 1e4, 1e6, 1e8], fraction=1.0, seed=17)
+    acc = {row.sigma: row.accuracy for row in rows}
+    return {"swept": acc, "drop": acc[0.0] - acc[1e4], "plateau": abs(acc[1e6] - acc[1e8])}
+
+
+def ablations(dataset, seed):
+    """Accuracy of the full model and of each variant after 100 epochs at
+    model ``seed``, and each variant's minus the full model's."""
+    cfg = dataclasses.replace(ACCEPTANCE_CONFIG, epochs=100, seed=seed)
+    rows = ablate(dataset, cfg, ("no_h1", "no_attention"))
+    return {"variants": {row.variant: row.accuracy for row in rows},
+            **{row.variant: row.accuracy_delta for row in rows[1:]}}
+
+
 def test_criterion_06_end_to_end_learning(acceptance_run):
-    accuracy = acceptance_run.report.accuracy
-    epochs = len(acceptance_run.log)
-    ok = accuracy >= 0.90 and epochs <= 200
+    found = end_to_end_learning(acceptance_run)
+    accuracy, epochs = found["accuracy"], found["epochs"]
+    ok = _holds(found, "accuracy") and epochs <= 200
     assert _verdict(6, ok, f"test accuracy {accuracy:.4f} after {epochs} epochs")
 
 
 def test_criterion_07_uncertainty_shift(acceptance_run):
-    trained, test_ds = acceptance_run.trained, acceptance_run.test_ds
-    spec = CorruptionSpec("gaussian_noise", 0.5, sigma=10.0, seed=11)
-    corrupted, mask = inject_noise(test_ds, spec)
-    report = evaluate(trained, corrupted, mask)
-    hit = report.corrupted
-    median_corrupted = float(np.median(report.joint_uncertainty[hit]))
-    median_clean = float(np.median(report.joint_uncertainty[~hit]))
-    ratio = median_corrupted / median_clean
-    ratio_ok = ratio >= 1.5
-    _, p_value = mannwhitneyu(
-        report.joint_uncertainty[hit],
-        report.local_uncertainty[hit].ravel(),
-        alternative="less",
-    )
-    rank_ok = p_value < 0.01
+    found = uncertainty_shift(acceptance_run)
+    ratio, p_value = found["ratio"], found["p"]
     detail = f"median ratio {ratio:.2f} (need >= 1.5); left-shift p {p_value:.2e} (need < 0.01)"
-    assert _verdict(7, ratio_ok and rank_ok, detail)
+    assert _verdict(7, _holds(found, "ratio", "p"), detail)
 
 
 def test_criterion_08_conflict_localization(acceptance_run):
-    trained, test_ds = acceptance_run.trained, acceptance_run.test_ds
-    spec = CorruptionSpec("view_misalign", 0.4, views=(0,), seed=13)
-    corrupted, mask = inject_conflict(test_ds, spec)
-    matrix = evaluate(trained, corrupted, mask).conflict_matrix
-    v = matrix.shape[0]
-    in_row0 = [matrix[0, r] for r in range(1, v)]
-    outside = [matrix[p, r] for p in range(1, v) for r in range(p + 1, v)]
-    ok = min(in_row0) > max(outside)
+    found = conflict_localization(acceptance_run)
+    in_row0, outside = found["view0"], found["others"]
+    ok = _holds(found, "conflict_margin")
     assert _verdict(
         8, ok, f"corrupted-view conflicts {np.round(in_row0, 4)} vs others {np.round(outside, 4)}"
     )
 
 
 def test_criterion_09_noise_robustness_shape(acceptance_run):
-    trained, test_ds = acceptance_run.trained, acceptance_run.test_ds
-    rows = run_noise_sweep(trained, test_ds, [0.0, 1e4, 1e6, 1e8], fraction=1.0, seed=17)
-    acc = {row.sigma: row.accuracy for row in rows}
-    drop_ok = acc[1e4] < acc[0.0]
-    plateau_ok = abs(acc[1e6] - acc[1e8]) < 0.02
-    detail = (
-        f"clean {acc[0.0]:.3f}, 1e4 {acc[1e4]:.3f}, 1e6 {acc[1e6]:.3f}, 1e8 {acc[1e8]:.3f}"
-    )
-    assert _verdict(9, drop_ok and plateau_ok, detail)
+    found = noise_robustness_shape(acceptance_run)
+    acc = found["swept"]
+    detail = f"clean {acc[0.0]:.3f}, 1e4 {acc[1e4]:.3f}, 1e6 {acc[1e6]:.3f}, 1e8 {acc[1e8]:.3f}"
+    assert _verdict(9, _holds(found, "drop", "plateau"), detail)
 
 
 def test_criterion_10_ablations(acceptance_dataset):
-    from mvtrust.pipeline import ablate
-
-    cfg = dataclasses.replace(ACCEPTANCE_CONFIG, epochs=100)
     wins = {"no_h1": 0, "no_attention": 0}
     details = []
     for seed in (0, 1, 2):
-        rows = ablate(
-            acceptance_dataset,
-            dataclasses.replace(cfg, seed=seed),
-            ("no_h1", "no_attention"),
-        )
-        accs = {row.variant: row.accuracy for row in rows}
+        found = ablations(acceptance_dataset, seed)
+        accs = found["variants"]
         details.append(
             f"seed {seed}: full {accs['full']:.3f}, "
             f"no_h1 {accs['no_h1']:.3f}, no_attention {accs['no_attention']:.3f}"
         )
         for name in wins:
-            wins[name] += accs[name] <= accs["full"]
+            wins[name] += HOLDS[name](found[name])
     ok = wins["no_h1"] >= 2 and wins["no_attention"] >= 2
     assert _verdict(10, ok, f"wins {wins}; " + "; ".join(details))
 

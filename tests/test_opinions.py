@@ -196,14 +196,23 @@ class TestConflictDegree:
 
 
 
-@pytest.mark.parametrize("name, call", [
-    ("evidence_to_opinion", lambda: evidence_to_opinion(2.0)),
-    ("projected_probability", lambda: projected_probability(np.float64(0.5), 0.5)),
-    ("conflict_degree", lambda: conflict_degree(2.0, 2.0)),
-    ("conflict_degree", lambda: conflict_degree(np.ones(3), np.array(2.0))),
-], ids=["opinion", "projection", "conflict-both", "conflict-second"])
-def test_evidence_without_a_class_axis_is_refused(name, call):
-    with pytest.raises(ShapeError, match=f"^{name}: needs a class axis"):
+@pytest.mark.parametrize("name, message, call", [
+    ("evidence_to_opinion", "needs a class axis", lambda: evidence_to_opinion(2.0)),
+    ("projected_probability", "needs a class axis",
+     lambda: projected_probability(np.float64(0.5), 0.5)),
+    ("conflict_degree", "needs a class axis", lambda: conflict_degree(2.0, 2.0)),
+    ("conflict_degree", "needs a class axis",
+     lambda: conflict_degree(np.ones(3), np.array(2.0))),
+    ("evidence_to_opinion", r"needs at least one class, got shape \(3, 0\)$",
+     lambda: evidence_to_opinion(np.zeros((3, 0)))),
+    ("projected_probability", r"needs at least one class, got shape \(3, 0\)$",
+     lambda: projected_probability(np.zeros((3, 0)), np.ones((3, 1)))),
+    ("conflict_degree", r"needs at least one class, got shape \(3, 0\)$",
+     lambda: conflict_degree(np.zeros((3, 0)), np.zeros((3, 0)))),
+], ids=["opinion", "projection", "conflict-both", "conflict-second",
+        "opinion-no-class", "projection-no-class", "conflict-no-class"])
+def test_evidence_without_a_class_axis_is_refused(name, message, call):
+    with pytest.raises(ShapeError, match=f"^{name}: {message}"):
         call()
 
 

@@ -390,6 +390,16 @@ class TestEvaluate:
                                                 "got dtype float64$"):
             evaluate(trained, test_std, np.where(mask, 0.5, 0.0))
 
+    def test_dataset_without_rows_rejected_before_the_forward_pass(self, smoke_run, monkeypatch):
+        trained, test_std, _ = smoke_run
+
+        def no_forward(*_):
+            raise AssertionError("the forward pass ran")
+
+        monkeypatch.setattr(pipeline, "forward_pass", no_forward)
+        with pytest.raises(ContractError, match="^evaluate: the dataset has no rows$"):
+            evaluate(trained, test_std.subset([]))
+
 
 def _fresh_model(ds):
     return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2, subspace_dim=8, seed=1))
