@@ -1,0 +1,98 @@
+"""Median time of one training step, stage by stage, at several batch sizes.
+
+    python3 scripts/step_cost.py [TREE]
+
+TREE is the mvtrust tree under test (default: the tree this script lives
+in); its ``src`` and ``tests`` go first on ``sys.path``, so two trees can
+be measured side by side.  The data is the acceptance training split of
+``tests/conftest.py`` (model seed 7, which also seeds the split).  For each
+batch size n in 1, 8, 32, 128 and 800, one fresh model takes steps on the
+first n training rows: 20 warm-up steps are discarded, then 100 steps
+are timed with ``perf_counter``.  Each step times the forward
+pass, the training objective, ``backward`` and ``Adam.step``; ``step`` is
+their sum.  The script prints one TSV row per n with the median of each,
+in ms.  BLAS runs on one thread.
+
+It takes about 15 seconds on one core of a 2-core x86-64 host; it is not
+part of the test suite.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+SIZES = (1, 8, 32, 128, 800)
+WARMUP = 20
+STEPS = 100
+STAGES = ("forward", "objective", "backward", "adam", "step")
+
+
+def use_tree(tree):
+    """Put TREE's ``src`` and ``tests`` first on ``sys.path``."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "tests")]
+
+
+def stage_times(n, steps, warmup=WARMUP):
+    """Median ms of each of ``STAGES`` over ``steps`` timed training steps on
+    the first ``n`` acceptance training rows, after ``warmup`` discarded ones."""
+    from conftest import ACCEPTANCE_CONFIG as cfg
+    from conftest import ACCEPTANCE_DATA
+    from mvtrust import data, losses, pipeline
+    from mvtrust.autodiff import Adam, backward
+    from mvtrust.networks import Model, ModelSpec
+
+    train_raw, test_raw = data.split(data.synthesize(**ACCEPTANCE_DATA), cfg.train_fraction,
+                                     cfg.seed)
+    ds = data.standardize(train_raw, test_raw)[0]
+    model = Model(ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim,
+                            seed=cfg.seed))
+    model.fit_support(ds.views)
+    optimizer = Adam(model.trainable_params(), lr=cfg.learning_rate,
+                     weight_decay=cfg.weight_decay)
+    views = [v[:n] for v in ds.views]
+    y = pipeline.one_hot(ds.labels[:n], ds.n_classes)
+    lambda_t = losses.lambda_schedule(0, cfg.anneal_epochs)
+
+    def step():
+        # the graph is freed when this returns, as in pipeline._step
+        t0 = time.perf_counter()
+        bundle = pipeline.forward_pass(model, views, cfg)
+        t1 = time.perf_counter()
+        objective, _ = pipeline.training_objective(model, bundle, y, cfg, lambda_t)
+        t2 = time.perf_counter()
+        backward(objective)
+        t3 = time.perf_counter()
+        optimizer.step()
+        t4 = time.perf_counter()
+        return t1 - t0, t2 - t1, t3 - t2, t4 - t3, t4 - t0
+
+    for _ in range(warmup):
+        step()
+    times = [step() for _ in range(steps)]
+    return {stage: 1e3 * statistics.median(column) for stage, column in zip(STAGES, zip(*times))}
+
+
+def render(rows):
+    """The TSV of ``rows``, a dict from n to ``stage_times``' result."""
+    lines = ["\t".join(("n", *(f"{stage}_ms" for stage in STAGES)))]
+    for n, row in rows.items():
+        lines.append("\t".join((str(n), *(f"{row[stage]:.3f}" for stage in STAGES))))
+    return "\n".join(lines) + "\n"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
+    args = parser.parse_args(argv)
+    # before numpy is imported, so that BLAS starts with one thread
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    use_tree(args.tree.resolve())
+    sys.stdout.write(render({n: stage_times(n, STEPS) for n in SIZES}))
+
+
+if __name__ == "__main__":
+    main()

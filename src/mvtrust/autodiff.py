@@ -10,12 +10,13 @@ access.
 ``fused`` makes every interior node, that of each ``Tensor`` op, ``stack``,
 ``dense`` and each loss alike, from its forward value, its parent entries
 and one ``vjp(g)`` that maps the node's adjoint to one adjoint per entry,
-in entry order.  ``backward`` calls each node's vjp once; an adjoint may
-still carry broadcast axes, which ``backward`` alone sums away before
-adding it into ``parent.grad``.  A vjp captures the arrays it needs, never
-the node itself: a graph then holds no reference cycle, so its arrays are
-freed as soon as the last reference drops rather than whenever the cyclic
-garbage collector next runs.
+in entry order.  ``backward`` calls each node's vjp once and only copies
+or adds its entries: a vjp sums away the broadcast axes of its entries
+itself, as ``dense`` does for its biases and ``_binary``, behind the binary
+ops, for operands such as attention's (v, v) matrices.  A vjp captures the
+arrays it needs, never the node itself: a graph then holds no reference
+cycle, so its arrays are freed as soon as the last reference drops rather
+than whenever the cyclic garbage collector next runs.
 
 ``transpose`` returns a view of its input.  numpy reduces an array that
 is not C-ordered in memory order, so a sum over a transposed view can
@@ -28,13 +29,14 @@ array and ``detach()`` make constants, and ``fused`` returns a parentless
 constant when no parent requires a gradient, so a constant never holds a
 graph.  A vjp may compute the entry of a constant parent, or leave it
 ``None`` as ``dense`` does: ``backward`` drops it, and neither visits a
-constant nor adds an adjoint into one.  Only ``_makes_node``, ``dense`` and
-``backward`` read ``requires_grad``.  Inside ``no_grad()`` every op returns
-a constant, so inference builds no graph at all.
+constant nor adds an adjoint into one.  Only ``_makes_node``, ``_binary``,
+``dense`` and ``backward`` read ``requires_grad``.  Inside ``no_grad()``
+every op returns a constant, so inference builds no graph at all.
 
 ``backward`` sets a node's ``grad`` back to None once its vjp has run, so
 only leaves keep adjoints.  It copies a parent's first adjoint into
-``np.empty_like(data)`` and adds later ones in with ``+=``, so it never
+``np.empty_like(data)``, or into the parameter's slice of ``Adam.grads``
+where an ``Adam`` packed it, and adds later ones in with ``+=``, so it never
 stores or writes into an array a vjp returned.  The stored array takes the
 layout of the node's value, as ``np.zeros_like`` would, not the layout of
 the adjoint.  A node reached through ``transpose`` receives a transposed
@@ -127,14 +129,14 @@ class Tensor:
     node built from one outside ``no_grad()``; see the module docstring.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_adjoint")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = True
         self._parents = ()
-        self._vjp = None
+        self._vjp = self._adjoint = None
 
     @property
     def shape(self):
@@ -156,21 +158,13 @@ class Tensor:
     # -- binary ops; plain numbers and arrays are lifted to constants --------
 
     def __add__(self, other):
-        other = lift(other)
-        _check_broadcast("add", self, other)
-        return fused(self.data + other.data, (self, other), lambda g: (g, g))
+        return _binary("add", np.add, self, other, lambda g, a, b: (g, g))
 
     def __mul__(self, other):
-        other = lift(other)
-        _check_broadcast("mul", self, other)
-        a, b = self.data, other.data
-        return fused(a * b, (self, other), lambda g: (g * b, g * a))
+        return _binary("mul", np.multiply, self, other, lambda g, a, b: (g * b, g * a))
 
     def __truediv__(self, other):
-        other = lift(other)
-        _check_broadcast("div", self, other)
-        a, b = self.data, other.data
-        return fused(a / b, (self, other), lambda g: (g / b, -g * a / (b * b)))
+        return _binary("div", np.divide, self, other, lambda g, a, b: (g / b, -g * a / (b * b)))
 
     def __matmul__(self, other):
         other = lift(other)
@@ -179,15 +173,11 @@ class Tensor:
             raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-        try:
-            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        except ValueError as exc:
-            raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}") from exc
+        if not all(m == k or 1 in (m, k) for m, k in zip(a.shape[-3::-1], b.shape[-3::-1])):
+            raise ShapeError(f"matmul: batch dims incompatible, {a.shape} @ {b.shape}")
 
-        return fused(np.matmul(a, b), (self, other), lambda g: (
-            np.matmul(g, np.swapaxes(b, -1, -2)),
-            np.matmul(np.swapaxes(a, -1, -2), g),
-        ))
+        return _binary("matmul", np.matmul, self, other, lambda g, a, b: (
+            np.matmul(g, b.swapaxes(-1, -2)), np.matmul(a.swapaxes(-1, -2), g)))
 
     # -- activations ---------------------------------------------------------
 
@@ -205,7 +195,7 @@ class Tensor:
         """Swap axes ``a`` and ``b``; the value is a view, not a copy."""
         if self.data.ndim < 2:
             raise ShapeError(f"transpose: needs >= 2 axes, got {self.shape}")
-        return fused(np.swapaxes(self.data, a, b), (self,), lambda g: (np.swapaxes(g, a, b),))
+        return fused(self.data.swapaxes(a, b), (self,), lambda g: (g.swapaxes(a, b),))
 
     def contiguous(self):
         """C-ordered copy of the value; see the module docstring."""
@@ -262,7 +252,7 @@ def no_grad():
 
 def _makes_node(parents):
     """False inside ``no_grad()`` and where no parent requires a gradient."""
-    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+    return _grad_mode.enabled and any([p.requires_grad for p in parents])
 
 
 def fused(value, parents, vjp):
@@ -279,6 +269,20 @@ def fused(value, parents, vjp):
     return out
 
 
+def _binary(op, f, x, y, vjp):
+    """The node of ``f`` over the arrays ``a`` and ``b`` of ``x`` and of ``y``
+    lifted, or ``ShapeError`` where numpy cannot broadcast them; its vjp sums
+    each entry of ``vjp(g, a, b)`` back to its operand's shape."""
+    y = lift(y)
+    a, b = x.data, y.data
+    try:
+        value = f(a, b)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
+    return fused(value, (x, y), lambda g: [unbroadcast(e, p.shape) if p.requires_grad else None
+                                           for e, p in zip(vjp(g, a, b), (x, y))])
+
+
 def dense(x, weights, biases, output, split=False):
     """Dense layers ``h @ w + b`` over ``x``, ReLU after each but the last and
     the ``Activation`` ``output`` after it, as one fused node over the parent
@@ -292,7 +296,8 @@ def dense(x, weights, biases, output, split=False):
     input is kept for it.  Each parent is one entry, and the node takes the
     place of the composed chain in ``backward``'s order, so the sums into
     a parameter that several calls share run as the composed graph ran
-    them.
+    them.  The vjp sums each bias entry, and the weight entries of an input
+    with batch axes, back to the parameter's shape with ``unbroadcast``.
 
     With ``split`` it returns two nodes over one forward: the first takes
     ``x`` as a constant, so its adjoints reach only the parameters; the
@@ -302,54 +307,47 @@ def dense(x, weights, biases, output, split=False):
     x = lift(x)
     if x.data.ndim < 2:
         raise ShapeError(f"dense: input must be >= 2-d, got {x.shape}")
-    params = tuple(p for layer in zip(weights, biases) for p in layer)
+    if x.shape[-1] != weights[0].shape[0]:
+        raise ShapeError(f"dense: input width {x.shape[-1]} does not match {weights[0].shape[0]}")
+    params = [p for layer in zip(weights, biases) for p in layer]
     if split:
-        groups = ((x.detach(), *params), (x, *(p.detach() for p in params)))
+        groups = ((x.detach(), *params), (x, *[p.detach() for p in params]))
     else:
         groups = ((x, *params),)
-    needs = [tuple(p.requires_grad for p in group) if _makes_node(group) else None
+    needs = [[p.requires_grad for p in group] if _makes_node(group) else None
              for group in groups]
     ws = [w.data for w in weights]
-    activations = [RELU] * (len(ws) - 1) + [output]
+    last = len(ws) - 1
     # the input, then each layer's output: what the vjp reads
     values = [x.data] if any(needs) else None
     h = x.data
-    for w, b, activation in zip(ws, biases, activations):
+    for i, (w, b) in enumerate(zip(ws, biases)):
         h = np.matmul(h, w)
         h += b.data
-        h = activation.forward(h, overwrite=True)
+        h = (output if i == last else RELU).forward(h, overwrite=True)
         if values is not None:
             values.append(h)
 
     def vjp(g, need):
         entries = [None] * len(need)
-        for i in reversed(range(len(ws))):
-            g = activations[i].adjoint(g, values[i + 1])
+        for i in range(last, -1, -1):
+            g = (output if i == last else RELU).adjoint(g, values[i + 1])
             if need[2 * i + 2]:
-                entries[2 * i + 2] = g
+                entries[2 * i + 2] = unbroadcast(g, biases[i].shape)
             if need[2 * i + 1]:
-                entries[2 * i + 1] = np.matmul(np.swapaxes(values[i], -1, -2), g)
+                entries[2 * i + 1] = unbroadcast(np.matmul(values[i].swapaxes(-1, -2), g),
+                                                 ws[i].shape)
             if not any(need[: 2 * i + 1]):
                 break
-            g = np.matmul(g, np.swapaxes(ws[i], -1, -2))
+            g = np.matmul(g, ws[i].swapaxes(-1, -2))
         else:
             entries[0] = g
         return entries
 
-    nodes = tuple(
-        _constant(h) if need is None else fused(h, group, lambda g, need=need: vjp(g, need))
-        for group, need in zip(groups, needs)
-    )
+    nodes = [_constant(h) if need is None else
+             fused(h, group, lambda g, need=need: vjp(g, need))
+             for group, need in zip(groups, needs)]
     return nodes if split else nodes[0]
-
-
-def _check_broadcast(op, a, b):
-    if a.shape == b.shape or not a.shape or not b.shape:
-        return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
 
 
 def _check_axis(op, axis):
@@ -439,9 +437,11 @@ SOFTMAX_ROWS = Activation(_softmax_rows, _softmax_rows_adjoint)
 
 def backward(root):
     """Populate the adjoints of the leaves reachable from the scalar ``root``
-    through nodes that require a gradient, each in an array of its own.
-    Every node with parents, the root included, has ``grad`` None again once
-    its vjp has run, and constants keep ``grad`` None; see the module docstring."""
+    through nodes that require a gradient: a parameter packed by an ``Adam``
+    in its slice of ``Adam.grads``, which the next ``backward`` overwrites,
+    any other leaf in an array of its own.  Every node with parents, the root
+    included, has ``grad`` None again once its vjp has run, and constants
+    keep ``grad`` None; see the module docstring."""
     if root.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
@@ -469,13 +469,13 @@ def backward(root):
         for parent, entry in zip(node._parents, entries):
             if not parent.requires_grad:
                 continue
-            adjoint = unbroadcast(entry, parent.data.shape)
             if parent.grad is None:
                 # parent.data's layout, not the adjoint's; see the module docstring
-                parent.grad = np.empty_like(parent.data)
-                parent.grad[...] = adjoint
+                parent.grad = (np.empty_like(parent.data) if parent._adjoint is None
+                               else parent._adjoint)
+                parent.grad[...] = entry
             else:
-                parent.grad += adjoint
+                parent.grad += entry
 
 
 def zero_grads(params):
@@ -496,13 +496,16 @@ class Adam:
 
     The constructor packs the parameters' values into one flat buffer,
     ``values``, in list order, and rebinds each ``p.data`` to its reshaped
-    slice.  Both moments, two scratch arrays and the gathered adjoints
-    ``grads`` are flat arrays of the same length, allocated once.  ``step``
-    then updates every parameter with one run of in-place ufuncs, each
-    element through the same operations, in the same order, as a per-array
-    update.  A parameter whose ``data`` is rebound after construction would
-    silently stop training, so ``step`` raises for it.  An empty parameter
-    list is refused.
+    slice.  Both moments, two scratch arrays and the adjoints ``grads`` are
+    flat arrays of the same length, allocated once.  ``backward`` writes each
+    parameter's first adjoint straight into its slice of ``grads``, so its
+    ``grad`` is a view there until the next ``backward`` overwrites it;
+    ``step`` copies in an adjoint set by hand.  ``step`` then updates every
+    parameter with one run of in-place ufuncs, each element through the
+    same operations, in the same order, as a per-array update.  A parameter
+    whose ``data`` is rebound after construction would silently stop
+    training, so ``step`` raises for it.  An empty parameter list, and a
+    parameter listed twice, are refused.
     """
 
     def __init__(self, params, lr=1e-3, weight_decay=1e-5):
@@ -512,35 +515,40 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
+        for i, p in enumerate(self.params):
+            if any(p is other for other in self.params[:i]):
+                raise ContractError(f"adam: parameter {i} is listed twice")
         size = sum(p.size for p in self.params)
-        self.values = np.empty(size)
-        self._views = []
+        self.values, self.grads = np.empty(size), np.empty(size)
         start = 0
         for p in self.params:
-            view = self.values[start : start + p.size].reshape(p.shape)
+            view, p._adjoint = (flat[start : start + p.size].reshape(p.shape)
+                                for flat in (self.values, self.grads))
             view[...] = p.data
             p.data = view
-            self._views.append(view)
             start += p.size
-        self.grads = np.empty(size)
         self.moment1 = np.zeros(size)
         self.moment2 = np.zeros(size)
         self._scratch = np.empty(size), np.empty(size)
 
     def step(self):
         """One update over all parameters; zeroes adjoints afterwards."""
-        for p, view in zip(self.params, self._views):
+        for i, p in enumerate(self.params):
             if p.grad is None:
                 raise ContractError("adam_step: parameter is missing its adjoint")
-            if p.data is not view:
+            if p.grad.shape != p.shape:
+                raise ContractError(f"adam_step: parameter {i} has shape {p.shape}, "
+                                    f"but its adjoint has shape {p.grad.shape}")
+            if p.data.base is not self.values:
                 raise ContractError("adam_step: parameter data was rebound after the "
                                     "optimizer packed it, so it would no longer train")
+            if p.grad is not p._adjoint:  # an adjoint set by hand
+                p._adjoint[...] = p.grad
         self.step_count += 1
         b1, b2 = ADAM_BETAS
         corr1 = 1.0 - b1 ** self.step_count
         corr2 = 1.0 - b2 ** self.step_count
         g, m1, m2, a, b = self.grads, self.moment1, self.moment2, *self._scratch
-        np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
         # m1 = b1 * m1 + (1 - b1) * g
         np.multiply(m1, b1, out=m1)
         np.multiply(g, 1.0 - b1, out=a)

@@ -39,6 +39,7 @@ elementwise, so each value is bit-equal to a pass per term:
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import special
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .opinions import conflict_arrays
 from .schema import check
 from .special import lgamma as _lgamma_value
@@ -87,23 +88,32 @@ def lambda_schedule(epoch, anneal_epochs):
 # common / specific subspace losses
 
 
-def _cross_entropy(p, onehot):
-    """Value and vjp of ``cross_entropy`` on a probability array ``p``."""
-    onehot = np.asarray(onehot, dtype=np.float64)
+def _labels(op, y, evidence, one_row=False):
+    """``y`` as float64 labels shaped as the (n, q) rows of the array
+    ``evidence`` or as ``evidence``, or with ``one_row`` as one (q,) or
+    (1, q) row for every sample; ``ShapeError`` otherwise."""
+    y, rows = np.asarray(y, dtype=np.float64), evidence.shape[-2:]
+    one_rows = (rows[-1:], (1, *rows[-1:])) if one_row else ()
+    if y.shape not in (rows, evidence.shape, *one_rows):
+        raise ShapeError(f"{op}: labels have shape {y.shape}, but evidence of shape "
+                         f"{evidence.shape} needs {rows}")
+    return y
+
+
+def _cross_entropy(op, p, onehot):
+    """Value and vjp of ``cross_entropy`` on probabilities ``p``, for ``op``."""
+    onehot = _labels(op, onehot, p, one_row=True)
     # a floored entry under a zero label cannot change the loss
     floored = int(((p < _PROB_FLOOR) & (onehot != 0.0)).sum())
     if floored:
         log.warning("cross_entropy: flooring %d probabilities below %g", floored, _PROB_FLOOR)
     clamped = np.clip(p, _PROB_FLOOR, None)
     passthrough = p > _PROB_FLOOR
-    product = np.log(clamped) * onehot
-    picked = product.sum(axis=-1)
+    picked = (np.log(clamped) * onehot).sum(axis=-1)
 
     def vjp(g):
         # negation, mean over rows, sum over classes, the one-hot product, log, floor
-        g_rows = np.broadcast_to(-g, picked.shape) / max(picked.size, 1)
-        g_product = np.broadcast_to(np.expand_dims(g_rows, -1), product.shape)
-        g_log = ad.unbroadcast(g_product * onehot, p.shape)
+        g_log = (-g / max(picked.size, 1)) * onehot
         return ((g_log / clamped) * passthrough,)
 
     return -picked.mean(), vjp
@@ -114,7 +124,7 @@ def cross_entropy(probs, onehot):
     are floored to it, with a warning that counts those under a nonzero
     label."""
     probs = ad.lift(probs)
-    value, vjp = _cross_entropy(probs.data, onehot)
+    value, vjp = _cross_entropy("cross_entropy", probs.data, onehot)
     return ad.fused(value, (probs,), vjp)
 
 
@@ -127,7 +137,7 @@ def adv_loss(z_hat, z):
     usable floating-point range for any batch size.
     """
     z_hat = ad.lift(z_hat)
-    return _adv_node(z_hat, *_cross_entropy(z_hat.data, z))
+    return _adv_node(z_hat, *_cross_entropy("adv_loss", z_hat.data, z))
 
 
 def discriminator_losses(own, confusion, z):
@@ -140,7 +150,7 @@ def discriminator_losses(own, confusion, z):
     """
     if own.data is not confusion.data:
         raise ContractError("discriminator_losses: own and confusion must hold one array")
-    entropy, vjp = _cross_entropy(own.data, z)
+    entropy, vjp = _cross_entropy("discriminator_losses", own.data, z)
     return ad.fused(entropy, (own,), vjp), _adv_node(confusion, entropy, vjp)
 
 
@@ -152,17 +162,15 @@ def _adv_node(z_hat, entropy, entropy_vjp):
 def cml_loss(y_hat, y):
     """Mean per-class binary cross-entropy of the common prediction head."""
     y_hat = ad.lift(y_hat)
-    p, y = y_hat.data, np.asarray(y, dtype=np.float64)
+    p, y = y_hat.data, _labels("cml_loss", y, y_hat.data, one_row=True)
     clipped = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     passthrough = (p > _PROB_FLOOR) & (p < 1.0 - _PROB_FLOOR)
     rest, miss = 1.0 - clipped, 1.0 - y
     term = np.log(clipped) * y + np.log(rest) * miss
 
     def vjp(g):
-        g_term = np.broadcast_to(-g, term.shape) / max(term.size, 1)
-        g_hit = ad.unbroadcast(g_term * y, p.shape)
-        g_miss = ad.unbroadcast(g_term * miss, p.shape)
-        return ((g_hit / clipped - g_miss / rest) * passthrough,)
+        g_term = -g / max(term.size, 1)
+        return ((g_term * y / clipped - g_term * miss / rest) * passthrough,)
 
     return ad.fused(-term.mean(), (y_hat,), vjp)
 
@@ -177,14 +185,13 @@ def spe_loss(specific, common):
             f"spe_loss: specific width {specific.shape[-1]} != common width {common.shape[-1]}"
         )
     s, c = specific.data, common.data
-    product = s * c
-    inner = product.sum(axis=-1)
+    inner = (s * c).sum(axis=-1)
     n_views = float(s.shape[0])
 
     def vjp(g):
-        g_square = np.broadcast_to(g * n_views, inner.shape) / max(inner.size, 1)
-        g_product = np.broadcast_to(np.expand_dims(2.0 * (g_square * inner), -1), product.shape)
-        return ad.unbroadcast(g_product * c, s.shape), ad.unbroadcast(g_product * s, c.shape)
+        g_square = (g * n_views) / max(inner.size, 1)
+        g_product = np.expand_dims(2.0 * (g_square * inner), -1)
+        return g_product * c, ad.unbroadcast(g_product * s, c.shape)
 
     return ad.fused((inner * inner).mean() * n_views, (specific, common), vjp)
 
@@ -194,19 +201,21 @@ def spe_loss(specific, common):
 
 
 def _check_alpha(a):
-    if np.any(a < 1.0 - 1e-12):
+    if (a < 1.0 - 1e-12).any():
         raise ContractError("Dirichlet parameters must satisfy alpha_k >= 1")
 
 
 def _polygamma_each(arguments, with_lgamma=False):
-    """``special.polygamma_pass`` of each array in ``arguments``, from one
-    call on all of them side by side; the pass is elementwise, so each
-    result is bit-equal to a call of its own."""
-    values = special.polygamma_pass(np.concatenate([x.reshape(-1) for x in arguments]),
-                                    with_lgamma=with_lgamma)
-    ends = np.cumsum([x.size for x in arguments])[:-1]
-    return [tuple(part.reshape(x.shape) for part in parts)
-            for x, parts in zip(arguments, zip(*(np.split(v, ends) for v in values)))]
+    """``special.polygamma_pass`` of each array in ``arguments``, as views of
+    one call on all of them side by side in one buffer; the pass is
+    elementwise, so each result is bit-equal to a call of its own."""
+    ends = list(itertools.accumulate(x.size for x in arguments))
+    flat = np.empty(ends[-1])
+    for x, end in zip(arguments, ends):
+        flat[end - x.size : end] = x.reshape(-1)
+    values = special.polygamma_pass(flat, with_lgamma=with_lgamma)
+    return [tuple(v[end - x.size : end].reshape(x.shape) for v in values)
+            for x, end in zip(arguments, ends)]
 
 
 def _ace_argument(a):
@@ -217,22 +226,19 @@ def _ace_argument(a):
 
 
 def _ace(argument, y, psi, psi1):
-    """Value and vjp of ``ace_loss`` from ``_ace_argument(a)`` and the pass
-    over it; the vjp returns the adjoint of ``a``, the strength path's plus
-    the psi(alpha) path's."""
-    y = np.asarray(y, dtype=np.float64)
+    """Value and vjp of ``ace_loss`` from ``_ace_argument(a)``, the labels
+    and the pass over the argument; the vjp returns the adjoint of ``a``,
+    the strength path's plus the psi(alpha) path's."""
     *lead, q = argument.shape
     q -= 1
-    shape, strength_shape = (*lead, q), (*lead, 1)
-    per_class = (psi[..., q:] - psi[..., :q]) * y
-    rows = per_class.sum(axis=-1)
+    shape = (*lead, q)
+    rows = ((psi[..., q:] - psi[..., :q]) * y).sum(axis=-1)
     count = max(rows.size, 1)
 
     def vjp(g):
-        g_rows = np.expand_dims(np.broadcast_to(g, rows.shape) / count, -1)
-        g_difference = ad.unbroadcast(np.broadcast_to(g_rows, per_class.shape) * y, shape)
-        g_strength = ad.unbroadcast(g_difference, strength_shape) * psi1[..., q:]
-        return np.broadcast_to(g_strength, shape) + -g_difference * psi1[..., :q]
+        g_difference = np.full(shape, g / count) * y
+        g_strength = g_difference.sum(axis=-1, keepdims=True) * psi1[..., q:]
+        return g_strength + -g_difference * psi1[..., :q]
 
     return rows.mean(), vjp
 
@@ -245,7 +251,7 @@ def ace_loss(alpha, y):
     nodes that computes the formula.
     """
     alpha = ad.lift(alpha)
-    argument = _ace_argument(alpha.data)
+    argument, y = _ace_argument(alpha.data), _labels("ace_loss", y, alpha.data)
     value, vjp = _ace(argument, y, *special.polygamma_pass(argument))
     return ad.fused(value, (alpha,), lambda g: (vjp(g),))
 
@@ -275,7 +281,6 @@ def _masked_kl(keep, tilde, psi, psi1, log_gamma):
     ``digamma`` and ``mean`` nodes that computes the formula.
     """
     q = tilde.shape[-1]
-    strength_shape = (*tilde.shape[:-1], 1)
     log_norm = (log_gamma[..., q:] - log_gamma[..., :q].sum(axis=-1, keepdims=True)
                 - _log_gamma_of_count(q))
     excess = tilde - 1.0
@@ -284,18 +289,17 @@ def _masked_kl(keep, tilde, psi, psi1, log_gamma):
     count = max(total.size, 1)
 
     def vjp(g):
-        g_total = np.broadcast_to(g, total.shape) / count
+        g_total = g / count
         # log-normalizer: d lnGamma = psi, on the strength and on each parameter
         g_strength = g_total * psi[..., q:]
-        g_tilde = np.broadcast_to(-g_total, tilde.shape) * psi[..., :q]
+        g_tilde = -g_total * psi[..., :q]
         # concentration: (tilde - 1) * (psi(tilde) - psi(S)), summed over classes;
         # its adjoints add into tilde in the composed graph's order
-        g_terms = np.broadcast_to(g_total, tilde.shape)
-        g_gap = g_terms * excess
-        g_tilde = g_tilde + g_terms * gap
+        g_gap = g_total * excess
+        g_tilde = g_tilde + g_total * gap
         g_tilde = g_tilde + g_gap * psi1[..., :q]
-        g_strength = g_strength + ad.unbroadcast(-g_gap, strength_shape) * psi1[..., q:]
-        g_tilde = g_tilde + np.broadcast_to(g_strength, tilde.shape)
+        g_strength = g_strength + (-g_gap).sum(axis=-1, keepdims=True) * psi1[..., q:]
+        g_tilde = g_tilde + g_strength
         return (g_tilde * keep,)
 
     return total.mean(), vjp
@@ -307,7 +311,7 @@ def kl_loss(alpha, y):
     With ``y`` all zeros no class is spared, and alpha_tilde is alpha."""
     alpha = ad.lift(alpha)
     _check_alpha(alpha.data)
-    keep, tilde, argument = _kl_argument(alpha.data, np.asarray(y, dtype=np.float64))
+    keep, tilde, argument = _kl_argument(alpha.data, _labels("kl_loss", y, alpha.data))
     value, vjp = _masked_kl(keep, tilde, *special.polygamma_pass(argument, with_lgamma=True))
     return ad.fused(value, (alpha,), vjp)
 
@@ -318,7 +322,6 @@ def _acc_terms(alphas, y, lambda_t):
     from one polygamma pass and the KL terms psi, psi' and lnGamma from
     another.  Each vjp returns one adjoint, the ACE term's plus the KL
     term's, as they met in alpha."""
-    y = np.asarray(y, dtype=np.float64)
     ace_arguments = [_ace_argument(a) for a in alphas]
     kl_parts = [_kl_argument(a, y) for a in alphas]
     ace_values = _polygamma_each(ace_arguments)
@@ -361,6 +364,7 @@ def h1_loss(alpha_views, evidence_common, evidence_specific, y, gamma):
         ad.lift, (alpha_views, evidence_common, evidence_specific))
     if evidence_specific.shape != alpha_views.shape:
         raise ContractError(f"h1_loss: stacks {alpha_views.shape} != {evidence_specific.shape}")
+    y = _labels("h1_loss", y, evidence_common.data)
     alpha_common, alpha_specific = evidence_common.data + 1.0, evidence_specific.data + 1.0
     arguments = [_ace_argument(a) for a in (alpha_views.data, alpha_common, alpha_specific)]
     (views, views_vjp), (common, common_vjp), (specific, specific_vjp) = (
@@ -369,8 +373,7 @@ def h1_loss(alpha_views, evidence_common, evidence_specific, y, gamma):
     pairs, pairs_vjp = conflict_arrays(alpha_common - 1.0, alpha_specific - 1.0)
 
     def vjp(g):
-        g_pairs = np.broadcast_to(g * gamma, pairs.shape) / max(pairs.size, 1)
-        pair_common, pair_specific = pairs_vjp(g_pairs)
+        pair_common, pair_specific = pairs_vjp((g * gamma) / max(pairs.size, 1))
         return views_vjp(g), common_vjp(g) + pair_common, specific_vjp(g) + pair_specific
 
     value = views + common + specific + gamma * pairs.mean()
@@ -399,8 +402,7 @@ def con_loss(alpha_views):
     scale = n_views * n_views / (n_views - 1)
 
     def vjp(g):
-        g_pairs = np.broadcast_to(g * scale, pairs.shape) / max(pairs.size, 1)
-        rows, columns = pairs_vjp(g_pairs)
+        rows, columns = pairs_vjp((g * scale) / max(pairs.size, 1))
         return (rows.reshape(evidence.shape) + columns.reshape(evidence.shape),)
 
     return ad.fused(pairs.mean() * scale, (alpha_views,), vjp)
@@ -417,6 +419,7 @@ def h2_loss(evidence_joint, evidence_attended, y, lambda_t, gamma, conflict):
     """
     evidence_joint, evidence_attended, conflict = map(
         ad.lift, (evidence_joint, evidence_attended, conflict))
+    y = _labels("h2_loss", y, evidence_joint.data)
     (joint, joint_vjp), (attended, attended_vjp) = _acc_terms(
         [evidence_joint.data + 1.0, evidence_attended.data + 1.0], y, lambda_t)
     n_views = float(evidence_attended.shape[0])

@@ -10,7 +10,8 @@ the training rows, that caps evidence on inputs far outside them.  Forward
 passes on shared read-only parameters are safe concurrently; mutation
 belongs to the training loop.
 
-Each sub-network call is one ``autodiff.dense`` node.  The discriminator
+Each sub-network call is one ``autodiff.dense`` node, and a view's mapper
+and the common extractor after it make one node together.  The discriminator
 runs once per training step and returns two nodes over that forward pass:
 one for its own cross-entropy, whose adjoints reach only its parameters,
 and one for the encoders' confusion term, whose adjoints reach only the
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .schema import CHECKPOINT_FORMAT, RULES, build, check, check_fields, json_object, naming
 
 SUPPORT_RADIUS_ENTRY = "__support_radius__"
@@ -45,7 +46,6 @@ class Mlp:
     """
 
     def __init__(self, widths, output, seed):
-        self.widths = widths
         self.output = output
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.weights = []
@@ -57,10 +57,6 @@ class Mlp:
 
     def forward(self, x, split=False):
         """The layers over ``x``; ``split`` as in ``autodiff.dense``."""
-        if x.shape[-1] != self.widths[0]:
-            raise ShapeError(
-                f"mlp: input width {x.shape[-1]} does not match expected {self.widths[0]}"
-            )
         return ad.dense(x, self.weights, self.biases, self.output, split=split)
 
     def named_params(self, prefix):
@@ -145,8 +141,11 @@ class Model:
     # -- forward passes -----------------------------------------------------
 
     def encode_common(self, x, view):
-        """Common-subspace representation of view ``view`` features."""
-        return self.parts["common"].forward(self.parts[f"mapper{view}"].forward(x))
+        """Common-subspace representation of view ``view`` features: the
+        view's mapper and then the common extractor, as one dense node."""
+        mapper, common = self.parts[f"mapper{view}"], self.parts["common"]
+        return ad.dense(x, mapper.weights + common.weights, mapper.biases + common.biases,
+                        common.output)
 
     def encode_specific(self, x, view):
         """View-specific representation of view ``view`` features."""

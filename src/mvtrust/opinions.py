@@ -123,7 +123,7 @@ def conflict_arrays(e_a, e_b):
     def vjp(g):
         # through the halved sum of |p_A - p_B|, then p = b + u / q on each side
         sign = np.sign(difference)
-        g_difference = np.broadcast_to((g * certainty) * 0.5, difference.shape) * sign
+        g_difference = ((g * certainty) * 0.5) * sign
         g_certainty = g * distance
         adjoints = []
         for e, s, other, g_p in ((e_a, s_a, certain_b, g_difference),
@@ -134,7 +134,7 @@ def conflict_arrays(e_a, e_b):
             g_u = ad.unbroadcast(g_beliefs, s.shape) * inv_q
             g_u -= ad.unbroadcast(g_certainty * other, s.shape)
             g_strength -= g_u * q / (s * s)
-            adjoints.append(g_beliefs / s + np.broadcast_to(g_strength, e.shape))
+            adjoints.append(g_beliefs / s + g_strength)
         return adjoints
 
     return distance * certainty, vjp

@@ -178,7 +178,7 @@ def training_objective(model, bundle: ForwardBundle, y, cfg: TrainConfig, lambda
     common_rows = bundle.common_stack.reshape((n_views * n, width))
 
     # adversarial split: D sees detached representations, encoders a frozen D
-    z_rows = np.kron(np.eye(n_views), np.ones((n, 1)))
+    z_rows = np.repeat(np.eye(n_views), n, axis=0)
     disc_ce, adv = L.discriminator_losses(*model.discriminate(common_rows), z_rows)
 
     cml = L.cml_loss(model.predict_common(common_rows), np.tile(y, (n_views, 1)))

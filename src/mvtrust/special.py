@@ -63,10 +63,10 @@ def _shift(x, log_gamma):
     set, of ``-ln t`` (log-gamma; None otherwise).
     """
     y = np.array(x, dtype=np.float64)
-    if y.size and (not np.all(np.isfinite(y)) or np.any(y <= 0.0)):
+    if y.size and (not np.isfinite(y).all() or (y <= 0.0).any()):
         raise DomainError("polygamma_pass: argument must be finite and strictly positive")
-    psi_sum, psi1_sum = np.zeros_like(y), np.zeros_like(y)
-    log_sum = np.zeros_like(y) if log_gamma else None
+    psi_sum, psi1_sum = np.zeros(y.shape), np.zeros(y.shape)
+    log_sum = np.zeros(y.shape) if log_gamma else None
     for _ in range(int(_ASYMPTOTIC_CUTOFF)):
         inv_t = 1.0 / y
         psi_sum -= inv_t
@@ -79,7 +79,7 @@ def _shift(x, log_gamma):
 
 
 def _alternating_horner(coeffs, inv2):
-    poly = np.full_like(inv2, coeffs[-1])
+    poly = np.full(inv2.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         poly = c - inv2 * poly
     return poly

@@ -274,8 +274,9 @@ def neg_node(x):
 
 def sub_node(a, b):
     a, b = ad.lift(a), ad.lift(b)
-    ad._check_broadcast("sub", a, b)
-    return ad.fused(a.data - b.data, (a, b), lambda g: (g, -g))
+    # as the Tensor ops do, each entry is summed back to its operand's shape
+    return ad.fused(a.data - b.data, (a, b),
+                    lambda g: (ad.unbroadcast(g, a.shape), ad.unbroadcast(-g, b.shape)))
 
 
 def composed_ace(alpha, y):

@@ -603,6 +603,38 @@ class TestAdam:
         with pytest.raises(ContractError, match="parameter list is empty"):
             Adam([])
 
+    def test_parameter_listed_twice_rejected(self):
+        # packed twice, it made every step fail as if its data had been rebound
+        t, u = Tensor([1.0]), Tensor([2.0])
+        with pytest.raises(ContractError, match=r"^adam: parameter 2 is listed twice$"):
+            Adam([t, u, t])
+        assert t.data.base is None and u.data.base is None  # refused before packing
+
+    @pytest.mark.parametrize("shape", [(3,), (1,)], ids=["row", "one"])
+    def test_misshapen_adjoint_set_by_hand_rejected(self, shape):
+        # copied into the packed adjoint, it would be broadcast over the parameter
+        p = Tensor(np.zeros((2, 3)))
+        opt = Adam([Tensor([1.0]), p])
+        opt.params[0].grad, p.grad = np.ones(1), np.ones(shape)
+        with pytest.raises(ContractError, match=rf"^adam_step: parameter 1 has shape \(2, 3\), "
+                                                rf"but its adjoint has shape \({shape[0]},\)$"):
+            opt.step()
+        assert opt.step_count == 0 and not opt.values[1:].any()
+
+    def test_backward_writes_packed_adjoints_into_grads(self):
+        # a packed parameter's first adjoint goes into its slice of grads, and
+        # it reads the adjoint of the same graph over unpacked parameters
+        params = [Tensor(np.arange(6.0).reshape(2, 3)), Tensor([7.0])]
+        fresh = [Tensor(p.data.copy()) for p in params]
+        opt = Adam(params)
+        for a, b in (params, fresh):
+            backward((a * a).sum() * b.sum() + a.sum())
+        for p, q in zip(params, fresh):
+            assert np.shares_memory(p.grad, opt.grads)
+            assert p.grad.tobytes() == q.grad.tobytes()
+        opt.step()
+        assert all(p.grad is None for p in params)
+
     @pytest.mark.parametrize("case", ["model", "uniform_attention", "one"])
     def test_flat_update_is_bit_equal_to_per_array(self, case):
         def params():

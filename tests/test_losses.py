@@ -1,12 +1,14 @@
 """Loss semantics: pinned example values, oracle equality, gradient checks."""
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from mvtrust import losses as L
 from mvtrust.autodiff import SIGMOID, SOFTMAX_ROWS, Tensor, backward, grad_check
-from mvtrust.errors import ContractError
+from mvtrust.errors import ContractError, ShapeError
 from mvtrust.opinions import conflict_degree
 
 LOG2 = float(np.log(2.0))
@@ -319,6 +321,36 @@ class TestRanges:
             con = L.con_loss(views)
             assert con.item() >= 0.0
             assert L.h2_loss(alpha(), views, y, 0.5, 1.0, con).item() >= 0.0
+
+
+ALPHA = np.full((3, 3), 2.0)
+INDICES = [0, 1, 2]
+PROBS = np.full((4, 3), 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("loss, call, labels, evidence", [
+    ("ace_loss", lambda y: L.ace_loss(Tensor(ALPHA), y), INDICES, ALPHA),
+    ("kl_loss", lambda y: L.kl_loss(Tensor(ALPHA), y), INDICES, ALPHA),
+    ("h1_loss", lambda y: L.h1_loss(Tensor(np.stack([ALPHA] * 2)), Tensor(ALPHA - 1.0),
+                                    Tensor(np.stack([ALPHA] * 2) - 1.0), y, 1.0), INDICES, ALPHA),
+    ("h2_loss", lambda y: L.h2_loss(Tensor(ALPHA - 1.0), Tensor(np.stack([ALPHA] * 2) - 1.0), y,
+                                    0.5, 1.0, 0.0), INDICES, ALPHA),
+    ("cml_loss", lambda y: L.cml_loss(Tensor(PROBS), y), [0, 1, 2, 0], PROBS),
+    ("cml_loss", lambda y: L.cml_loss(Tensor(PROBS), y), [[0], [1], [2], [0]], PROBS),
+    ("cross_entropy", lambda y: L.cross_entropy(Tensor(PROBS), y), [0, 1, 2, 0], PROBS),
+    ("adv_loss", lambda y: L.adv_loss(Tensor(PROBS), y), [0, 1, 2, 0], PROBS),
+    ("discriminator_losses", lambda y: L.discriminator_losses(Tensor(PROBS), Tensor(PROBS), y),
+     [0, 1, 2, 0], PROBS),
+], ids=["ace", "kl", "h1", "h2", "cml", "cml-column", "cross_entropy", "adv", "discriminator"])
+def test_labels_not_rows_of_the_evidence_refused(loss, call, labels, evidence):
+    # index labels in place of one-hot rows: ace_loss read them as one label
+    # row for every sample (3.85 here, where np.eye(3) gives 1.28), and
+    # kl_loss failed inside polygamma_pass
+    shape = np.shape(labels)
+    with pytest.raises(ShapeError, match=re.escape(
+            f"{loss}: labels have shape {shape}, but evidence of shape {evidence.shape} "
+            f"needs {evidence.shape}")):
+        call(labels)
 
 
 class TestLossGradients:

@@ -86,8 +86,23 @@ class TestEncoders:
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_width_mismatch_is_contract_error(self, model):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^dense: input width 6 does not match 5$"):
             model.encode_common(Tensor(np.ones((2, 6))), 0)
+
+    def test_one_node_is_bit_identical_to_mapper_then_common(self, model):
+        # encode_common runs the mapper's and the common extractor's layers as
+        # one dense node; value and adjoints are those of the two calls
+        rng = np.random.default_rng(3)
+        x, weight = Tensor(rng.normal(size=(9, 5))), rng.normal(size=(9, 8))
+        mapper, common = model.parts["mapper0"], model.parts["common"]
+        leaves = [x, *mapper.weights, *mapper.biases, *common.weights, *common.biases]
+
+        def run(out):
+            ad.zero_grads(leaves)
+            backward((out * weight).sum())
+            return [out.data.tobytes(), *(leaf.grad.tobytes() for leaf in leaves)]
+
+        assert run(model.encode_common(x, 0)) == run(common.forward(mapper.forward(x)))
 
 
 def _disc_params(model):

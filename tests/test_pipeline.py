@@ -7,19 +7,22 @@ import platform
 import re
 import resource
 import struct
+import sys
 import tracemalloc
 import zipfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import ACCEPTANCE_DATA
+from mvtrust import autodiff as ad
 from mvtrust import losses as L
 from mvtrust import cli, pipeline, special
 from mvtrust.aggregation import attend_batch
-from mvtrust.autodiff import Tensor, backward
+from mvtrust.autodiff import Adam, Tensor, backward
 from mvtrust.cli import main as cli_main
 from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise, split, standardize
 from mvtrust.data import save_dataset, synthesize
@@ -462,10 +465,13 @@ def _interior_nodes(*roots):
     return nodes
 
 
-def _step_cost(monkeypatch, names):
+def _step_cost(monkeypatch, names, watched=()):
     """Interior nodes of a 3-view training step after the first, those the
-    objective adds to the forward pass's, and the step's calls of each
-    function ``names`` lists from ``special``."""
+    objective adds to the forward pass's, and the step's calls: of each
+    function ``names`` lists from ``special`` by its name, and of each
+    ``(module, name)`` in ``watched`` as ``"<file>:<calling function>:<name>"``
+    (a comprehension counts as the function it is in).
+    Each step ends with ``Adam.step``."""
     calls = Counter()
 
     def counted(name, raw):
@@ -474,18 +480,32 @@ def _step_cost(monkeypatch, names):
             return raw(*args, **kwargs)
         return wrapper
 
+    def by_caller(name, raw):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name in ("<genexpr>", "<listcomp>"):
+                caller = caller.f_back  # a comprehension counts as its function
+            code = caller.f_code
+            calls[f"{Path(code.co_filename).name}:{code.co_name}:{name}"] += 1
+            return raw(*args, **kwargs)
+        return wrapper
+
     ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
     model = Model(ModelSpec(view_dims=ds.view_dims, n_classes=3, subspace_dim=8, seed=1))
+    optimizer = Adam(model.trainable_params())
 
     def step():
         bundle = forward_pass(model, ds.views, SMOKE)
         objective, _ = training_objective(model, bundle, one_hot(ds.labels, 3), SMOKE, 0.5)
         backward(objective)
+        optimizer.step()
         return objective, bundle
 
     step()
     for name in names:
         monkeypatch.setattr(special, name, counted(name, getattr(special, name)))
+    for module, name in watched:
+        monkeypatch.setattr(module, name, by_caller(name, getattr(module, name)))
     monkeypatch.setattr(L, "_lgamma_value", special.lgamma)
     objective, bundle = step()
     nodes = len(_interior_nodes(objective))
@@ -518,6 +538,37 @@ class TestStepCost:
         nodes, objective, _ = _step_cost(monkeypatch, ())
         assert objective <= 30
         assert nodes <= 80
+
+    def test_forward_pass_runs_mapper_and_common_as_one_node(self, monkeypatch):
+        # per view, one dense node runs the mapper and then the common layer:
+        # 45 interior nodes where there were 48
+        nodes, objective, _ = _step_cost(monkeypatch, ())
+        assert nodes - objective <= 45
+
+    def test_backward_only_copies_or_adds(self, monkeypatch):
+        # dense sums its bias entries and the broadcasting ops theirs, so every
+        # entry reaches backward in its parent's shape
+        _, _, calls = _step_cost(monkeypatch, (), [(ad, "unbroadcast")])
+        assert calls["autodiff.py:backward:unbroadcast"] == 0
+        assert calls["autodiff.py:vjp:unbroadcast"] > 0
+
+    @pytest.mark.parametrize("function, caller", [
+        ("concatenate", "losses.py:_polygamma_each"),
+        ("split", "losses.py:_polygamma_each"),
+        ("concatenate", "autodiff.py:step"),
+        ("broadcast_to", "losses.py:vjp"),
+        ("broadcast_to", "opinions.py:vjp"),
+        ("kron", "pipeline.py:training_objective"),
+    ], ids=["polygamma-concatenate", "polygamma-split", "adam-concatenate",
+            "loss-vjp-broadcast", "conflict-vjp-broadcast", "objective-kron"])
+    def test_no_per_step_glue(self, monkeypatch, function, caller):
+        # each polygamma pass fills one buffer and returns views of its results,
+        # backward puts the leaf adjoints into Adam.grads, the loss vjps divide
+        # a scalar once, and the view labels are np.repeat of an identity
+        watched = {(np, function), (np, "concatenate")}
+        _, _, calls = _step_cost(monkeypatch, (), watched)
+        assert calls[f"{caller}:{function}"] == 0
+        assert calls["losses.py:_ace_argument:concatenate"] > 0
 
     def test_every_node_names_each_parent_once(self):
         # a fused node returns one adjoint per parent, the sum of its paths
