@@ -1,4 +1,4 @@
-"""Median time of one training step, stage by stage, at several batch sizes.
+"""Median time of one training step and one noise-sweep operation, stage by stage.
 
     python3 scripts/step_cost.py [TREE]
 
@@ -11,9 +11,18 @@ first n training rows: 20 warm-up steps are discarded, then 100 steps
 are timed with ``perf_counter``.  Each step times the forward
 pass, the training objective, ``backward`` and ``Adam.step``; ``step`` is
 their sum.  The script prints one TSV row per n with the median of each,
-in ms.  BLAS runs on one thread.
+in ms.
 
-It takes about 15 seconds on one core of a 2-core x86-64 host; it is not
+A second table times the noise-sweep operation of ``perfbench``'s
+eval-sweep workload on 5,000 held-out rows of the same acceptance data
+(800 rows are kept for training, as there): ``inject_noise`` at sigma 10
+on half of the rows, ``evaluate`` with its mask and ``write_eval_report``
+into a temporary directory; ``operation`` is their sum.  3 warm-up
+operations are discarded and 20 are timed.  The model is untrained (model
+seed 7, support fitted on the training rows): what inference costs does
+not depend on the weights.  BLAS runs on one thread.
+
+It takes about 20 seconds on one core of a 2-core x86-64 host; it is not
 part of the test suite.
 """
 
@@ -21,6 +30,7 @@ import argparse
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -28,6 +38,10 @@ SIZES = (1, 8, 32, 128, 800)
 WARMUP = 20
 STEPS = 100
 STAGES = ("forward", "objective", "backward", "adam", "step")
+EVAL_ROWS = 5000
+EVAL_WARMUP = 3
+EVAL_REPEATS = 20
+EVAL_STAGES = ("inject_noise", "evaluate", "write_eval_report", "operation")
 
 
 def use_tree(tree):
@@ -75,11 +89,47 @@ def stage_times(n, steps, warmup=WARMUP):
     return {stage: 1e3 * statistics.median(column) for stage, column in zip(STAGES, zip(*times))}
 
 
-def render(rows):
-    """The TSV of ``rows``, a dict from n to ``stage_times``' result."""
-    lines = ["\t".join(("n", *(f"{stage}_ms" for stage in STAGES)))]
+def eval_times(rows, repeats, warmup=EVAL_WARMUP):
+    """Median ms of each of ``EVAL_STAGES`` over ``repeats`` timed noise-sweep
+    operations on ``rows`` held-out acceptance rows, after ``warmup`` discarded ones."""
+    from conftest import ACCEPTANCE_CONFIG as cfg
+    from conftest import ACCEPTANCE_DATA
+    from mvtrust import data, pipeline
+    from mvtrust.networks import Model, ModelSpec
+
+    train_rows = 800
+    n = train_rows + rows
+    ds = data.synthesize(**{**ACCEPTANCE_DATA, "n_samples": n})
+    train_std, test_std, stats = data.standardize(*data.split(ds, train_rows / n, cfg.seed))
+    model = Model(ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim,
+                            seed=cfg.seed))
+    model.fit_support(train_std.views)
+    trained = pipeline.TrainedModel(model, cfg, stats)
+    spec = data.CorruptionSpec("gaussian_noise", 0.5, sigma=10.0, seed=cfg.seed)
+
+    with tempfile.TemporaryDirectory() as out:
+        def operation():
+            t0 = time.perf_counter()
+            noisy, mask = data.inject_noise(test_std, spec)
+            t1 = time.perf_counter()
+            report = pipeline.evaluate(trained, noisy, mask)
+            t2 = time.perf_counter()
+            pipeline.write_eval_report(report, out, mask)
+            t3 = time.perf_counter()
+            return t1 - t0, t2 - t1, t3 - t2, t3 - t0
+
+        for _ in range(warmup):
+            operation()
+        times = [operation() for _ in range(repeats)]
+    return {stage: 1e3 * statistics.median(column)
+            for stage, column in zip(EVAL_STAGES, zip(*times))}
+
+
+def render(rows, stages=STAGES):
+    """The TSV of ``rows``, a dict from n to a dict from each of ``stages`` to ms."""
+    lines = ["\t".join(("n", *(f"{stage}_ms" for stage in stages)))]
     for n, row in rows.items():
-        lines.append("\t".join((str(n), *(f"{row[stage]:.3f}" for stage in STAGES))))
+        lines.append("\t".join((str(n), *(f"{row[stage]:.3f}" for stage in stages))))
     return "\n".join(lines) + "\n"
 
 
@@ -92,6 +142,7 @@ def main(argv=None):
         os.environ[name] = "1"
     use_tree(args.tree.resolve())
     sys.stdout.write(render({n: stage_times(n, STEPS) for n in SIZES}))
+    sys.stdout.write("\n" + render({EVAL_ROWS: eval_times(EVAL_ROWS, EVAL_REPEATS)}, EVAL_STAGES))
 
 
 if __name__ == "__main__":

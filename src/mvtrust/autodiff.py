@@ -210,9 +210,11 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         _check_axis("mean", axis)
         shape = self.shape
-        value = self.data.mean(axis=axis, keepdims=keepdims)
-        count = max(self.data.size // max(value.size, 1), 1)
-        return fused(value, (self,), lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
+        # ndarray.mean's add.reduce and division, without its Python wrapper
+        total = self.data.sum(axis=axis, keepdims=keepdims)
+        count = self.data.size // max(total.size, 1)
+        return fused(total / count, (self,),
+                     lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
     def reshape(self, shape):
         if int(np.prod(shape)) != self.data.size:
@@ -382,7 +384,7 @@ def stack(tensors):
     if any(t.shape != first for t in tensors):
         raise ShapeError(f"stack: mixed shapes {[t.shape for t in tensors]}")
     # the rows of the stacked adjoint are the entries, in order
-    return fused(np.stack([t.data for t in tensors]), tensors, lambda g: g)
+    return fused(np.concatenate([t.data[None] for t in tensors]), tensors, lambda g: g)
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,18 @@ class CorruptionSpec:
                 )
 
 
-def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, corrupt_row):
-    """The seeded row loop of both harnesses: ``corrupt_row(rng, j, views)``
-    changes row ``j`` of the copied ``views`` in place and returns the view
-    indices it hit.  Returns the corrupted copy and its (n, v) bool mask."""
+def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, draw_row, write):
+    """The seeded row loop of both harnesses.
+
+    One ``rng.choice`` picks the rows; then, row by row in ascending order,
+    ``draw_row(rng, j, take)`` makes row ``j``'s draws: for each view ``i``
+    it hits, ``take(i, j)`` records the hit and returns the next row of
+    that view's draw buffer, which ``draw_row`` fills.  Nothing is written
+    to the copy in the loop: afterwards ``write(x, rows, z)`` writes each
+    hit view's copy ``x`` once, at its hit ``rows`` from ``z``, their draws
+    in row order.  Returns the corrupted copy and its (n, v) bool mask; the
+    copy is checked as a ``MultiViewDataset`` only once every write is in.
+    """
     if spec.kind != kind:
         raise ContractError(f"expected a {kind} spec, got a {spec.kind} spec")
     n, v = ds.n_samples, ds.n_views
@@ -245,11 +253,22 @@ def _corrupt(ds: MultiViewDataset, spec: CorruptionSpec, kind, corrupt_row):
         if i >= v:
             raise ContractError(f"corruption view index {i} outside [0, {v}): dataset has {v} views")
     rng = np.random.default_rng(spec.seed)
+    selected = np.sort(rng.choice(n, size=round(spec.fraction * n), replace=False)).tolist()
+    draws = [np.empty((len(selected), d)) for d in ds.view_dims]
+    hit_rows = [[] for _ in range(v)]
+
+    def take(i, j):
+        hit_rows[i].append(j)
+        return draws[i][len(hit_rows[i]) - 1]
+
+    for j in selected:
+        draw_row(rng, j, take)
     views = [x.copy() for x in ds.views]
     mask = np.zeros((n, v), dtype=bool)
-    for j in np.sort(rng.choice(n, size=round(spec.fraction * n), replace=False)).tolist():
-        for i in corrupt_row(rng, j, views):
-            mask[j, i] = True
+    for i, rows in enumerate(hit_rows):
+        if rows:
+            write(views[i], rows, draws[i][:len(rows)])
+            mask[rows, i] = True
     return MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names), mask
 
 
@@ -258,17 +277,26 @@ def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
 
     Noise is drawn as sigma times a standard normal, so sweeps that reuse
     one seed across sigma values corrupt identical instances, views, and
-    directions, differing only in scale.
+    directions, differing only in scale.  Each selected row draws its
+    views (unless ``spec.views`` names them) and then one standard normal
+    per target view, in order, into that view's draw buffer; after the
+    last row each view's noise is added in one fancy-indexed
+    ``x[rows] += sigma * z``, the same ``x + sigma * z`` per cell.
     """
-    def noisy_row(rng, j, views):
+    n_views, half, sigma = ds.n_views, (ds.n_views + 1) // 2, spec.sigma
+
+    def noisy_row(rng, j, take):
         targets = spec.views
         if targets is None:
-            targets = sorted(rng.choice(ds.n_views, (ds.n_views + 1) // 2, replace=False).tolist())
+            targets = sorted(rng.choice(n_views, half, replace=False).tolist())
         for i in targets:
-            views[i][j] += spec.sigma * rng.standard_normal(views[i].shape[1])
-        return targets
+            rng.standard_normal(out=take(i, j))
 
-    return _corrupt(ds, spec, "gaussian_noise", noisy_row)
+    def add_noise(x, rows, z):
+        z *= sigma
+        x[rows] += z
+
+    return _corrupt(ds, spec, "gaussian_noise", noisy_row, add_noise)
 
 
 def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
@@ -278,13 +306,14 @@ def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
         raise DataError("cannot misalign views in a single-class dataset")
     donors = [np.flatnonzero(ds.labels != c) for c in range(ds.n_classes)]
 
-    def misaligned_row(rng, j, views):
+    def misaligned_row(rng, j, take):
         i = int(rng.integers(ds.n_views) if spec.views is None else rng.choice(spec.views))
-        donor = int(rng.choice(donors[ds.labels[j]]))
-        views[i][j] = ds.views[i][donor]
-        return (i,)
+        take(i, j)[:] = ds.views[i][rng.choice(donors[ds.labels[j]])]
 
-    return _corrupt(ds, spec, "view_misalign", misaligned_row)
+    def replace(x, rows, z):
+        x[rows] = z
+
+    return _corrupt(ds, spec, "view_misalign", misaligned_row, replace)
 
 
 # ---------------------------------------------------------------------------

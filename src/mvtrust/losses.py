@@ -116,7 +116,7 @@ def _cross_entropy(op, p, onehot):
         g_log = (-g / max(picked.size, 1)) * onehot
         return ((g_log / clamped) * passthrough,)
 
-    return -picked.mean(), vjp
+    return -(picked.sum() / picked.size), vjp
 
 
 def cross_entropy(probs, onehot):
@@ -172,7 +172,7 @@ def cml_loss(y_hat, y):
         g_term = -g / max(term.size, 1)
         return ((g_term * y / clipped - g_term * miss / rest) * passthrough,)
 
-    return ad.fused(-term.mean(), (y_hat,), vjp)
+    return ad.fused(-(term.sum() / term.size), (y_hat,), vjp)
 
 
 def spe_loss(specific, common):
@@ -193,7 +193,7 @@ def spe_loss(specific, common):
         g_product = np.expand_dims(2.0 * (g_square * inner), -1)
         return g_product * c, ad.unbroadcast(g_product * s, c.shape)
 
-    return ad.fused((inner * inner).mean() * n_views, (specific, common), vjp)
+    return ad.fused((inner * inner).sum() / inner.size * n_views, (specific, common), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def _ace(argument, y, psi, psi1):
         g_strength = g_difference.sum(axis=-1, keepdims=True) * psi1[..., q:]
         return g_strength + -g_difference * psi1[..., :q]
 
-    return rows.mean(), vjp
+    return rows.sum() / rows.size, vjp
 
 
 def ace_loss(alpha, y):
@@ -302,7 +302,7 @@ def _masked_kl(keep, tilde, psi, psi1, log_gamma):
         g_tilde = g_tilde + g_strength
         return (g_tilde * keep,)
 
-    return total.mean(), vjp
+    return total.sum() / total.size, vjp
 
 
 def kl_loss(alpha, y):
@@ -376,7 +376,7 @@ def h1_loss(alpha_views, evidence_common, evidence_specific, y, gamma):
         pair_common, pair_specific = pairs_vjp((g * gamma) / max(pairs.size, 1))
         return views_vjp(g), common_vjp(g) + pair_common, specific_vjp(g) + pair_specific
 
-    value = views + common + specific + gamma * pairs.mean()
+    value = views + common + specific + gamma * (pairs.sum() / pairs.size)
     return ad.fused(value, (alpha_views, evidence_common, evidence_specific), vjp)
 
 
@@ -405,7 +405,7 @@ def con_loss(alpha_views):
         rows, columns = pairs_vjp((g * scale) / max(pairs.size, 1))
         return (rows.reshape(evidence.shape) + columns.reshape(evidence.shape),)
 
-    return ad.fused(pairs.mean() * scale, (alpha_views,), vjp)
+    return ad.fused(pairs.sum() / pairs.size * scale, (alpha_views,), vjp)
 
 
 def h2_loss(evidence_joint, evidence_attended, y, lambda_t, gamma, conflict):

@@ -104,7 +104,7 @@ def _part_layout(spec):
 
 def view_energy(x):
     """Per-row mean squared feature ``m(x) = mean(x**2)`` of one view's rows."""
-    return np.mean(np.square(x), axis=-1)
+    return np.square(x).sum(axis=-1) / x.shape[-1]
 
 
 class Model:
@@ -181,7 +181,7 @@ class Model:
         exactly 1; a constant training view (``r_i = 0``) or an all-zero row
         gives no division by zero.
         """
-        m = np.stack([view_energy(x) for x in views], axis=1)
+        m = np.concatenate([view_energy(x)[:, None] for x in views], axis=1)
         r = np.broadcast_to(self.support_radius, m.shape)
         return np.divide(r, m, out=np.ones_like(m), where=m > r)
 

@@ -329,6 +329,16 @@ class EvalReport:
         return rows
 
 
+def _cell_mask(caller, mask, shape, owner):
+    """``mask`` as a bool array of ``shape``, the (sample, view) cells of ``owner``."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ContractError(f"{caller}: mask must be a bool array, got dtype {mask.dtype}")
+    if mask.shape != shape:
+        raise ContractError(f"{caller}: mask has shape {mask.shape}, but the {owner} needs {shape}")
+    return mask
+
+
 def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | None = None):
     """Run the test path on standardized features and collect diagnostics.
 
@@ -348,12 +358,7 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     if ds.n_samples == 0:
         raise ContractError("evaluate: the dataset has no rows")
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype != bool:
-            raise ContractError(f"evaluate: mask must be a bool array, got dtype {mask.dtype}")
-        if mask.shape != (ds.n_samples, ds.n_views):
-            raise ContractError(f"evaluate: mask has shape {mask.shape}, but the dataset "
-                                f"needs {(ds.n_samples, ds.n_views)}")
+        mask = _cell_mask("evaluate", mask, (ds.n_samples, ds.n_views), "dataset")
     with ad.no_grad():
         bundle = forward_pass(model, ds.views, cfg)
     joint = bundle.evidence_joint.data
@@ -540,30 +545,49 @@ def gradcheck_losses(n_seeds=20, h=1e-5):
 _CELL_FORMAT = {
     float: repr,
     int: str,
-    bool: lambda flag: "1" if flag else "0",
+    bool: ("0", "1").__getitem__,
     str: str,
     type(None): lambda _: "NA",
 }
 
 
-def _write_tsv(path, rows):
-    """Write rows of native Python cells, tab-separated, one line per row."""
-    lines = ["\t".join([_CELL_FORMAT[type(cell)](cell) for cell in row]) for row in rows]
+def _format_column(cells):
+    """The formatted ``cells`` of one column: one ``map`` of a formatter when
+    they share one type, else a lookup per cell (``metrics.tsv``'s values mix
+    int, float and None)."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1:
+        return map(_CELL_FORMAT[kinds.pop()], cells)
+    return [_CELL_FORMAT[type(cell)](cell) for cell in cells]
+
+
+def _write_tsv(path, header, columns):
+    """Write a table of native Python cells, tab-separated, one line per row.
+
+    ``header`` holds the column names (an empty one writes no header line)
+    and ``columns`` the cells, one equal-length sequence per column.  Each
+    column is formatted on its own and the rows are joined with ``zip``,
+    so no row tuple of cells is ever built; every table the package writes
+    goes through here.
+    """
+    lines = ["\t".join(header)] if header else []
+    lines += map("\t".join, zip(*map(_format_column, columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_training_log(log_rows, path):
-    fields = L.LossBreakdown.FIELDS
-    rows = [(row.epoch, *[getattr(row, f) for f in fields]) for row in log_rows]
-    _write_tsv(path, [("epoch", *fields), *rows])
+    fields = ("epoch", *L.LossBreakdown.FIELDS)
+    _write_tsv(path, fields, [[getattr(row, f) for row in log_rows] for f in fields])
 
 
 def write_sweep(rows, path):
-    _write_tsv(path, [("sigma", "accuracy", "mean_uncertainty"), *map(dataclasses.astuple, rows)])
+    _write_tsv(path, ("sigma", "accuracy", "mean_uncertainty"),
+               list(zip(*map(dataclasses.astuple, rows))))
 
 
 def write_ablation(rows, path):
-    _write_tsv(path, [("variant", "accuracy", "accuracy_delta"), *map(dataclasses.astuple, rows)])
+    _write_tsv(path, ("variant", "accuracy", "accuracy_delta"),
+               list(zip(*map(dataclasses.astuple, rows))))
 
 
 def write_run_meta(cfg: TrainConfig, path, extras=None):
@@ -575,8 +599,8 @@ def write_run_meta(cfg: TrainConfig, path, extras=None):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _record_rows(report: EvalReport):
-    """Per-sample diagnostic rows: prediction, uncertainties, attention."""
+def _record_columns(report: EvalReport):
+    """Header and columns of the per-sample diagnostics: prediction, uncertainties, attention."""
     n, v = report.local_uncertainty.shape
     corrupted = report.corrupted if report.corrupted is not None else np.zeros(n, dtype=bool)
     header = ("index", "label", "prediction", "correct", "corrupted", "joint_u",
@@ -592,32 +616,50 @@ def _record_rows(report: EvalReport):
         *report.local_uncertainty.T.tolist(),
         *report.attention.reshape(n, v * v).T.tolist(),
     ]
-    return [header, *zip(*columns)]
+    return header, columns
 
 
 def write_eval_report(report: EvalReport, out_dir, mask=None):
-    """Write metrics, uncertainty histograms, conflict matrix, per-sample records and mask."""
+    """Write metrics, uncertainty histograms, conflict matrix, per-sample records and mask.
+
+    A ``mask`` must be the one the report was evaluated with: a bool array
+    (or nested list) of the report's ``(n, v)`` shape whose hit rows are the
+    report's ``corrupted`` rows.  Any other mask is refused with a
+    ``ContractError`` before ``out_dir`` is made, so that ``records.tsv``
+    and ``corruption_mask.tsv`` never disagree.  Every table goes through
+    ``_write_tsv``, a column at a time.
+    """
+    if mask is not None:
+        mask = _cell_mask("write_eval_report", mask, report.local_uncertainty.shape, "report")
+        if report.corrupted is None:
+            raise ContractError("write_eval_report: the report was evaluated without a mask")
+        differs = np.flatnonzero(mask.any(axis=1) != report.corrupted)
+        if differs.size:
+            row = int(differs[0])
+            hit = bool(report.corrupted[row])
+            raise ContractError(f"write_eval_report: row {row} is "
+                                f"{'corrupted' if hit else 'clean'} in the report but "
+                                f"{'clean' if hit else 'hit'} in the mask")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     joint_u = report.joint_uncertainty
+    metrics = {
+        "n_test": report.labels.size,
+        "accuracy": report.accuracy,
+        "accuracy_clean": report.accuracy_clean,
+        "accuracy_corrupted": report.accuracy_corrupted,
+        "mean_joint_uncertainty": float(joint_u.mean()),
+        "median_joint_uncertainty": float(np.median(joint_u)),
+        "mean_local_uncertainty": float(report.local_uncertainty.mean()),
+    }
     tables = {
-        "metrics.tsv": [
-            ("n_test", report.labels.size),
-            ("accuracy", report.accuracy),
-            ("accuracy_clean", report.accuracy_clean),
-            ("accuracy_corrupted", report.accuracy_corrupted),
-            ("mean_joint_uncertainty", float(joint_u.mean())),
-            ("median_joint_uncertainty", float(np.median(joint_u))),
-            ("mean_local_uncertainty", float(report.local_uncertainty.mean())),
-        ],
-        "uncertainty_hist.tsv": [
-            ("group", "kind", "bin_lo", "bin_hi", "mass"),
-            *report.uncertainty_histograms(),
-        ],
-        "conflict_matrix.tsv": report.conflict_matrix.tolist(),
-        "records.tsv": _record_rows(report),
+        "metrics.tsv": ((), [list(metrics), list(metrics.values())]),
+        "uncertainty_hist.tsv": (("group", "kind", "bin_lo", "bin_hi", "mass"),
+                                 list(zip(*report.uncertainty_histograms()))),
+        "conflict_matrix.tsv": ((), report.conflict_matrix.T.tolist()),
+        "records.tsv": _record_columns(report),
     }
     if mask is not None:
-        tables["corruption_mask.tsv"] = [("instance", "view"), *np.argwhere(mask).tolist()]
-    for name, rows in tables.items():
-        _write_tsv(out / name, rows)
+        tables["corruption_mask.tsv"] = (("instance", "view"), np.argwhere(mask).T.tolist())
+    for name, (header, columns) in tables.items():
+        _write_tsv(out / name, header, columns)

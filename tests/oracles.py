@@ -21,10 +21,15 @@ is the training objective as one node per elementary op, the graph that
 packed its parameters into one buffer, the reference for its bit-identity,
 and ``reference_backward`` is ``autodiff.backward`` as it was written
 before it kept fresh first adjoints and freed interior ones.
+``per_cell_eval_report`` writes the report files as ``pipeline`` wrote
+them before it formatted a column at a time, and ``per_row_corrupt`` is
+the corruption loop as ``data`` ran it before it added noise in bulk: the
+references for their byte- and bit-identity.
 """
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -510,3 +515,80 @@ def reference_backward(root):
                 parent.grad[...] = adjoint
             else:
                 parent.grad += adjoint
+
+
+# ---------------------------------------------------------------------------
+# report files, one cell at a time, and corruption, one row at a time
+
+_CELL_FORMAT = {
+    float: repr,
+    int: str,
+    bool: lambda flag: "1" if flag else "0",
+    str: str,
+    type(None): lambda _: "NA",
+}
+
+
+def per_cell_write_tsv(path, rows):
+    """One line per row tuple, each cell formatted by a lookup on its type."""
+    lines = ["\t".join([_CELL_FORMAT[type(cell)](cell) for cell in row]) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def per_cell_eval_report(report, out_dir, mask=None):
+    """The files of ``pipeline.write_eval_report``, each table built as row
+    tuples and written by ``per_cell_write_tsv``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    n, v = report.local_uncertainty.shape
+    corrupted = report.corrupted if report.corrupted is not None else np.zeros(n, dtype=bool)
+    records = zip(range(n), report.labels.tolist(), report.predictions.tolist(),
+                  (report.predictions == report.labels).tolist(), corrupted.tolist(),
+                  report.joint_uncertainty.tolist(), *report.local_uncertainty.T.tolist(),
+                  *report.attention.reshape(n, v * v).T.tolist())
+    joint_u = report.joint_uncertainty
+    tables = {
+        "metrics.tsv": [
+            ("n_test", report.labels.size),
+            ("accuracy", report.accuracy),
+            ("accuracy_clean", report.accuracy_clean),
+            ("accuracy_corrupted", report.accuracy_corrupted),
+            ("mean_joint_uncertainty", float(joint_u.mean())),
+            ("median_joint_uncertainty", float(np.median(joint_u))),
+            ("mean_local_uncertainty", float(report.local_uncertainty.mean())),
+        ],
+        "uncertainty_hist.tsv": [("group", "kind", "bin_lo", "bin_hi", "mass"),
+                                 *report.uncertainty_histograms()],
+        "conflict_matrix.tsv": report.conflict_matrix.tolist(),
+        "records.tsv": [("index", "label", "prediction", "correct", "corrupted", "joint_u",
+                         *(f"local_u_{i}" for i in range(v)),
+                         *(f"attn_{p}_{r}" for p in range(v) for r in range(v))), *records],
+    }
+    if mask is not None:
+        tables["corruption_mask.tsv"] = [("instance", "view"), *np.argwhere(mask).tolist()]
+    for name, rows in tables.items():
+        per_cell_write_tsv(out / name, rows)
+
+
+def per_row_corrupt(ds, spec):
+    """``data.inject_noise`` or ``data.inject_conflict``, writing each selected
+    row's noise or donor row into the copied views as soon as it is drawn.
+    Returns the corrupted views and the (n, v) bool mask."""
+    rng = np.random.default_rng(spec.seed)
+    n, v = ds.n_samples, ds.n_views
+    views = [x.copy() for x in ds.views]
+    mask = np.zeros((n, v), dtype=bool)
+    donors = [np.flatnonzero(ds.labels != c) for c in range(ds.n_classes)]
+    for j in np.sort(rng.choice(n, size=round(spec.fraction * n), replace=False)).tolist():
+        if spec.kind == "view_misalign":
+            i = int(rng.integers(v) if spec.views is None else rng.choice(spec.views))
+            views[i][j] = ds.views[i][int(rng.choice(donors[ds.labels[j]]))]
+            mask[j, i] = True
+            continue
+        targets = spec.views
+        if targets is None:
+            targets = sorted(rng.choice(v, (v + 1) // 2, replace=False).tolist())
+        for i in targets:
+            views[i][j] += spec.sigma * rng.standard_normal(views[i].shape[1])
+            mask[j, i] = True
+    return views, mask

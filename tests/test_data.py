@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from mvtrust.cli import main as cli_main
 from mvtrust.data import (
     CorruptionSpec,
@@ -244,6 +245,57 @@ class TestInjectNoise:
     def test_spec_validation(self):
         with pytest.raises(ContractError, match="unknown corruption kind 'saturation'"):
             CorruptionSpec("saturation", 0.5)
+
+
+def _assert_same_corruption(got, want):
+    """``got`` (dataset, mask) holds the views and mask of ``want``, cell for cell."""
+    (got_ds, got_mask), (want_views, want_mask) = got, want
+    assert got_mask.dtype == bool and got_mask.shape == want_mask.shape
+    cells = np.argwhere(got_mask != want_mask)
+    if cells.size:
+        (j, i) = cells[0]
+        pytest.fail(f"mask cell ({j}, {i}) is {got_mask[j, i]}, the per-row loop's "
+                    f"{want_mask[j, i]}")
+    for i, (x, y) in enumerate(zip(got_ds.views, want_views)):
+        cells = np.argwhere(x.view(np.uint64) != y.view(np.uint64))
+        if cells.size:
+            (j, c) = cells[0]
+            pytest.fail(f"view {i}, row {j}, column {c} is {float(x[j, c])!r}, the per-row "
+                        f"loop's {float(y[j, c])!r}")
+
+
+class TestBulkCorruption:
+    """The harness against ``oracles.per_row_corrupt``, the per-row loop it replaced."""
+
+    @pytest.mark.parametrize("n_views, fraction, views, seed", [
+        (3, 0.0, None, 1), (3, 1.0, None, 1), (3, 0.5, (2, 0), 1), (3, 1.0, (1,), 2),
+        (1, 0.5, None, 3), (1, 1.0, None, 3), (2, 0.5, None, 0), (2, 0.5, None, 1),
+        (4, 0.5, None, 2), (4, 0.3, None, 3), (4, 0.5, (3, 1, 0), 4),
+    ], ids=["fraction-0", "fraction-1", "views-2-0", "views-1", "one-view", "one-view-all",
+            "seed-0", "seed-1", "seed-2", "seed-3", "seed-4"])
+    def test_noise_matches_the_per_row_loop(self, n_views, fraction, views, seed):
+        ds = synthesize(2, n_views, 41, (3, 5, 4, 6)[:n_views], seed=6)
+        spec = CorruptionSpec("gaussian_noise", fraction, sigma=10.0, views=views, seed=seed)
+        _assert_same_corruption(inject_noise(ds, spec), oracles.per_row_corrupt(ds, spec))
+
+    @pytest.mark.parametrize("views, seed", [(None, 0), (None, 5), ((1,), 1), ((2, 0), 2)],
+                             ids=["random-view-0", "random-view-5", "view-1", "views-2-0"])
+    def test_misalignment_matches_the_per_row_loop(self, views, seed):
+        ds = synthesize(3, 3, 41, (3, 5, 4), seed=6)
+        spec = CorruptionSpec("view_misalign", 0.5, views=views, seed=seed)
+        _assert_same_corruption(inject_conflict(ds, spec), oracles.per_row_corrupt(ds, spec))
+
+    def test_overflowing_noise_named_by_the_dataset_check(self):
+        # noise overflows to inf; the copy is checked only once all of it is in
+        ds = synthesize(2, 3, 20, (4, 4, 4), seed=6)
+        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=1e308, seed=1)
+        with np.errstate(over="ignore"):
+            views, _ = oracles.per_row_corrupt(ds, spec)
+            i = next(i for i, x in enumerate(views) if not np.isfinite(x).all())
+            row = np.flatnonzero(~np.isfinite(views[i]).all(axis=1))[0]
+            with pytest.raises(DataError,
+                               match=f"^view {i} has a non-finite feature in row {row}$"):
+                inject_noise(ds, spec)
 
 
 class TestInjectConflict:

@@ -570,6 +570,12 @@ class TestStepCost:
         assert calls[f"{caller}:{function}"] == 0
         assert calls["losses.py:_ace_argument:concatenate"] > 0
 
+    def test_no_numpy_stack_or_mean_wrapper(self, monkeypatch):
+        # stacks are np.concatenate of [None] views and means sum / count: the
+        # same float operations without numpy's Python wrappers
+        _, _, calls = _step_cost(monkeypatch, (), {(np, "stack"), (np, "mean")})
+        assert not calls, calls
+
     def test_every_node_names_each_parent_once(self):
         # a fused node returns one adjoint per parent, the sum of its paths
         ds = synthesize(3, 3, 40, (4, 5, 6), seed=5)
@@ -1142,6 +1148,156 @@ class TestCli:
         assert float(metrics["accuracy"]) == report.accuracy
         matrix_lines = (tmp_path / "conflict_matrix.tsv").read_text().splitlines()
         assert len(matrix_lines) == test_std.n_views
+
+
+def _first_different_cell(got, want):
+    """``(line, column, got cell, wanted cell)`` of the first cell, counted
+    from 1, where two TSV texts differ; None when they are equal."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for k, (a, b) in enumerate(itertools.zip_longest(got_lines, want_lines, fillvalue="")):
+        pairs = itertools.zip_longest(a.split("\t"), b.split("\t"), fillvalue=None)
+        for c, (x, y) in enumerate(pairs):
+            if x != y:
+                return k + 1, c + 1, x, y
+    return None
+
+
+def _assert_same_files(got_dir, want_dir):
+    """Every file of ``want_dir`` is in ``got_dir`` with the same bytes, and no other."""
+    names = sorted(path.name for path in want_dir.iterdir())
+    assert sorted(path.name for path in got_dir.iterdir()) == names
+    for name in names:
+        got, want = (got_dir / name).read_bytes(), (want_dir / name).read_bytes()
+        if got != want:
+            line, column, x, y = _first_different_cell(got.decode(), want.decode())
+            pytest.fail(f"{name}, line {line}, column {column}: wrote {x!r}, the per-cell "
+                        f"writer wrote {y!r}")
+
+
+# floats whose repr has an exponent, is subnormal, is not exact in binary or
+# has no fraction; local and attention cells cycle through all of them
+_EDGE_FLOATS = (1e-05, 5e-324, 0.1, 1e16, 0.30000000000000004, 1.0, 0.0)
+
+
+def _hand_report(n, hit_rows=None):
+    """An ``EvalReport`` on ``n`` rows and 2 views whose floats are ``_EDGE_FLOATS``,
+    and the mask that hits view 0 of ``hit_rows`` (None: evaluated without one)."""
+    cells = itertools.cycle(_EDGE_FLOATS)
+
+    def take(*shape):
+        return np.array([next(cells) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+    labels = np.arange(n) % 2
+    predictions = np.zeros(n, dtype=np.int64)
+    correct = predictions == labels
+    report = pipeline.EvalReport(
+        accuracy=float(correct.mean()), predictions=predictions, labels=labels,
+        joint_uncertainty=take(n), local_uncertainty=take(n, 2), attention=take(n, 2, 2),
+        conflict_matrix=take(2, 2),
+    )
+    if hit_rows is None:
+        return report, None
+    mask = np.zeros((n, 2), dtype=bool)
+    mask[list(hit_rows), 0] = True
+    report.corrupted = mask.any(axis=1)
+    if report.corrupted.any():
+        report.accuracy_corrupted = float(correct[report.corrupted].mean())
+    if not report.corrupted.all():
+        report.accuracy_clean = float(correct[~report.corrupted].mean())
+    return report, mask
+
+
+class TestReportFiles:
+    """The column-wise writer against ``oracles.per_cell_eval_report``, the
+    row tuples and per-cell formatter lookups it replaced."""
+
+    @pytest.mark.parametrize("n, hit_rows", [
+        (1, None), (1, (0,)), (7, None), (7, (1, 4)), (7, range(7)),
+    ], ids=["one-row", "one-row-hit", "edge-floats", "edge-floats-masked", "all-hit"])
+    def test_report_bytes_match_the_per_cell_writer(self, n, hit_rows, tmp_path):
+        report, mask = _hand_report(n, hit_rows)
+        write_eval_report(report, tmp_path / "got", mask)
+        oracles.per_cell_eval_report(report, tmp_path / "want", mask)
+        _assert_same_files(tmp_path / "got", tmp_path / "want")
+        # no clean or no corrupted row leaves an NA cell in metrics.tsv
+        if hit_rows is None or len(hit_rows) in (0, n):
+            assert "\tNA\n" in (tmp_path / "got" / "metrics.tsv").read_text()
+
+    @pytest.mark.parametrize("corruption", ["none", "noise", "misalign"])
+    def test_evaluated_report_bytes_match_the_per_cell_writer(self, smoke_run, corruption,
+                                                              tmp_path):
+        trained, test_std, _ = smoke_run
+        ds, mask = test_std, None
+        if corruption == "noise":
+            ds, mask = inject_noise(test_std, CorruptionSpec("gaussian_noise", 0.5, sigma=10.0))
+        elif corruption == "misalign":
+            ds, mask = inject_conflict(test_std, CorruptionSpec("view_misalign", 0.5, seed=2))
+        report = evaluate(trained, ds, mask)
+        write_eval_report(report, tmp_path / "got", mask)
+        oracles.per_cell_eval_report(report, tmp_path / "want", mask)
+        _assert_same_files(tmp_path / "got", tmp_path / "want")
+
+    @pytest.mark.parametrize("table", ["training_log", "sweep", "empty-sweep", "ablation"])
+    def test_small_tables_match_the_per_cell_writer(self, smoke_run, table, tmp_path):
+        sweep = [pipeline.SweepRow(0.0, 1.0, 1e-05), pipeline.SweepRow(1e16, 0.1, 5e-324)]
+        ablation = [pipeline.AblationRow("full", 0.5, 0.0),
+                    pipeline.AblationRow("no_h1", 0.1, -0.4)]
+        fields = L.LossBreakdown.FIELDS
+        cases = {
+            "training_log": (pipeline.write_training_log, smoke_run[2], ("epoch", *fields),
+                             [(row.epoch, *[getattr(row, f) for f in fields])
+                              for row in smoke_run[2]]),
+            "sweep": (pipeline.write_sweep, sweep, ("sigma", "accuracy", "mean_uncertainty"),
+                      map(dataclasses.astuple, sweep)),
+            "empty-sweep": (pipeline.write_sweep, [], ("sigma", "accuracy", "mean_uncertainty"),
+                            []),
+            "ablation": (pipeline.write_ablation, ablation,
+                         ("variant", "accuracy", "accuracy_delta"),
+                         map(dataclasses.astuple, ablation)),
+        }
+        write, rows, header, tuples = cases[table]
+        (tmp_path / "got").mkdir()
+        (tmp_path / "want").mkdir()
+        write(rows, tmp_path / "got" / "table.tsv")
+        oracles.per_cell_write_tsv(tmp_path / "want" / "table.tsv", [header, *tuples])
+        _assert_same_files(tmp_path / "got", tmp_path / "want")
+
+    def test_mixed_column_is_formatted_cell_by_cell(self, tmp_path):
+        pipeline._write_tsv(tmp_path / "t.tsv", (), [["a", "b", "c", "d"], [3, 0.1, None, True]])
+        assert (tmp_path / "t.tsv").read_text() == "a\t3\nb\t0.1\nc\tNA\nd\t1\n"
+
+    @pytest.mark.parametrize("case", [
+        "unmasked-report", "1-d", "extra-view", "float", "extra-hit-row", "missing-hit-row",
+    ])
+    def test_mask_not_of_the_report_refused_before_any_file(self, smoke_run, case, tmp_path):
+        trained, test_std, _ = smoke_run
+        n, v = test_std.n_samples, test_std.n_views
+        mask = np.zeros((n, v), dtype=bool)
+        mask[[1, 3], 0] = True
+        report = evaluate(trained, test_std, None if case == "unmasked-report" else mask)
+        other = mask.copy()
+        named = {
+            "unmasked-report": "the report was evaluated without a mask",
+            "1-d": f"mask has shape {(n,)}, but the report needs {(n, v)}",
+            "extra-view": f"mask has shape {(n, v + 1)}, but the report needs {(n, v)}",
+            "float": "mask must be a bool array, got dtype float64",
+            "extra-hit-row": "row 0 is clean in the report but hit in the mask",
+            "missing-hit-row": "row 1 is corrupted in the report but clean in the mask",
+        }[case]
+        if case == "1-d":
+            other = mask.any(axis=1)
+        elif case == "extra-view":
+            other = np.concatenate([mask, mask[:, :1]], axis=1)
+        elif case == "float":
+            other = mask.astype(float)
+        elif case == "extra-hit-row":
+            other[0, 1] = True
+        elif case == "missing-hit-row":
+            other[1] = False
+        out = tmp_path / "report"
+        with pytest.raises(ContractError, match=f"^write_eval_report: {re.escape(named)}$"):
+            write_eval_report(report, out, other)
+        assert not out.exists()
 
 
 class TestRunExperiment:

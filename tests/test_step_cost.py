@@ -1,8 +1,9 @@
 """``scripts/step_cost.py`` times the stages of a training step on this tree.
 
-The script's full table takes seconds per batch size; here it is imported by
-path and runs a few steps at one batch size, so a renamed stage, a moved
-acceptance split or a broken table fails here.
+The script's full tables take seconds per batch size; here it is imported by
+path and runs a few steps at one batch size and a few noise-sweep operations
+on 20 held-out rows, so a renamed stage, a moved acceptance split or a broken
+table fails here.
 """
 
 import importlib.util
@@ -38,4 +39,19 @@ def test_renders_one_row_per_batch_size(step_cost):
         "n\tforward_ms\tobjective_ms\tbackward_ms\tadam_ms\tstep_ms\n"
         "1\t0.500\t0.500\t0.500\t0.500\t0.500\n"
         "800\t25.000\t25.000\t25.000\t25.000\t25.000\n"
+    )
+
+
+def test_times_every_stage_of_a_few_noise_sweep_operations(step_cost):
+    row = step_cost.eval_times(20, repeats=2, warmup=1)
+    assert list(row) == list(step_cost.EVAL_STAGES)
+    assert all(ms > 0.0 for ms in row.values())
+    assert row["operation"] >= max(row[stage] for stage in step_cost.EVAL_STAGES[:-1])
+
+
+def test_renders_the_noise_sweep_table(step_cost):
+    rows = {5000: dict.fromkeys(step_cost.EVAL_STAGES, 2.0)}
+    assert step_cost.render(rows, step_cost.EVAL_STAGES) == (
+        "n\tinject_noise_ms\tevaluate_ms\twrite_eval_report_ms\toperation_ms\n"
+        "5000\t2.000\t2.000\t2.000\t2.000\n"
     )
