@@ -40,6 +40,15 @@
 # keys and `config_hash`, with every parameter array byte-equal; the other
 # 55 files kept their digests.
 #
+# The baseline moved a third time when `evaluate` began to run its forward
+# pass in blocks of 512 rows: OpenBLAS rounds the evidence heads' GEMMs
+# differently above about 3,000 rows, so only big/eval_noise moved, in two
+# files.  In records.tsv 9,920 of 90,000 cells differ, all in joint_u and
+# local_u_*, by at most 8.3e-16 relative; no prediction, label, mask or
+# attention cell changed.  In conflict_matrix.tsv one view pair moved in
+# its last digit (1.2e-16 relative).  scripts/drift.py, run on the two
+# output trees, reports exactly that; the other 77 files kept their digests.
+#
 # The runs:
 #   c11/            the criterion 11 setup: 60 rows, 5 epochs, clean held-out eval
 #   c11/ablate      every ablation switch, 3 epochs each, on the criterion 11 data

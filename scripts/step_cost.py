@@ -18,9 +18,12 @@ eval-sweep workload on 5,000 held-out rows of the same acceptance data
 (800 rows are kept for training, as there): ``inject_noise`` at sigma 10
 on half of the rows, ``evaluate`` with its mask and ``write_eval_report``
 into a temporary directory; ``operation`` is their sum.  3 warm-up
-operations are discarded and 20 are timed.  The model is untrained (model
-seed 7, support fitted on the training rows): what inference costs does
-not depend on the weights.  BLAS runs on one thread.
+operations are discarded and 20 are timed.  ``evaluate_peak_mb`` is the
+``tracemalloc`` peak of one more ``evaluate`` call, made after the timed
+ones and not timed, since tracing slows every allocation; it is in MiB, as
+perfbench's ``peak_rss_mb`` is.  The model is untrained (model seed 7,
+support fitted on the training rows): what inference costs does not depend
+on the weights.  BLAS runs on one thread.
 
 It takes about 20 seconds on one core of a 2-core x86-64 host; it is not
 part of the test suite.
@@ -32,16 +35,18 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SIZES = (1, 8, 32, 128, 800)
 WARMUP = 20
 STEPS = 100
-STAGES = ("forward", "objective", "backward", "adam", "step")
+STAGES = ("forward_ms", "objective_ms", "backward_ms", "adam_ms", "step_ms")
 EVAL_ROWS = 5000
 EVAL_WARMUP = 3
 EVAL_REPEATS = 20
-EVAL_STAGES = ("inject_noise", "evaluate", "write_eval_report", "operation")
+EVAL_STAGES = ("inject_noise_ms", "evaluate_ms", "write_eval_report_ms", "operation_ms",
+               "evaluate_peak_mb")
 
 
 def use_tree(tree):
@@ -50,7 +55,7 @@ def use_tree(tree):
 
 
 def stage_times(n, steps, warmup=WARMUP):
-    """Median ms of each of ``STAGES`` over ``steps`` timed training steps on
+    """Median of each of ``STAGES`` over ``steps`` timed training steps on
     the first ``n`` acceptance training rows, after ``warmup`` discarded ones."""
     from conftest import ACCEPTANCE_CONFIG as cfg
     from conftest import ACCEPTANCE_DATA
@@ -90,8 +95,9 @@ def stage_times(n, steps, warmup=WARMUP):
 
 
 def eval_times(rows, repeats, warmup=EVAL_WARMUP):
-    """Median ms of each of ``EVAL_STAGES`` over ``repeats`` timed noise-sweep
-    operations on ``rows`` held-out acceptance rows, after ``warmup`` discarded ones."""
+    """Median of each timed column of ``EVAL_STAGES`` over ``repeats`` timed
+    noise-sweep operations on ``rows`` held-out acceptance rows, after
+    ``warmup`` discarded ones, and the traced peak of one more ``evaluate``."""
     from conftest import ACCEPTANCE_CONFIG as cfg
     from conftest import ACCEPTANCE_DATA
     from mvtrust import data, pipeline
@@ -121,13 +127,21 @@ def eval_times(rows, repeats, warmup=EVAL_WARMUP):
         for _ in range(warmup):
             operation()
         times = [operation() for _ in range(repeats)]
-    return {stage: 1e3 * statistics.median(column)
-            for stage, column in zip(EVAL_STAGES, zip(*times))}
+    noisy, mask = data.inject_noise(test_std, spec)
+    tracemalloc.start()
+    try:
+        pipeline.evaluate(trained, noisy, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = {stage: 1e3 * statistics.median(column)
+           for stage, column in zip(EVAL_STAGES[:-1], zip(*times))}
+    return {**row, "evaluate_peak_mb": peak / 2**20}
 
 
 def render(rows, stages=STAGES):
-    """The TSV of ``rows``, a dict from n to a dict from each of ``stages`` to ms."""
-    lines = ["\t".join(("n", *(f"{stage}_ms" for stage in stages)))]
+    """The TSV of ``rows``, a dict from n to a dict from each of ``stages`` to its value."""
+    lines = ["\t".join(("n", *stages))]
     for n, row in rows.items():
         lines.append("\t".join((str(n), *(f"{row[stage]:.3f}" for stage in stages))))
     return "\n".join(lines) + "\n"

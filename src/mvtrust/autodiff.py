@@ -71,11 +71,12 @@ Heap policy.  On glibc, importing this module calls ``mallopt(M_TOP_PAD,
 64 MiB)`` once, so that glibc keeps up to 64 MiB free above its heap top
 rather than handing that memory back to the system whenever it is freed.
 Each training step frees its graph before the next forward, and each
-``evaluate`` frees its temporaries, such as the (3, 5000, 64) arrays of a
-5,000-row call.  Without the pad the next step or call faulted the same
+``evaluate`` frees its temporaries, such as the (3, 512, 64) arrays of
+each row block.  Without the pad the next step or call faulted the same
 pages in again.  On a 2-core x86-64 host with glibc 2.36 that was about
 1,600 minor faults per full-batch epoch on the acceptance data, and 3,400
-to 5,900 per 5,000-row ``evaluate`` after mini-batch training.  With it both take almost none, and the numbers do
+to 5,900 per 5,000-row ``evaluate`` after mini-batch training, measured
+when ``evaluate`` ran one forward pass over all its rows.  With it both take almost none, and the numbers do
 not change, because only where arrays live moves.  A smaller pad is not
 enough: with 8 MiB a full-batch epoch took about 7,200 faults, and with
 32 MiB about 1,200.  A likely cause is that once ``mallopt`` is called,

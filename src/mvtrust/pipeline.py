@@ -53,6 +53,15 @@ ABLATION_SWITCHES = tuple(_ABLATIONS)
 
 HIST_BINS = 20
 
+# Rows per forward pass in ``evaluate``.  A (512, 64) float64 layer is
+# 256 KiB, which stays in L2.  512 rows timed faster than 256 and as fast as
+# 1,024, whose traced peak is nearly twice 512's (5,000 rows).  With
+# OpenBLAS on x86-64, any block of 2 to 3,000 rows gives each row the same
+# bits (it takes another GEMM path above about 3,000 rows, and another for
+# one row), so a row's report does not depend on how many rows share its
+# call.
+EVAL_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -339,6 +348,15 @@ def _cell_mask(caller, mask, shape, owner):
     return mask
 
 
+def _row_blocks(n):
+    """``(start, stop)`` of each consecutive block of ``EVAL_BLOCK_ROWS`` rows
+    out of ``n``, with a one-row tail folded into the block before it."""
+    bounds = [*range(0, n, EVAL_BLOCK_ROWS), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
 def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | None = None):
     """Run the test path on standardized features and collect diagnostics.
 
@@ -347,6 +365,16 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
     intermediates, and the opinion algebra runs on its arrays.  A ``mask``
     marks the corrupted (sample, view) cells: a bool array (or nested list)
     shaped ``(ds.n_samples, ds.n_views)``.
+
+    The forward pass runs once per consecutive block of ``EVAL_BLOCK_ROWS``
+    rows and copies out only each block's joint evidence, fused evidence
+    and attention, so its working set is bounded by the block, not by n.  No
+    block has one row unless n is 1: a one-row tail joins the block before
+    it, because a one-row matmul rounds differently from every larger
+    block.  So every row of a call of two rows or more gets the bits it
+    would get in any other such call, and a call of up to
+    ``EVAL_BLOCK_ROWS + 1`` rows is one block.  The report's reductions
+    (accuracy, conflict means) still run over all n rows at once.
     """
     model, cfg = trained.model, trained.cfg
     if ds.view_dims != model.spec.view_dims:
@@ -359,16 +387,22 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
         raise ContractError("evaluate: the dataset has no rows")
     if mask is not None:
         mask = _cell_mask("evaluate", mask, (ds.n_samples, ds.n_views), "dataset")
-    with ad.no_grad():
-        bundle = forward_pass(model, ds.views, cfg)
-    joint = bundle.evidence_joint.data
-    predictions = np.argmax(joint, axis=1)
-    joint_u = evidence_to_opinion(joint)[1][:, 0]
+    n, v = ds.n_samples, ds.n_views
+    joint = np.empty((n, ds.n_classes))
     # (n, v, q) in C order: numpy sums a transposed view in memory order,
     # and the report's means would move in the last bit
-    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+    fused = np.empty((n, v, ds.n_classes))
+    attention = np.empty((n, v, v))
+    with ad.no_grad():
+        for start, stop in _row_blocks(n):
+            bundle = forward_pass(model, [x[start:stop] for x in ds.views], cfg)
+            joint[start:stop] = bundle.evidence_joint.data
+            fused[start:stop] = bundle.evidence_fused.data.swapaxes(0, 1)
+            attention[start:stop] = bundle.attention.data
+            del bundle  # before the next block's forward pass, not after it
+    predictions = np.argmax(joint, axis=1)
+    joint_u = evidence_to_opinion(joint)[1][:, 0]
     local_u = evidence_to_opinion(fused)[1][..., 0]
-    attention = np.array(bundle.attention.data)
 
     # one conflict call over the unordered view pairs; filling both
     # triangles makes the matrix exactly symmetric with an exactly zero

@@ -404,6 +404,68 @@ class TestEvaluate:
             evaluate(trained, test_std.subset([]))
 
 
+def _held_out(rows):
+    """An untrained acceptance-shaped model (support fitted on 800 training
+    rows) and ``rows`` held-out rows of the acceptance generator; inference
+    costs and rounds the same whatever the weights."""
+    cfg = TrainConfig(seed=7)
+    ds = synthesize(**{**ACCEPTANCE_DATA, "n_samples": 800 + rows})
+    train_std, test_std, stats = standardize(*split(ds, 800 / (800 + rows), cfg.seed))
+    model = Model(ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim,
+                            seed=cfg.seed))
+    model.fit_support(train_std.views)
+    return TrainedModel(model, cfg, stats), test_std
+
+
+class TestRowBlocks:
+    # evaluate runs its forward pass on blocks of pipeline.EVAL_BLOCK_ROWS rows
+    @pytest.fixture(scope="class")
+    def full_call(self):
+        trained, test_std = _held_out(5000)
+        assert test_std.n_samples == 5000
+        return trained, test_std, evaluate(trained, test_std)
+
+    @pytest.mark.parametrize("start, stop", [(0, 512), (512, 1024), (4608, 5000), (0, 513)],
+                             ids=["first-block", "second-block", "last-block", "513-rows"])
+    def test_rows_do_not_depend_on_the_call_size(self, full_call, start, stop):
+        trained, test_std, full = full_call
+        part = evaluate(trained, test_std.subset(list(range(start, stop))))
+        for field in ("joint_uncertainty", "local_uncertainty", "attention", "predictions"):
+            np.testing.assert_array_equal(getattr(part, field), getattr(full, field)[start:stop],
+                                          err_msg=field)
+
+    @pytest.mark.parametrize("n, blocks", [
+        pytest.param(n, blocks, id=f"n={n}")
+        for n, blocks in [(1, [1]), (2, [2]), (512, [512]), (513, [513]), (1024, [512, 512]),
+                          (1025, [512, 513]), (1026, [512, 512, 2])]
+    ])
+    def test_no_row_is_evaluated_alone(self, full_call, monkeypatch, n, blocks):
+        trained, test_std, _ = full_call
+        sizes = []
+
+        def counted(model, views, cfg):
+            sizes.append(len(views[0]))
+            return forward_pass(model, views, cfg)
+
+        monkeypatch.setattr(pipeline, "forward_pass", counted)
+        evaluate(trained, test_std.subset(list(range(n))))
+        assert sizes == blocks
+
+    @pytest.mark.parametrize("rows, bound_mib", [(5000, 12), (20000, 40)])
+    def test_working_memory_is_bounded_by_the_block(self, rows, bound_mib):
+        # one forward pass over every row peaked at 43 and 172 MiB; with
+        # blocks, what grows with n is the report code, about 1 KiB a row
+        trained, test_std = _held_out(rows)
+        evaluate(trained, test_std)
+        tracemalloc.start()
+        try:
+            evaluate(trained, test_std)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, peak / 2**20
+
+
 def _fresh_model(ds):
     return Model(ModelSpec(view_dims=ds.view_dims, n_classes=2, subspace_dim=8, seed=1))
 

@@ -30,7 +30,7 @@ def test_times_every_stage_of_a_few_steps(step_cost):
     assert list(row) == list(step_cost.STAGES)
     assert all(ms > 0.0 for ms in row.values())
     # the step is the sum of its four stages in every timed step
-    assert row["step"] >= max(row[stage] for stage in step_cost.STAGES[:-1])
+    assert row["step_ms"] >= max(row[stage] for stage in step_cost.STAGES[:-1])
 
 
 def test_renders_one_row_per_batch_size(step_cost):
@@ -45,13 +45,15 @@ def test_renders_one_row_per_batch_size(step_cost):
 def test_times_every_stage_of_a_few_noise_sweep_operations(step_cost):
     row = step_cost.eval_times(20, repeats=2, warmup=1)
     assert list(row) == list(step_cost.EVAL_STAGES)
-    assert all(ms > 0.0 for ms in row.values())
-    assert row["operation"] >= max(row[stage] for stage in step_cost.EVAL_STAGES[:-1])
+    assert all(value > 0.0 for value in row.values())
+    assert row["operation_ms"] >= max(row[stage] for stage in step_cost.EVAL_STAGES[:3])
+    # 20 rows are one block: the traced peak is well under a MiB
+    assert row["evaluate_peak_mb"] < 1.0
 
 
 def test_renders_the_noise_sweep_table(step_cost):
     rows = {5000: dict.fromkeys(step_cost.EVAL_STAGES, 2.0)}
     assert step_cost.render(rows, step_cost.EVAL_STAGES) == (
-        "n\tinject_noise_ms\tevaluate_ms\twrite_eval_report_ms\toperation_ms\n"
-        "5000\t2.000\t2.000\t2.000\t2.000\n"
+        "n\tinject_noise_ms\tevaluate_ms\twrite_eval_report_ms\toperation_ms\tevaluate_peak_mb\n"
+        "5000\t2.000\t2.000\t2.000\t2.000\t2.000\n"
     )
