@@ -15,7 +15,8 @@ in ms.
 
 A second table times the noise-sweep operation of ``perfbench``'s
 eval-sweep workload on 5,000 held-out rows of the same acceptance data
-(800 rows are kept for training, as there): ``inject_noise`` at sigma 10
+(800 rows are kept for training, as there), and again on 20,000, where
+what grows with the rows shows: ``inject_noise`` at sigma 10
 on half of the rows, ``evaluate`` with its mask and ``write_eval_report``
 into a temporary directory; ``operation`` is their sum.  3 warm-up
 operations are discarded and 20 are timed.  ``evaluate_peak_mb`` is the
@@ -25,7 +26,7 @@ perfbench's ``peak_rss_mb`` is.  The model is untrained (model seed 7,
 support fitted on the training rows): what inference costs does not depend
 on the weights.  BLAS runs on one thread.
 
-It takes about 20 seconds on one core of a 2-core x86-64 host; it is not
+It takes about 40 seconds on one core of a 2-core x86-64 host; it is not
 part of the test suite.
 """
 
@@ -42,7 +43,7 @@ SIZES = (1, 8, 32, 128, 800)
 WARMUP = 20
 STEPS = 100
 STAGES = ("forward_ms", "objective_ms", "backward_ms", "adam_ms", "step_ms")
-EVAL_ROWS = 5000
+EVAL_ROWS = (5000, 20000)
 EVAL_WARMUP = 3
 EVAL_REPEATS = 20
 EVAL_STAGES = ("inject_noise_ms", "evaluate_ms", "write_eval_report_ms", "operation_ms",
@@ -156,7 +157,8 @@ def main(argv=None):
         os.environ[name] = "1"
     use_tree(args.tree.resolve())
     sys.stdout.write(render({n: stage_times(n, STEPS) for n in SIZES}))
-    sys.stdout.write("\n" + render({EVAL_ROWS: eval_times(EVAL_ROWS, EVAL_REPEATS)}, EVAL_STAGES))
+    sys.stdout.write("\n" + render({rows: eval_times(rows, EVAL_REPEATS) for rows in EVAL_ROWS},
+                                   EVAL_STAGES))
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import special
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DomainError, ShapeError
 from .opinions import conflict_arrays
 from .schema import check
 from .special import lgamma as _lgamma_value
@@ -91,12 +91,17 @@ def lambda_schedule(epoch, anneal_epochs):
 def _labels(op, y, evidence, one_row=False):
     """``y`` as float64 labels shaped as the (n, q) rows of the array
     ``evidence`` or as ``evidence``, or with ``one_row`` as one (q,) or
-    (1, q) row for every sample; ``ShapeError`` otherwise."""
+    (1, q) row for every sample; ``ShapeError`` otherwise, and
+    ``DomainError`` where an entry is NaN or outside [0, 1].  Index labels
+    [0, 1] against n == q == 2 rows still pass: they are a valid label row."""
     y, rows = np.asarray(y, dtype=np.float64), evidence.shape[-2:]
     one_rows = (rows[-1:], (1, *rows[-1:])) if one_row else ()
     if y.shape not in (rows, evidence.shape, *one_rows):
         raise ShapeError(f"{op}: labels have shape {y.shape}, but evidence of shape "
                          f"{evidence.shape} needs {rows}")
+    bad = ~((y >= 0.0) & (y <= 1.0))
+    if bad.any():
+        raise DomainError(f"{op}: labels must lie in [0, 1], got {y[bad][0]}")
     return y
 
 

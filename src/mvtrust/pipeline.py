@@ -357,24 +357,39 @@ def _row_blocks(n):
     return zip(bounds[:-1], bounds[1:])
 
 
+def _report_rows(bundle: ForwardBundle, pairs):
+    """One block's report rows: predictions, joint uncertainty ``(rows,)``,
+    each view's local uncertainty ``(rows, v)``, attention ``(rows, v, v)``
+    and the conflict of each view pair in ``pairs``, pair-major ``(pairs, rows)``.
+
+    The conflict means hang on a layout: numpy lays the conflict of the
+    fancy-indexed pairs of the C-ordered ``(rows, v, q)`` fused evidence out
+    pair-major, so ``evaluate`` sums each pair over n contiguously and
+    pairwise, as over one pass's rows; a row-major ``(n, pairs)`` buffer
+    would make it a sequential sum, which moves the last bits."""
+    joint = bundle.evidence_joint.data
+    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+    p, r = pairs
+    return (np.argmax(joint, axis=1), evidence_to_opinion(joint)[1][:, 0],
+            evidence_to_opinion(fused)[1][..., 0], bundle.attention.data,
+            conflict_degree(fused[:, p], fused[:, r])[..., 0].T)
+
+
 def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | None = None):
     """Run the test path on standardized features and collect diagnostics.
 
-    Never mutates parameters; repeated calls return identical reports.  The
-    forward pass runs under ``no_grad()``, so no graph holds its
-    intermediates, and the opinion algebra runs on its arrays.  A ``mask``
-    marks the corrupted (sample, view) cells: a bool array (or nested list)
-    shaped ``(ds.n_samples, ds.n_views)``.
+    Never mutates parameters; repeated calls return identical reports.  A
+    ``mask`` marks the corrupted (sample, view) cells: a bool array (or
+    nested list) shaped ``(ds.n_samples, ds.n_views)``.
 
-    The forward pass runs once per consecutive block of ``EVAL_BLOCK_ROWS``
-    rows and copies out only each block's joint evidence, fused evidence
-    and attention, so its working set is bounded by the block, not by n.  No
+    The forward pass runs under ``no_grad()``, once per consecutive block of
+    ``EVAL_BLOCK_ROWS`` rows, and ``_report_rows`` reduces each block to its
+    report rows, so the working set is bounded by the block, not by n.  No
     block has one row unless n is 1: a one-row tail joins the block before
     it, because a one-row matmul rounds differently from every larger
-    block.  So every row of a call of two rows or more gets the bits it
-    would get in any other such call, and a call of up to
-    ``EVAL_BLOCK_ROWS + 1`` rows is one block.  The report's reductions
-    (accuracy, conflict means) still run over all n rows at once.
+    block.  So a row gets the same bits in every call of two rows or more,
+    and a call of up to ``EVAL_BLOCK_ROWS + 1`` rows is one block.  The
+    reductions (accuracy, conflict means) run over all n rows at the end.
     """
     model, cfg = trained.model, trained.cfg
     if ds.view_dims != model.spec.view_dims:
@@ -387,30 +402,15 @@ def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | Non
         raise ContractError("evaluate: the dataset has no rows")
     if mask is not None:
         mask = _cell_mask("evaluate", mask, (ds.n_samples, ds.n_views), "dataset")
-    n, v = ds.n_samples, ds.n_views
-    joint = np.empty((n, ds.n_classes))
-    # (n, v, q) in C order: numpy sums a transposed view in memory order,
-    # and the report's means would move in the last bit
-    fused = np.empty((n, v, ds.n_classes))
-    attention = np.empty((n, v, v))
+    p, r = np.triu_indices(ds.n_views, 1)   # the unordered view pairs
     with ad.no_grad():
-        for start, stop in _row_blocks(n):
-            bundle = forward_pass(model, [x[start:stop] for x in ds.views], cfg)
-            joint[start:stop] = bundle.evidence_joint.data
-            fused[start:stop] = bundle.evidence_fused.data.swapaxes(0, 1)
-            attention[start:stop] = bundle.attention.data
-            del bundle  # before the next block's forward pass, not after it
-    predictions = np.argmax(joint, axis=1)
-    joint_u = evidence_to_opinion(joint)[1][:, 0]
-    local_u = evidence_to_opinion(fused)[1][..., 0]
-
-    # one conflict call over the unordered view pairs; filling both
-    # triangles makes the matrix exactly symmetric with an exactly zero
-    # diagonal
-    p, r = np.triu_indices(ds.n_views, 1)
-    pair_means = conflict_degree(fused[:, p], fused[:, r])[..., 0].mean(axis=0)
+        blocks = [_report_rows(forward_pass(model, [x[start:stop] for x in ds.views], cfg), (p, r))
+                  for start, stop in _row_blocks(ds.n_samples)]
+    *rows, conflict_rows = zip(*blocks)
+    predictions, joint_u, local_u, attention = map(np.concatenate, rows)
+    # both triangles filled: exactly symmetric, with an exactly zero diagonal
     conflict = np.zeros((ds.n_views, ds.n_views))
-    conflict[p, r] = conflict[r, p] = pair_means
+    conflict[p, r] = conflict[r, p] = np.concatenate(conflict_rows, axis=1).mean(axis=1)
 
     correct = predictions == ds.labels
     report = EvalReport(

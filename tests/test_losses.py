@@ -8,7 +8,7 @@ import pytest
 import oracles
 from mvtrust import losses as L
 from mvtrust.autodiff import SIGMOID, SOFTMAX_ROWS, Tensor, backward, grad_check
-from mvtrust.errors import ContractError, ShapeError
+from mvtrust.errors import ContractError, DomainError, ShapeError
 from mvtrust.opinions import conflict_degree
 
 LOG2 = float(np.log(2.0))
@@ -350,6 +350,37 @@ def test_labels_not_rows_of_the_evidence_refused(loss, call, labels, evidence):
     with pytest.raises(ShapeError, match=re.escape(
             f"{loss}: labels have shape {shape}, but evidence of shape {evidence.shape} "
             f"needs {evidence.shape}")):
+        call(labels)
+
+
+def _bad(value, at=(2, 2)):
+    """One-hot labels of 3 classes with ``value`` at ``at``."""
+    labels = np.eye(3)
+    labels[at] = value
+    return labels
+
+
+@pytest.mark.parametrize("loss, call, labels, bad", [
+    ("ace_loss", lambda y: L.ace_loss(Tensor(ALPHA), y), _bad(2.0), "2.0"),
+    ("kl_loss", lambda y: L.kl_loss(Tensor(ALPHA), y), _bad(-1.0), "-1.0"),
+    ("h1_loss", lambda y: L.h1_loss(Tensor(np.stack([ALPHA] * 2)), Tensor(ALPHA - 1.0),
+                                    Tensor(np.stack([ALPHA] * 2) - 1.0), y, 1.0),
+     _bad(np.nan), "nan"),
+    ("h2_loss", lambda y: L.h2_loss(Tensor(ALPHA - 1.0), Tensor(np.stack([ALPHA] * 2) - 1.0), y,
+                                    0.5, 1.0, 0.0), _bad(1.5, at=(0, 1)), "1.5"),
+    ("cml_loss", lambda y: L.cml_loss(Tensor(np.full((3, 3), 1.0 / 3.0)), y), INDICES, "2.0"),
+    ("cross_entropy", lambda y: L.cross_entropy(Tensor(np.full((3, 3), 1.0 / 3.0)), y), INDICES,
+     "2.0"),
+    ("adv_loss", lambda y: L.adv_loss(Tensor(PROBS), y), [0.0, -1.0, 1.0], "-1.0"),
+    ("discriminator_losses", lambda y: L.discriminator_losses(Tensor(PROBS), Tensor(PROBS), y),
+     [[1.0, 0.0, np.nan]], "nan"),
+], ids=["ace", "kl", "h1", "h2", "cml", "cross_entropy", "adv", "discriminator"])
+def test_labels_outside_the_unit_interval_refused(loss, call, labels, bad):
+    # index labels [0, 1, 2] against 3 classes read as one label row: cml_loss
+    # returned 1.0986 and cross_entropy 3.2958, and labels of -1 made
+    # cml_loss negative
+    with pytest.raises(DomainError, match=re.escape(f"{loss}: labels must lie in [0, 1], "
+                                                    f"got {bad}")):
         call(labels)
 
 

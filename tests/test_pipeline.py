@@ -28,6 +28,7 @@ from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise, split, s
 from mvtrust.data import save_dataset, synthesize
 from mvtrust.errors import ContractError, TrainingDiverged
 from mvtrust.networks import Model, ModelSpec
+from mvtrust.opinions import conflict_degree
 from mvtrust.pipeline import (
     TrainConfig,
     TrainedModel,
@@ -404,12 +405,13 @@ class TestEvaluate:
             evaluate(trained, test_std.subset([]))
 
 
-def _held_out(rows):
+def _held_out(rows, **data):
     """An untrained acceptance-shaped model (support fitted on 800 training
-    rows) and ``rows`` held-out rows of the acceptance generator; inference
-    costs and rounds the same whatever the weights."""
+    rows) and ``rows`` held-out rows of the acceptance generator, whose
+    arguments ``data`` overrides; inference costs and rounds the same
+    whatever the weights."""
     cfg = TrainConfig(seed=7)
-    ds = synthesize(**{**ACCEPTANCE_DATA, "n_samples": 800 + rows})
+    ds = synthesize(**{**ACCEPTANCE_DATA, **data, "n_samples": 800 + rows})
     train_std, test_std, stats = standardize(*split(ds, 800 / (800 + rows), cfg.seed))
     model = Model(ModelSpec(ds.view_dims, ds.n_classes, subspace_dim=cfg.subspace_dim,
                             seed=cfg.seed))
@@ -451,10 +453,11 @@ class TestRowBlocks:
         evaluate(trained, test_std.subset(list(range(n))))
         assert sizes == blocks
 
-    @pytest.mark.parametrize("rows, bound_mib", [(5000, 12), (20000, 40)])
+    @pytest.mark.parametrize("rows, bound_mib", [(5000, 12), (20000, 40), (20000, 12)])
     def test_working_memory_is_bounded_by_the_block(self, rows, bound_mib):
-        # one forward pass over every row peaked at 43 and 172 MiB; with
-        # blocks, what grows with n is the report code, about 1 KiB a row
+        # one forward pass over every row peaked at 43 and 172 MiB, and the
+        # opinion algebra over every row at 5.4 and 17.9 MiB; with each block
+        # reduced to its report rows, what grows with n is the report itself
         trained, test_std = _held_out(rows)
         evaluate(trained, test_std)
         tracemalloc.start()
@@ -464,6 +467,32 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20, peak / 2**20
+
+    def test_conflict_means_sum_each_pair_pairwise(self):
+        # a pair's mean over n rows is one contiguous pairwise sum, as over
+        # the fancy-indexed pairs of one (n, v, q) array; a sequential sum
+        # moves the last bits (1,100 rows are three blocks, whose rows get
+        # the bits of one pass over all of them)
+        trained, test_std = _held_out(1100)
+        matrix = evaluate(trained, test_std).conflict_matrix
+        with ad.no_grad():
+            bundle = forward_pass(trained.model, test_std.views, trained.cfg)
+        fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+        p, r = np.triu_indices(3, 1)
+        expected = conflict_degree(fused[:, p], fused[:, r])[..., 0].mean(axis=0)
+        assert np.array_equal(matrix[p, r], expected), matrix[p, r] - expected
+
+    def test_one_view_over_two_blocks(self):
+        trained, test_std = _held_out(600, n_views=1, view_dims=(20,), nuisance_ratio=0.3)
+        report = evaluate(trained, test_std)
+        assert report.conflict_matrix.shape == (1, 1) and report.conflict_matrix[0, 0] == 0.0
+        assert report.local_uncertainty.shape == (600, 1)
+        assert report.attention.shape == (600, 1, 1)
+        for start, stop in [(0, 512), (512, 600)]:
+            part = evaluate(trained, test_std.subset(list(range(start, stop))))
+            for field in ("joint_uncertainty", "local_uncertainty", "attention", "predictions"):
+                np.testing.assert_array_equal(getattr(part, field),
+                                              getattr(report, field)[start:stop], err_msg=field)
 
 
 def _fresh_model(ds):
