@@ -465,7 +465,9 @@ def run_noise_sweep(trained: TrainedModel, test_ds: MultiViewDataset, sigmas, fr
     """Evaluate per sigma on independently corrupted copies of the test set.
 
     Reusing one seed keeps the corrupted instances, views, and noise
-    directions identical across sigma values, so only the scale varies.
+    directions identical across sigma values, so only the scale varies;
+    that is also why every sigma after the first is cheap: ``inject_noise``
+    reuses the seeded draw it made for the first.
     The fraction and seed are checked before the first evaluate, whatever
     the sigmas; a sigma is checked when its corruption is built.
     """

@@ -1,5 +1,7 @@
 """Dataset generation, splitting, standardization, corruption, manifest IO."""
 
+import collections
+import dataclasses
 import json
 import re
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mvtrust import data
 from mvtrust.cli import main as cli_main
 from mvtrust.data import (
     CorruptionSpec,
@@ -296,6 +299,84 @@ class TestBulkCorruption:
             with pytest.raises(DataError,
                                match=f"^view {i} has a non-finite feature in row {row}$"):
                 inject_noise(ds, spec)
+
+
+class TestUnitNoiseCache:
+    """``inject_noise`` keeps its last seeded draw; nothing it returns depends on that."""
+
+    def test_each_key_field_makes_a_fresh_draw(self):
+        # each call changes one thing from the call before it, so a field the
+        # cache does not key on returns the previous call's draw
+        ds = synthesize(2, 3, 41, (3, 5, 4), seed=6)
+        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=10.0, seed=1)
+        steps = [("first", ds, spec)]
+        for name, change in [("seed", dict(seed=2)), ("fraction", dict(fraction=0.3)),
+                             ("views", dict(views=(2, 0))), ("sigma", dict(sigma=1.0))]:
+            spec = dataclasses.replace(spec, **change)
+            steps.append((name, ds, spec))
+        for name, changed in [("rows", ds.subset(np.arange(40))),
+                              # view 0 is one the spec hits
+                              ("width", synthesize(2, 3, 40, (4, 5, 4), seed=6)),
+                              ("values", synthesize(2, 3, 40, (4, 5, 4), seed=7))]:
+            ds = changed
+            steps.append((name, ds, spec))
+        for name, ds, spec in steps:
+            try:
+                _assert_same_corruption(inject_noise(ds, spec), oracles.per_row_corrupt(ds, spec))
+            except pytest.fail.Exception as exc:
+                pytest.fail(f"after changing {name}: {exc}")
+
+    def test_mutating_a_result_leaves_the_next_one_alone(self):
+        ds = synthesize(2, 3, 41, (3, 5, 4), seed=6)
+        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=10.0, seed=1)
+        out, mask = inject_noise(ds, spec)
+        for x in out.views:
+            x *= -1.0
+        mask[...] = ~mask
+        _assert_same_corruption(inject_noise(ds, spec), oracles.per_row_corrupt(ds, spec))
+        hits = data._unit_noise(spec.seed, spec.fraction, spec.views, ds.n_samples, ds.view_dims)
+        for rows, z in hits:
+            assert not rows.flags.writeable and not z.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                z[...] = 0.0
+
+    def test_overflow_on_a_cached_draw_named_by_the_dataset_check(self):
+        ds = synthesize(2, 3, 20, (4, 4, 4), seed=6)
+        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, seed=1)
+        inject_noise(ds, spec)
+        hits = data._unit_noise.cache_info().hits
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite feature"):
+            inject_noise(ds, dataclasses.replace(spec, sigma=1e308))
+        assert data._unit_noise.cache_info().hits == hits + 1
+
+    def test_a_second_sigma_draws_nothing(self, monkeypatch):
+        calls = collections.Counter()
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                calls["default_rng"] += 1
+                self._rng = default_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                calls["choice"] += 1
+                return self._rng.choice(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        ds = synthesize(2, 3, 30, (4, 4, 4), seed=6)
+        spec = CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, seed=3)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        data._unit_noise.cache_clear()
+        inject_noise(ds, spec)
+        assert calls["default_rng"] == 1 and calls["choice"] == 16  # the rows, then 15 rows' views
+        calls.clear()
+        inject_noise(ds, dataclasses.replace(spec, sigma=10.0))
+        assert not calls
+        inject_noise(ds, dataclasses.replace(spec, seed=4))
+        assert calls["default_rng"] == 1
+        assert data._unit_noise.cache_info().currsize <= 1
 
 
 class TestInjectConflict:

@@ -54,7 +54,8 @@ def test_times_every_stage_of_a_few_noise_sweep_operations(step_cost):
 def test_renders_the_noise_sweep_table(step_cost):
     rows = {n: dict.fromkeys(step_cost.EVAL_STAGES, 2.0) for n in step_cost.EVAL_ROWS}
     assert step_cost.render(rows, step_cost.EVAL_STAGES) == (
-        "n\tinject_noise_ms\tevaluate_ms\twrite_eval_report_ms\toperation_ms\tevaluate_peak_mb\n"
-        "5000\t2.000\t2.000\t2.000\t2.000\t2.000\n"
-        "20000\t2.000\t2.000\t2.000\t2.000\t2.000\n"
+        "n\tinject_noise_ms\tevaluate_ms\twrite_eval_report_ms\toperation_ms"
+        "\tinject_noise_first_ms\tevaluate_peak_mb\n"
+        "5000\t2.000\t2.000\t2.000\t2.000\t2.000\t2.000\n"
+        "20000\t2.000\t2.000\t2.000\t2.000\t2.000\t2.000\n"
     )
