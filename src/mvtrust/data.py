@@ -325,10 +325,9 @@ def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
     ``x + sigma * z`` per cell as a per-row write.
     """
     _check_spec(ds, spec, "gaussian_noise")
-    sigma = spec.sigma
 
     def add_noise(x, rows, z):
-        x[rows] += z * sigma
+        x[rows] += z * spec.sigma
 
     hits = _unit_noise(spec.seed, spec.fraction, spec.views, ds.n_samples, ds.view_dims)
     return _write(ds, hits, add_noise)
