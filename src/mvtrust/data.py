@@ -4,6 +4,8 @@ Covers manifest-based loading of dense text matrices, synthetic dataset
 generation around a class-conditional latent Gaussian, stratified
 splitting, train-statistics standardization, and the two corruption
 harnesses (additive Gaussian noise and cross-class view misalignment).
+Each harness runs its own seeded loop over the hit rows, collecting each
+view's hit rows and new values, and writes each view of a copy once.
 Corruption never mutates its input; the returned mask fully describes the
 delta.  Every seeded operation is bit-reproducible.  The noise harness
 keeps its last seeded draw, which does not depend on sigma, so a sweep
@@ -38,7 +40,13 @@ class MultiViewDataset:
 
     def __post_init__(self):
         self.views = [np.asarray(v, dtype=np.float64) for v in self.views]
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biu":
+            labels = labels.astype(np.float64)
+            whole = np.isfinite(labels) & (labels == np.round(labels))
+            if not whole.all():
+                raise ContractError(f"labels must be whole numbers, got {labels[~whole][0]}")
+        self.labels = labels.astype(np.int64)
         if not self.views:
             raise ContractError("dataset needs at least one view")
         n = self.views[0].shape[0]
@@ -247,68 +255,51 @@ def _check_spec(ds: MultiViewDataset, spec: CorruptionSpec, kind):
             raise ContractError(f"corruption view index {i} outside [0, {v}): dataset has {v} views")
 
 
-def _draw(seed, fraction, n, view_dims, draw_row):
-    """The seeded row loop of both harnesses.
+def _hit_rows(rng, fraction, n):
+    """The rows both harnesses corrupt: one ``rng.choice``, ascending."""
+    return np.sort(rng.choice(n, size=round(fraction * n), replace=False)).tolist()
 
-    One ``rng.choice`` picks the rows; then, row by row in ascending order,
-    ``draw_row(rng, j, take)`` makes row ``j``'s draws: for each view ``i``
-    it hits, ``take(i, j)`` records the hit and returns the next row of
-    that view's draw buffer, which ``draw_row`` fills.  Returns one
-    ``(rows, z)`` per view: its hit rows, ascending, and their draws in
-    that order, both read-only.
-    """
-    rng = np.random.default_rng(seed)
-    selected = np.sort(rng.choice(n, size=round(fraction * n), replace=False)).tolist()
-    draws = [np.empty((len(selected), d)) for d in view_dims]
-    hit_rows = [[] for _ in view_dims]
 
-    def take(i, j):
-        hit_rows[i].append(j)
-        return draws[i][len(hit_rows[i]) - 1]
-
-    for j in selected:
-        draw_row(rng, j, take)
+def _stack(rows, values, view_dims):
+    """Each view's hit rows and its values there, one row per hit, as
+    read-only arrays; a view with no hit gets ``(0, d)`` values."""
     hits = []
-    for rows, z in zip(hit_rows, draws):
-        rows = np.array(rows, dtype=np.int64)
-        for a in (rows, z):
-            a.setflags(write=False)
-        hits.append((rows, z[:rows.size]))
+    for r, z, d in zip(rows, values, view_dims):
+        r, z = np.array(r, dtype=np.int64), np.array(z, dtype=np.float64).reshape(-1, d)
+        r.setflags(write=False)
+        z.setflags(write=False)
+        hits.append((r, z))
     return tuple(hits)
 
 
-def _write(ds: MultiViewDataset, hits, write):
-    """The corrupted copy of ``ds`` and its (n, v) bool mask.
-
-    ``write(x, rows, z)`` writes each hit view's copy ``x`` once, at its hit
-    ``rows`` from ``z``, as ``_draw`` gave them.  The copy is checked as a
-    ``MultiViewDataset`` only once every write is in.
-    """
+def _write(ds: MultiViewDataset, rows, values):
+    """The corrupted copy of ``ds`` and its (n, v) bool mask: each view of
+    the copy gets its ``values`` at its hit ``rows`` in one write, and the
+    copy is checked as a ``MultiViewDataset`` only once every write is in."""
     views = [x.copy() for x in ds.views]
     mask = np.zeros((ds.n_samples, ds.n_views), dtype=bool)
-    for i, (rows, z) in enumerate(hits):
-        if rows.size:
-            write(views[i], rows, z)
-            mask[rows, i] = True
+    for i, (r, z) in enumerate(zip(rows, values)):
+        views[i][r] = z
+        mask[r, i] = True
     return MultiViewDataset(views, ds.labels.copy(), ds.n_classes, ds.view_names), mask
 
 
 @functools.lru_cache(maxsize=1)
 def _unit_noise(seed, fraction, views, n, view_dims):
     """``inject_noise``'s seeded draws: per view, its hit rows and their
-    standard normals.  Each selected row draws its views (unless ``views``
-    names them) and then one standard normal per target view, in order."""
+    standard normals.  Each hit row draws its views (unless ``views`` names
+    them) and then one standard normal per target view, in order."""
+    rng = np.random.default_rng(seed)
     n_views = len(view_dims)
-    half = (n_views + 1) // 2
-
-    def noisy_row(rng, j, take):
+    rows, draws = [[] for _ in view_dims], [[] for _ in view_dims]
+    for j in _hit_rows(rng, fraction, n):
         targets = views
         if targets is None:
-            targets = sorted(rng.choice(n_views, half, replace=False).tolist())
+            targets = sorted(rng.choice(n_views, (n_views + 1) // 2, replace=False).tolist())
         for i in targets:
-            rng.standard_normal(out=take(i, j))
-
-    return _draw(seed, fraction, n, view_dims, noisy_row)
+            rows[i].append(j)
+            draws[i].append(rng.standard_normal(view_dims[i]))
+    return _stack(rows, draws, view_dims)
 
 
 def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
@@ -321,35 +312,29 @@ def inject_noise(ds: MultiViewDataset, spec: CorruptionSpec):
     on sigma or on the values, so ``_unit_noise`` keeps the last of them:
     one entry of fraction * n * sum(view_dims) floats at most (1.5 MB at
     5,000 rows of three views 75 columns wide), held read-only.  Each view's
-    noise is added in one fancy-indexed ``x[rows] += z * sigma``, the same
-    ``x + sigma * z`` per cell as a per-row write.
+    noisy rows are ``x[rows] + z * sigma``, the same ``x + sigma * z`` per
+    cell as a per-row write, made one view at a time.
     """
     _check_spec(ds, spec, "gaussian_noise")
-
-    def add_noise(x, rows, z):
-        x[rows] += z * spec.sigma
-
-    hits = _unit_noise(spec.seed, spec.fraction, spec.views, ds.n_samples, ds.view_dims)
-    return _write(ds, hits, add_noise)
+    rows, unit = zip(*_unit_noise(spec.seed, spec.fraction, spec.views, ds.n_samples,
+                                  ds.view_dims))
+    return _write(ds, rows, (x[r] + z * spec.sigma for x, r, z in zip(ds.views, rows, unit)))
 
 
 def inject_conflict(ds: MultiViewDataset, spec: CorruptionSpec):
     """Replace one view of selected instances with the same view's features
     from a donor of a different class, misaligning that view's label."""
+    _check_spec(ds, spec, "view_misalign")
     if np.unique(ds.labels).size < 2:
         raise DataError("cannot misalign views in a single-class dataset")
     donors = [np.flatnonzero(ds.labels != c) for c in range(ds.n_classes)]
-
-    def misaligned_row(rng, j, take):
+    rng = np.random.default_rng(spec.seed)
+    rows, donated = [[] for _ in ds.views], [[] for _ in ds.views]
+    for j in _hit_rows(rng, spec.fraction, ds.n_samples):
         i = int(rng.integers(ds.n_views) if spec.views is None else rng.choice(spec.views))
-        take(i, j)[:] = ds.views[i][rng.choice(donors[ds.labels[j]])]
-
-    def replace(x, rows, z):
-        x[rows] = z
-
-    _check_spec(ds, spec, "view_misalign")
-    hits = _draw(spec.seed, spec.fraction, ds.n_samples, ds.view_dims, misaligned_row)
-    return _write(ds, hits, replace)
+        rows[i].append(j)
+        donated[i].append(ds.views[i][rng.choice(donors[ds.labels[j]])])
+    return _write(ds, *zip(*_stack(rows, donated, ds.view_dims)))
 
 
 # ---------------------------------------------------------------------------

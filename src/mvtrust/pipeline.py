@@ -362,17 +362,17 @@ def _report_rows(bundle: ForwardBundle, pairs):
     each view's local uncertainty ``(rows, v)``, attention ``(rows, v, v)``
     and the conflict of each view pair in ``pairs``, pair-major ``(pairs, rows)``.
 
-    The conflict means hang on a layout: numpy lays the conflict of the
-    fancy-indexed pairs of the C-ordered ``(rows, v, q)`` fused evidence out
-    pair-major, so ``evaluate`` sums each pair over n contiguously and
-    pairwise, as over one pass's rows; a row-major ``(n, pairs)`` buffer
-    would make it a sequential sum, which moves the last bits."""
+    The report's means sum in memory order, so the layouts hold its last
+    bits: the conflicts stay pair-major, so that ``evaluate`` sums each pair
+    over n contiguously and pairwise, as over one pass's rows, and the local
+    uncertainties are made C-ordered ``(rows, v)`` from the view-major
+    ``(v, rows, q)`` fused evidence."""
     joint = bundle.evidence_joint.data
-    fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+    fused = bundle.evidence_fused.data
     p, r = pairs
     return (np.argmax(joint, axis=1), evidence_to_opinion(joint)[1][:, 0],
-            evidence_to_opinion(fused)[1][..., 0], bundle.attention.data,
-            conflict_degree(fused[:, p], fused[:, r])[..., 0].T)
+            np.ascontiguousarray(evidence_to_opinion(fused)[1][..., 0].T),
+            bundle.attention.data, conflict_degree(fused[p], fused[r])[..., 0])
 
 
 def evaluate(trained: TrainedModel, ds: MultiViewDataset, mask: np.ndarray | None = None):

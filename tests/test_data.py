@@ -281,11 +281,14 @@ class TestBulkCorruption:
         spec = CorruptionSpec("gaussian_noise", fraction, sigma=10.0, views=views, seed=seed)
         _assert_same_corruption(inject_noise(ds, spec), oracles.per_row_corrupt(ds, spec))
 
-    @pytest.mark.parametrize("views, seed", [(None, 0), (None, 5), ((1,), 1), ((2, 0), 2)],
-                             ids=["random-view-0", "random-view-5", "view-1", "views-2-0"])
-    def test_misalignment_matches_the_per_row_loop(self, views, seed):
+    @pytest.mark.parametrize("fraction, views, seed", [
+        (0.5, None, 0), (0.5, None, 5), (0.5, (1,), 1), (0.5, (2, 0), 2), (1.0, (1,), 3),
+        (0.0, None, 4),
+    ], ids=["random-view-0", "random-view-5", "view-1", "views-2-0", "view-1-all", "fraction-0"])
+    def test_misalignment_matches_the_per_row_loop(self, fraction, views, seed):
+        # view-1-all and fraction-0 leave views with no hit
         ds = synthesize(3, 3, 41, (3, 5, 4), seed=6)
-        spec = CorruptionSpec("view_misalign", 0.5, views=views, seed=seed)
+        spec = CorruptionSpec("view_misalign", fraction, views=views, seed=seed)
         _assert_same_corruption(inject_conflict(ds, spec), oracles.per_row_corrupt(ds, spec))
 
     def test_overflowing_noise_named_by_the_dataset_check(self):
@@ -408,6 +411,17 @@ class TestInjectConflict:
                               np.zeros(10, dtype=int), 2)
         with pytest.raises(DataError):
             inject_conflict(ds, CorruptionSpec("view_misalign", 0.5, seed=1))
+
+    @pytest.mark.parametrize("spec, named", [
+        (CorruptionSpec("gaussian_noise", 0.5, sigma=1.0, seed=1),
+         "expected a view_misalign spec, got a gaussian_noise spec"),
+        (CorruptionSpec("view_misalign", 0.5, views=(5,), seed=1), "index 5 outside [0, 2)"),
+    ], ids=["noise-spec", "view-5"])
+    def test_spec_checked_before_the_labels(self, spec, named):
+        # a single-class dataset: the spec's own fault is the one named
+        ds = MultiViewDataset([np.ones((10, 3)), np.ones((10, 2))], np.zeros(10, dtype=int), 2)
+        with pytest.raises(ContractError, match=re.escape(named)):
+            inject_conflict(ds, spec)
 
     @pytest.mark.parametrize("view, named", [
         (2, "index 2 outside [0, 2)"),
@@ -565,12 +579,21 @@ class TestDatasetValidation:
         with pytest.raises(ContractError):
             MultiViewDataset([np.ones((3, 2))], np.array([0, 1, 2]), 2)
 
+    def test_whole_float_labels_accepted(self):
+        ds = MultiViewDataset([np.zeros((3, 2))], [0.0, 1.0, 1.0], 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+
     @pytest.mark.parametrize("views, labels, named", [
         ([], np.zeros(3, int), "dataset needs at least one view"),
         ([np.ones((3, 2)), np.ones(3)], np.zeros(3, int),
          "view 1 must be a 2-d matrix with >= 1 column"),
         ([np.ones((3, 2))], np.zeros(4, int), "labels must be one per sample: (4,) vs 3 rows"),
-    ], ids=["no-views", "one-d-view", "label-count"])
+        ([np.ones((3, 2))], [0.5, 1.7, 1.0], "labels must be whole numbers, got 0.5"),
+        ([np.ones((3, 2))], [0.0, 1.0, 1.25], "labels must be whole numbers, got 1.25"),
+        ([np.ones((3, 2))], [0.0, np.nan, 1.0], "labels must be whole numbers, got nan"),
+        ([np.ones((3, 2))], [0.0, np.inf, 1.0], "labels must be whole numbers, got inf"),
+    ], ids=["no-views", "one-d-view", "label-count", "label-half", "label-last", "label-nan",
+            "label-inf"])
     def test_malformed_dataset_named(self, views, labels, named):
         with pytest.raises(ContractError, match=f"^{re.escape(named)}$"):
             MultiViewDataset(views, labels, 2)

@@ -28,7 +28,7 @@ from mvtrust.data import CorruptionSpec, inject_conflict, inject_noise, split, s
 from mvtrust.data import save_dataset, synthesize
 from mvtrust.errors import ContractError, TrainingDiverged
 from mvtrust.networks import Model, ModelSpec
-from mvtrust.opinions import conflict_degree
+from mvtrust.opinions import conflict_degree, evidence_to_opinion
 from mvtrust.pipeline import (
     TrainConfig,
     TrainedModel,
@@ -481,6 +481,18 @@ class TestRowBlocks:
         p, r = np.triu_indices(3, 1)
         expected = conflict_degree(fused[:, p], fused[:, r])[..., 0].mean(axis=0)
         assert np.array_equal(matrix[p, r], expected), matrix[p, r] - expected
+
+    def test_local_uncertainty_mean_sums_row_major(self):
+        # the report's mean sums in memory order, so the rows a block reads
+        # from the view-major fused evidence must come out C-ordered (n, v)
+        trained, test_std = _held_out(1100)
+        local = evaluate(trained, test_std).local_uncertainty
+        with ad.no_grad():
+            bundle = forward_pass(trained.model, test_std.views, trained.cfg)
+        fused = np.ascontiguousarray(bundle.evidence_fused.data.swapaxes(0, 1))
+        expected = evidence_to_opinion(fused)[1][..., 0]
+        assert local.flags.c_contiguous
+        assert local.mean() == expected.mean(), local.mean() - expected.mean()
 
     def test_one_view_over_two_blocks(self):
         trained, test_std = _held_out(600, n_views=1, view_dims=(20,), nuisance_ratio=0.3)
