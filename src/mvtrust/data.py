@@ -43,9 +43,10 @@ class MultiViewDataset:
         labels = np.asarray(self.labels)
         if labels.dtype.kind not in "biu":
             labels = labels.astype(np.float64)
-            whole = np.isfinite(labels) & (labels == np.round(labels))
+            whole = (np.abs(labels) < 2.0**63) & (labels == np.round(labels))
             if not whole.all():
-                raise ContractError(f"labels must be whole numbers, got {labels[~whole][0]}")
+                raise ContractError(
+                    f"labels must be whole numbers within int64, got {labels[~whole][0]}")
         self.labels = labels.astype(np.int64)
         if not self.views:
             raise ContractError("dataset needs at least one view")

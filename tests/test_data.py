@@ -588,12 +588,16 @@ class TestDatasetValidation:
         ([np.ones((3, 2)), np.ones(3)], np.zeros(3, int),
          "view 1 must be a 2-d matrix with >= 1 column"),
         ([np.ones((3, 2))], np.zeros(4, int), "labels must be one per sample: (4,) vs 3 rows"),
-        ([np.ones((3, 2))], [0.5, 1.7, 1.0], "labels must be whole numbers, got 0.5"),
-        ([np.ones((3, 2))], [0.0, 1.0, 1.25], "labels must be whole numbers, got 1.25"),
-        ([np.ones((3, 2))], [0.0, np.nan, 1.0], "labels must be whole numbers, got nan"),
-        ([np.ones((3, 2))], [0.0, np.inf, 1.0], "labels must be whole numbers, got inf"),
+        ([np.ones((3, 2))], [0.5, 1.7, 1.0], "labels must be whole numbers within int64, got 0.5"),
+        ([np.ones((3, 2))], [0.0, 1.0, 1.25], "labels must be whole numbers within int64, got 1.25"),
+        ([np.ones((3, 2))], [0.0, np.nan, 1.0], "labels must be whole numbers within int64, got nan"),
+        ([np.ones((3, 2))], [0.0, np.inf, 1.0], "labels must be whole numbers within int64, got inf"),
+        ([np.ones((3, 2))], [0.0, 1e20, 1.0], "labels must be whole numbers within int64, got 1e+20"),
+        ([np.ones((3, 2))], [0, 2**70, 1], f"labels must be whole numbers within int64, got {2.0**70}"),
+        ([np.ones((3, 2))], [0.0, -2.0**63 - 4096, 1.0],
+         f"labels must be whole numbers within int64, got {-2.0**63 - 4096}"),
     ], ids=["no-views", "one-d-view", "label-count", "label-half", "label-last", "label-nan",
-            "label-inf"])
+            "label-inf", "label-huge-float", "label-huge-int", "label-huge-negative"])
     def test_malformed_dataset_named(self, views, labels, named):
         with pytest.raises(ContractError, match=f"^{re.escape(named)}$"):
             MultiViewDataset(views, labels, 2)
